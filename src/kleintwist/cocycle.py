@@ -22,10 +22,9 @@ from math import lcm
 import numpy as np
 
 from .errors import KleintwistError, TwistNotHopf
-from .hopf import (FDHopf, HopfMap, _n, _safe_einsum, fourier_iso,
-                   group_algebra, restriction_surjection,
-                   scaled_integer_tensors, vec_normalize,
-                   verify_hopf_axioms)
+from .hopf import (FDHopf, HopfMap, _int_tensor, _n, _rescale, _safe_einsum,
+                   fourier_iso, group_algebra, restriction_surjection,
+                   scaled_integer_tensors, vec_normalize, verify_hopf_axioms)
 from .perm import PermGroup, Permutation, easy_klein, klein_group, symmetric_group
 
 
@@ -113,13 +112,8 @@ def klein_bicharacter() -> Cocycle2:
 
 
 def _scaled_table(table) -> tuple:
-    d = 1
-    for row in table:
-        for c in row:
-            d = lcm(d, Fraction(c).denominator)
-    arr = np.array([[int(Fraction(c) * d) for c in row] for row in table],
-                   dtype=np.int64)
-    return arr, d
+    return _int_tensor((len(table), len(table)),
+                       {(i, j): c for i, row in enumerate(table) for j, c in enumerate(row)})
 
 
 def verify_cocycle(sigma: Cocycle2) -> bool:
@@ -134,20 +128,19 @@ def verify_cocycle(sigma: Cocycle2) -> bool:
     Sg, dSg = _scaled_table(sigma.table)
     Sv, dSv = _scaled_table(sigma.inverse_table)
 
-    ok = np.array_equal(_safe_einsum("i,ij->j", U, Sg) * t.dE, E * (t.dU * dSg))
-    ok = ok and np.array_equal(_safe_einsum("j,ij->i", U, Sg) * t.dE, E * (t.dU * dSg))
-    ok = ok and np.array_equal(_safe_einsum("i,ij->j", U, Sv) * t.dE, E * (t.dU * dSv))
-    ok = ok and np.array_equal(_safe_einsum("j,ij->i", U, Sv) * t.dE, E * (t.dU * dSv))
+    ok = True
+    for tab, d in ((Sg, dSg), (Sv, dSv)):
+        for sub in ("i,ij->j", "j,ij->i"):
+            ok = ok and np.array_equal(_rescale(_safe_einsum(sub, U, tab), t.dE),
+                                       _rescale(E, t.dU * d))
     if not ok:
         return False
 
-    ee = np.outer(E, E)
-    conv = _safe_einsum("iab,jde,ad,be->ij", C, C, Sg, Sv)
-    if not np.array_equal(conv * (t.dE * t.dE), ee * (t.dC * t.dC * dSg * dSv)):
-        return False
-    conv = _safe_einsum("iab,jde,ad,be->ij", C, C, Sv, Sg)
-    if not np.array_equal(conv * (t.dE * t.dE), ee * (t.dC * t.dC * dSg * dSv)):
-        return False
+    ee = _rescale(_safe_einsum("i,j->ij", E, E), t.dC * t.dC * dSg * dSv)
+    for left, right in ((Sg, Sv), (Sv, Sg)):
+        conv = _safe_einsum("iab,jde,ad,be->ij", C, C, left, right)
+        if not np.array_equal(_rescale(conv, t.dE * t.dE), ee):
+            return False
 
     SM1 = _safe_einsum("bew,wk->bek", M, Sg)
     lhs = _safe_einsum("iab,jde,ad,bek->ijk", C, C, Sg, SM1)

@@ -3,13 +3,21 @@
 An FDHopf stores all six structure tensors (unit, multiplication,
 comultiplication, counit, antipode, star) with int/Fraction scalars.
 Axiom verification clears denominators and runs integer einsums, so an
-exhaustive check at dimension 24 stays fast while remaining exact; an
-overflow bound guard falls back to arbitrary-precision arithmetic.
+exhaustive check at dimension 24 stays fast while remaining exact.  Every
+integer step (conversion, contraction, rescaling) goes through one bound
+guard that switches to arbitrary-precision object arrays before int64
+could overflow.
 
 Character enumeration quotients by the commutator ideal and splits the
 commutative quotient into local blocks by generalized eigenspaces of
 multiplication operators, refusing loudly (NonSplitQuotient) whenever a
-minimal polynomial fails to split over the rationals.
+minimal polynomial fails to split over the rationals.  Each block is held
+in reduced echelon form, so restricting an operator to it reads an
+image's coordinates at the pivot columns and certifies invariance with
+one exact residual; an operator that is already scalar on a block is
+skipped without a minimal polynomial.  The character group comes from one
+integer contraction of the character-value matrix with the coproduct and
+the antipode.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from .errors import (ClosureFailure, EvaluationNotPermutation, KleintwistError,
 from .perm import PermGroup, Permutation, generate, klein_group
 from .ratlinalg import (RowSpace, column_space_basis, kernel_basis, invert,
                         mat_sub_scalar, matmul, matpow, matvec,
-                        minimal_polynomial, rational_roots, solve_columns)
+                        minimal_polynomial, rational_roots)
 
 Scalar = "int | Fraction"
 Vec = dict
@@ -283,41 +291,54 @@ class ScaledTensors:
 
 
 def _denom(values) -> int:
-    d = 1
-    for v in values:
-        d = lcm(d, Fraction(v).denominator)
-    return d
+    """Least common denominator of exact rationals (ints or Fractions)."""
+    return lcm(1, *{v.denominator for v in values})
+
+
+_INT64_LIMIT = 2 ** 62
+
+
+def _int_dtype(bound: int):
+    """The one overflow guard: int64 when every entry is proven to stay
+    below _INT64_LIMIT in absolute value, else exact Python ints in an
+    object array, never a silent wraparound."""
+    return np.int64 if bound < _INT64_LIMIT else object
+
+
+def _max_abs(arr: np.ndarray) -> int:
+    # max and min rather than abs(): no temporary copy of a large array
+    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
+
+
+def _int_tensor(shape, entries: dict) -> tuple:
+    """(A, d): the rational tensor given as {index: value} cleared to the
+    exact integer array A = d * T, d the least common denominator."""
+    d = _denom(entries.values())
+    ints = {idx: c.numerator * (d // c.denominator) for idx, c in entries.items()}
+    out = np.zeros(shape, dtype=_int_dtype(max(map(abs, ints.values()), default=0)))
+    for idx, v in ints.items():
+        out[idx] = v
+    return out, d
+
+
+def _rescale(arr: np.ndarray, k: int) -> np.ndarray:
+    """arr * k over the integers, guarded like every other integer step."""
+    bound = max(1, _max_abs(arr)) * abs(k)
+    return arr.astype(_int_dtype(bound), copy=False) * k
 
 
 def scaled_integer_tensors(H: FDHopf) -> ScaledTensors:
     n = H.dim
-    dU = _denom(H.unit.values())
-    dM = _denom(c for v in H.mult.values() for c in v.values())
-    dC = _denom(c for i in range(n) for (_, _, c) in H.comult[i])
-    dE = _denom(H.counit)
-    dS = _denom(c for i in range(n) for c in H.antipode[i].values())
-    dT = _denom(c for i in range(n) for c in H.star[i].values())
-
-    U = np.zeros(n, dtype=np.int64)
-    for i, c in H.unit.items():
-        U[i] = int(Fraction(c) * dU)
-    M = np.zeros((n, n, n), dtype=np.int64)
-    for (i, j), v in H.mult.items():
-        for p, c in v.items():
-            M[i, j, p] = int(Fraction(c) * dM)
-    C = np.zeros((n, n, n), dtype=np.int64)
-    for i in range(n):
-        for (a, b, c) in H.comult[i]:
-            C[i, a, b] = int(Fraction(c) * dC)
-    E = np.array([int(Fraction(c) * dE) for c in H.counit], dtype=np.int64)
-    S = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j, c in H.antipode[i].items():
-            S[i, j] = int(Fraction(c) * dS)
-    T = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j, c in H.star[i].items():
-            T[i, j] = int(Fraction(c) * dT)
+    U, dU = _int_tensor((n,), H.unit)
+    M, dM = _int_tensor((n, n, n), {(i, j, p): c for (i, j), v in H.mult.items()
+                                   for p, c in v.items()})
+    C, dC = _int_tensor((n, n, n), {(i, a, b): c for i in range(n)
+                                   for (a, b, c) in H.comult[i]})
+    E, dE = _int_tensor((n,), dict(enumerate(H.counit)))
+    S, dS = _int_tensor((n, n), {(i, j): c for i in range(n)
+                                for j, c in H.antipode[i].items()})
+    T, dT = _int_tensor((n, n), {(i, j): c for i in range(n)
+                                for j, c in H.star[i].items()})
     return ScaledTensors(U, M, C, E, S, T, dU, dM, dC, dE, dS, dT)
 
 
@@ -333,11 +354,10 @@ def _safe_einsum(subscripts: str, *arrays: np.ndarray) -> np.ndarray:
     contracted = set("".join(terms)) - set(rhs)
     bound = 1
     for arr in arrays:
-        m = int(np.abs(arr).max()) if arr.size else 0
-        bound *= max(1, m)
+        bound *= max(1, _max_abs(arr))
     for ch in contracted:
         bound *= sizes[ch]
-    if bound >= 2 ** 62:
+    if _int_dtype(bound) is object:
         return np.einsum(subscripts, *[a.astype(object) for a in arrays])
     return np.einsum(subscripts, *arrays, optimize=True)
 
@@ -353,37 +373,38 @@ def verify_hopf_axioms(H: FDHopf) -> dict:
 
     assoc = np.array_equal(_safe_einsum("ijw,wkp->ijkp", M, M),
                            _safe_einsum("jkw,iwp->ijkp", M, M))
-    assoc = assoc and np.array_equal(_safe_einsum("i,ijp->jp", U, M), t.dU * t.dM * eye)
-    assoc = assoc and np.array_equal(_safe_einsum("j,ijp->ip", U, M), t.dU * t.dM * eye)
+    assoc = assoc and np.array_equal(_safe_einsum("i,ijp->jp", U, M), _rescale(eye, t.dU * t.dM))
+    assoc = assoc and np.array_equal(_safe_einsum("j,ijp->ip", U, M), _rescale(eye, t.dU * t.dM))
 
     coassoc = np.array_equal(_safe_einsum("iab,axy->ixyb", C, C),
                              _safe_einsum("iab,bxy->iaxy", C, C))
 
-    counit = (np.array_equal(_safe_einsum("iab,a->ib", C, E), t.dC * t.dE * eye)
-              and np.array_equal(_safe_einsum("iab,b->ia", C, E), t.dC * t.dE * eye))
+    counit = (np.array_equal(_safe_einsum("iab,a->ib", C, E), _rescale(eye, t.dC * t.dE))
+              and np.array_equal(_safe_einsum("iab,b->ia", C, E), _rescale(eye, t.dC * t.dE)))
 
     lhs = _safe_einsum("ijw,wpq->ijpq", M, C)
     X = _safe_einsum("iab,acp->ibcp", C, M)
     W = _safe_einsum("jcd,bdq->jcbq", C, M)
     rhs = _safe_einsum("ibcp,jcbq->ijpq", X, W)
-    bialg = np.array_equal(lhs * (t.dC * t.dM), rhs)
-    bialg = bialg and np.array_equal(_safe_einsum("ijw,w->ij", M, E) * t.dE,
-                                     np.outer(E, E) * t.dM)
-    bialg = bialg and np.array_equal(_safe_einsum("i,ipq->pq", U, C) * t.dU,
-                                     np.outer(U, U) * t.dC)
-    bialg = bialg and int(U @ E) == t.dU * t.dE
+    bialg = np.array_equal(_rescale(lhs, t.dC * t.dM), rhs)
+    bialg = bialg and np.array_equal(_rescale(_safe_einsum("ijw,w->ij", M, E), t.dE),
+                                     _rescale(_safe_einsum("i,j->ij", E, E), t.dM))
+    bialg = bialg and np.array_equal(_rescale(_safe_einsum("i,ipq->pq", U, C), t.dU),
+                                     _rescale(_safe_einsum("i,j->ij", U, U), t.dC))
+    bialg = bialg and int(_safe_einsum("i,i->", U, E)) == t.dU * t.dE
 
-    target = np.outer(E, U) * (t.dC * t.dS * t.dM)
-    anti = (np.array_equal(_safe_einsum("iab,aw,wbp->ip", C, S, M) * (t.dE * t.dU), target)
-            and np.array_equal(_safe_einsum("iab,bw,awp->ip", C, S, M) * (t.dE * t.dU), target))
+    target = _rescale(_safe_einsum("i,j->ij", E, U), t.dC * t.dS * t.dM)
+    anti = (np.array_equal(_rescale(_safe_einsum("iab,aw,wbp->ip", C, S, M), t.dE * t.dU), target)
+            and np.array_equal(_rescale(_safe_einsum("iab,bw,awp->ip", C, S, M), t.dE * t.dU),
+                               target))
 
-    star = np.array_equal(_safe_einsum("ij,jk->ik", T, T), t.dT * t.dT * eye)
-    star = star and np.array_equal(_safe_einsum("ijw,wp->ijp", M, T) * t.dT,
+    star = np.array_equal(_safe_einsum("ij,jk->ik", T, T), _rescale(eye, t.dT * t.dT))
+    star = star and np.array_equal(_rescale(_safe_einsum("ijw,wp->ijp", M, T), t.dT),
                                    _safe_einsum("jb,ia,bap->ijp", T, T, M))
-    star = star and np.array_equal(_safe_einsum("iw,wab->iab", T, C) * t.dT,
+    star = star and np.array_equal(_rescale(_safe_einsum("iw,wab->iab", T, C), t.dT),
                                    _safe_einsum("iab,ax,by->ixy", C, T, T))
-    star = star and np.array_equal(_safe_einsum("i,ij->j", U, T), U * t.dT)
-    star = star and np.array_equal(_safe_einsum("ij,j->i", T, E), E * t.dT)
+    star = star and np.array_equal(_safe_einsum("i,ij->j", U, T), _rescale(U, t.dT))
+    star = star and np.array_equal(_safe_einsum("ij,j->i", T, E), _rescale(E, t.dT))
 
     return {
         "associativity": bool(assoc),
@@ -610,33 +631,45 @@ def characters(H: FDHopf) -> list:
         cols = [to_quotient(H.mult_vec({free[j]: 1}, {free[k]: 1})) for k in range(m)]
         ops.append([[cols[k][r] for k in range(m)] for r in range(m)])
 
-    def restrict(L, block):
+    def echelon(vectors) -> RowSpace:
+        space = RowSpace(m)
+        for v in vectors:
+            space.add(v)
+        return space
+
+    def restrict(L, block: RowSpace):
+        """Matrix of L on the block in its echelon basis.  An image lies
+        in the block exactly when its residual is zero, and then its
+        coordinates are its entries at the pivot columns."""
         cols = []
-        for vec in block:
+        for vec in block.rows:
             img = matvec(L, vec)
-            coeffs = solve_columns(block, img)
-            if coeffs is None:
+            if any(block.reduce(img)):
                 raise KleintwistError("block not invariant under multiplication")
-            cols.append(coeffs)
-        b = len(block)
+            cols.append([img[p] for p in block.pivots])
+        b = block.dim
         return [[cols[c][r] for c in range(b)] for r in range(b)]
 
-    def lincomb(block, coords):
+    def lincomb(block: RowSpace, coords):
         out = [Fraction(0)] * m
-        for c, vec in zip(coords, block):
+        for c, vec in zip(coords, block.rows):
             if c:
                 for t in range(m):
                     out[t] += c * vec[t]
         return out
 
-    initial = [[Fraction(int(r == j)) for r in range(m)] for j in range(m)]
-    queue = [[initial[j] for j in range(m)]]
+    queue = [echelon([Fraction(int(r == j)) for r in range(m)] for j in range(m))]
     blocks = []
     while queue:
         block = queue.pop()
-        b = len(block)
+        b = block.dim
+        traces = []
         for L in ops:
             R = restrict(L, block)
+            traces.append(sum(R[r][r] for r in range(b)))
+            lam = R[0][0]
+            if all(R[r][c] == (lam if r == c else 0) for r in range(b) for c in range(b)):
+                continue          # R = lam * I: minimal polynomial x - lam
             mp = minimal_polynomial(R)
             roots, rem = rational_roots(mp)
             if not roots:
@@ -650,7 +683,7 @@ def characters(H: FDHopf) -> list:
                 N = matpow(mat_sub_scalar(R, lam), b)
                 ker = kernel_basis(N)
                 if ker:
-                    pieces.append([lincomb(block, v) for v in ker])
+                    pieces.append(echelon(lincomb(block, v) for v in ker))
                     covered += len(ker)
             if covered < b:
                 P = None
@@ -658,24 +691,19 @@ def characters(H: FDHopf) -> list:
                     F = matpow(mat_sub_scalar(R, lam), b)
                     P = F if P is None else matmul(P, F)
                 img = column_space_basis(P)
-                pieces.append([lincomb(block, v) for v in img])
+                pieces.append(echelon(lincomb(block, v) for v in img))
             queue.extend(pieces)
             break
         else:
-            blocks.append(block)
+            blocks.append((b, traces))
 
-    unit_q = to_quotient(H.unit)
     basis_q = [to_quotient({i: 1}) for i in range(n)]
     out = []
-    for block in blocks:
-        b = len(block)
-        # chi on the quotient basis: unique eigenvalue of each operator,
-        # read off as trace/b since the minimal polynomial is (x-lam)^q.
-        chi_q = []
-        for j in range(m):
-            R = restrict(ops[j], block)
-            tr = sum(R[r][r] for r in range(b))
-            chi_q.append(tr / b)
+    for b, traces in blocks:
+        # chi on the quotient basis: the unique eigenvalue of each
+        # operator, read off as trace/b since its minimal polynomial is
+        # (x-lam)^q.
+        chi_q = [tr / b for tr in traces]
         values = []
         for i in range(n):
             values.append(_n(sum((basis_q[i][j] * chi_q[j] for j in range(m)
@@ -726,7 +754,12 @@ def character_group(H: FDHopf, chars: Optional[list] = None) -> PermGroup:
     """The characters under convolution, returned through their left
     regular action on the sorted character list (position j holds the
     j-th smallest value tuple; the permutation of chi sends the slot of
-    eta to the slot of chi * eta)."""
+    eta to the slot of chi * eta).
+
+    All products and inverses come from one exact integer contraction of
+    the cleared character-value matrix X with the coproduct and the
+    antipode; each result row is looked up among the rows of X scaled by
+    the same factor, so a match is an exact equality of functionals."""
     if chars is None:
         chars = characters(H)
     chars = sorted(chars, key=lambda ch: tuple(Fraction(v) for v in ch.values))
@@ -735,18 +768,25 @@ def character_group(H: FDHopf, chars: Optional[list] = None) -> PermGroup:
         raise ClosureFailure("character list contains duplicates")
     if convolution_identity(H).values not in index:
         raise ClosureFailure("counit is not in the character list")
+    t = scaled_integer_tensors(H)
+    X, dX = _int_tensor((len(chars), H.dim), {(f, i): v for f, ch in enumerate(chars)
+                                              for i, v in enumerate(ch.values)})
+    # (f*g)(e_i) * dC*dX^2 and f(S e_i) * dS*dX, keyed by X's rows * dC*dX and * dS.
+    products = _safe_einsum("iab,fa,gb->fgi", t.C, X, X).tolist()
+    inverses = _safe_einsum("iw,fw->fi", t.S, X).tolist()
+    product_slot = {tuple(row): j for j, row in enumerate(_rescale(X, t.dC * dX).tolist())}
+    inverse_slots = {tuple(row) for row in _rescale(X, t.dS).tolist()}
     perms = set()
-    for f in chars:
+    for f in range(len(chars)):
         images = []
-        for g in chars:
-            prod = convolution(H, f, g)
-            pos = index.get(prod.values)
+        for row in products[f]:
+            pos = product_slot.get(tuple(row))
             if pos is None:
                 raise ClosureFailure(
                     "convolution product escapes the character set")
             images.append(pos + 1)
         perms.add(Permutation(images))
-        if convolution_inverse(H, f).values not in index:
+        if tuple(inverses[f]) not in inverse_slots:
             raise ClosureFailure("convolution inverse escapes the character set")
     return PermGroup(len(chars), perms)
 

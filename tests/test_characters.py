@@ -1,0 +1,206 @@
+"""Character enumeration and the character group against independent
+references, and the exact verifiers under rational changes of basis."""
+
+import hashlib
+import random
+from fractions import Fraction
+
+import pytest
+
+from kleintwist.cocycle import build_s4tau
+from kleintwist.errors import ClosureFailure
+from kleintwist.hopf import (Character, FDHopf, all_axioms_pass,
+                             character_group, characters, convolution,
+                             convolution_identity, convolution_inverse,
+                             function_algebra, group_algebra,
+                             scaled_integer_tensors, verify_hopf_axioms)
+from kleintwist.perm import (PermGroup, Permutation, isomorphism_type,
+                             klein_group, symmetric_group)
+from kleintwist.ratlinalg import invert
+
+S3 = symmetric_group(3)
+S4 = symmetric_group(4)
+
+
+def transport(H: FDHopf, P) -> FDHopf:
+    """H rewritten in the basis f_a = sum_i P[i][a] e_i (P invertible)."""
+    n = H.dim
+    Q = invert(P)
+    # e_j = sum_l Q[l][j] f_l, kept sparse so permutation matrices stay cheap
+    back = [{l: Q[l][j] for l in range(n) if Q[l][j]} for j in range(n)]
+    fwd = [{i: P[i][a] for i in range(n) if P[i][a]} for a in range(n)]
+
+    def coords(v):
+        out = {}
+        for j, c in v.items():
+            for l, q in back[j].items():
+                out[l] = out.get(l, 0) + q * c
+        return {l: c for l, c in out.items() if c}
+
+    def push(a, table):
+        acc = {}
+        for i, p in fwd[a].items():
+            for k, c in table[i].items():
+                acc[k] = acc.get(k, 0) + p * c
+        return coords(acc)
+
+    mult = {}
+    for a in range(n):
+        for b in range(n):
+            acc = {}
+            for i, p in fwd[a].items():
+                for j, q in fwd[b].items():
+                    for k, c in H.mult.get((i, j), {}).items():
+                        acc[k] = acc.get(k, 0) + p * q * c
+            mult[(a, b)] = coords(acc)
+    comult = {}
+    for a in range(n):
+        acc = {}
+        for i, p in fwd[a].items():
+            for (j, k, c) in H.comult[i]:
+                for l, q in back[j].items():
+                    for m, r in back[k].items():
+                        acc[(l, m)] = acc.get((l, m), 0) + p * c * q * r
+        comult[a] = [(l, m, c) for (l, m), c in acc.items() if c]
+    counit = [sum(p * H.counit[i] for i, p in fwd[a].items()) for a in range(n)]
+    return FDHopf(n, H.basis_labels, coords(H.unit), mult, comult, counit,
+                  {a: push(a, H.antipode) for a in range(n)},
+                  {a: push(a, H.star) for a in range(n)})
+
+
+def random_basis_change(n: int, height: int, seed: int):
+    """An invertible matrix with entries p/q, |p| <= height, 1 <= q <= height."""
+    rng = random.Random(seed)
+    while True:
+        P = [[Fraction(rng.randint(-height, height), rng.randint(1, height))
+              for _ in range(n)] for _ in range(n)]
+        try:
+            invert(P)
+            return P
+        except ValueError:
+            continue
+
+
+def permutation_matrix(perm):
+    n = len(perm)
+    return [[Fraction(int(perm[a] == i)) for a in range(n)] for i in range(n)]
+
+
+def values_digest(chars) -> str:
+    text = ";".join(",".join(str(Fraction(v)) for v in ch.values) for ch in chars)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _build(name: str) -> FDHopf:
+    if name == "cs4":
+        return function_algebra(S4)
+    if name == "qs4":
+        return group_algebra(S4)
+    if name == "s4tau":
+        return build_s4tau().algebra
+    if name == "diagtwist":
+        return build_s4tau(V=klein_group()).algebra
+    if name == "cs4_relabelled":
+        perm = [(7 * i + 5) % 24 for i in range(24)]
+        return transport(function_algebra(S4), permutation_matrix(perm))
+    raise ValueError(name)
+
+
+# Character count, character group type, and a digest of the sorted value
+# tuples as the enumeration produced them before it kept echelon blocks.
+EXPECTED = {
+    "cs4": (24, "S4", "b051a993485b857d"),
+    "qs4": (2, "Z2", "7a9f2b844d0106a2"),
+    "s4tau": (8, "D4", "35d9ce6e94943c35"),
+    "diagtwist": (24, "S4", "59406c6b22fb93b4"),
+    "cs4_relabelled": (24, "S4", "b051a993485b857d"),
+}
+
+
+@pytest.fixture(scope="module")
+def census():
+    built = {}
+
+    def get(name):
+        if name not in built:
+            H = _build(name)
+            built[name] = (H, characters(H))
+        return built[name]
+
+    return get
+
+
+def convolution_oracle_group(H: FDHopf, chars) -> PermGroup:
+    """character_group rebuilt term by term from convolution and
+    convolution_inverse, with the same slot convention."""
+    chars = sorted(chars, key=lambda ch: tuple(Fraction(v) for v in ch.values))
+    index = {ch.values: i for i, ch in enumerate(chars)}
+    assert convolution_identity(H).values in index
+    perms = set()
+    for f in chars:
+        perms.add(Permutation([index[convolution(H, f, g).values] + 1 for g in chars]))
+        assert convolution_inverse(H, f).values in index
+    return PermGroup(len(chars), perms)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_characters_unchanged(census, name):
+    H, chars = census(name)
+    count, gtype, digest = EXPECTED[name]
+    assert len(chars) == count
+    assert values_digest(chars) == digest
+    assert isomorphism_type(character_group(H, chars)).name == gtype
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_character_group_matches_convolution_oracle(census, name):
+    H, chars = census(name)
+    assert character_group(H, chars).elements == convolution_oracle_group(H, chars).elements
+
+
+def _flip_one_value(chars):
+    i = next(k for k, ch in enumerate(chars) if ch.values != chars[0].parent.counit)
+    ch = chars[i]
+    j = next(k for k, v in enumerate(ch.values) if v)
+    values = list(ch.values)
+    values[j] = -values[j]
+    return chars[:i] + [Character(ch.parent, tuple(values))] + chars[i + 1:]
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda chars: chars[1:], "escapes"),
+    (lambda chars: [c for c in chars if c.values != c.parent.counit], "counit"),
+    (_flip_one_value, "escapes"),
+    (lambda chars: chars + chars[-1:], "duplicates"),
+])
+def test_corrupted_character_list_refused(census, corrupt, message):
+    H, chars = census("cs4")
+    with pytest.raises(ClosureFailure, match=message):
+        character_group(H, corrupt(list(chars)))
+
+
+@pytest.mark.parametrize("name", ["cs4", "qs4", "s4tau", "diagtwist"])
+def test_benchmark_algebras_stay_in_int64(census, name):
+    t = scaled_integer_tensors(census(name)[0])
+    assert all(a.dtype == "int64" for a in (t.U, t.M, t.C, t.E, t.S, t.T))
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+@pytest.mark.parametrize("height", [2, 3, 50])
+@pytest.mark.parametrize("build,count,gtype", [
+    (function_algebra, 6, "S3"), (group_algebra, 2, "Z2")])
+def test_rational_basis_change_keeps_everything(build, count, gtype, height, seed):
+    """Large denominators leave int64 behind; verification, characters and
+    the character group must stay exact instead of wrapping around."""
+    H = transport(build(S3), random_basis_change(6, height, seed))
+    assert all_axioms_pass(verify_hopf_axioms(H))
+    chars = characters(H)
+    assert len(chars) == count
+    assert isomorphism_type(character_group(H, chars)).name == gtype
+
+    mult = dict(H.mult)
+    (k, c), *_ = mult[(0, 0)].items()
+    mult[(0, 0)] = {**mult[(0, 0)], k: c + 1}
+    broken = FDHopf(H.dim, H.basis_labels, H.unit, mult, H.comult,
+                    H.counit, H.antipode, H.star)
+    assert not all_axioms_pass(verify_hopf_axioms(broken))

@@ -1,14 +1,22 @@
 """Command line interface: exit codes, report formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import kleintwist
 from kleintwist import checks
 from kleintwist.checks import (CheckResult, RunConfig, all_check_ids, run,
                                run_one)
 from kleintwist.cli import main, render_json, render_markdown
-from kleintwist.errors import UnknownCheck
+from kleintwist.errors import NonSplitQuotient, UnknownCheck
+from kleintwist.hopf import function_algebra, group_algebra
+from kleintwist.perm import symmetric_group
 
 CHEAP = "sign-table,det-to-perm,klein-classification"
 
@@ -136,3 +144,40 @@ class TestDumpCommand:
 
     def test_unknown_target(self, capsys):
         assert main(["dump", "nonsense"]) == 2
+
+
+class TestCheckOutcomes:
+    def test_hopf_axioms_reports_what_it_checked(self, monkeypatch):
+        monkeypatch.setattr(checks, "_qs4", lambda: group_algebra(symmetric_group(3)))
+        monkeypatch.setattr(checks, "_cs4", lambda: function_algebra(symmetric_group(3)))
+        result = run_one("hopf-axioms", RunConfig())
+        assert result.status == "pass"
+        assert result.metrics == {"dim": 6, "suites": 6}
+
+    def test_diagonal_twist_wrong_outcome_fails(self, monkeypatch):
+        # C(S3) stands in for the twist: commutative, but 6 characters of type S3
+        stand_in = SimpleNamespace(algebra=function_algebra(symmetric_group(3)))
+        monkeypatch.setattr(checks, "build_s4tau", lambda **kw: stand_in)
+        result = run_one("diagonal-twist-characters", RunConfig())
+        assert result.status == "fail"
+        assert result.metrics == {"characters": 6, "group_order": 6}
+
+    def test_diagonal_twist_extraction_error_fails(self, monkeypatch):
+        def refuse(H):
+            raise NonSplitQuotient("forced")
+        monkeypatch.setattr(checks, "characters", refuse)
+        stand_in = SimpleNamespace(algebra=function_algebra(symmetric_group(3)))
+        monkeypatch.setattr(checks, "build_s4tau", lambda **kw: stand_in)
+        result = run_one("diagonal-twist-characters", RunConfig())
+        assert result.status == "fail"
+        assert "forced" in result.details
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(kleintwist.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "kleintwist", "list-checks"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == all_check_ids()
