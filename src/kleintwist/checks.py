@@ -61,7 +61,6 @@ class RunConfig:
     max_n: int = MAX_N_DEFAULT
     json_out: str = None
     md_out: str = None
-    parallel: bool = False
 
     def __post_init__(self):
         if not 1 <= self.max_n <= MAX_N_CAP:
@@ -478,10 +477,4 @@ def run_one(name: str, cfg: RunConfig) -> CheckResult:
 
 def run(cfg: RunConfig) -> list:
     names = sorted(cfg.checks) if cfg.checks is not None else all_check_ids()
-    if cfg.parallel:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=min(8, max(1, len(names)))) as pool:
-            results = list(pool.map(lambda n: run_one(n, cfg), names))
-    else:
-        results = [run_one(n, cfg) for n in names]
-    return sorted(results, key=lambda r: r.check_id)
+    return sorted((run_one(n, cfg) for n in names), key=lambda r: r.check_id)

@@ -81,8 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"sequence length bound, at most {MAX_N_CAP}")
     v.add_argument("--json-out", default=None, help="write JSON results here")
     v.add_argument("--md-out", default=None, help="write a Markdown report here")
-    v.add_argument("--parallel", action="store_true",
-                   help="run checks on a thread pool")
     v.add_argument("--zero-durations", action="store_true",
                    help="blank timings for byte-stable reports")
 
@@ -101,8 +99,7 @@ def _cmd_verify(args) -> int:
     checks = tuple(s for s in args.checks.split(",") if s) if args.checks else None
     try:
         cfg = RunConfig(checks=checks, max_n=args.max_n,
-                        json_out=args.json_out, md_out=args.md_out,
-                        parallel=args.parallel)
+                        json_out=args.json_out, md_out=args.md_out)
     except (UnknownCheck, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -11,20 +11,24 @@ functional L with L(x1) L(x2) = sigma(x1, x2) sigma(x2, x1) on the
 relevant support; without it the naive entrywise star would force the
 deformed product to be commutative, so twisting anything interesting
 would fail the star axioms.
+
+All three are exact integer contractions over the double coproduct
+(x1, x2, x3) of the cleared structure tensors and cocycle tables, pruned
+to the cocycle's support; each result is divided by its product of
+scales back into Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
 from .errors import KleintwistError, TwistNotHopf
 from .hopf import (FDHopf, HopfMap, _int_tensor, _n, _rescale, _safe_einsum,
                    fourier_iso, group_algebra, restriction_surjection,
-                   scaled_integer_tensors, vec_normalize, verify_hopf_axioms)
+                   scaled_integer_tensors, verify_hopf_axioms)
 from .perm import PermGroup, Permutation, easy_klein, klein_group, symmetric_group
 
 
@@ -114,6 +118,16 @@ def klein_bicharacter() -> Cocycle2:
 def _scaled_table(table) -> tuple:
     return _int_tensor((len(table), len(table)),
                        {(i, j): c for i, row in enumerate(table) for j, c in enumerate(row)})
+
+
+def _rows(arr: np.ndarray, scale: int) -> dict:
+    """{i: {k: arr[i, k] / scale}} over the nonzero entries of an exact
+    integer matrix."""
+    out = {i: {} for i in range(arr.shape[0])}
+    rows, cols = np.nonzero(arr)
+    for i, k, v in zip(rows.tolist(), cols.tolist(), arr[rows, cols].tolist()):
+        out[i][k] = Fraction(v, scale)
+    return out
 
 
 def verify_cocycle(sigma: Cocycle2) -> bool:
@@ -208,106 +222,35 @@ def twist(H: FDHopf, sigma: Cocycle2, verify: bool = True,
     if sigma.carrier is not H:
         raise ValueError("cocycle is bound to a different algebra; rebind first")
     n = H.dim
-    rng = range(n)
+    t = scaled_integer_tensors(H)
+    C, M, S = t.C, t.M, t.S
+    Sg, dSg = _scaled_table(sigma.table)
+    Sv, dSv = _scaled_table(sigma.inverse_table)
 
-    # Everything below works on integer-rescaled data; rationals are only
-    # reconstituted once per output entry.
-    tblI, dT1 = _scaled_table(sigma.table)
-    invI, dT2 = _scaled_table(sigma.inverse_table)
-    tblI, invI = tblI.tolist(), invI.tolist()
-    dC = 1
-    for i in rng:
-        for (_, _, c) in H.comult[i]:
-            dC = lcm(dC, Fraction(c).denominator)
-    dC2 = dC * dC
-    d2I = {i: [(a, b, c, int(Fraction(u) * dC2)) for (a, b, c, u) in H.delta2(i)]
-           for i in rng}
-    dM = 1
-    for v in H.mult.values():
-        for c in v.values():
-            dM = lcm(dM, Fraction(c).denominator)
-    multI = {key: {s: int(Fraction(cf) * dM) for s, cf in v.items()}
-             for key, v in H.mult.items()}
-    dS = 1
-    for i in rng:
-        for c in H.antipode[i].values():
-            dS = lcm(dS, Fraction(c).denominator)
-    antI = {i: {j: int(Fraction(cf) * dS) for j, cf in H.antipode[i].items()}
-            for i in rng}
-
-    suppL = {a for a in rng if any(tblI[a])}
-    suppR = {p for p in rng if any(row[p] for row in tblI)}
-    suppLi = {a for a in rng if any(invI[a])}
-    suppRi = {p for p in rng if any(row[p] for row in invI)}
-    left_terms = {i: [(a, b, c, u) for (a, b, c, u) in d2I[i]
-                      if a in suppL and c in suppLi] for i in rng}
-    right_terms = {j: [(p, q, r, v) for (p, q, r, v) in d2I[j]
-                       if p in suppR and r in suppRi] for j in rng}
-
+    # x *_sigma y: Delta2(x) = a b c and Delta2(y) = p q r, dressed by
+    # sigma(a, p) sigma^-1(c, r) around the product b q; one row x at a time.
+    left = _safe_einsum("ixc,xab,ap,cr->ibpr", C, C, Sg, Sv)
+    mscale = t.dC ** 4 * dSg * dSv * t.dM
     mult = {}
-    mscale = dC2 * dC2 * dT1 * dT2 * dM
-    for i in rng:
-        for j in rng:
-            acc: dict = {}
-            for (a, b, c, u) in left_terms[i]:
-                ta, ic = tblI[a], invI[c]
-                for (p, q, r, v) in right_terms[j]:
-                    w = ta[p] * ic[r]
-                    if not w:
-                        continue
-                    m = multI.get((b, q))
-                    if not m:
-                        continue
-                    coeff = u * v * w
-                    for s, cf in m.items():
-                        acc[s] = acc.get(s, 0) + coeff * cf
-            acc = {s: Fraction(num, mscale) for s, num in acc.items() if num}
-            if acc:
-                mult[(i, j)] = acc
+    for i in range(n):
+        inner = _safe_einsum("bpr,jyr,ypq->bjq", left[i], C, C)
+        row = _rows(_safe_einsum("bjq,bqs->js", inner, M), mscale)
+        mult.update({(i, j): v for j, v in row.items()})
 
-    # S_sigma = f * S * g with f(x) = sigma(x1, S x2), g(x) = sigma^{-1}(S x1, x2).
-    W = {}
-    for c in rng:
-        acc = {}
-        for (p, q, r, v) in d2I[c]:
-            s = sum(cf * invI[w][r] for w, cf in antI[q].items())
-            if not s:
-                continue
-            coeff = v * s
-            for t_, cf in antI[p].items():
-                acc[t_] = acc.get(t_, 0) + coeff * cf
-        W[c] = acc
-    antipode = {}
-    ascale = dC2 * dC2 * dS * dS * dS * dT1 * dT2
-    for i in rng:
-        acc = {}
-        for (a, b, c, u) in d2I[i]:
-            s = sum(cf * tblI[a][w] for w, cf in antI[b].items())
-            if not s:
-                continue
-            coeff = u * s
-            for t_, num in W[c].items():
-                acc[t_] = acc.get(t_, 0) + coeff * num
-        antipode[i] = {t_: Fraction(num, ascale) for t_, num in acc.items() if num}
+    # S_sigma(x) = f(x1) S(x2) g(x3), f(x) = sigma(x1, S x2), g(x) = sigma^-1(S x1, x2).
+    f = _safe_einsum("xab,aw,bw->x", C, Sg, S)
+    g = _safe_einsum("xab,aw,wb->x", C, S, Sv)
+    antipode = _rows(_safe_einsum("ixc,xab,a,bt,c->it", C, C, f, S, g),
+                     t.dC ** 4 * t.dS ** 3 * dSg * dSv)
 
+    star = H.star
     if correct_star:
-        L = sigma.star_corrector
-        star = {}
-        for i in rng:
-            acc: dict = {}
-            for (a, b, c, u) in H.delta2(i):
-                w = L[a] * L[c]
-                if not w:
-                    continue
-                coeff = u * w
-                for t_, cf in H.star[b].items():
-                    acc[t_] = acc.get(t_, 0) + coeff * cf
-            star[i] = vec_normalize(acc)
-    else:
-        star = {i: dict(H.star[i]) for i in rng}
+        # star_sigma(x) = L(x1) star(x2) L(x3)
+        L, dL = _int_tensor((n,), dict(enumerate(sigma.star_corrector)))
+        star = _rows(_safe_einsum("ixc,xab,a,bt,c->it", C, C, L, t.T, L),
+                     t.dC ** 2 * dL ** 2 * t.dT)
 
-    out = FDHopf(n, H.basis_labels, H.unit, mult,
-                 {i: list(H.comult[i]) for i in rng}, H.counit, antipode, star)
+    out = FDHopf(n, H.basis_labels, H.unit, mult, H.comult, H.counit, antipode, star)
     if verify:
         rep = verify_hopf_axioms(out)
         failed = [k for k, v in rep.items() if not v]

@@ -6,7 +6,11 @@ Axiom verification clears denominators and runs integer einsums, so an
 exhaustive check at dimension 24 stays fast while remaining exact.  Every
 integer step (conversion, contraction, rescaling) goes through one bound
 guard that switches to arbitrary-precision object arrays before int64
-could overflow.
+could overflow.  Every contraction is support-pruned: each index is cut to
+the positions where all operands carrying it have a nonzero slice, which
+drops only zero terms, and the guard's bound is taken over the cut sizes;
+sparse operands such as a cocycle living on a Klein subgroup then cost in
+proportion to their support rather than to n^k.
 
 Character enumeration quotients by the commutator ideal and splits the
 commutative quotient into local blocks by generalized eigenspaces of
@@ -50,24 +54,11 @@ def vec_normalize(v: Vec) -> Vec:
     return {k: _n(q) for k, q in v.items() if q != 0}
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    out = dict(a)
-    for k, q in b.items():
-        out[k] = out.get(k, 0) + q
-    return vec_normalize(out)
-
-
 def vec_sub(a: Vec, b: Vec) -> Vec:
     out = dict(a)
     for k, q in b.items():
         out[k] = out.get(k, 0) - q
     return vec_normalize(out)
-
-
-def vec_scale(v: Vec, c) -> Vec:
-    if c == 0:
-        return {}
-    return {k: _n(q * c) for k, q in v.items()}
 
 
 class FDHopf:
@@ -109,7 +100,6 @@ class FDHopf:
             raise ValueError("counit length disagrees with dim")
         self.antipode = {i: vec_normalize(antipode[i]) for i in rng}
         self.star = {i: vec_normalize(star[i]) for i in rng}
-        self._delta2: dict = {}
 
     # -- basic linear operations ------------------------------------
 
@@ -151,17 +141,6 @@ class FDHopf:
             for (j, k, c) in self.comult[i]:
                 out[(j, k)] = out.get((j, k), 0) + a * c
         return {key: _n(q) for key, q in out.items() if q != 0}
-
-    def delta2(self, i: int) -> list:
-        """Terms (a, b, c, coeff) of the double coproduct of e_i."""
-        cached = self._delta2.get(i)
-        if cached is None:
-            out = []
-            for (j, k, c) in self.comult[i]:
-                for (x, y, d) in self.comult[j]:
-                    out.append((x, y, k, _n(c * d)))
-            cached = self._delta2[i] = out
-        return cached
 
     # -- structure predicates -----------------------------------------
 
@@ -343,23 +322,48 @@ def scaled_integer_tensors(H: FDHopf) -> ScaledTensors:
 
 
 def _safe_einsum(subscripts: str, *arrays: np.ndarray) -> np.ndarray:
-    """Integer einsum with an overflow guard: if the worst-case entry
-    bound does not fit int64 comfortably, redo in exact object ints."""
+    """Exact integer einsum over the operands' common support.
+
+    Every index is first cut to the positions where each operand carrying
+    it has a nonzero slice: any other position multiplies a zero, so the
+    cut contraction equals the full one.  The overflow bound, the product
+    of the cut operands' largest entries times the number of terms summed
+    per output entry, also bounds every intermediate; int64 is used only
+    when it is below the guard, otherwise the contraction runs on exact
+    Python ints.  An output index that was cut is scattered back into a
+    zero array of full shape.  When nothing is cut, no operand is copied.
+    """
     lhs, rhs = subscripts.split("->")
     terms = lhs.split(",")
     sizes: dict = {}
+    live: dict = {}
     for term, arr in zip(terms, arrays):
-        for ch, s in zip(term, arr.shape):
-            sizes[ch] = s
-    contracted = set("".join(terms)) - set(rhs)
+        for axis, ch in enumerate(term):
+            sizes[ch] = arr.shape[axis]
+            hit = arr.any(axis=tuple(a for a in range(arr.ndim) if a != axis))
+            live[ch] = live.get(ch, True) & hit
+    cut = {ch: np.flatnonzero(hit) for ch, hit in live.items() if not hit.all()}
+
+    def positions(term):
+        return np.ix_(*[cut[ch] if ch in cut else np.arange(sizes[ch]) for ch in term])
+
+    arrays = [arr[positions(term)] if cut.keys() & set(term) else arr
+              for term, arr in zip(terms, arrays)]
     bound = 1
     for arr in arrays:
         bound *= max(1, _max_abs(arr))
-    for ch in contracted:
-        bound *= sizes[ch]
+    for ch in set(lhs) - set(rhs) - {","}:
+        bound *= len(cut[ch]) if ch in cut else sizes[ch]
     if _int_dtype(bound) is object:
-        return np.einsum(subscripts, *[a.astype(object) for a in arrays])
-    return np.einsum(subscripts, *arrays, optimize=True)
+        out = np.einsum(subscripts, *[a.astype(object) for a in arrays])
+    else:
+        out = np.einsum(subscripts, *[a.astype(np.int64, copy=False) for a in arrays],
+                        optimize=True)
+    if not cut.keys() & set(rhs):
+        return out
+    full = np.zeros([sizes[ch] for ch in rhs], dtype=out.dtype)
+    full[positions(rhs)] = out
+    return full
 
 
 def verify_hopf_axioms(H: FDHopf) -> dict:

@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from kleintwist.cocycle import build_s4tau
+from kleintwist.cocycle import (Cocycle2, build_s4tau, klein_bicharacter, pullback,
+                                twist, verify_cocycle)
 from kleintwist.errors import ClosureFailure
-from kleintwist.hopf import (Character, FDHopf, all_axioms_pass,
+from kleintwist.hopf import (Character, FDHopf, HopfMap, all_axioms_pass,
                              character_group, characters, convolution,
                              convolution_identity, convolution_inverse,
                              function_algebra, group_algebra,
@@ -204,3 +205,26 @@ def test_rational_basis_change_keeps_everything(build, count, gtype, height, see
     broken = FDHopf(H.dim, H.basis_labels, H.unit, mult, H.comult,
                     H.counit, H.antipode, H.star)
     assert not all_axioms_pass(verify_hopf_axioms(broken))
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+@pytest.mark.parametrize("height", [2, 3, 50, 10 ** 4])
+def test_basis_changed_klein_bicharacter(height, seed):
+    """The Klein bicharacter pulled back to Q[Klein] in a rational basis is
+    still a cocycle, and twisting that group-like algebra by it changes
+    nothing, so the twist has an exact oracle at any height."""
+    K = group_algebra(klein_group())
+    P = random_basis_change(4, height, seed)
+    H = transport(K, P)
+    iso = HopfMap(H, K, [{i: P[i][a] for i in range(4) if P[i][a]} for a in range(4)])
+    sigma = pullback(klein_bicharacter(), iso)
+    assert verify_cocycle(sigma)
+    if height >= 50:
+        t = scaled_integer_tensors(H)
+        assert t.M.dtype == object and t.C.dtype == object
+    assert twist(H, sigma).structure_equal(H)
+
+    rows = [list(r) for r in sigma.table]
+    rows[0][0] += 1
+    assert not verify_cocycle(Cocycle2.build(H, rows, sigma.inverse_table,
+                                             sigma.star_corrector))

@@ -85,14 +85,6 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[error]" in out and "kaput" in out
 
-    def test_parallel_matches_serial(self, tmp_path):
-        base = RunConfig(checks=tuple(sorted(CHEAP.split(","))))
-        serial = run(base)
-        parallel = run(RunConfig(checks=base.checks, parallel=True))
-        assert render_json(serial, True) == render_json(parallel, True)
-        assert render_markdown(serial, True, 6) == \
-            render_markdown(parallel, True, 6)
-
 
 class TestReports:
     def test_markdown_shape(self):

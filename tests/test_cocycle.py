@@ -1,5 +1,6 @@
 """Cocycles, pullbacks, and the twisting construction."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -87,6 +88,11 @@ class TestTwist:
         H = function_algebra(symmetric_group(3))
         assert twist(H, trivial_cocycle(H)).structure_equal(H)
 
+    def test_trivial_twist_of_group_algebra_is_identity(self):
+        H = group_algebra(symmetric_group(3))
+        assert not H.is_commutative()
+        assert twist(H, trivial_cocycle(H)).structure_equal(H)
+
     def test_s4tau_is_noncommutative_hopf(self):
         t = _s4tau_once()
         A = t.algebra
@@ -149,3 +155,52 @@ class TestLabelingIndependence:
         chars = characters(t.algebra)
         g = character_group(t.algebra, chars)
         assert (len(chars), g.order, isomorphism_type(g).name) == (8, 8, "D4")
+
+
+# sha256 of build_s4tau(V, (g1, g2)).algebra.dump() for every Klein subgroup
+# V of S4 and every ordered pair of distinct involutions in it, as the
+# entry-by-entry twist produced them before it became a contraction.
+_NORMAL = "460f8a2e938f28314949ca7d822a7b307541cd57df59c87dcb510cedf4f846ea"
+_V12_A = "12a3412473c721774652b3851e6c405c33373bea418dff9a12d4b57f7a0f354c"
+_V12_B = "6907ee29654ffcb71daeccbf48b5971019edc9a6f273a45fa5eddcae67282544"
+_V13_A = "2a72015e99a2456ecb34518f995de8b05831498b57e362b44b3d60e8d68a6f06"
+_V13_B = "143baaa66a420d81c88776de3d110ea8f3ab2b05a8af8c78b5f8a4446a09fe52"
+_V14_A = "e633c72c183f5d016cdccc165db39299db6f77229444ce49ed5557c035b17dcd"
+_V14_B = "be0df12eeef54ac5a57909601763066e34c294e59d39971ab978701c864b9944"
+TWIST_DUMP_SHA256 = {
+    ("(12)(34)", "(13)(24)"): _NORMAL, ("(12)(34)", "(14)(23)"): _NORMAL,
+    ("(13)(24)", "(12)(34)"): _NORMAL, ("(13)(24)", "(14)(23)"): _NORMAL,
+    ("(14)(23)", "(12)(34)"): _NORMAL, ("(14)(23)", "(13)(24)"): _NORMAL,
+    ("(34)", "(12)"): _V12_A, ("(12)", "(12)(34)"): _V12_A, ("(12)(34)", "(34)"): _V12_A,
+    ("(12)", "(34)"): _V12_B, ("(34)", "(12)(34)"): _V12_B, ("(12)(34)", "(12)"): _V12_B,
+    ("(24)", "(13)"): _V13_A, ("(13)", "(13)(24)"): _V13_A, ("(13)(24)", "(24)"): _V13_A,
+    ("(13)", "(24)"): _V13_B, ("(24)", "(13)(24)"): _V13_B, ("(13)(24)", "(13)"): _V13_B,
+    ("(23)", "(14)"): _V14_A, ("(14)", "(14)(23)"): _V14_A, ("(14)(23)", "(23)"): _V14_A,
+    ("(14)", "(23)"): _V14_B, ("(23)", "(14)(23)"): _V14_B, ("(14)(23)", "(14)"): _V14_B,
+}
+
+
+def _klein_pairs():
+    """(V, (g1, g2)) for the four Klein subgroups of S4, normal first, and
+    the six ordered pairs of distinct involutions of each."""
+    plain = [generate(4, [Permutation.from_cycles(4, [a]), Permutation.from_cycles(4, [b])])
+             for a, b in (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)))]
+    for V in [klein_group()] + plain:
+        involutions = [g for g in V.sorted_elements() if not g.is_identity()]
+        for gens in itertools.permutations(involutions, 2):
+            yield V, gens
+
+
+@pytest.mark.parametrize("V,gens", [
+    pytest.param(V, gens, id="-".join(g.cycle_string() for g in gens))
+    for V, gens in _klein_pairs()])
+def test_every_klein_twist_is_pinned_and_undone(V, gens):
+    t = build_s4tau(V, gens)
+    key = tuple(g.cycle_string() for g in gens)
+    assert hashlib.sha256(t.algebra.dump().encode()).hexdigest() == TWIST_DUMP_SHA256[key]
+    assert double_twist(t).structure_equal(t.base)
+
+
+def test_pinned_twists_cover_all_pairs():
+    assert {tuple(g.cycle_string() for g in gens)
+            for _, gens in _klein_pairs()} == set(TWIST_DUMP_SHA256)

@@ -1,0 +1,112 @@
+"""The guarded, support-pruned contraction behind every exact tensor
+identity, against plain einsum on Python integers."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import kleintwist
+from kleintwist.hopf import _INT64_LIMIT, _safe_einsum
+
+# Every subscript string written in the package source.
+SUBSCRIPTS = sorted({m for path in Path(kleintwist.__file__).parent.glob("*.py")
+                     for m in re.findall(r'"([a-z]+(?:,[a-z]+)*->[a-z]*)"',
+                                         path.read_text())})
+
+SMALL = st.integers(-3, 3)
+NEAR_2_40 = st.integers(2 ** 40 - 3, 2 ** 40 + 3).flatmap(
+    lambda v: st.sampled_from([v, -v, 0]))
+# Two such factors fit int64, a sum of three products does not.
+NEAR_2_31 = st.sampled_from([2_000_000_000, -2_000_000_000, 0])
+
+
+def reference(subscripts, ops):
+    return np.einsum(subscripts, *[a.astype(object) for a in ops])
+
+
+def proven_bound(subscripts, ops, sizes):
+    """The unpruned worst case: product of largest entries times terms."""
+    lhs, rhs = subscripts.split("->")
+    bound = 1
+    for a in ops:
+        bound *= max(1, int(np.abs(a.astype(object)).max()) if a.size else 0)
+    for ch in set(lhs) - set(rhs) - {","}:
+        bound *= sizes[ch]
+    return bound
+
+
+@st.composite
+def operands(draw, subscripts):
+    lhs = subscripts.split("->")[0]
+    terms = lhs.split(",")
+    sizes = {ch: draw(st.integers(1, 3)) for ch in sorted(set(lhs) - {","})}
+    ops = []
+    for term in terms:
+        elements = draw(st.sampled_from([SMALL, NEAR_2_31, NEAR_2_40]))
+        a = draw(arrays(np.int64, tuple(sizes[ch] for ch in term), elements=elements))
+        if draw(st.integers(0, 9)) == 0:
+            a[...] = 0                                  # an all-zero operand
+        for axis, ch in enumerate(term):                # forced zero slices
+            for pos in draw(st.sets(st.integers(0, sizes[ch] - 1), max_size=sizes[ch])):
+                index = [slice(None)] * a.ndim
+                index[axis] = pos
+                a[tuple(index)] = 0
+        ops.append(a)
+    return sizes, ops
+
+
+def test_every_package_subscript_is_covered():
+    assert len(SUBSCRIPTS) > 30
+    assert {"i,i->", "ixc,xab,ap,cr->ibpr", "jde,kgh,dg,ieh->ijk"} <= set(SUBSCRIPTS)
+
+
+@pytest.mark.parametrize("subscripts", SUBSCRIPTS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pruned_matches_plain_einsum(subscripts, data):
+    sizes, ops = data.draw(operands(subscripts))
+    got = _safe_einsum(subscripts, *ops)
+    want = reference(subscripts, ops)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(np.asarray(got, dtype=object), np.asarray(want, dtype=object))
+    if proven_bound(subscripts, ops, sizes) < _INT64_LIMIT:
+        assert np.asarray(got).dtype == np.int64
+
+
+def test_scalar_output():
+    u = np.array([3, 0, -2, 0], dtype=np.int64)
+    e = np.array([5, 7, 0, 1], dtype=np.int64)
+    assert int(_safe_einsum("i,i->", u, e)) == 15
+
+
+def test_all_zero_operand_gives_zeros_of_full_shape():
+    out = _safe_einsum("ij,jk->ik", np.zeros((2, 3), dtype=np.int64),
+                       np.ones((3, 4), dtype=np.int64))
+    assert out.shape == (2, 4) and out.dtype == np.int64 and not out.any()
+
+
+def test_cut_output_index_is_scattered_back():
+    a = np.array([[1, 2], [0, 0], [3, 4]], dtype=np.int64)   # row 1 is zero
+    b = np.array([[1, 0, 5], [2, 0, 6]], dtype=np.int64)     # column 1 is zero
+    out = _safe_einsum("ij,jk->ik", a, b)
+    assert out.dtype == np.int64
+    assert out.tolist() == (a @ b).tolist()
+
+
+def test_object_fallback_is_exact():
+    big = np.array([2 ** 40 + 1, -(2 ** 40), 0], dtype=np.int64)
+    m = np.array([[2 ** 40 - 1, 0, 0], [0, 2 ** 40, 0], [0, 0, 7]], dtype=np.int64)
+    out = _safe_einsum("i,ij,j->", big, m, big)
+    want = sum(int(big[i]) * int(m[i, j]) * int(big[j]) for i in range(3) for j in range(3))
+    assert type(out) is int and out == want and want > 2 ** 64
+
+
+def test_bound_counts_summed_terms():
+    v = np.full((3, 3), 2_000_000_000, dtype=np.int64)   # v*v < 2^62 < 3*v*v
+    out = _safe_einsum("ij,jk->ik", v, v)
+    assert out.tolist() == [[3 * 2_000_000_000 ** 2] * 3] * 3
