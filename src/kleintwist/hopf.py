@@ -1,15 +1,25 @@
 """Finite-dimensional Hopf *-algebras over exact rationals.
 
 An FDHopf stores all six structure tensors (unit, multiplication,
-comultiplication, counit, antipode, star) with int/Fraction scalars.
-Axiom verification clears denominators and runs integer einsums, so an
-exhaustive check at dimension 24 stays fast while remaining exact.  Every
-integer step (conversion, contraction, rescaling) goes through one bound
-guard that switches to arbitrary-precision object arrays before int64
-could overflow.  Every contraction is support-pruned: each index is cut to
-the positions where all operands carrying it have a nonzero slice, which
-drops only zero terms, and the guard's bound is taken over the cut sizes;
-sparse operands such as a cocycle living on a Klein subgroup then cost in
+comultiplication, counit, antipode, star) with int/Fraction scalars, and
+on first use keeps them cleared to integer arrays with one common
+denominator each (scaled_integer_tensors).  Axiom verification runs exact
+integer einsums on those arrays, so an exhaustive check at dimension 24
+stays fast while remaining exact.  Every integer step (conversion,
+contraction, rescaling) goes through one bound guard that switches to
+arbitrary-precision object arrays before int64 could overflow.
+
+A contraction runs in one of three tiers, chosen by a proven bound on the
+absolute value of every partial sum it can form: below 2^53 on float64
+arrays through BLAS, below 2^62 on int64, otherwise on Python ints.  The
+float tier is exact because every operand entry, product and partial sum
+is then an integer of magnitude below 2^53, which float64 represents
+exactly, so no operation rounds, whatever order BLAS sums in; the result
+is cast back to int64.  Callers only ever see int64 or object arrays.
+Every contraction is also support-pruned: each index is cut to the
+positions where all operands carrying it have a nonzero slice, which
+drops only zero terms, and the bound is taken over the cut sizes; sparse
+operands such as a cocycle living on a Klein subgroup then cost in
 proportion to their support rather than to n^k.
 
 Character enumeration quotients by the commutator ideal and splits the
@@ -100,6 +110,7 @@ class FDHopf:
             raise ValueError("counit length disagrees with dim")
         self.antipode = {i: vec_normalize(antipode[i]) for i in rng}
         self.star = {i: vec_normalize(star[i]) for i in rng}
+        self._scaled: Optional[ScaledTensors] = None
 
     # -- basic linear operations ------------------------------------
 
@@ -274,6 +285,7 @@ def _denom(values) -> int:
     return lcm(1, *{v.denominator for v in values})
 
 
+_FLOAT64_LIMIT = 2 ** 53
 _INT64_LIMIT = 2 ** 62
 
 
@@ -307,6 +319,10 @@ def _rescale(arr: np.ndarray, k: int) -> np.ndarray:
 
 
 def scaled_integer_tensors(H: FDHopf) -> ScaledTensors:
+    """H's structure tensors cleared to integers, built on first use and
+    kept on H (read-only; FDHopf instances are immutable by convention)."""
+    if H._scaled is not None:
+        return H._scaled
     n = H.dim
     U, dU = _int_tensor((n,), H.unit)
     M, dM = _int_tensor((n, n, n), {(i, j, p): c for (i, j), v in H.mult.items()
@@ -318,7 +334,10 @@ def scaled_integer_tensors(H: FDHopf) -> ScaledTensors:
                                 for j, c in H.antipode[i].items()})
     T, dT = _int_tensor((n, n), {(i, j): c for i in range(n)
                                 for j, c in H.star[i].items()})
-    return ScaledTensors(U, M, C, E, S, T, dU, dM, dC, dE, dS, dT)
+    for arr in (U, M, C, E, S, T):
+        arr.flags.writeable = False
+    H._scaled = ScaledTensors(U, M, C, E, S, T, dU, dM, dC, dE, dS, dT)
+    return H._scaled
 
 
 def _safe_einsum(subscripts: str, *arrays: np.ndarray) -> np.ndarray:
@@ -326,12 +345,19 @@ def _safe_einsum(subscripts: str, *arrays: np.ndarray) -> np.ndarray:
 
     Every index is first cut to the positions where each operand carrying
     it has a nonzero slice: any other position multiplies a zero, so the
-    cut contraction equals the full one.  The overflow bound, the product
-    of the cut operands' largest entries times the number of terms summed
-    per output entry, also bounds every intermediate; int64 is used only
-    when it is below the guard, otherwise the contraction runs on exact
-    Python ints.  An output index that was cut is scattered back into a
-    zero array of full shape.  When nothing is cut, no operand is copied.
+    cut contraction equals the full one.  The bound, the product of the
+    cut operands' largest entries (at least 1 each) times the number of
+    terms summed per output entry, bounds every product, partial sum and
+    intermediate array of any contraction order.  It picks the tier:
+
+    - below 2^53: float64 with BLAS, cast back to int64.  Every value
+      formed is an integer float64 holds exactly, so no step rounds;
+    - below 2^62: int64;
+    - otherwise: exact Python ints in object arrays.
+
+    Every tier contracts pairwise in the order einsum's greedy path search
+    picks.  An output index that was cut is scattered back into a zero
+    array of full shape.  When nothing is cut, no operand is copied.
     """
     lhs, rhs = subscripts.split("->")
     terms = lhs.split(",")
@@ -354,8 +380,11 @@ def _safe_einsum(subscripts: str, *arrays: np.ndarray) -> np.ndarray:
         bound *= max(1, _max_abs(arr))
     for ch in set(lhs) - set(rhs) - {","}:
         bound *= len(cut[ch]) if ch in cut else sizes[ch]
-    if _int_dtype(bound) is object:
-        out = np.einsum(subscripts, *[a.astype(object) for a in arrays])
+    if bound < _FLOAT64_LIMIT:
+        out = np.einsum(subscripts, *[a.astype(np.float64) for a in arrays],
+                        optimize=True).astype(np.int64)
+    elif _int_dtype(bound) is object:
+        out = _object_einsum(subscripts, arrays)
     else:
         out = np.einsum(subscripts, *[a.astype(np.int64, copy=False) for a in arrays],
                         optimize=True)
@@ -364,6 +393,28 @@ def _safe_einsum(subscripts: str, *arrays: np.ndarray) -> np.ndarray:
     full = np.zeros([sizes[ch] for ch in rhs], dtype=out.dtype)
     full[positions(rhs)] = out
     return full
+
+
+def _object_einsum(subscripts: str, arrays) -> np.ndarray:
+    """Exact einsum on Python ints, contracted pairwise along einsum's
+    greedy path.  Each step is a plain einsum kept as an object array:
+    numpy's optimize=True route turns an operand that a step sums to a
+    scalar into int64 (numpy 2.4), where the product can wrap around.
+    A scalar result is returned as a Python int."""
+    lhs, rhs = subscripts.split("->")
+    terms = lhs.split(",")
+    ops = [a.astype(object) for a in arrays]
+    for step in np.einsum_path(subscripts, *ops, optimize="greedy")[0][1:]:
+        picked = sorted(step, reverse=True)
+        step_terms = [terms.pop(k) for k in picked]
+        step_ops = [ops.pop(k) for k in picked]
+        keep = set(rhs).union(*terms)
+        out = "".join(dict.fromkeys(ch for t in step_terms for ch in t if ch in keep))
+        terms.append(out)
+        ops.append(np.asarray(np.einsum(",".join(step_terms) + "->" + out, *step_ops),
+                              dtype=object))
+    (term,), (op,) = terms, ops
+    return np.einsum(f"{term}->{rhs}", op)
 
 
 def verify_hopf_axioms(H: FDHopf) -> dict:
@@ -386,11 +437,10 @@ def verify_hopf_axioms(H: FDHopf) -> dict:
     counit = (np.array_equal(_safe_einsum("iab,a->ib", C, E), _rescale(eye, t.dC * t.dE))
               and np.array_equal(_safe_einsum("iab,b->ia", C, E), _rescale(eye, t.dC * t.dE)))
 
-    lhs = _safe_einsum("ijw,wpq->ijpq", M, C)
-    X = _safe_einsum("iab,acp->ibcp", C, M)
-    W = _safe_einsum("jcd,bdq->jcbq", C, M)
-    rhs = _safe_einsum("ibcp,jcbq->ijpq", X, W)
-    bialg = np.array_equal(_rescale(lhs, t.dC * t.dM), rhs)
+    # Delta(xy) = Delta(x) Delta(y), the right side first: its contraction
+    # peaks at five n^4 arrays, so no other one should be alive then.
+    bialg = np.array_equal(_safe_einsum("iab,jcd,acp,bdq->ijpq", C, C, M, M),
+                           _rescale(_safe_einsum("ijw,wpq->ijpq", M, C), t.dC * t.dM))
     bialg = bialg and np.array_equal(_rescale(_safe_einsum("ijw,w->ij", M, E), t.dE),
                                      _rescale(_safe_einsum("i,j->ij", E, E), t.dM))
     bialg = bialg and np.array_equal(_rescale(_safe_einsum("i,ipq->pq", U, C), t.dU),

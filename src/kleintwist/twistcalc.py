@@ -23,6 +23,7 @@ from functools import lru_cache
 from .cocycle import klein_bicharacter
 from .errors import (CharacterActionMismatch, CountMismatch, NotASubgroup,
                      RelationFailure)
+from .incseq import generated_completion_group
 from .perm import (PermGroup, Permutation, are_conjugate, as_subgroup,
                    generate, klein_group, symmetric_group)
 from .present import (KLEIN_PRODUCT, Bidegree, O2Minus, SO3Minus,
@@ -697,7 +698,7 @@ def generation_counterexample() -> GenerationReport:
     if d_group is None:
         raise ValueError("no embedded image is conjugate to the reference")
     self_join = generate(4, list(d_group) + list(d_group))
-    full_join = generate(4, list(d_group) + list(S4))
+    full_join = generate(4, list(d_group) + list(generated_completion_group(2, 4)))
     return GenerationReport(d_group, self_join, full_join, d_group == ref)
 
 

@@ -16,7 +16,7 @@ from kleintwist.checks import (CheckResult, RunConfig, all_check_ids, run,
 from kleintwist.cli import main, render_json, render_markdown
 from kleintwist.errors import NonSplitQuotient, UnknownCheck
 from kleintwist.hopf import function_algebra, group_algebra
-from kleintwist.perm import symmetric_group
+from kleintwist.perm import klein_group, symmetric_group
 
 CHEAP = "sign-table,det-to-perm,klein-classification"
 
@@ -163,6 +163,14 @@ class TestCheckOutcomes:
         result = run_one("diagonal-twist-characters", RunConfig())
         assert result.status == "fail"
         assert "forced" in result.details
+
+    def test_generation_counterexample_joins_the_completions(self, monkeypatch):
+        # completions that only reach the Klein group leave the join at D4
+        monkeypatch.setattr(kleintwist.twistcalc, "generated_completion_group",
+                            lambda k, n: klein_group())
+        result = run_one("generation-counterexample", RunConfig())
+        assert result.status == "fail"
+        assert result.metrics["full_join_order"] == 8
 
 
 def test_python_dash_m_entry_point():

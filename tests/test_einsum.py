@@ -19,6 +19,9 @@ SUBSCRIPTS = sorted({m for path in Path(kleintwist.__file__).parent.glob("*.py")
                                          path.read_text())})
 
 SMALL = st.integers(-3, 3)
+# Two such factors already pass 2^53, where float64 would round an odd sum.
+NEAR_2_27 = st.integers(2 ** 27 - 3, 2 ** 27 + 3).flatmap(
+    lambda v: st.sampled_from([v, -v, 0]))
 NEAR_2_40 = st.integers(2 ** 40 - 3, 2 ** 40 + 3).flatmap(
     lambda v: st.sampled_from([v, -v, 0]))
 # Two such factors fit int64, a sum of three products does not.
@@ -47,7 +50,7 @@ def operands(draw, subscripts):
     sizes = {ch: draw(st.integers(1, 3)) for ch in sorted(set(lhs) - {","})}
     ops = []
     for term in terms:
-        elements = draw(st.sampled_from([SMALL, NEAR_2_31, NEAR_2_40]))
+        elements = draw(st.sampled_from([SMALL, NEAR_2_27, NEAR_2_31, NEAR_2_40]))
         a = draw(arrays(np.int64, tuple(sizes[ch] for ch in term), elements=elements))
         if draw(st.integers(0, 9)) == 0:
             a[...] = 0                                  # an all-zero operand
@@ -106,7 +109,32 @@ def test_object_fallback_is_exact():
     assert type(out) is int and out == want and want > 2 ** 64
 
 
+def test_object_step_summed_to_a_scalar_stays_exact():
+    # the cut leaves i one position long, so the first step sums to a scalar
+    a = np.array([2 ** 40 + 1, 0], dtype=np.int64)
+    b = np.array([2 ** 27 - 3, 5], dtype=np.int64)
+    out = _safe_einsum("i,i->", a, b)
+    assert type(out) is int and out == (2 ** 40 + 1) * (2 ** 27 - 3)
+
+
 def test_bound_counts_summed_terms():
     v = np.full((3, 3), 2_000_000_000, dtype=np.int64)   # v*v < 2^62 < 3*v*v
     out = _safe_einsum("ij,jk->ik", v, v)
     assert out.tolist() == [[3 * 2_000_000_000 ** 2] * 3] * 3
+
+
+def test_past_float64_range_stays_exact():
+    v = np.array([2 ** 27 + 1], dtype=np.int64)     # v*v needs 55 bits
+    out = _safe_einsum("i,i->", v, v)
+    assert out.dtype == np.int64 and int(out) == 2 ** 54 + 2 ** 28 + 1
+
+
+def test_just_under_float64_range_stays_exact():
+    a = np.full((2, 4), 2 ** 25 - 1, dtype=np.int64)
+    b = np.full((4, 3), 2 ** 26 + 1, dtype=np.int64)
+    a[1] *= -1
+    want = 4 * (2 ** 25 - 1) * (2 ** 26 + 1)           # odd terms, sum just under 2^53
+    assert 2 ** 53 - 2 ** 28 < want < 2 ** 53
+    out = _safe_einsum("ij,jk->ik", a, b)
+    assert out.dtype == np.int64
+    assert out.tolist() == [[want] * 3, [-want] * 3]
