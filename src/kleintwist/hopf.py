@@ -6,8 +6,9 @@ on first use keeps them cleared to integer arrays with one common
 denominator each (scaled_integer_tensors).  Axiom verification runs exact
 integer einsums on those arrays, so an exhaustive check at dimension 24
 stays fast while remaining exact.  Every integer step (conversion,
-contraction, rescaling) goes through one bound guard that switches to
-arbitrary-precision object arrays before int64 could overflow.
+contraction, rescaling) goes through one bound guard, ratlinalg's
+_int_dtype, that switches to arbitrary-precision object arrays before
+int64 could overflow.
 
 A contraction runs in one of three tiers, chosen by a proven bound on the
 absolute value of every partial sum it can form: below 2^53 on float64
@@ -22,16 +23,17 @@ drops only zero terms, and the bound is taken over the cut sizes; sparse
 operands such as a cocycle living on a Klein subgroup then cost in
 proportion to their support rather than to n^k.
 
-Character enumeration quotients by the commutator ideal and splits the
-commutative quotient into local blocks by generalized eigenspaces of
+Character enumeration runs on the same integer arrays.  It quotients by
+the commutator ideal, built in batched rounds of contractions, and splits
+the commutative quotient into local blocks by generalized eigenspaces of
 multiplication operators, refusing loudly (NonSplitQuotient) whenever a
-minimal polynomial fails to split over the rationals.  Each block is held
-in reduced echelon form, so restricting an operator to it reads an
-image's coordinates at the pivot columns and certifies invariance with
-one exact residual; an operator that is already scalar on a block is
-skipped without a minimal polynomial.  The character group comes from one
-integer contraction of the character-value matrix with the coproduct and
-the antipode.
+minimal polynomial fails to split over the rationals.  Each block is a
+fraction-free echelon basis (ratlinalg.RowSpace); one contraction
+restricts every operator to it, one exact residual certifies invariance,
+and only an operator that splits the block reaches minimal_polynomial.
+The characters are audited by three contractions on their cleared value
+matrix.  The character group comes from one integer contraction of that
+matrix with the coproduct and the antipode.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ import numpy as np
 from .errors import (ClosureFailure, EvaluationNotPermutation, KleintwistError,
                      NonSplitQuotient, NotASubgroup)
 from .perm import PermGroup, Permutation, generate, klein_group
-from .ratlinalg import (RowSpace, column_space_basis, kernel_basis, invert,
-                        mat_sub_scalar, matmul, matpow, matvec,
-                        minimal_polynomial, rational_roots)
+from .ratlinalg import (RowSpace, _int_dtype, _max_abs, _rescale, _sub,
+                        generalized_eigenspace, invert, minimal_polynomial,
+                        rational_roots)
 
 Scalar = "int | Fraction"
 Vec = dict
@@ -62,13 +64,6 @@ def _n(q):
 
 def vec_normalize(v: Vec) -> Vec:
     return {k: _n(q) for k, q in v.items() if q != 0}
-
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    out = dict(a)
-    for k, q in b.items():
-        out[k] = out.get(k, 0) - q
-    return vec_normalize(out)
 
 
 class FDHopf:
@@ -286,19 +281,6 @@ def _denom(values) -> int:
 
 
 _FLOAT64_LIMIT = 2 ** 53
-_INT64_LIMIT = 2 ** 62
-
-
-def _int_dtype(bound: int):
-    """The one overflow guard: int64 when every entry is proven to stay
-    below _INT64_LIMIT in absolute value, else exact Python ints in an
-    object array, never a silent wraparound."""
-    return np.int64 if bound < _INT64_LIMIT else object
-
-
-def _max_abs(arr: np.ndarray) -> int:
-    # max and min rather than abs(): no temporary copy of a large array
-    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
 
 
 def _int_tensor(shape, entries: dict) -> tuple:
@@ -310,12 +292,6 @@ def _int_tensor(shape, entries: dict) -> tuple:
     for idx, v in ints.items():
         out[idx] = v
     return out, d
-
-
-def _rescale(arr: np.ndarray, k: int) -> np.ndarray:
-    """arr * k over the integers, guarded like every other integer step."""
-    bound = max(1, _max_abs(arr)) * abs(k)
-    return arr.astype(_int_dtype(bound), copy=False) * k
 
 
 def scaled_integer_tensors(H: FDHopf) -> ScaledTensors:
@@ -642,142 +618,105 @@ def characters(H: FDHopf) -> list:
     commutative quotient into local blocks through generalized
     eigenspaces of multiplication operators.  Each block yields one
     character; a minimal polynomial without enough rational roots
-    raises NonSplitQuotient.
+    raises NonSplitQuotient.  Every step runs on the integer tensors of
+    scaled_integer_tensors(H).
     """
     n = H.dim
     if n > 64:
         raise ValueError(f"character enumeration restricted to dim <= 64, got {n}")
+    t = scaled_integer_tensors(H)
+    M = t.M
 
-    def dense(v: Vec):
-        row = [Fraction(0)] * n
-        for k, c in v.items():
-            row[k] = Fraction(c)
-        return row
-
+    # The ideal is spanned by the commutators e_i e_j - e_j e_i and closed
+    # under multiplication by basis vectors on both sides; each round
+    # multiplies only the rows that grew the ideal in the round before.
     ideal = RowSpace(n)
-    work = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            comm = vec_sub(H.mult.get((i, j), {}), H.mult.get((j, i), {}))
-            if comm and ideal.add(dense(comm)):
-                work.append(comm)
-    while work:
-        v = work.pop()
-        for k in range(n):
-            basis = {k: 1}
-            for prod in (H.mult_vec(basis, v), H.mult_vec(v, basis)):
-                if prod and ideal.add(dense(prod)):
-                    work.append(prod)
+    grown = ideal.extend(_sub(M, M.transpose(1, 0, 2)))
+    while len(grown):
+        grown = ideal.extend(np.concatenate([
+            _safe_einsum("ka,ajp->kjp", grown, M).reshape(-1, n),
+            _safe_einsum("ka,jap->kjp", grown, M).reshape(-1, n)]))
 
-    pivset = set(ideal.pivots)
-    free = [c for c in range(n) if c not in pivset]
+    free = ideal.free
     m = len(free)
     if m == 0:
         raise KleintwistError("commutator ideal is the whole algebra")
+    # proj[i] = ideal.scale * (coordinates of e_i in the quotient basis
+    # e_f, f free); Q[j, k] = dQ * (coordinates of e_fj e_fk), so Q[j] is
+    # the operator of multiplication by e_fj on row vectors.
+    proj = ideal.reduce(np.eye(n, dtype=np.int64))[:, free]
+    Q = _safe_einsum("jkp,pq->jkq", M[np.ix_(free, free)], proj)
+    dQ = t.dM * ideal.scale
 
-    def to_quotient(v: Vec):
-        r = ideal.reduce(dense(v))
-        return [r[f] for f in free]
-
-    # Multiplication operators of the quotient basis, as m x m matrices.
-    ops = []
-    for j in range(m):
-        cols = [to_quotient(H.mult_vec({free[j]: 1}, {free[k]: 1})) for k in range(m)]
-        ops.append([[cols[k][r] for k in range(m)] for r in range(m)])
-
-    def echelon(vectors) -> RowSpace:
-        space = RowSpace(m)
-        for v in vectors:
-            space.add(v)
-        return space
-
-    def restrict(L, block: RowSpace):
-        """Matrix of L on the block in its echelon basis.  An image lies
-        in the block exactly when its residual is zero, and then its
-        coordinates are its entries at the pivot columns."""
-        cols = []
-        for vec in block.rows:
-            img = matvec(L, vec)
-            if any(block.reduce(img)):
-                raise KleintwistError("block not invariant under multiplication")
-            cols.append([img[p] for p in block.pivots])
-        b = block.dim
-        return [[cols[c][r] for c in range(b)] for r in range(b)]
-
-    def lincomb(block: RowSpace, coords):
-        out = [Fraction(0)] * m
-        for c, vec in zip(coords, block.rows):
-            if c:
-                for t in range(m):
-                    out[t] += c * vec[t]
-        return out
-
-    queue = [echelon([Fraction(int(r == j)) for r in range(m)] for j in range(m))]
+    whole = RowSpace(m)
+    whole.extend(np.eye(m, dtype=np.int64))
+    queue = [whole]
     blocks = []
     while queue:
         block = queue.pop()
-        b = block.dim
-        traces = []
-        for L in ops:
-            R = restrict(L, block)
-            traces.append(sum(R[r][r] for r in range(b)))
-            lam = R[0][0]
-            if all(R[r][c] == (lam if r == c else 0) for r in range(b) for c in range(b)):
-                continue          # R = lam * I: minimal polynomial x - lam
-            mp = minimal_polynomial(R)
-            roots, rem = rational_roots(mp)
-            if not roots:
-                raise NonSplitQuotient(
-                    f"minimal polynomial without rational roots: {rem}")
-            if len(roots) == 1 and len(rem) == 1:
-                continue
-            pieces = []
-            covered = 0
-            for lam, _mult in roots:
-                N = matpow(mat_sub_scalar(R, lam), b)
-                ker = kernel_basis(N)
-                if ker:
-                    pieces.append(echelon(lincomb(block, v) for v in ker))
-                    covered += len(ker)
-            if covered < b:
-                P = None
-                for lam, _mult in roots:
-                    F = matpow(mat_sub_scalar(R, lam), b)
-                    P = F if P is None else matmul(P, F)
-                img = column_space_basis(P)
-                pieces.append(echelon(lincomb(block, v) for v in img))
-            queue.extend(pieces)
+        B, b = block.rows, block.dim
+        # Every operator on every row of the block at once.  The block is
+        # invariant exactly when every residue vanishes; an image's
+        # coefficient on row r is then its entry at pivot r over that pivot.
+        # So operator j acts on block coordinates (row vectors) as D[j] / s.
+        Y = _safe_einsum("rk,jkq->jrq", B, Q)
+        if (block.reduce(Y.reshape(-1, m)) != 0).any():
+            raise KleintwistError("block not invariant under multiplication")
+        D = _safe_einsum("jrc,c->jrc", Y[:, :, block.pivots], block.cofactors())
+        s = block.scale * dQ
+        traces = _safe_einsum("jrr->j", D)
+        off = D.copy()
+        off[:, range(b), range(b)] = 0
+        diag = D[:, range(b), range(b)]
+        scalar = ~(off != 0).any(axis=(1, 2)) & (diag == diag[:, :1]).all(axis=1)
+        for j in np.flatnonzero(~scalar):
+            roots, rem = rational_roots(minimal_polynomial(D[j], s))
+            if len(rem) > 1:
+                raise NonSplitQuotient(f"minimal polynomial without rational roots: {rem}")
+            if len(roots) == 1:
+                continue          # one eigenvalue: nothing to split
+            # The generalized eigenspace of lam is the kernel of
+            # (D[j] / s - lam)^k, k the multiplicity of lam in the minimal
+            # polynomial; together they must fill the block.
+            pieces = [generalized_eigenspace(D[j], lam, k, s) for lam, k in roots]
+            if sum(len(X) for X in pieces) != b:
+                raise KleintwistError("generalized eigenspaces do not span the block")
+            for X in pieces:
+                piece = RowSpace(m)
+                piece.extend(_safe_einsum("xr,rq->xq", X, B))
+                queue.append(piece)
             break
         else:
-            blocks.append((b, traces))
+            blocks.append((b * s, traces))
 
-    basis_q = [to_quotient({i: 1}) for i in range(n)]
-    out = []
-    for b, traces in blocks:
-        # chi on the quotient basis: the unique eigenvalue of each
-        # operator, read off as trace/b since its minimal polynomial is
-        # (x-lam)^q.
-        chi_q = [tr / b for tr in traces]
-        values = []
-        for i in range(n):
-            values.append(_n(sum((basis_q[i][j] * chi_q[j] for j in range(m)
-                                  if basis_q[i][j]), Fraction(0))))
-        chi = Character(H, tuple(values))
-        if chi(H.unit) != 1:
+    # chi(e_f) for the quotient basis is the unique eigenvalue of each
+    # operator on the block, trace / b; then chi(e_i) = sum_f proj[i, f]
+    # chi(e_f) / ideal.scale.  X holds all values over one denominator dX.
+    dens = [den * ideal.scale for den, _ in blocks]
+    dX = lcm(*dens)
+    X = np.concatenate([_rescale(_safe_einsum("iq,q->i", proj, tr), dX // den)[None]
+                        for den, (_, tr) in zip(dens, blocks)])
+
+    # The certificate: chi(1) = 1, chi(e_i e_j) = chi(e_i) chi(e_j) over all
+    # pairs, chi(e_i*) = chi(e_i), as three contractions on X.
+    unital = _safe_einsum("i,fi->f", t.U, X) == t.dU * dX
+    mult_bad = (_rescale(_safe_einsum("ijp,fp->fij", M, X), dX)
+                != _rescale(_safe_einsum("fi,fj->fij", X, X), t.dM))
+    star_bad = _safe_einsum("ip,fp->fi", t.T, X) != _rescale(X, t.dT)
+    for f in range(len(X)):
+        if not unital[f]:
             raise KleintwistError("character fails chi(1) = 1")
-        for i in range(n):
-            for j in range(n):
-                if chi(H.mult.get((i, j), {})) != _n(Fraction(values[i]) * Fraction(values[j])):
-                    raise KleintwistError(f"character not multiplicative at ({i},{j})")
-        for i in range(n):
-            if chi(H.star[i]) != values[i]:
-                raise KleintwistError(f"character not star-compatible at {i}")
-        out.append(chi)
+        if mult_bad[f].any():
+            i, j = np.argwhere(mult_bad[f])[0]
+            raise KleintwistError(f"character not multiplicative at ({i},{j})")
+        if star_bad[f].any():
+            raise KleintwistError(
+                f"character not star-compatible at {np.flatnonzero(star_bad[f])[0]}")
 
-    out.sort(key=lambda ch: tuple(Fraction(v) for v in ch.values))
-    if len({ch.values for ch in out}) != len(out):
+    rows = sorted(tuple(int(x) for x in row) for row in X)
+    if len(set(rows)) != len(rows):
         raise KleintwistError("duplicate characters from distinct blocks")
-    return out
+    return [Character(H, tuple(_n(Fraction(x, dX)) for x in row)) for row in rows]
 
 
 def convolution(H: FDHopf, f: Character, g: Character) -> Character:

@@ -1,196 +1,261 @@
-"""Dense exact linear algebra over the rationals, sized for the small
-dimensions (<= 64) this package works at.
+"""Exact linear algebra over the rationals on integer arrays, sized for the
+small dimensions (<= 64) this package works at.
 
-Vectors are lists of Fractions/ints, matrices are lists of rows.
+A subspace is kept fraction-free (RowSpace): integer rows, each primitive
+(divided by the gcd of its entries), with a positive pivot at its leftmost
+nonzero column and zeros in every other row's pivot column.  Up to a
+positive factor per row this is the reduced row echelon form, so pivots
+and free columns are canonical.  Row operations are whole-array numpy
+steps, and each one takes its dtype from one guard, _int_dtype: int64
+while a proven bound on every value it forms stays below 2^62, exact
+Python ints in object arrays past that, never a silent wraparound.
+
+Rationals appear only at the boundary.  invert and kernel_basis take
+matrices of ints/Fractions, clear their denominators once and return
+Fractions.  minimal_polynomial and generalized_eigenspace take such a
+matrix too, or an integer array with a common denominator, so a caller
+that already holds integers builds no Fraction per entry;
+minimal_polynomial returns Fractions, generalized_eigenspace integer rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from math import gcd, lcm
 
-Row = list
+import numpy as np
+
+_INT64_LIMIT = 2 ** 62
 
 
-def _is_zero_row(row) -> bool:
-    return all(x == 0 for x in row)
+def _int_dtype(bound: int):
+    """The one overflow guard: int64 when every entry is proven to stay
+    below _INT64_LIMIT in absolute value, else exact Python ints in an
+    object array, never a silent wraparound."""
+    return np.int64 if bound < _INT64_LIMIT else object
+
+
+def _max_abs(arr: np.ndarray) -> int:
+    # max and min rather than abs(): no temporary copy of a large array
+    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
+
+
+def _fit(arr) -> np.ndarray:
+    """An integer array in the narrowest dtype the guard allows."""
+    arr = np.asarray(arr)
+    return arr.astype(_int_dtype(_max_abs(arr)), copy=False)
+
+
+def _rescale(arr: np.ndarray, k) -> np.ndarray:
+    """arr * k over the integers, k an int or an integer array that
+    broadcasts against arr, guarded like every other integer step."""
+    k = _fit(k)
+    bound = max(1, _max_abs(arr)) * max(1, _max_abs(k))
+    dtype = _int_dtype(bound)
+    return arr.astype(dtype, copy=False) * k.astype(dtype, copy=False)
+
+
+def _sub(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X - Y over the integers, guarded."""
+    dtype = _int_dtype(_max_abs(X) + _max_abs(Y))
+    return X.astype(dtype, copy=False) - Y.astype(dtype, copy=False)
+
+
+def _dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The matrix product X @ Y over the integers, guarded; the bound
+    covers both operands too, so neither is cast to a dtype it overflows."""
+    dtype = _int_dtype(max(1, _max_abs(X)) * max(1, _max_abs(Y)) * max(1, X.shape[-1]))
+    return X.astype(dtype, copy=False) @ Y.astype(dtype, copy=False)
+
+
+def _primitive(R: np.ndarray) -> np.ndarray:
+    """R with every nonzero row divided by the gcd of its entries and
+    signed so that its leftmost nonzero entry is positive."""
+    if not R.size:
+        return R
+    lead = R[np.arange(len(R)), (R != 0).argmax(axis=1)]
+    content = np.abs(np.gcd.reduce(R, axis=1))    # a lone entry comes back as is
+    content = np.where(content == 0, 1, content)
+    return _fit(R // np.where(lead < 0, -content, content)[:, None])
+
+
+def _eliminate(R: np.ndarray, row: np.ndarray, col: int) -> np.ndarray:
+    """R with column col cleared by the primitive row whose pivot is at
+    col, each changed row made primitive again; row order is kept."""
+    hit = np.flatnonzero(R[:, col] != 0)
+    if not len(hit):
+        return R
+    changed = _primitive(_sub(_rescale(R[hit], row[col]), _dot(R[hit][:, [col]], row[None])))
+    out = R.astype(np.result_type(R, changed), copy=True)
+    out[hit] = changed
+    return _fit(out)
 
 
 class RowSpace:
-    """A subspace of Q^width kept in reduced row echelon form."""
+    """A subspace of Q^width, kept fraction-free (see the module notes).
+
+    rows is a (dim, width) integer array sorted by pivot column, pivots the
+    matching list of pivot columns.  Methods take integer vectors."""
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: list[list[Fraction]] = []
+        self.rows = np.zeros((0, width), dtype=np.int64)
         self.pivots: list[int] = []
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def reduce(self, vec) -> list[Fraction]:
-        """Residue of vec modulo the subspace (pivot coordinates cleared)."""
-        v = [Fraction(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                c = v[p]
-                for k in range(p, self.width):
-                    v[k] -= c * row[k]
-        return v
+    @property
+    def free(self) -> list[int]:
+        """The columns that hold no pivot."""
+        return [c for c in range(self.width) if c not in set(self.pivots)]
+
+    @property
+    def scale(self) -> int:
+        """The lcm of the pivot entries, the factor reduce multiplies by."""
+        return lcm(1, *(int(self.rows[k, p]) for k, p in enumerate(self.pivots)))
+
+    def cofactors(self) -> np.ndarray:
+        """Per row, scale over its pivot entry: row k times cofactors()[k]
+        has pivot entry scale."""
+        L = self.scale
+        return _fit([L // int(self.rows[k, p]) for k, p in enumerate(self.pivots)])
+
+    def reduce(self, vectors) -> np.ndarray:
+        """scale times the residues of the integer vectors (rows of a
+        matrix, or one vector) modulo the space: each residue has every
+        pivot coordinate cleared, and it is zero exactly when the vector
+        lies in the space."""
+        V = _fit(vectors)
+        if not self.pivots:
+            return V
+        # residue = V - sum_k V[p_k] / pv_k * row_k, times scale
+        flat = V.reshape(-1, self.width)
+        out = _sub(_rescale(flat, self.scale),
+                   _dot(flat[:, self.pivots], _rescale(self.rows, self.cofactors()[:, None])))
+        return out.reshape(V.shape)
 
     def contains(self, vec) -> bool:
-        return _is_zero_row(self.reduce(vec))
+        return not bool((self.reduce(vec) != 0).any())
+
+    def extend(self, vectors) -> np.ndarray:
+        """Insert the integer rows of `vectors` (zero and repeated rows
+        allowed).  Returns the rows that grew the space: residues modulo
+        the old space, in echelon form, one per new dimension."""
+        R = _primitive(self.reduce(np.asarray(vectors).reshape(-1, self.width)))
+        R = R[(R != 0).any(axis=1)]
+        grown = np.zeros((0, self.width), dtype=np.int64)
+        cols: list[int] = []
+        while len(R):
+            col = int((R != 0).any(axis=0).argmax())
+            hit = np.flatnonzero(R[:, col] != 0)
+            k = hit[np.argmin(np.abs(R[hit, col]))]   # the smallest pivot grows least
+            row = R[k]
+            R = _eliminate(np.delete(R, k, axis=0), row, col)
+            R = R[(R != 0).any(axis=1)]
+            self.rows = _eliminate(self.rows, row, col)
+            grown = _fit(np.vstack([_eliminate(grown, row, col), row[None]]))
+            cols.append(col)
+        if cols:
+            pivots = self.pivots + cols
+            order = np.argsort(pivots, kind="stable")
+            self.rows = _fit(np.vstack([self.rows, grown]))[order]
+            self.pivots = [pivots[k] for k in order]
+        return grown
 
     def add(self, vec) -> bool:
-        """Insert vec; returns True when the dimension grew."""
-        v = self.reduce(vec)
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
-            return False
-        inv = 1 / v[pivot]
-        v = [x * inv for x in v]
-        for row in self.rows:
-            if row[pivot]:
-                c = row[pivot]
-                for k in range(pivot, self.width):
-                    row[k] -= c * v[k]
-        at = next((j for j, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, pivot)
-        return True
+        """Insert one integer vector; returns True when the dimension grew."""
+        return len(self.extend(vec)) > 0
+
+    def kernel(self) -> np.ndarray:
+        """Primitive integer rows spanning {x : row . x = 0 for every row},
+        one per free column, in free-column order."""
+        free = self.free
+        K = np.zeros((len(free), self.width), dtype=object)
+        K[np.arange(len(free)), free] = self.scale
+        if self.pivots:
+            W = _rescale(self.rows[:, free], self.cofactors()[:, None])
+            K[:, self.pivots] = -W.T.astype(object)
+        return _primitive(_fit(K))
 
 
-def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
-    if not matrix:
-        return [], []
-    space = RowSpace(len(matrix[0]))
-    for row in matrix:
-        space.add(row)
-    return space.rows, space.pivots
-
-
-def matmul(A, B):
-    n, mid, m = len(A), len(B), len(B[0]) if B else 0
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        Oi = out[i]
-        for k in range(mid):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                for j in range(m):
-                    if Bk[j]:
-                        Oi[j] += a * Bk[j]
-    return out
-
-def matvec(A, v):
-    return [sum((a * x for a, x in zip(row, v) if a and x), Fraction(0)) for row in A]
-
-
-def identity_matrix(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def mat_sub_scalar(A, lam):
-    """A - lam*I."""
-    n = len(A)
-    out = [[Fraction(x) for x in row] for row in A]
-    for i in range(n):
-        out[i][i] -= lam
-    return out
-
-
-def matpow(A, k):
-    n = len(A)
-    out = identity_matrix(n)
-    base = [[Fraction(x) for x in row] for row in A]
-    while k:
-        if k & 1:
-            out = matmul(out, base)
-        base = matmul(base, base)
-        k >>= 1
-    return out
-
-
-def solve_columns(cols: list[list], target) -> Optional[list[Fraction]]:
-    """Coefficients c with sum(c_i * cols[i]) = target, or None."""
-    if not cols:
-        return [] if _is_zero_row(target) else None
-    height = len(cols[0])
-    # Row-reduce the transposed system with an augmented tail.
-    aug = [[Fraction(cols[j][i]) for j in range(len(cols))] + [Fraction(target[i])]
-           for i in range(height)]
-    rows, pivots = rref(aug)
-    ncols = len(cols)
-    coeffs = [Fraction(0)] * ncols
-    for row, p in zip(rows, pivots):
-        if p == ncols:
-            return None
-        coeffs[p] = row[ncols]
-    # Free variables stay 0; confirm the candidate really works.
-    for i in range(height):
-        if sum(coeffs[j] * cols[j][i] for j in range(ncols)) != target[i]:
-            return None
-    return coeffs
+def _cleared(matrix, scale: int = 1) -> tuple[np.ndarray, int]:
+    """(A, d) with A / d = matrix / scale, A an integer array and d > 0.
+    matrix is an integer array, or nested lists of ints/Fractions whose
+    denominators are cleared here; A and d share no common factor."""
+    if isinstance(matrix, np.ndarray):
+        A, d = _fit(matrix), scale
+    else:
+        rows = [[Fraction(x) for x in row] for row in matrix]
+        den = lcm(1, *(x.denominator for row in rows for x in row))
+        A = _fit(np.array([[x.numerator * (den // x.denominator) for x in row]
+                           for row in rows], dtype=object).reshape(len(rows), -1))
+        d = den * scale
+    g = gcd(int(np.gcd.reduce(A, axis=None)) if A.size else 0, d)
+    return _fit(A // g), d // g
 
 
 def invert(matrix) -> list[list[Fraction]]:
     n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    rows, pivots = rref(aug)
-    if pivots[:n] != list(range(n)) or len(rows) != n:
+    A, d = _cleared(matrix)
+    space = RowSpace(2 * n)
+    # [A | d I] reduces to rows [pv_i e_i | pv_i * (row i of matrix^-1)]
+    space.extend(np.hstack([A.astype(object), np.eye(n, dtype=object) * d]))
+    if space.pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in rows]
+    return [[Fraction(int(x), int(row[i])) for x in row[n:]]
+            for i, row in enumerate(space.rows)]
 
 
 def kernel_basis(M) -> list[list[Fraction]]:
-    """Basis of {x : Mx = 0}; M is a list of rows, domain = column count."""
-    if not M:
+    """Basis of {x : Mx = 0}; M is a list of rows, domain = column count.
+    Each basis vector has a 1 at its own free column."""
+    if not len(M):
         return []
-    ncols = len(M[0])
-    rows, pivots = rref(M)
-    pivset = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for row, p in zip(rows, pivots):
-            v[p] = -row[free]
-        basis.append(v)
-    return basis
+    A, _ = _cleared(M)
+    space = RowSpace(A.shape[1])
+    space.extend(A)
+    return [[Fraction(int(x), int(k[f])) for x in k]
+            for k, f in zip(space.kernel(), space.free)]
 
 
-def column_space_basis(M) -> list[list[Fraction]]:
-    """Basis of the column space of M, as vectors of length len(M)."""
-    if not M:
-        return []
-    ncols = len(M[0])
-    cols = [[M[i][j] for i in range(len(M))] for j in range(ncols)]
-    space = RowSpace(len(M))
-    out = []
-    for c in cols:
-        if space.add(c):
-            out.append([Fraction(x) for x in c])
-    return out
+def minimal_polynomial(M, scale: int = 1) -> list[Fraction]:
+    """Monic minimal polynomial of the square rational matrix M / scale,
+    coefficients in ascending degree order."""
+    A, d = _cleared(M, scale)
+    n = len(A)
+    powers = RowSpace(n * n)
+    flats = []
+    power = np.eye(n, dtype=np.int64)
+    while powers.add(power.reshape(-1)):
+        flats.append(power.reshape(-1))
+        power = _dot(power, A)
+    # sum_t c_t A^t = 0 for the kernel vector c; A = d R for R = M / scale,
+    # so the monic minimal polynomial of R has coefficients c_t d^t / (c_k d^k)
+    columns = RowSpace(len(flats) + 1)
+    columns.extend(_fit(np.array(flats + [power.reshape(-1)], dtype=object).T))
+    (c,) = columns.kernel()
+    k = len(flats)
+    return [Fraction(int(c[t]) * d ** t, int(c[k]) * d ** k) for t in range(k + 1)]
 
 
-def minimal_polynomial(M) -> list[Fraction]:
-    """Monic minimal polynomial of the square matrix M, coefficients in
-    ascending degree order."""
-    n = len(M)
-    flat_powers = [[Fraction(int(i == j)) for i in range(n) for j in range(n)]]
-    power = identity_matrix(n)
-    while True:
-        power = matmul(power, M)
-        flat = [power[i][j] for i in range(n) for j in range(n)]
-        coeffs = solve_columns(flat_powers, flat)
-        if coeffs is not None:
-            return [-c for c in coeffs] + [Fraction(1)]
-        flat_powers.append(flat)
+def generalized_eigenspace(M, lam, k: int, scale: int = 1) -> np.ndarray:
+    """Integer rows spanning {x : x (M / scale - lam)^k = 0}, for a square
+    rational matrix M acting on row vectors."""
+    A, d = _cleared(M, scale)
+    lam = Fraction(lam)
+    eye = np.eye(len(A), dtype=np.int64)
+    # M / scale - lam = (q A - p d I) / (q d) for lam = p/q.  Positive
+    # factors, such as 1 / (q d) or each power's content, leave the kernel
+    N = _sub(_rescale(A, lam.denominator), _rescale(eye, lam.numerator * d))
+    P = eye
+    for _ in range(k):
+        P = _dot(P, N)
+        P = _fit(P // max(1, abs(int(np.gcd.reduce(P, axis=None)))))
+    space = RowSpace(len(A))
+    space.extend(P.T)          # x P = 0 exactly when x is orthogonal to P's columns
+    return space.kernel()
 
 
 def _divisors(n: int) -> list[int]:
@@ -238,7 +303,6 @@ def rational_roots(coeffs) -> tuple[list[tuple[Fraction, int]], list[Fraction]]:
     if zero_mult:
         roots.append((Fraction(0), zero_mult))
     if len(poly) > 1:
-        from math import lcm
         den = lcm(*[c.denominator for c in poly])
         ints = [int(c * den) for c in poly]
         candidates = set()

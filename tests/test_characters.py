@@ -9,18 +9,20 @@ import pytest
 
 from kleintwist.cocycle import (Cocycle2, build_s4tau, klein_bicharacter, pullback,
                                 twist, verify_cocycle)
-from kleintwist.errors import ClosureFailure
+from kleintwist.errors import ClosureFailure, KleintwistError
 from kleintwist.hopf import (Character, FDHopf, HopfMap, all_axioms_pass,
                              character_group, characters, convolution,
                              convolution_identity, convolution_inverse,
                              function_algebra, group_algebra,
                              scaled_integer_tensors, verify_hopf_axioms)
-from kleintwist.perm import (PermGroup, Permutation, isomorphism_type,
+from kleintwist.perm import (PermGroup, Permutation, generate, isomorphism_type,
                              klein_group, symmetric_group)
 from kleintwist.ratlinalg import invert
 
 S3 = symmetric_group(3)
 S4 = symmetric_group(4)
+D4 = generate(4, [Permutation.from_cycles(4, [(1, 2, 3, 4)]),
+                  Permutation.from_cycles(4, [(1, 3)])])
 
 
 def transport(H: FDHopf, P) -> FDHopf:
@@ -101,6 +103,14 @@ def _build(name: str) -> FDHopf:
         return build_s4tau().algebra
     if name == "diagtwist":
         return build_s4tau(V=klein_group()).algebra
+    if name == "cs3":
+        return function_algebra(S3)
+    if name == "qs3":
+        return group_algebra(S3)
+    if name == "cd4":
+        return function_algebra(D4)
+    if name == "qklein":
+        return group_algebra(klein_group())
     if name == "cs4_relabelled":
         perm = [(7 * i + 5) % 24 for i in range(24)]
         return transport(function_algebra(S4), permutation_matrix(perm))
@@ -108,8 +118,13 @@ def _build(name: str) -> FDHopf:
 
 
 # Character count, character group type, and a digest of the sorted value
-# tuples as the enumeration produced them before it kept echelon blocks.
+# tuples as the enumeration produced them before it kept echelon blocks
+# (cs3, qs3, cd4 and qklein: before it ran on integer arrays).
 EXPECTED = {
+    "cs3": (6, "S3", "6f9fe1c358f4c35f"),
+    "qs3": (2, "Z2", "ad5e9c96c30e6e2a"),
+    "cd4": (8, "D4", "600e75d8518cc3bc"),
+    "qklein": (4, "Klein", "42dc47696ad1064d"),
     "cs4": (24, "S4", "b051a993485b857d"),
     "qs4": (2, "Z2", "7a9f2b844d0106a2"),
     "s4tau": (8, "D4", "35d9ce6e94943c35"),
@@ -157,6 +172,29 @@ def test_characters_unchanged(census, name):
 def test_character_group_matches_convolution_oracle(census, name):
     H, chars = census(name)
     assert character_group(H, chars).elements == convolution_oracle_group(H, chars).elements
+
+
+def test_non_semisimple_quotient():
+    """Q[x]/(x^2) x Q in the basis (e1 + x, x, e2), multiplication only:
+    the operator of e1 + x has minimal polynomial x (x - 1)^2, so its
+    generalized eigenspace for 1 needs the square of (R - 1)."""
+    mult = {(0, 0): {0: 1, 1: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (2, 2): {2: 1}}
+    H = FDHopf(3, ["e1+x", "x", "e2"], {0: 1, 1: -1, 2: 1}, mult,
+               {i: [] for i in range(3)}, [0, 0, 0], {i: {} for i in range(3)},
+               {i: {i: 1} for i in range(3)})
+    assert [ch.values for ch in characters(H)] == [(0, 0, 1), (1, 0, 0)]
+
+
+@pytest.mark.parametrize("key,product,message", [
+    ((0, 0), {0: 2}, r"character fails chi\(1\) = 1"),
+    ((1, 1), {1: 1, 2: 1}, "block not invariant under multiplication"),
+], ids=["unit", "invariance"])
+def test_broken_multiplication_refused(key, product, message):
+    H = function_algebra(S3)
+    broken = FDHopf(H.dim, H.basis_labels, H.unit, {**H.mult, key: product},
+                    H.comult, H.counit, H.antipode, H.star)
+    with pytest.raises(KleintwistError, match=message):
+        characters(broken)
 
 
 def _flip_one_value(chars):

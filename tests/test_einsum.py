@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import kleintwist
-from kleintwist.hopf import _INT64_LIMIT, _safe_einsum
+from kleintwist.hopf import _safe_einsum
+from kleintwist.ratlinalg import _INT64_LIMIT
 
 # Every subscript string written in the package source.
 SUBSCRIPTS = sorted({m for path in Path(kleintwist.__file__).parent.glob("*.py")

@@ -1,0 +1,44 @@
+"""The benchmark's tracer still wraps the package in process: a traced
+characters run raises nothing, and every observed result has the type
+the per-layer metrics expect."""
+
+import importlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import tracing  # noqa: E402
+
+import kleintwist as kt  # noqa: E402
+from kleintwist.ratlinalg import RowSpace  # noqa: E402
+
+OBSERVED_TYPE = {"ratlinalg.RowSpace.add": bool, "ratlinalg.solve_columns": bool,
+                 "hopf.characters": int}
+
+
+def test_traced_characters_run():
+    for name in tracing.MODULES:
+        importlib.import_module(f"kleintwist.{name}")
+    tr = tracing.Tracer()
+    tr.install(kt)
+    try:
+        S3 = kt.perm.symmetric_group(3)
+        for H in (kt.hopf.function_algebra(S3), kt.hopf.group_algebra(S3)):
+            kt.hopf.character_group(H, kt.hopf.characters(H))
+    finally:
+        tr.uninstall()
+    names = {tr.names[i] for i in tr.name_id}
+    assert {"hopf.characters", "hopf.character_group", "ratlinalg.RowSpace.add"} <= names
+    assert tr.observed
+    for idx, value in tr.observed.items():
+        assert type(value) is OBSERVED_TYPE[tr.names[tr.name_id[idx]]]
+    metrics = tracing.layer_metrics(tr)
+    assert metrics["hopf.characters.calls"] == 2
+    assert metrics["hopf.characters.found"] == 8
+    assert 0 < metrics["ratlinalg.RowSpace.add.grew_ratio"] < 1
+
+
+def test_row_space_add_returns_a_bool():
+    space = RowSpace(2)
+    assert space.add([2, 4]) is True and space.add([1, 2]) is False
