@@ -168,7 +168,7 @@ def check_cocycle_valid(cfg: RunConfig) -> CheckResult:
         return _bad("cocycle-valid", {}, {}, "bicharacter fails the cocycle identities")
     t = _s4tau()          # its constructor re-verifies the pulled-back cocycle
     minus = sum(1 for row in sigma.table for v in row if v == -1)
-    return _ok("cocycle-valid", {"carrier_dim": 4, "minus_entries": minus,
+    return _ok("cocycle-valid", {"carrier_dim": sigma.carrier.dim, "minus_entries": minus,
                                  "pullback_dim": t.base.dim}, {},
                "cocycle identities hold on the four-dimensional carrier and on the pullback")
 

@@ -15,7 +15,9 @@ would fail the star axioms.
 All three are exact integer contractions over the double coproduct
 (x1, x2, x3) of the cleared structure tensors and cocycle tables, pruned
 to the cocycle's support; each result is divided by its product of
-scales back into Fractions.
+scales back into Fractions.  pullback likewise contracts the cleared
+tables with the Hopf map's integer matrix, after HopfMap.verify has
+checked that map on the shared tensors.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import KleintwistError, TwistNotHopf
-from .hopf import (FDHopf, HopfMap, _int_tensor, _n, _rescale, _safe_einsum,
-                   fourier_iso, group_algebra, restriction_surjection,
-                   scaled_integer_tensors, verify_hopf_axioms)
+from .hopf import (FDHopf, HopfMap, _n, _rescale, _safe_einsum, fourier_iso,
+                   group_algebra, restriction_surjection, scaled_integer_tensors,
+                   verify_hopf_axioms)
 from .perm import PermGroup, Permutation, easy_klein, klein_group, symmetric_group
+from .ratlinalg import _cleared
 
 
 @dataclass(frozen=True)
@@ -115,9 +118,9 @@ def klein_bicharacter() -> Cocycle2:
     return Cocycle2.build(carrier, table, table, corrector)
 
 
-def _scaled_table(table) -> tuple:
-    return _int_tensor((len(table), len(table)),
-                       {(i, j): c for i, row in enumerate(table) for j, c in enumerate(row)})
+def _fractions(arr: np.ndarray, scale: int) -> list:
+    """arr / scale as nested lists of Fractions, arr an exact integer array."""
+    return (arr.astype(object) * Fraction(1, scale)).tolist()
 
 
 def _rows(arr: np.ndarray, scale: int) -> dict:
@@ -139,8 +142,8 @@ def verify_cocycle(sigma: Cocycle2) -> bool:
     H = sigma.carrier
     t = scaled_integer_tensors(H)
     U, M, C, E = t.U, t.M, t.C, t.E
-    Sg, dSg = _scaled_table(sigma.table)
-    Sv, dSv = _scaled_table(sigma.inverse_table)
+    Sg, dSg = _cleared(sigma.table)
+    Sv, dSv = _cleared(sigma.inverse_table)
 
     ok = True
     for tab, d in ((Sg, dSg), (Sv, dSv)):
@@ -169,30 +172,14 @@ def pullback(sigma: Cocycle2, pi: HopfMap) -> Cocycle2:
         raise ValueError("pi's target is not the cocycle's carrier")
     if not pi.verify():
         raise KleintwistError(f"pullback needs a Hopf map, failed at: {pi.failure}")
-    n = pi.source.dim
-    k = sigma.carrier.dim
+    P, d = pi.matrix()
 
-    def pulled(tbl):
-        out = []
-        for i in range(n):
-            row = []
-            vi = pi.images[i]
-            for j in range(n):
-                vj = pi.images[j]
-                acc = Fraction(0)
-                for a, ca in vi.items():
-                    for b, cb in vj.items():
-                        acc += ca * cb * tbl[a][b]
-                row.append(acc)
-            out.append(row)
-        return out
+    def pulled(table):
+        A, dA = _cleared(table)
+        return _fractions(_safe_einsum("ia,jb,ab->ij", P, P, A), d * d * dA)
 
-    corrector = []
-    for i in range(n):
-        acc = Fraction(0)
-        for a, ca in pi.images[i].items():
-            acc += ca * sigma.star_corrector[a]
-        corrector.append(acc)
+    (L,), dL = _cleared([sigma.star_corrector])
+    corrector = _fractions(_safe_einsum("ia,a->i", P, L), d * dL)
     out = Cocycle2.build(pi.source, pulled(sigma.table),
                          pulled(sigma.inverse_table), corrector)
     if not verify_cocycle(out):
@@ -224,8 +211,8 @@ def twist(H: FDHopf, sigma: Cocycle2, verify: bool = True,
     n = H.dim
     t = scaled_integer_tensors(H)
     C, M, S = t.C, t.M, t.S
-    Sg, dSg = _scaled_table(sigma.table)
-    Sv, dSv = _scaled_table(sigma.inverse_table)
+    Sg, dSg = _cleared(sigma.table)
+    Sv, dSv = _cleared(sigma.inverse_table)
 
     # x *_sigma y: Delta2(x) = a b c and Delta2(y) = p q r, dressed by
     # sigma(a, p) sigma^-1(c, r) around the product b q; one row x at a time.
@@ -246,7 +233,7 @@ def twist(H: FDHopf, sigma: Cocycle2, verify: bool = True,
     star = H.star
     if correct_star:
         # star_sigma(x) = L(x1) star(x2) L(x3)
-        L, dL = _int_tensor((n,), dict(enumerate(sigma.star_corrector)))
+        (L,), dL = _cleared([sigma.star_corrector])
         star = _rows(_safe_einsum("ixc,xab,a,bt,c->it", C, C, L, t.T, L),
                      t.dC ** 2 * dL ** 2 * t.dT)
 

@@ -8,7 +8,8 @@ integer einsums on those arrays, so an exhaustive check at dimension 24
 stays fast while remaining exact.  Every integer step (conversion,
 contraction, rescaling) goes through one bound guard, ratlinalg's
 _int_dtype, that switches to arbitrary-precision object arrays before
-int64 could overflow.
+int64 could overflow.  A HopfMap is verified on the same arrays: its
+images cleared to one integer matrix, each suite one contraction per side.
 
 A contraction runs in one of three tiers, chosen by a proven bound on the
 absolute value of every partial sum it can form: below 2^53 on float64
@@ -106,47 +107,6 @@ class FDHopf:
         self.antipode = {i: vec_normalize(antipode[i]) for i in rng}
         self.star = {i: vec_normalize(star[i]) for i in rng}
         self._scaled: Optional[ScaledTensors] = None
-
-    # -- basic linear operations ------------------------------------
-
-    def basis_vec(self, i: int) -> Vec:
-        return {i: 1}
-
-    def mult_vec(self, x: Vec, y: Vec) -> Vec:
-        out: Vec = {}
-        for i, a in x.items():
-            for j, b in y.items():
-                m = self.mult.get((i, j))
-                if not m:
-                    continue
-                ab = a * b
-                for p, c in m.items():
-                    out[p] = out.get(p, 0) + ab * c
-        return vec_normalize(out)
-
-    def antipode_vec(self, x: Vec) -> Vec:
-        out: Vec = {}
-        for i, a in x.items():
-            for p, c in self.antipode[i].items():
-                out[p] = out.get(p, 0) + a * c
-        return vec_normalize(out)
-
-    def star_vec(self, x: Vec) -> Vec:
-        out: Vec = {}
-        for i, a in x.items():
-            for p, c in self.star[i].items():
-                out[p] = out.get(p, 0) + a * c
-        return vec_normalize(out)
-
-    def counit_vec(self, x: Vec):
-        return _n(sum((a * self.counit[i] for i, a in x.items()), Fraction(0)))
-
-    def comult_vec(self, x: Vec) -> dict:
-        out: dict = {}
-        for i, a in x.items():
-            for (j, k, c) in self.comult[i]:
-                out[(j, k)] = out.get((j, k), 0) + a * c
-        return {key: _n(q) for key, q in out.items() if q != 0}
 
     # -- structure predicates -----------------------------------------
 
@@ -472,38 +432,47 @@ class HopfMap:
                 out[p] = out.get(p, 0) + a * c
         return vec_normalize(out)
 
+    def matrix(self) -> tuple:
+        """(P, d): the images cleared to integers, P[i, p] being d times
+        the coefficient of e_p in the image of e_i."""
+        return _int_tensor((self.source.dim, self.target.dim),
+                           {(i, p): c for i, v in enumerate(self.images) for p, c in v.items()})
+
     def verify(self) -> bool:
-        src, tgt = self.source, self.target
+        """Exhaustive check that the map carries unit, product, coproduct,
+        counit, antipode and star of the source to those of the target:
+        one exact contraction per side on the cleared tensors, the two
+        sides cross-multiplied by their scales.  The suites run in that
+        order; the first one that fails is named in `failure` with its
+        first failing basis index (pair, for mult) in row-major order."""
+        s, t = scaled_integer_tensors(self.source), scaled_integer_tensors(self.target)
+        P, d = self.matrix()
+        suites = (
+            ("unit",
+             lambda: (_rescale(_safe_einsum("i,ip->p", s.U, P), t.dU),
+                      _rescale(t.U, s.dU * d))),
+            ("mult at ({},{})",
+             lambda: (_rescale(_safe_einsum("ijw,wp->ijp", s.M, P), d * t.dM),
+                      _rescale(_safe_einsum("ia,jb,abp->ijp", P, P, t.M), s.dM))),
+            ("comult at {}",
+             lambda: (_rescale(_safe_einsum("iab,ax,by->ixy", s.C, P, P), t.dC),
+                      _rescale(_safe_einsum("ip,pxy->ixy", P, t.C), s.dC * d))),
+            ("counit at {}",
+             lambda: (_rescale(_safe_einsum("ip,p->i", P, t.E), s.dE),
+                      _rescale(s.E, d * t.dE))),
+            ("antipode at {}",
+             lambda: (_rescale(_safe_einsum("iw,wp->ip", s.S, P), t.dS),
+                      _rescale(_safe_einsum("ip,pq->iq", P, t.S), s.dS))),
+            ("star at {}",
+             lambda: (_rescale(_safe_einsum("iw,wp->ip", s.T, P), t.dT),
+                      _rescale(_safe_einsum("ip,pq->iq", P, t.T), s.dT))),
+        )
         self.failure = None
-        if self.apply(src.unit) != tgt.unit:
-            self.failure = "unit"
-            return False
-        for i in range(src.dim):
-            for j in range(src.dim):
-                left = self.apply(src.mult.get((i, j), {}))
-                right = tgt.mult_vec(self.images[i], self.images[j])
-                if left != right:
-                    self.failure = f"mult at ({i},{j})"
-                    return False
-        for i in range(src.dim):
-            pushed: dict = {}
-            for (a, b, c) in src.comult[i]:
-                for x, ca in self.images[a].items():
-                    for y, cb in self.images[b].items():
-                        key = (x, y)
-                        pushed[key] = pushed.get(key, 0) + c * ca * cb
-            pushed = {k: _n(q) for k, q in pushed.items() if q != 0}
-            if pushed != tgt.comult_vec(self.images[i]):
-                self.failure = f"comult at {i}"
-                return False
-            if tgt.counit_vec(self.images[i]) != src.counit[i]:
-                self.failure = f"counit at {i}"
-                return False
-            if self.apply(src.antipode[i]) != tgt.antipode_vec(self.images[i]):
-                self.failure = f"antipode at {i}"
-                return False
-            if self.apply(src.star[i]) != tgt.star_vec(self.images[i]):
-                self.failure = f"star at {i}"
+        for failure, sides in suites:
+            bad = np.not_equal(*sides())
+            if bad.any():
+                # format() drops the indices past the template's fields
+                self.failure = failure.format(*np.argwhere(bad)[0].tolist())
                 return False
         return True
 

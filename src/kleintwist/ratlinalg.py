@@ -41,8 +41,11 @@ def _max_abs(arr: np.ndarray) -> int:
 
 
 def _fit(arr) -> np.ndarray:
-    """An integer array in the narrowest dtype the guard allows."""
-    arr = np.asarray(arr)
+    """An integer array in the narrowest dtype the guard allows.  Anything
+    not yet an array is read as Python ints first: np.asarray would turn
+    entries past int64 into uint64 or rounded float64."""
+    if not isinstance(arr, np.ndarray):
+        arr = np.array(arr, dtype=object)
     return arr.astype(_int_dtype(_max_abs(arr)), copy=False)
 
 
@@ -143,7 +146,7 @@ class RowSpace:
         """Insert the integer rows of `vectors` (zero and repeated rows
         allowed).  Returns the rows that grew the space: residues modulo
         the old space, in echelon form, one per new dimension."""
-        R = _primitive(self.reduce(np.asarray(vectors).reshape(-1, self.width)))
+        R = _primitive(self.reduce(vectors).reshape(-1, self.width))
         R = R[(R != 0).any(axis=1)]
         grown = np.zeros((0, self.width), dtype=np.int64)
         cols: list[int] = []

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, report formats, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from kleintwist import checks
 from kleintwist.checks import (CheckResult, RunConfig, all_check_ids, run,
                                run_one)
 from kleintwist.cli import main, render_json, render_markdown
+from kleintwist.cocycle import trivial_cocycle
 from kleintwist.errors import NonSplitQuotient, UnknownCheck
 from kleintwist.hopf import function_algebra, group_algebra
 from kleintwist.perm import klein_group, symmetric_group
@@ -129,10 +131,24 @@ class TestCharactersCommand:
         assert main(["characters", "so9minus"]) == 2
 
 
+# sha256 of `kleintwist dump <which>`; refactors must keep these bytes.
+DUMP_SHA256 = {
+    "qs4": "5dc0b0306f7a8e2f4016046eb5e2e7f28e7892f49855e141ae10a3b4d97c705b",
+    "cs4": "b7db8438b311d034195e0b17e0b78eca54e202a66508a74ead72d6c046c75740",
+    "s4tau": "c40abeb61f348ba175d58a9f167e460100f49719414c91635a0ed91f5abc8c02",
+}
+
+
 class TestDumpCommand:
     def test_qs4(self, capsys):
         assert main(["dump", "qs4"]) == 0
         assert capsys.readouterr().out.strip()
+
+    @pytest.mark.parametrize("which", sorted(DUMP_SHA256))
+    def test_output_is_byte_stable(self, capsys, which):
+        assert main(["dump", which]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == DUMP_SHA256[which]
 
     def test_unknown_target(self, capsys):
         assert main(["dump", "nonsense"]) == 2
@@ -145,6 +161,14 @@ class TestCheckOutcomes:
         result = run_one("hopf-axioms", RunConfig())
         assert result.status == "pass"
         assert result.metrics == {"dim": 6, "suites": 6}
+
+    def test_cocycle_valid_reports_the_carrier_it_checked(self, monkeypatch):
+        H = function_algebra(symmetric_group(3))
+        monkeypatch.setattr(checks, "klein_bicharacter", lambda: trivial_cocycle(H))
+        result = run_one("cocycle-valid", RunConfig())
+        assert result.status == "pass"
+        assert result.metrics["carrier_dim"] == 6
+        assert result.metrics["minus_entries"] == 0
 
     def test_diagonal_twist_wrong_outcome_fails(self, monkeypatch):
         # C(S3) stands in for the twist: commutative, but 6 characters of type S3

@@ -123,6 +123,48 @@ class TestMaps:
         pi = restriction_surjection(S4, easy_klein()).then(fourier_iso(easy_klein()))
         assert pi.verify()
 
+    def test_identity_and_zero_maps(self):
+        H = function_algebra(S3)
+        ident = HopfMap(H, H, [{i: 1} for i in range(H.dim)])
+        assert ident.verify() and ident.failure is None
+        zero = HopfMap(H, H, [{} for _ in range(H.dim)])
+        assert not zero.verify()
+        assert zero.failure == "unit"
+
+    # One structure entry of the target perturbed: the identity images then
+    # fail exactly one suite, at the perturbed index.
+    @pytest.mark.parametrize("failure,perturb", [
+        ("unit", lambda H: {"unit": {**H.unit, 0: 2}}),
+        ("mult at (0,1)", lambda H: {"mult": {**H.mult, (0, 1): {2: 1}}}),
+        ("comult at 2", lambda H: {"comult": {**H.comult, 2: [(0, 2, 2)] + H.comult[2][1:]}}),
+        ("counit at 0", lambda H: {"counit": (2,) + H.counit[1:]}),
+        ("antipode at 3", lambda H: {"antipode": {**H.antipode, 3: {4: 2}}}),
+        ("star at 4", lambda H: {"star": {**H.star, 4: {3: 1}}}),
+    ])
+    def test_perturbed_target_names_the_suite(self, failure, perturb):
+        H = function_algebra(S3)
+        parts = {"unit": H.unit, "mult": H.mult, "comult": H.comult, "counit": H.counit,
+                 "antipode": H.antipode, "star": H.star, **perturb(H)}
+        broken = FDHopf(H.dim, H.basis_labels, **parts)
+        pi = HopfMap(H, broken, [{i: 1} for i in range(H.dim)])
+        assert not pi.verify()
+        assert pi.failure == failure
+
+    def test_first_failing_index_is_named(self):
+        H = function_algebra(S3)
+        mult = {**H.mult, (1, 0): {2: 1}, (0, 1): {2: 1}}
+        star = {**H.star, 5: {3: 1}, 4: {3: 1}}
+        broken = FDHopf(H.dim, H.basis_labels, H.unit, mult, H.comult, H.counit,
+                        H.antipode, star)
+        pi = HopfMap(H, broken, [{i: 1} for i in range(H.dim)])
+        assert not pi.verify()
+        assert pi.failure == "mult at (0,1)"
+        broken = FDHopf(H.dim, H.basis_labels, H.unit, H.mult, H.comult, H.counit,
+                        H.antipode, star)
+        pi = HopfMap(H, broken, [{i: 1} for i in range(H.dim)])
+        assert not pi.verify()
+        assert pi.failure == "star at 4"
+
 
 class TestCharacters:
     def test_function_algebra_characters_recover_group(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kleintwist.ratlinalg import (RowSpace, generalized_eigenspace, invert,
+from kleintwist.ratlinalg import (RowSpace, _fit, generalized_eigenspace, invert,
                                   kernel_basis, minimal_polynomial)
 
 SMALL = st.integers(-3, 3)
@@ -87,6 +87,26 @@ def test_row_space_matches_gauss_jordan(data):
         got = space.reduce(np.array(vec, dtype=object))
         assert [Fraction(int(x), space.scale) for x in got] == residue(want, pivots, vec)
         assert space.contains(vec) == (not any(residue(want, pivots, vec)))
+
+
+def test_entries_past_int64_stay_exact():
+    """A Python list with an entry in [2^63, 2^64) must not become a
+    float64 array: the cofactors of these rows reach that range, and a
+    rounded cofactor leaves nonzero residues for rows of the space."""
+    assert _fit([2 ** 63 + 5, 3]).tolist() == [2 ** 63 + 5, 3]
+    a = 2 ** 62
+    rows = [[a - 3, 0, -(a - 2), a - 3, a - 3],
+            [0, a - 1, a - 2, a - 3, a - 3],
+            [a - 2, a + 2, 0, a - 3, a - 3]]
+    space = RowSpace(5)
+    for vec in rows:
+        assert space.add(vec)
+    want, pivots = gauss_jordan(rows, 5)
+    assert space.pivots == pivots
+    check_invariants(space)
+    for vec in rows:
+        assert not space.reduce(np.array(vec, dtype=object)).any()
+        assert space.contains(vec)
 
 
 @settings(max_examples=100, deadline=None)
