@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache
 
 from .cocycle import build_s4tau, double_twist, klein_bicharacter, verify_cocycle
 from .errors import KleintwistError, UnknownCheck
-from .hopf import (FDHopf, character_group, characters, function_algebra,
+from .hopf import (FDHopf, HopfMap, character_group, characters, function_algebra,
                    group_algebra, verify_hopf_axioms)
 from .incseq import all_sequences, complete_diagram, complete_formula, \
     generated_completion_group
@@ -26,6 +27,7 @@ from .perm import (are_conjugate, is_characteristic_under_inner,
 from .present import (IncSeq, O2Minus, SnPlus, SO3Minus, character_group_of,
                       determinant_to_permanent_signs, relation_sign_table,
                       solve_characters)
+from .ratlinalg import _cleared
 from .twistcalc import (all_automorphism_actions, embedding_character_images,
                         generation_counterexample, klein_diag_matrices,
                         klein_normalizer_so3, matrices_to_subgroup,
@@ -409,6 +411,16 @@ def check_generation_counterexample(cfg: RunConfig) -> CheckResult:
                "reaching the symmetric group")
 
 
+def _evaluation_map(H: FDHopf, chars: list, G) -> HopfMap:
+    """H -> C(G), e_i -> sum over x in G of chi_x(e_i) delta_x, where G is
+    character_group(H, chars) and chi_x the character that x moves the
+    counit's slot to; its matrix is the cleared character-value matrix."""
+    ordered = sorted(chars, key=lambda ch: tuple(Fraction(v) for v in ch.values))
+    unit_slot = [ch.values for ch in ordered].index(H.counit) + 1
+    X, dX = _cleared([ordered[x(unit_slot) - 1].values for x in G.sorted_elements()])
+    return HopfMap._from_matrix(H, function_algebra(G), X.T, dX)
+
+
 def check_diagonal_twist_characters(cfg: RunConfig) -> CheckResult:
     """Twisting C(S4) along the normal (diagonal) Klein subgroup gives a
     commutative algebra again, with 24 characters forming a group of
@@ -427,6 +439,20 @@ def check_diagonal_twist_characters(cfg: RunConfig) -> CheckResult:
     if not commutative or len(chars) != 24 or labels["group_type"] != "S4":
         return _bad("diagonal-twist-characters", metrics, labels,
                     "expected a commutative twist with 24 characters of type S4")
+    # The certificate: evaluation at the characters is an isomorphism of
+    # Hopf *-algebras onto the function algebra of the character group.
+    ev = _evaluation_map(t.algebra, chars, g)
+    if not ev.verify():
+        return _bad("diagonal-twist-characters", metrics, labels,
+                    f"evaluation map to C(characters) fails at {ev.failure}")
+    try:
+        inverse = ev.inverse()
+    except ValueError:
+        return _bad("diagonal-twist-characters", metrics, labels,
+                    "evaluation map to C(characters) is not invertible")
+    if not inverse.verify():
+        return _bad("diagonal-twist-characters", metrics, labels,
+                    f"inverse evaluation map fails at {inverse.failure}")
     return _ok("diagonal-twist-characters", metrics, labels,
                "the diagonal twist is commutative with character group S4")
 

@@ -13,11 +13,13 @@ deformed product to be commutative, so twisting anything interesting
 would fail the star axioms.
 
 All three are exact integer contractions over the double coproduct
-(x1, x2, x3) of the cleared structure tensors and cocycle tables, pruned
-to the cocycle's support; each result is divided by its product of
-scales back into Fractions.  pullback likewise contracts the cleared
-tables with the Hopf map's integer matrix, after HopfMap.verify has
-checked that map on the shared tensors.
+(x1, x2, x3) of the algebra's stored integer tensors and the cleared
+cocycle tables, pruned to the cocycle's support; each result goes to the
+twisted FDHopf as an integer array with its product of scales, and no
+Fraction is built.  pullback likewise contracts the cleared tables with
+the Hopf map's integer matrix, after HopfMap.verify has checked that map
+on the shared tensors; the pulled-back tables, which a Cocycle2 keeps as
+Fractions, are divided back only there.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ import numpy as np
 
 from .errors import KleintwistError, TwistNotHopf
 from .hopf import (FDHopf, HopfMap, _n, _rescale, _safe_einsum, fourier_iso,
-                   group_algebra, restriction_surjection, scaled_integer_tensors,
-                   verify_hopf_axioms)
+                   group_algebra, restriction_surjection, verify_hopf_axioms)
 from .perm import PermGroup, Permutation, easy_klein, klein_group, symmetric_group
 from .ratlinalg import _cleared
 
@@ -123,16 +124,6 @@ def _fractions(arr: np.ndarray, scale: int) -> list:
     return (arr.astype(object) * Fraction(1, scale)).tolist()
 
 
-def _rows(arr: np.ndarray, scale: int) -> dict:
-    """{i: {k: arr[i, k] / scale}} over the nonzero entries of an exact
-    integer matrix."""
-    out = {i: {} for i in range(arr.shape[0])}
-    rows, cols = np.nonzero(arr)
-    for i, k, v in zip(rows.tolist(), cols.tolist(), arr[rows, cols].tolist()):
-        out[i][k] = Fraction(v, scale)
-    return out
-
-
 def verify_cocycle(sigma: Cocycle2) -> bool:
     """Exhaustive check: unitality, two-sided convolution inverse, and
     the associativity-compatible cocycle identity
@@ -140,23 +131,22 @@ def verify_cocycle(sigma: Cocycle2) -> bool:
         sigma(x1,y1) sigma(x2 y2, z)  =  sigma(y1,z1) sigma(x, y2 z2).
     """
     H = sigma.carrier
-    t = scaled_integer_tensors(H)
-    U, M, C, E = t.U, t.M, t.C, t.E
+    U, M, C, E = H.U, H.M, H.C, H.E
     Sg, dSg = _cleared(sigma.table)
     Sv, dSv = _cleared(sigma.inverse_table)
 
     ok = True
     for tab, d in ((Sg, dSg), (Sv, dSv)):
         for sub in ("i,ij->j", "j,ij->i"):
-            ok = ok and np.array_equal(_rescale(_safe_einsum(sub, U, tab), t.dE),
-                                       _rescale(E, t.dU * d))
+            ok = ok and np.array_equal(_rescale(_safe_einsum(sub, U, tab), H.dE),
+                                       _rescale(E, H.dU * d))
     if not ok:
         return False
 
-    ee = _rescale(_safe_einsum("i,j->ij", E, E), t.dC * t.dC * dSg * dSv)
+    ee = _rescale(_safe_einsum("i,j->ij", E, E), H.dC * H.dC * dSg * dSv)
     for left, right in ((Sg, Sv), (Sv, Sg)):
         conv = _safe_einsum("iab,jde,ad,be->ij", C, C, left, right)
-        if not np.array_equal(_rescale(conv, t.dE * t.dE), ee):
+        if not np.array_equal(_rescale(conv, H.dE * H.dE), ee):
             return False
 
     SM1 = _safe_einsum("bew,wk->bek", M, Sg)
@@ -168,17 +158,17 @@ def verify_cocycle(sigma: Cocycle2) -> bool:
 
 def pullback(sigma: Cocycle2, pi: HopfMap) -> Cocycle2:
     """Pull a cocycle on pi's target back along pi to pi's source."""
-    if pi.target.dim != sigma.carrier.dim or not pi.target.structure_equal(sigma.carrier):
+    if not pi.target.structure_equal(sigma.carrier):
         raise ValueError("pi's target is not the cocycle's carrier")
     if not pi.verify():
         raise KleintwistError(f"pullback needs a Hopf map, failed at: {pi.failure}")
-    P, d = pi.matrix()
+    P, d = pi.P, pi.d
 
     def pulled(table):
         A, dA = _cleared(table)
         return _fractions(_safe_einsum("ia,jb,ab->ij", P, P, A), d * d * dA)
 
-    (L,), dL = _cleared([sigma.star_corrector])
+    L, dL = _cleared(sigma.star_corrector)
     corrector = _fractions(_safe_einsum("ia,a->i", P, L), d * dL)
     out = Cocycle2.build(pi.source, pulled(sigma.table),
                          pulled(sigma.inverse_table), corrector)
@@ -208,36 +198,33 @@ def twist(H: FDHopf, sigma: Cocycle2, verify: bool = True,
     failure mode)."""
     if sigma.carrier is not H:
         raise ValueError("cocycle is bound to a different algebra; rebind first")
-    n = H.dim
-    t = scaled_integer_tensors(H)
-    C, M, S = t.C, t.M, t.S
+    C, M, S = H.C, H.M, H.S
     Sg, dSg = _cleared(sigma.table)
     Sv, dSv = _cleared(sigma.inverse_table)
 
     # x *_sigma y: Delta2(x) = a b c and Delta2(y) = p q r, dressed by
     # sigma(a, p) sigma^-1(c, r) around the product b q; one row x at a time.
     left = _safe_einsum("ixc,xab,ap,cr->ibpr", C, C, Sg, Sv)
-    mscale = t.dC ** 4 * dSg * dSv * t.dM
-    mult = {}
-    for i in range(n):
-        inner = _safe_einsum("bpr,jyr,ypq->bjq", left[i], C, C)
-        row = _rows(_safe_einsum("bjq,bqs->js", inner, M), mscale)
-        mult.update({(i, j): v for j, v in row.items()})
+    mult = np.stack([_safe_einsum("bjq,bqs->js",
+                                  _safe_einsum("bpr,jyr,ypq->bjq", row, C, C), M)
+                     for row in left])
+    mscale = H.dC ** 4 * dSg * dSv * H.dM
 
     # S_sigma(x) = f(x1) S(x2) g(x3), f(x) = sigma(x1, S x2), g(x) = sigma^-1(S x1, x2).
     f = _safe_einsum("xab,aw,bw->x", C, Sg, S)
     g = _safe_einsum("xab,aw,wb->x", C, S, Sv)
-    antipode = _rows(_safe_einsum("ixc,xab,a,bt,c->it", C, C, f, S, g),
-                     t.dC ** 4 * t.dS ** 3 * dSg * dSv)
+    antipode = (_safe_einsum("ixc,xab,a,bt,c->it", C, C, f, S, g),
+                H.dC ** 4 * H.dS ** 3 * dSg * dSv)
 
-    star = H.star
+    star = (H.T, H.dT)
     if correct_star:
         # star_sigma(x) = L(x1) star(x2) L(x3)
-        (L,), dL = _cleared([sigma.star_corrector])
-        star = _rows(_safe_einsum("ixc,xab,a,bt,c->it", C, C, L, t.T, L),
-                     t.dC ** 2 * dL ** 2 * t.dT)
+        L, dL = _cleared(sigma.star_corrector)
+        star = (_safe_einsum("ixc,xab,a,bt,c->it", C, C, L, H.T, L),
+                H.dC ** 2 * dL ** 2 * H.dT)
 
-    out = FDHopf(n, H.basis_labels, H.unit, mult, H.comult, H.counit, antipode, star)
+    out = FDHopf._from_tensors(H.basis_labels, (H.U, H.dU), (mult, mscale), (C, H.dC),
+                               (H.E, H.dE), antipode, star)
     if verify:
         rep = verify_hopf_axioms(out)
         failed = [k for k, v in rep.items() if not v]

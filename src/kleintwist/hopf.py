@@ -1,15 +1,16 @@
 """Finite-dimensional Hopf *-algebras over exact rationals.
 
-An FDHopf stores all six structure tensors (unit, multiplication,
-comultiplication, counit, antipode, star) with int/Fraction scalars, and
-on first use keeps them cleared to integer arrays with one common
-denominator each (scaled_integer_tensors).  Axiom verification runs exact
-integer einsums on those arrays, so an exhaustive check at dimension 24
-stays fast while remaining exact.  Every integer step (conversion,
-contraction, rescaling) goes through one bound guard, ratlinalg's
-_int_dtype, that switches to arbitrary-precision object arrays before
-int64 could overflow.  A HopfMap is verified on the same arrays: its
-images cleared to one integer matrix, each suite one contraction per side.
+An FDHopf stores its six structure tensors (unit, multiplication,
+comultiplication, counit, antipode, star) only as integer arrays, each
+with one scale in canonical cleared form (ratlinalg._cleared); the
+int/Fraction dicts of its constructor come back as views derived on
+first access.  Axiom verification runs exact integer einsums on those
+arrays, so an exhaustive check at dimension 24 stays fast while remaining
+exact.  Every integer step (conversion, contraction, rescaling) goes
+through one bound guard, ratlinalg's _int_dtype, that switches to
+arbitrary-precision object arrays before int64 could overflow.  A HopfMap
+stores one cleared integer matrix and is verified on the same arrays,
+each suite one contraction per side.
 
 A contraction runs in one of three tiers, chosen by a proven bound on the
 absolute value of every partial sum it can form: below 2^53 on float64
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Optional
 
@@ -49,11 +51,10 @@ import numpy as np
 from .errors import (ClosureFailure, EvaluationNotPermutation, KleintwistError,
                      NonSplitQuotient, NotASubgroup)
 from .perm import PermGroup, Permutation, generate, klein_group
-from .ratlinalg import (RowSpace, _int_dtype, _max_abs, _rescale, _sub,
-                        generalized_eigenspace, invert, minimal_polynomial,
+from .ratlinalg import (RowSpace, _cleared, _int_dtype, _inverse, _max_abs, _rescale,
+                        _sub, generalized_eigenspace, minimal_polynomial,
                         rational_roots)
 
-Scalar = "int | Fraction"
 Vec = dict
 
 
@@ -63,17 +64,64 @@ def _n(q):
     return q
 
 
-def vec_normalize(v: Vec) -> Vec:
-    return {k: _n(q) for k, q in v.items() if q != 0}
+def _q(v: int, d: int):
+    """v / d, an int when it is integral, else a Fraction."""
+    return v // d if v % d == 0 else Fraction(v, d)
+
+
+def _dense(shape, entries) -> np.ndarray:
+    """The object array of the given shape holding the sum of the values
+    given as (index, value) pairs, zero elsewhere.  An index outside the
+    shape raises ValueError rather than wrap around."""
+    sums: dict = {}
+    for idx, c in entries:
+        sums[idx] = sums[idx] + c if idx in sums else c
+    A = np.zeros(shape, dtype=object)
+    if sums:
+        keys = np.array(list(sums)).reshape(len(sums), -1)
+        bad = (keys < 0) | (keys >= shape)
+        if bad.any():
+            raise ValueError(f"index {list(sums)[bad.any(axis=1).argmax()]} "
+                             f"out of range for shape {shape}")
+        A[tuple(keys.T)] = list(sums.values())
+    return A
+
+
+def _entries(A: np.ndarray, d: int):
+    """(index tuple, A[index] / d) over the nonzero entries of the integer
+    array A, in row-major order."""
+    idx = np.nonzero(A)
+    return zip(map(tuple, np.transpose(idx).tolist()),
+               (_q(v, d) for v in A[idx].tolist()))
+
+
+def _row_vectors(A: np.ndarray, d: int) -> list:
+    """Row i of the integer matrix A / d as the vector {k: value}."""
+    out = [{} for _ in range(len(A))]
+    for (i, k), c in _entries(A, d):
+        out[i][k] = c
+    return out
 
 
 class FDHopf:
     """Hopf *-algebra given by structure tensors on a fixed basis.
 
-    mult maps a basis pair (i, j) to the vector of e_i * e_j (missing
-    pairs mean zero).  comult maps i to the list of (j, k, c) terms of
-    delta(e_i).  antipode and star map each basis index to a vector.
-    Instances are immutable by convention once built.
+    Only the tensors cleared to integers are stored: U[i], M[i, j, k],
+    C[i, j, k], E[i], S[i, k] and T[i, k] are the coefficient of e_i in the
+    unit, of e_k in e_i e_j, of e_j (x) e_k in delta(e_i), the counit at
+    e_i, and the coefficient of e_k in S(e_i) and in e_i*, each times its
+    scale dU, dM, dC, dE, dS, dT.  Every pair is in canonical cleared form
+    (ratlinalg._cleared): the scale is the lcm of the denominators, so
+    entries and scale share no factor and equal algebras store equal
+    arrays.  The arrays are read-only; instances are immutable.
+
+    The constructor takes the dict form, which the attributes unit, mult,
+    comult, counit, antipode and star give back as views: mult maps a
+    basis pair (i, j) to the vector {k: c} of e_i * e_j (missing pairs
+    mean zero), comult maps i to the (j, k, c) terms of delta(e_i) sorted
+    by (j, k) (repeated terms are summed), antipode and star map each
+    basis index to a vector.  Values are ints when integral, else
+    Fractions.  The views are shared, so callers copy before editing.
     """
 
     def __init__(self, dim: int, basis_labels: Iterable[str], unit: Vec,
@@ -82,87 +130,96 @@ class FDHopf:
         labels = tuple(basis_labels)
         if len(labels) != dim:
             raise ValueError("label count disagrees with dim")
-        rng = range(dim)
-        self.dim = dim
-        self.basis_labels = labels
-        self.unit = vec_normalize(unit)
-        self.mult = {}
-        for (i, j), v in mult.items():
-            if i not in rng or j not in rng:
-                raise ValueError("mult index out of range")
-            nv = vec_normalize(v)
-            if nv:
-                self.mult[(i, j)] = nv
-        self.comult = {}
-        for i in rng:
-            terms: dict = {}
-            for (j, k, c) in comult[i]:
-                if j not in rng or k not in rng:
-                    raise ValueError("comult index out of range")
-                terms[(j, k)] = terms.get((j, k), 0) + c
-            self.comult[i] = [(j, k, _n(c)) for (j, k), c in sorted(terms.items()) if c != 0]
-        self.counit = tuple(_n(c) for c in counit)
-        if len(self.counit) != dim:
+        n, rng = dim, range(dim)
+        counit = tuple(counit)
+        if len(counit) != dim:
             raise ValueError("counit length disagrees with dim")
-        self.antipode = {i: vec_normalize(antipode[i]) for i in rng}
-        self.star = {i: vec_normalize(star[i]) for i in rng}
-        self._scaled: Optional[ScaledTensors] = None
+        tensors = (
+            _dense((n,), unit.items()),
+            _dense((n, n, n), (((i, j, k), c) for (i, j), v in mult.items()
+                               for k, c in v.items())),
+            _dense((n, n, n), (((i, j, k), c) for i in rng for j, k, c in comult[i])),
+            _dense((n,), enumerate(counit)),
+            _dense((n, n), (((i, k), c) for i in rng for k, c in antipode[i].items())),
+            _dense((n, n), (((i, k), c) for i in rng for k, c in star[i].items())),
+        )
+        self._store(labels, [_cleared(A) for A in tensors])
+
+    @classmethod
+    def _from_tensors(cls, basis_labels, *tensors) -> "FDHopf":
+        """The algebra of six (integer array, scale) pairs, in the order
+        U, M, C, E, S, T, brought to canonical form without a Fraction."""
+        H = cls.__new__(cls)
+        H._store(tuple(basis_labels), [_cleared(A, d) for A, d in tensors])
+        return H
+
+    def _store(self, labels: tuple, tensors: list) -> None:
+        for A, _ in tensors:
+            A.flags.writeable = False
+        self.dim, self.basis_labels, self._pairs = len(labels), labels, tuple(tensors)
+        ((self.U, self.dU), (self.M, self.dM), (self.C, self.dC),
+         (self.E, self.dE), (self.S, self.dS), (self.T, self.dT)) = tensors
+
+    # -- the dict form, derived on first access ------------------------
+
+    @cached_property
+    def unit(self) -> Vec:
+        return {i: c for (i,), c in _entries(self.U, self.dU)}
+
+    @cached_property
+    def mult(self) -> dict:
+        out: dict = {}
+        for (i, j, k), c in _entries(self.M, self.dM):
+            out.setdefault((i, j), {})[k] = c
+        return out
+
+    @cached_property
+    def comult(self) -> dict:
+        out: dict = {i: [] for i in range(self.dim)}
+        for (i, j, k), c in _entries(self.C, self.dC):
+            out[i].append((j, k, c))
+        return out
+
+    @cached_property
+    def counit(self) -> tuple:
+        return tuple(_q(v, self.dE) for v in self.E.tolist())
+
+    @cached_property
+    def antipode(self) -> dict:
+        return dict(enumerate(_row_vectors(self.S, self.dS)))
+
+    @cached_property
+    def star(self) -> dict:
+        return dict(enumerate(_row_vectors(self.T, self.dT)))
 
     # -- structure predicates -----------------------------------------
 
     def noncommutative_witness(self) -> Optional[tuple]:
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self.mult.get((i, j), {}) != self.mult.get((j, i), {}):
-                    return (i, j)
-        return None
+        """The first pair i < j, in row-major order, with e_i e_j != e_j e_i."""
+        differ = (self.M != self.M.transpose(1, 0, 2)).any(axis=2)
+        pairs = np.argwhere(np.triu(differ, 1))
+        return tuple(pairs[0].tolist()) if len(pairs) else None
 
     def is_commutative(self) -> bool:
         return self.noncommutative_witness() is None
 
     def is_cocommutative(self) -> bool:
-        for i in range(self.dim):
-            fwd = {(j, k): c for (j, k, c) in self.comult[i]}
-            rev = {(k, j): c for (j, k, c) in self.comult[i]}
-            if fwd != rev:
-                return False
-        return True
+        return np.array_equal(self.C, self.C.transpose(0, 2, 1))
 
     def structure_equal(self, other: "FDHopf") -> bool:
-        if self.dim != other.dim:
-            return False
-        return (self.unit == other.unit
-                and self.mult == other.mult
-                and self.comult == other.comult
-                and self.counit == other.counit
-                and self.antipode == other.antipode
-                and self.star == other.star)
+        return self.dim == other.dim and all(
+            d == e and np.array_equal(A, B)
+            for (A, d), (B, e) in zip(self._pairs, other._pairs))
 
     def dump(self) -> str:
-        def q(v) -> str:
-            f = Fraction(v)
-            return f"{f.numerator}/{f.denominator}"
-
         lines = [f"dim {self.dim}"]
-        for i, lab in enumerate(self.basis_labels):
-            lines.append(f"basis[{i}] = {lab}")
-        for i, c in sorted(self.unit.items()):
-            lines.append(f"u -> {i} : {q(c)}")
-        for (i, j) in sorted(self.mult):
-            for k, c in sorted(self.mult[(i, j)].items()):
-                lines.append(f"m[{i}][{j}] -> {k} : {q(c)}")
-        for i in range(self.dim):
-            for (j, k, c) in self.comult[i]:
-                lines.append(f"d[{i}] -> {j},{k} : {q(c)}")
-        for i, c in enumerate(self.counit):
-            if c:
-                lines.append(f"e[{i}] : {q(c)}")
-        for i in range(self.dim):
-            for j, c in sorted(self.antipode[i].items()):
-                lines.append(f"s[{i}] -> {j} : {q(c)}")
-        for i in range(self.dim):
-            for j, c in sorted(self.star[i].items()):
-                lines.append(f"t[{i}] -> {j} : {q(c)}")
+        lines += [f"basis[{i}] = {lab}" for i, lab in enumerate(self.basis_labels)]
+        formats = ("u -> {} : {}", "m[{}][{}] -> {} : {}", "d[{}] -> {},{} : {}",
+                   "e[{}] : {}", "s[{}] -> {} : {}", "t[{}] -> {} : {}")
+        for fmt, (A, d) in zip(formats, self._pairs):
+            for idx, c in _entries(A, d):
+                f = Fraction(c)
+                lines.append(fmt.format(*idx, f"{f.numerator}/{f.denominator}"))
         return "\n".join(lines)
 
     def __repr__(self) -> str:
@@ -216,64 +273,7 @@ def function_algebra(G: PermGroup) -> FDHopf:
 # -- exhaustive axiom verification ------------------------------------
 
 
-@dataclass
-class ScaledTensors:
-    """Integer-scaled structure tensors: each numpy array equals the
-    exact tensor times its scale."""
-
-    U: np.ndarray
-    M: np.ndarray
-    C: np.ndarray
-    E: np.ndarray
-    S: np.ndarray
-    T: np.ndarray
-    dU: int
-    dM: int
-    dC: int
-    dE: int
-    dS: int
-    dT: int
-
-
-def _denom(values) -> int:
-    """Least common denominator of exact rationals (ints or Fractions)."""
-    return lcm(1, *{v.denominator for v in values})
-
-
 _FLOAT64_LIMIT = 2 ** 53
-
-
-def _int_tensor(shape, entries: dict) -> tuple:
-    """(A, d): the rational tensor given as {index: value} cleared to the
-    exact integer array A = d * T, d the least common denominator."""
-    d = _denom(entries.values())
-    ints = {idx: c.numerator * (d // c.denominator) for idx, c in entries.items()}
-    out = np.zeros(shape, dtype=_int_dtype(max(map(abs, ints.values()), default=0)))
-    for idx, v in ints.items():
-        out[idx] = v
-    return out, d
-
-
-def scaled_integer_tensors(H: FDHopf) -> ScaledTensors:
-    """H's structure tensors cleared to integers, built on first use and
-    kept on H (read-only; FDHopf instances are immutable by convention)."""
-    if H._scaled is not None:
-        return H._scaled
-    n = H.dim
-    U, dU = _int_tensor((n,), H.unit)
-    M, dM = _int_tensor((n, n, n), {(i, j, p): c for (i, j), v in H.mult.items()
-                                   for p, c in v.items()})
-    C, dC = _int_tensor((n, n, n), {(i, a, b): c for i in range(n)
-                                   for (a, b, c) in H.comult[i]})
-    E, dE = _int_tensor((n,), dict(enumerate(H.counit)))
-    S, dS = _int_tensor((n, n), {(i, j): c for i in range(n)
-                                for j, c in H.antipode[i].items()})
-    T, dT = _int_tensor((n, n), {(i, j): c for i in range(n)
-                                for j, c in H.star[i].items()})
-    for arr in (U, M, C, E, S, T):
-        arr.flags.writeable = False
-    H._scaled = ScaledTensors(U, M, C, E, S, T, dU, dM, dC, dE, dS, dT)
-    return H._scaled
 
 
 def _safe_einsum(subscripts: str, *arrays: np.ndarray) -> np.ndarray:
@@ -357,44 +357,43 @@ def verify_hopf_axioms(H: FDHopf) -> dict:
     """Exhaustive check of all six axiom suites; returns booleans keyed
     associativity/coassociativity/counit/bialgebra/antipode/star.
     Failures are reported, never thrown."""
-    t = scaled_integer_tensors(H)
     n = H.dim
-    U, M, C, E, S, T = t.U, t.M, t.C, t.E, t.S, t.T
+    U, M, C, E, S, T = H.U, H.M, H.C, H.E, H.S, H.T
     eye = np.eye(n, dtype=np.int64)
 
     assoc = np.array_equal(_safe_einsum("ijw,wkp->ijkp", M, M),
                            _safe_einsum("jkw,iwp->ijkp", M, M))
-    assoc = assoc and np.array_equal(_safe_einsum("i,ijp->jp", U, M), _rescale(eye, t.dU * t.dM))
-    assoc = assoc and np.array_equal(_safe_einsum("j,ijp->ip", U, M), _rescale(eye, t.dU * t.dM))
+    assoc = assoc and np.array_equal(_safe_einsum("i,ijp->jp", U, M), _rescale(eye, H.dU * H.dM))
+    assoc = assoc and np.array_equal(_safe_einsum("j,ijp->ip", U, M), _rescale(eye, H.dU * H.dM))
 
     coassoc = np.array_equal(_safe_einsum("iab,axy->ixyb", C, C),
                              _safe_einsum("iab,bxy->iaxy", C, C))
 
-    counit = (np.array_equal(_safe_einsum("iab,a->ib", C, E), _rescale(eye, t.dC * t.dE))
-              and np.array_equal(_safe_einsum("iab,b->ia", C, E), _rescale(eye, t.dC * t.dE)))
+    counit = (np.array_equal(_safe_einsum("iab,a->ib", C, E), _rescale(eye, H.dC * H.dE))
+              and np.array_equal(_safe_einsum("iab,b->ia", C, E), _rescale(eye, H.dC * H.dE)))
 
     # Delta(xy) = Delta(x) Delta(y), the right side first: its contraction
     # peaks at five n^4 arrays, so no other one should be alive then.
     bialg = np.array_equal(_safe_einsum("iab,jcd,acp,bdq->ijpq", C, C, M, M),
-                           _rescale(_safe_einsum("ijw,wpq->ijpq", M, C), t.dC * t.dM))
-    bialg = bialg and np.array_equal(_rescale(_safe_einsum("ijw,w->ij", M, E), t.dE),
-                                     _rescale(_safe_einsum("i,j->ij", E, E), t.dM))
-    bialg = bialg and np.array_equal(_rescale(_safe_einsum("i,ipq->pq", U, C), t.dU),
-                                     _rescale(_safe_einsum("i,j->ij", U, U), t.dC))
-    bialg = bialg and int(_safe_einsum("i,i->", U, E)) == t.dU * t.dE
+                           _rescale(_safe_einsum("ijw,wpq->ijpq", M, C), H.dC * H.dM))
+    bialg = bialg and np.array_equal(_rescale(_safe_einsum("ijw,w->ij", M, E), H.dE),
+                                     _rescale(_safe_einsum("i,j->ij", E, E), H.dM))
+    bialg = bialg and np.array_equal(_rescale(_safe_einsum("i,ipq->pq", U, C), H.dU),
+                                     _rescale(_safe_einsum("i,j->ij", U, U), H.dC))
+    bialg = bialg and int(_safe_einsum("i,i->", U, E)) == H.dU * H.dE
 
-    target = _rescale(_safe_einsum("i,j->ij", E, U), t.dC * t.dS * t.dM)
-    anti = (np.array_equal(_rescale(_safe_einsum("iab,aw,wbp->ip", C, S, M), t.dE * t.dU), target)
-            and np.array_equal(_rescale(_safe_einsum("iab,bw,awp->ip", C, S, M), t.dE * t.dU),
+    target = _rescale(_safe_einsum("i,j->ij", E, U), H.dC * H.dS * H.dM)
+    anti = (np.array_equal(_rescale(_safe_einsum("iab,aw,wbp->ip", C, S, M), H.dE * H.dU), target)
+            and np.array_equal(_rescale(_safe_einsum("iab,bw,awp->ip", C, S, M), H.dE * H.dU),
                                target))
 
-    star = np.array_equal(_safe_einsum("ij,jk->ik", T, T), _rescale(eye, t.dT * t.dT))
-    star = star and np.array_equal(_rescale(_safe_einsum("ijw,wp->ijp", M, T), t.dT),
+    star = np.array_equal(_safe_einsum("ij,jk->ik", T, T), _rescale(eye, H.dT * H.dT))
+    star = star and np.array_equal(_rescale(_safe_einsum("ijw,wp->ijp", M, T), H.dT),
                                    _safe_einsum("jb,ia,bap->ijp", T, T, M))
-    star = star and np.array_equal(_rescale(_safe_einsum("iw,wab->iab", T, C), t.dT),
+    star = star and np.array_equal(_rescale(_safe_einsum("iw,wab->iab", T, C), H.dT),
                                    _safe_einsum("iab,ax,by->ixy", C, T, T))
-    star = star and np.array_equal(_safe_einsum("i,ij->j", U, T), _rescale(U, t.dT))
-    star = star and np.array_equal(_safe_einsum("ij,j->i", T, E), _rescale(E, t.dT))
+    star = star and np.array_equal(_safe_einsum("i,ij->j", U, T), _rescale(U, H.dT))
+    star = star and np.array_equal(_safe_einsum("ij,j->i", T, E), _rescale(E, H.dT))
 
     return {
         "associativity": bool(assoc),
@@ -414,29 +413,35 @@ def all_axioms_pass(report: dict) -> bool:
 
 
 class HopfMap:
-    """Linear map between FDHopf instances given by basis images; verify()
-    checks exhaustively that it intertwines all six structure tensors."""
+    """Linear map between FDHopf instances.  Only its matrix cleared to
+    integers is stored, in canonical form: P[i, p] / d is the coefficient
+    of e_p in the image of e_i.  images, the basis images as vectors, is
+    a view derived on first access.  verify() checks exhaustively that
+    the map intertwines all six structure tensors."""
 
     def __init__(self, source: FDHopf, target: FDHopf, images: list):
         if len(images) != source.dim:
             raise ValueError("image count disagrees with source dim")
-        self.source = source
-        self.target = target
-        self.images = [vec_normalize(v) for v in images]
+        P = _dense((source.dim, target.dim),
+                   (((i, p), c) for i, v in enumerate(images) for p, c in v.items()))
+        self._store(source, target, *_cleared(P))
+
+    @classmethod
+    def _from_matrix(cls, source: FDHopf, target: FDHopf, P: np.ndarray,
+                     d: int) -> "HopfMap":
+        """The map of the integer matrix P over the scale d."""
+        pi = cls.__new__(cls)
+        pi._store(source, target, *_cleared(P, d))
+        return pi
+
+    def _store(self, source: FDHopf, target: FDHopf, P: np.ndarray, d: int) -> None:
+        P.flags.writeable = False
+        self.source, self.target, self.P, self.d = source, target, P, d
         self.failure: Optional[str] = None
 
-    def apply(self, x: Vec) -> Vec:
-        out: Vec = {}
-        for i, a in x.items():
-            for p, c in self.images[i].items():
-                out[p] = out.get(p, 0) + a * c
-        return vec_normalize(out)
-
-    def matrix(self) -> tuple:
-        """(P, d): the images cleared to integers, P[i, p] being d times
-        the coefficient of e_p in the image of e_i."""
-        return _int_tensor((self.source.dim, self.target.dim),
-                           {(i, p): c for i, v in enumerate(self.images) for p, c in v.items()})
+    @cached_property
+    def images(self) -> list:
+        return _row_vectors(self.P, self.d)
 
     def verify(self) -> bool:
         """Exhaustive check that the map carries unit, product, coproduct,
@@ -445,8 +450,7 @@ class HopfMap:
         sides cross-multiplied by their scales.  The suites run in that
         order; the first one that fails is named in `failure` with its
         first failing basis index (pair, for mult) in row-major order."""
-        s, t = scaled_integer_tensors(self.source), scaled_integer_tensors(self.target)
-        P, d = self.matrix()
+        s, t, P, d = self.source, self.target, self.P, self.d
         suites = (
             ("unit",
              lambda: (_rescale(_safe_einsum("i,ip->p", s.U, P), t.dU),
@@ -477,19 +481,18 @@ class HopfMap:
         return True
 
     def then(self, other: "HopfMap") -> "HopfMap":
-        if other.source is not self.target and other.source.dim != self.target.dim:
-            raise ValueError("composition dimension mismatch")
-        return HopfMap(self.source, other.target,
-                       [other.apply(v) for v in self.images])
+        """This map followed by other, whose source must be this map's target."""
+        if not other.source.structure_equal(self.target):
+            raise ValueError("the second map's source is not the first map's target")
+        return HopfMap._from_matrix(self.source, other.target,
+                                    _safe_einsum("ia,ap->ip", self.P, other.P),
+                                    self.d * other.d)
 
     def inverse(self) -> "HopfMap":
         if self.source.dim != self.target.dim:
             raise ValueError("only square maps can be inverted")
-        n = self.source.dim
-        cols = [[Fraction(self.images[j].get(i, 0)) for j in range(n)] for i in range(n)]
-        inv = invert(cols)
-        images = [{i: _n(inv[i][j]) for i in range(n) if inv[i][j]} for j in range(n)]
-        return HopfMap(self.target, self.source, images)
+        B, e = _inverse(self.P)       # (P / d)^-1 = d B / e
+        return HopfMap._from_matrix(self.target, self.source, _rescale(B, self.d), e)
 
 
 def restriction_surjection(G: PermGroup, V: PermGroup) -> HopfMap:
@@ -593,8 +596,7 @@ def characters(H: FDHopf) -> list:
     n = H.dim
     if n > 64:
         raise ValueError(f"character enumeration restricted to dim <= 64, got {n}")
-    t = scaled_integer_tensors(H)
-    M = t.M
+    M = H.M
 
     # The ideal is spanned by the commutators e_i e_j - e_j e_i and closed
     # under multiplication by basis vectors on both sides; each round
@@ -615,7 +617,7 @@ def characters(H: FDHopf) -> list:
     # the operator of multiplication by e_fj on row vectors.
     proj = ideal.reduce(np.eye(n, dtype=np.int64))[:, free]
     Q = _safe_einsum("jkp,pq->jkq", M[np.ix_(free, free)], proj)
-    dQ = t.dM * ideal.scale
+    dQ = H.dM * ideal.scale
 
     whole = RowSpace(m)
     whole.extend(np.eye(m, dtype=np.int64))
@@ -668,10 +670,10 @@ def characters(H: FDHopf) -> list:
 
     # The certificate: chi(1) = 1, chi(e_i e_j) = chi(e_i) chi(e_j) over all
     # pairs, chi(e_i*) = chi(e_i), as three contractions on X.
-    unital = _safe_einsum("i,fi->f", t.U, X) == t.dU * dX
+    unital = _safe_einsum("i,fi->f", H.U, X) == H.dU * dX
     mult_bad = (_rescale(_safe_einsum("ijp,fp->fij", M, X), dX)
-                != _rescale(_safe_einsum("fi,fj->fij", X, X), t.dM))
-    star_bad = _safe_einsum("ip,fp->fi", t.T, X) != _rescale(X, t.dT)
+                != _rescale(_safe_einsum("fi,fj->fij", X, X), H.dM))
+    star_bad = _safe_einsum("ip,fp->fi", H.T, X) != _rescale(X, H.dT)
     for f in range(len(X)):
         if not unital[f]:
             raise KleintwistError("character fails chi(1) = 1")
@@ -685,7 +687,7 @@ def characters(H: FDHopf) -> list:
     rows = sorted(tuple(int(x) for x in row) for row in X)
     if len(set(rows)) != len(rows):
         raise KleintwistError("duplicate characters from distinct blocks")
-    return [Character(H, tuple(_n(Fraction(x, dX)) for x in row)) for row in rows]
+    return [Character(H, tuple(_q(x, dX) for x in row)) for row in rows]
 
 
 def convolution(H: FDHopf, f: Character, g: Character) -> Character:
@@ -730,14 +732,12 @@ def character_group(H: FDHopf, chars: Optional[list] = None) -> PermGroup:
         raise ClosureFailure("character list contains duplicates")
     if convolution_identity(H).values not in index:
         raise ClosureFailure("counit is not in the character list")
-    t = scaled_integer_tensors(H)
-    X, dX = _int_tensor((len(chars), H.dim), {(f, i): v for f, ch in enumerate(chars)
-                                              for i, v in enumerate(ch.values)})
+    X, dX = _cleared([ch.values for ch in chars])
     # (f*g)(e_i) * dC*dX^2 and f(S e_i) * dS*dX, keyed by X's rows * dC*dX and * dS.
-    products = _safe_einsum("iab,fa,gb->fgi", t.C, X, X).tolist()
-    inverses = _safe_einsum("iw,fw->fi", t.S, X).tolist()
-    product_slot = {tuple(row): j for j, row in enumerate(_rescale(X, t.dC * dX).tolist())}
-    inverse_slots = {tuple(row) for row in _rescale(X, t.dS).tolist()}
+    products = _safe_einsum("iab,fa,gb->fgi", H.C, X, X).tolist()
+    inverses = _safe_einsum("iw,fw->fi", H.S, X).tolist()
+    product_slot = {tuple(row): j for j, row in enumerate(_rescale(X, H.dC * dX).tolist())}
+    inverse_slots = {tuple(row) for row in _rescale(X, H.dS).tolist()}
     perms = set()
     for f in range(len(chars)):
         images = []

@@ -10,9 +10,10 @@ steps, and each one takes its dtype from one guard, _int_dtype: int64
 while a proven bound on every value it forms stays below 2^62, exact
 Python ints in object arrays past that, never a silent wraparound.
 
-Rationals appear only at the boundary.  invert and kernel_basis take
-matrices of ints/Fractions, clear their denominators once and return
-Fractions.  minimal_polynomial and generalized_eigenspace take such a
+Rationals appear only at the boundary, and _cleared is the one routine
+that clears them: ints and Fractions of any shape to an integer array and
+one scale in canonical form.  invert and kernel_basis take matrices of
+ints/Fractions, clear their denominators once and return Fractions.  minimal_polynomial and generalized_eigenspace take such a
 matrix too, or an integer array with a common denominator, so a caller
 that already holds integers builds no Fraction per entry;
 minimal_polynomial returns Fractions, generalized_eigenspace integer rows.
@@ -183,32 +184,42 @@ class RowSpace:
         return _primitive(_fit(K))
 
 
-def _cleared(matrix, scale: int = 1) -> tuple[np.ndarray, int]:
-    """(A, d) with A / d = matrix / scale, A an integer array and d > 0.
-    matrix is an integer array, or nested lists of ints/Fractions whose
-    denominators are cleared here; A and d share no common factor."""
-    if isinstance(matrix, np.ndarray):
-        A, d = _fit(matrix), scale
-    else:
-        rows = [[Fraction(x) for x in row] for row in matrix]
-        den = lcm(1, *(x.denominator for row in rows for x in row))
-        A = _fit(np.array([[x.numerator * (den // x.denominator) for x in row]
-                           for row in rows], dtype=object).reshape(len(rows), -1))
-        d = den * scale
+def _cleared(values, scale: int = 1) -> tuple[np.ndarray, int]:
+    """(A, d) with A / d = values / scale, A an integer array of the same
+    shape, d > 0 and no common factor of A and d: the canonical cleared
+    form.  values is an integer array, or an object array or nested lists
+    of any shape holding ints and Fractions, whose denominators are
+    cleared here entry by nonzero entry."""
+    A = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    d = scale
+    if A.dtype == object:
+        nz = np.flatnonzero(A)
+        entries = A.reshape(-1)[nz].tolist()
+        den = lcm(1, *{x.denominator for x in entries})
+        A = np.zeros(A.shape, dtype=object)
+        A.reshape(-1)[nz] = [x.numerator * (den // x.denominator) for x in entries]
+        d *= den
+    A = _fit(A)
     g = gcd(int(np.gcd.reduce(A, axis=None)) if A.size else 0, d)
-    return _fit(A // g), d // g
+    return (A, d) if g == 1 else (_fit(A // g), d // g)
+
+
+def _inverse(A: np.ndarray) -> tuple[np.ndarray, int]:
+    """(B, e) in canonical cleared form with B / e the inverse of the
+    square integer matrix A."""
+    n = len(A)
+    space = RowSpace(2 * n)
+    # [A | I] reduces to rows [pv_i e_i | pv_i * (row i of A^-1)]
+    space.extend(np.hstack([A.astype(object), np.eye(n, dtype=object)]))
+    if space.pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return _cleared(_rescale(space.rows[:, n:], space.cofactors()[:, None]), space.scale)
 
 
 def invert(matrix) -> list[list[Fraction]]:
-    n = len(matrix)
     A, d = _cleared(matrix)
-    space = RowSpace(2 * n)
-    # [A | d I] reduces to rows [pv_i e_i | pv_i * (row i of matrix^-1)]
-    space.extend(np.hstack([A.astype(object), np.eye(n, dtype=object) * d]))
-    if space.pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [[Fraction(int(x), int(row[i])) for x in row[n:]]
-            for i, row in enumerate(space.rows)]
+    B, e = _inverse(A)          # (A / d)^-1 = d B / e
+    return [[Fraction(x * d, e) for x in row] for row in B.tolist()]
 
 
 def kernel_basis(M) -> list[list[Fraction]]:

@@ -22,6 +22,10 @@ from kleintwist.perm import klein_group, symmetric_group
 
 CHEAP = "sign-table,det-to-perm,klein-classification"
 
+# sha256 of the `kleintwist verify --zero-durations` JSON report over every
+# check; refactors must keep these bytes.
+VERIFY_JSON_SHA256 = "985401cc37d3705b8c2cc1b51c2459df00ec89394c47a3a52e15de0305e88ce6"
+
 
 class TestRunConfig:
     def test_unknown_check(self):
@@ -110,6 +114,11 @@ class TestReports:
         assert code == 0
         assert md_path.read_text().startswith("# Twisted symmetry verification")
 
+    def test_full_json_report_is_byte_stable(self, tmp_path, capsys):
+        json_path = tmp_path / "report.json"
+        assert main(["verify", "--zero-durations", "--json-out", str(json_path)]) == 0
+        assert hashlib.sha256(json_path.read_bytes()).hexdigest() == VERIFY_JSON_SHA256
+
 
 class TestCharactersCommand:
     def test_finite_presentations(self, capsys):
@@ -187,6 +196,16 @@ class TestCheckOutcomes:
         result = run_one("diagonal-twist-characters", RunConfig())
         assert result.status == "fail"
         assert "forced" in result.details
+
+    def test_diagonal_twist_fails_on_its_certificate(self, monkeypatch):
+        # evaluation into Q[G] in place of C(G): the count and the type still
+        # hold, but the evaluation map is no Hopf map
+        monkeypatch.setattr(checks, "function_algebra", group_algebra)
+        result = run_one("diagonal-twist-characters", RunConfig())
+        assert result.status == "fail"
+        assert result.metrics == {"characters": 24, "group_order": 24}
+        assert result.labels == {"commutative": "True", "group_type": "S4"}
+        assert result.details == "evaluation map to C(characters) fails at unit"
 
     def test_generation_counterexample_joins_the_completions(self, monkeypatch):
         # completions that only reach the Klein group leave the join at D4

@@ -1,8 +1,12 @@
 """Hopf structure tensors, axiom verification, maps, and characters."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kleintwist.cocycle import build_s4tau
 from kleintwist.errors import KleintwistError, NonSplitQuotient, NotASubgroup
 from kleintwist.hopf import (FDHopf, HopfMap, all_axioms_pass, character_group,
                              character_to_permutation, characters, convolution,
@@ -92,6 +96,99 @@ class TestAlgebras:
             assert tag in text
 
 
+def _s4tau():
+    if not hasattr(_s4tau, "value"):
+        _s4tau.value = build_s4tau().algebra
+    return _s4tau.value
+
+
+ALGEBRAS = {"qs4": lambda: group_algebra(S4), "cs4": lambda: function_algebra(S4),
+            "s4tau": _s4tau}
+
+
+def _dict_form(H):
+    return dict(dim=H.dim, basis_labels=H.basis_labels, unit=H.unit, mult=H.mult,
+                comult=H.comult, counit=H.counit, antipode=H.antipode, star=H.star)
+
+
+def _spelled_out(H):
+    """H's dict form written another way: every value as a Fraction with
+    numerator and denominator doubled, explicit zeros in every vector and
+    for every missing product, and each coproduct term split into halves
+    plus a pair of terms that cancel."""
+    def q(c):
+        c = Fraction(c)
+        return Fraction(2 * c.numerator, 2 * c.denominator)
+
+    def vec(v):
+        return {**{k: 0 for k in range(H.dim)}, **{k: q(c) for k, c in v.items()}}
+
+    rng = range(H.dim)
+    return dict(
+        dim=H.dim, basis_labels=H.basis_labels, unit=vec(H.unit),
+        mult={(i, j): vec(H.mult.get((i, j), {})) for i in rng for j in rng},
+        comult={i: [(j, k, q(c) / 2) for j, k, c in H.comult[i] for _ in range(2)]
+                + [(0, 1, 1), (0, 1, -1)] for i in rng},
+        counit=[q(c) for c in H.counit],
+        antipode={i: vec(H.antipode[i]) for i in rng},
+        star={i: vec(H.star[i]) for i in rng})
+
+
+class TestStoredForm:
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_views_rebuild_the_algebra(self, name):
+        H = ALGEBRAS[name]()
+        again = FDHopf(**_dict_form(H))
+        assert again.structure_equal(H)
+        assert again.dump() == H.dump()
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_spelling_does_not_matter(self, name):
+        H = ALGEBRAS[name]()
+        again = FDHopf(**_spelled_out(H))
+        assert again.structure_equal(H)
+        assert again.dump() == H.dump()
+        assert _dict_form(again) == _dict_form(H)
+
+    @pytest.mark.parametrize("k", range(6), ids=list("UMCEST"))
+    def test_halved_tensor_differs(self, k):
+        H = _s4tau()
+        pairs = [(A, 2 * d if j == k else d) for j, (A, d) in enumerate(H._pairs)]
+        assert not FDHopf._from_tensors(H.basis_labels, *pairs).structure_equal(H)
+
+    def test_tensors_are_canonical_and_read_only(self):
+        H = _s4tau()
+        for A, d in ((H.U, H.dU), (H.M, H.dM), (H.C, H.dC), (H.E, H.dE),
+                     (H.S, H.dS), (H.T, H.dT)):
+            assert d > 0 and np.gcd(np.gcd.reduce(A, axis=None), d) == 1
+            assert not A.flags.writeable
+        with pytest.raises(ValueError):
+            H.M[0, 0, 0] = 1
+
+    def test_views_keep_their_shape(self):
+        H = _s4tau()
+        assert set(H.comult) == set(H.antipode) == set(H.star) == set(range(H.dim))
+        for i in range(H.dim):
+            assert [(j, k) for j, k, _ in H.comult[i]] == sorted((j, k) for j, k, _ in H.comult[i])
+        values = [c for v in H.mult.values() for c in v.values()]
+        assert {type(c) for c in values} == {int, Fraction}
+        assert all(c.denominator > 1 for c in values if isinstance(c, Fraction))
+
+    @pytest.mark.parametrize("part,bad", [
+        ("unit", {-4: 1}), ("mult", {(0, 4): {0: 1}}), ("mult", {(0, 0): {-1: 1}}),
+        ("comult", {i: [(i, -1, 1)] for i in range(4)}), ("star", {i: {4: 1} for i in range(4)}),
+    ])
+    def test_indices_outside_the_basis_are_refused(self, part, bad):
+        H = group_algebra(klein_group())
+        with pytest.raises(ValueError, match="out of range"):
+            FDHopf(**{**_dict_form(H), part: bad})
+
+    def test_witness_is_the_first_pair_in_row_major_order(self):
+        H = _s4tau()
+        assert H.noncommutative_witness() == (2, 3)
+        assert [H.basis_labels[i] for i in (2, 3)] == ["d_(23)", "d_(234)"]
+
+
 class TestMaps:
     def test_restriction_to_easy_klein(self):
         pi = restriction_surjection(S4, easy_klein())
@@ -116,8 +213,18 @@ class TestMaps:
         g = f.inverse()
         assert g.verify()
         comp = f.then(g)
-        for i in range(4):
-            assert comp.apply({i: 1}) == {i: 1}
+        assert comp.images == [{i: 1} for i in range(4)]
+
+    def test_composition_needs_matching_algebras(self):
+        # the Fourier map ends in Q[K]; a second one would start from C(V)
+        f = fourier_iso(klein_group())
+        with pytest.raises(ValueError, match="source"):
+            f.then(fourier_iso(klein_group()))
+
+    def test_images_outside_the_target_are_refused(self):
+        H = group_algebra(klein_group())
+        with pytest.raises(ValueError, match="out of range"):
+            HopfMap(H, H, [{-1: 1}] * 4)
 
     def test_composed_projection(self):
         pi = restriction_surjection(S4, easy_klein()).then(fourier_iso(easy_klein()))

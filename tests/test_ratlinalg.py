@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kleintwist.ratlinalg import (RowSpace, _fit, generalized_eigenspace, invert,
-                                  kernel_basis, minimal_polynomial)
+from kleintwist.ratlinalg import (RowSpace, _cleared, _fit, generalized_eigenspace,
+                                  invert, kernel_basis, minimal_polynomial)
 
 SMALL = st.integers(-3, 3)
 NEAR_2_31 = st.integers(2 ** 31 - 3, 2 ** 31 + 3).flatmap(
@@ -139,3 +139,22 @@ def test_minimal_polynomial_and_generalized_eigenspace():
     assert generalized_eigenspace(R, 0, 1).tolist() == [[0, 0, 1]]
     half = [[Fraction(1, 2), 0], [0, Fraction(-3, 4)]]
     assert minimal_polynomial(half) == [Fraction(-3, 8), Fraction(1, 4), 1]
+
+
+
+@settings(deadline=None)
+@given(st.lists(st.fractions(max_denominator=10 ** 20).map(lambda q: q * 10 ** 20),
+                min_size=12, max_size=12),
+       st.sampled_from([(12,), (3, 4), (2, 3, 2)]), st.integers(1, 12))
+def test_cleared_any_shape_is_canonical(values, shape, scale):
+    """(A, d) = _cleared(V, scale) has A / d = V / scale entrywise, d > 0
+    and no factor shared by all of A and d, for ints and Fractions given
+    as an object array or as nested lists of any shape."""
+    V = np.array([int(q) if q.denominator == 1 else q for q in values],
+                 dtype=object).reshape(shape)
+    for form in (V, V.tolist()):
+        A, d = _cleared(form, scale)
+        assert A.shape == shape and A.dtype in (np.int64, object)
+        assert d > 0 and gcd(int(np.gcd.reduce(A, axis=None)), d) == 1
+        assert [Fraction(int(a), d) for a in A.reshape(-1).tolist()] == \
+            [Fraction(q) / scale for q in values]
