@@ -11,6 +11,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .errors import NotASubgroup
@@ -137,10 +138,10 @@ class Permutation:
 class PermGroup:
     """A finite group of permutations of one common degree.
 
-    The constructor verifies the identity is present and the set is
-    inverse-closed; product closure costs |G|^2 and is only enforced by
-    as_subgroup or when is_closed is called, since generate() output is
-    closed by construction.
+    The constructor verifies that the identity is present and that the
+    set is inverse-closed, on the image tuples. It does not check product
+    closure, which costs |G|^2 products: as_subgroup and is_closed do,
+    and generate() output is closed by construction.
     """
 
     __slots__ = ("degree", "elements", "generators")
@@ -150,13 +151,13 @@ class PermGroup:
         elems = frozenset(elements)
         if not elems:
             raise ValueError("a group needs at least the identity")
-        for p in elems:
-            if p.degree != degree:
-                raise ValueError("mixed degrees in group element set")
-        if Permutation.identity(degree) not in elems:
+        images = {p.images for p in elems}
+        if any(len(t) != degree for t in images):
+            raise ValueError("mixed degrees in group element set")
+        if tuple(range(1, degree + 1)) not in images:
             raise ValueError("identity missing")
         for p in elems:
-            if p.inverse() not in elems:
+            if _inverse_images(p.images) not in images:
                 raise ValueError(f"inverse of {p} missing")
         self.degree = degree
         self.elements = elems
@@ -214,27 +215,48 @@ class PermGroup:
 
 
 def _closure(degree: int, seed: Iterable[Images]) -> frozenset[Images]:
-    ident = tuple(range(1, degree + 1))
-    gens = [g for g in set(seed) if g != ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                c = _compose_images(a, g)
+    """Image tuples of the group generated by the seed, built by adding
+    one generator at a time (Dimino's algorithm; Butler, Fundamental
+    Algorithms for Permutation Groups, LNCS 559, 1991).
+
+    The known elements always form the group H generated by the kept
+    generators. A seed element already in H costs one lookup and is
+    dropped. A new one, g, is kept, and the group it generates with H is
+    a union of right cosets H*x: a breadth-first search over coset
+    representatives, starting from g, multiplies each representative on
+    the right by every kept generator, and a product outside the known
+    elements is a new representative whose whole coset is added at once.
+    Every product composes through an itemgetter of 0-based images, so a
+    coset is one map over H.
+    """
+    seen = {tuple(range(1, degree + 1))}
+    steps = []
+    for g in seed:
+        if g in seen:
+            continue
+        # g is not the identity, so it has degree >= 2 and every getter
+        # takes at least two indices: it returns a tuple, never a scalar
+        steps.append(itemgetter(*[j - 1 for j in g]))
+        base = list(seen)
+        seen.update(map(steps[-1], base))
+        reps = [g]
+        for r in reps:
+            for step in steps:
+                c = step(r)
                 if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
+                    seen.update(map(itemgetter(*[j - 1 for j in c]), base))
+                    reps.append(c)
     return frozenset(seen)
 
 
 def generate(degree: int, generators: Iterable[Permutation]) -> PermGroup:
     """Smallest group containing the given permutations."""
     gens = tuple(generators)
-    elems = _closure(degree, [g.images for g in gens])
-    return PermGroup(degree, {Permutation(t) for t in elems}, gens)
+    for g in gens:
+        if g.degree != degree:
+            raise ValueError(f"generator {g} has degree {g.degree}, not {degree}")
+    return PermGroup(degree, map(Permutation, _closure(degree, [g.images for g in gens])),
+                     gens)
 
 
 def symmetric_group(n: int) -> PermGroup:
@@ -312,7 +334,7 @@ def all_subgroups(G: PermGroup) -> list[PermGroup]:
                     fresh.append(K)
         layer = fresh
     ordered = sorted(found, key=lambda S: (len(S), sorted(S)))
-    return [PermGroup(G.degree, {Permutation(t) for t in S}) for S in ordered]
+    return [PermGroup(G.degree, map(Permutation, S)) for S in ordered]
 
 
 def subgroups_of_type(G: PermGroup, t: "GroupType | str") -> list[PermGroup]:
@@ -337,11 +359,12 @@ def is_characteristic_under_inner(G: PermGroup, H: PermGroup) -> bool:
 def are_conjugate(G: PermGroup, H1: PermGroup, H2: PermGroup) -> Optional[Permutation]:
     """A g in G with g H1 g^-1 == H2, or None.  The identity is tried
     first so equal subgroups get the identity witness."""
-    candidates = [Permutation.identity(G.degree)] + G.sorted_elements()
-    target = H2.elements
-    for g in candidates:
+    if H1.elements == H2.elements:
+        return Permutation.identity(G.degree)
+    # the identity is the smallest image tuple, so it sorts first
+    for g in G.sorted_elements()[1:]:
         ginv = g.inverse()
-        if {g * h * ginv for h in H1.elements} == target:
+        if {g * h * ginv for h in H1.elements} == H2.elements:
             return g
     return None
 

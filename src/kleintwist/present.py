@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cocycle import Cocycle2, klein_bicharacter
 from .errors import (ClosureFailure, InfiniteCharacterSpace, PatternMismatch,
                      SignMismatch)
@@ -257,38 +259,32 @@ def solve_characters(p: PresentationSpec) -> list:
     return out
 
 
-def _matmul_int(a: tuple, b: tuple) -> tuple:
-    n = len(a)
-    k = len(b[0])
-    m = len(b)
-    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(m)) for j in range(k))
-                 for i in range(n))
-
-
 def character_group_of(p: PresentationSpec) -> PermGroup:
     """Group of characters under the convolution product, which on these
     presentations is plain matrix multiplication of the value matrices;
-    returned via the left regular action on the sorted solution list."""
+    returned via the left regular action on the sorted solution list.
+
+    All products come from one int64 contraction (entries are -1, 0, 1
+    and n <= 5, so nothing can overflow) and are matched by their bytes.
+    """
     if p.kind == "incseq":
         raise ValueError("rectangular presentations carry no character group")
     sols = solve_characters(p)
-    mats = [s.matrix for s in sols]
-    index = {m: i for i, m in enumerate(mats)}
     n = p.rows
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    if ident not in index:
+    mats = np.array([s.matrix for s in sols], dtype=np.int64).reshape(len(sols), n, n)
+    index = {m.tobytes(): i for i, m in enumerate(mats)}
+    if np.eye(n, dtype=np.int64).tobytes() not in index:
         raise ClosureFailure("identity matrix is not a character")
+    prods = np.einsum("aij,bjk->abik", mats, mats)
     perms = set()
-    for m in mats:
+    for m, row in zip(mats, prods):
         images = []
-        for other in mats:
-            prod = _matmul_int(m, other)
-            pos = index.get(prod)
+        for prod in row:
+            pos = index.get(prod.tobytes())
             if pos is None:
                 raise ClosureFailure("character product escapes the solution set")
             images.append(pos + 1)
-        transpose = tuple(tuple(m[j][i] for j in range(n)) for i in range(n))
-        if transpose not in index:
+        if m.T.tobytes() not in index:
             raise ClosureFailure("character inverse escapes the solution set")
         perms.add(Permutation(images))
     return PermGroup(len(mats), perms)

@@ -1,10 +1,12 @@
 """Permutations, subgroup enumeration, and type recognition."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from kleintwist.errors import NotASubgroup
-from kleintwist.perm import (GroupType, PermGroup, Permutation, all_subgroups,
+from kleintwist.perm import (GroupType, PermGroup, Permutation, _closure, all_subgroups,
                              are_conjugate, as_subgroup, easy_klein, generate,
                              is_characteristic_under_inner, isomorphism_type,
                              klein_group, normalizer, subgroups_of_type,
@@ -95,6 +97,102 @@ class TestGroups:
         g = cyc((1, 3))
         moved = easy_klein().conjugate_by(g)
         assert cyc((2, 3)) in moved or cyc((1, 4)) in moved or moved.order == 4
+
+
+def oracle_closure(degree, gens):
+    """Reference closure: breadth-first search multiplying every element
+    by every generator, on image tuples."""
+    ident = tuple(range(1, degree + 1))
+    gens = [g for g in set(gens) if g != ident]
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                c = tuple(a[j - 1] for j in g)
+                if c not in seen:
+                    seen.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return frozenset(seen)
+
+
+@st.composite
+def generator_lists(draw):
+    """Random generators of degree 1-6, with the identity, repeats and
+    products of earlier generators (already in their span) mixed in."""
+    degree = draw(st.integers(1, 6))
+    perm = st.permutations(range(1, degree + 1)).map(Permutation)
+    gens = draw(st.lists(perm, max_size=8))
+    extras = []
+    if draw(st.booleans()):
+        extras.append(Permutation.identity(degree))
+    if gens and draw(st.booleans()):
+        extras.append(draw(st.sampled_from(gens)))
+    if gens and draw(st.booleans()):
+        extras.append(draw(st.sampled_from(gens)) * draw(st.sampled_from(gens)))
+    for e in extras:
+        gens.insert(draw(st.integers(0, len(gens))), e)
+    return degree, gens[:8]
+
+
+class TestClosure:
+    @given(generator_lists())
+    def test_matches_all_generator_search(self, case):
+        degree, gens = case
+        G = generate(degree, gens)
+        expected = oracle_closure(degree, [g.images for g in gens])
+        assert {p.images for p in G.elements} == expected
+        assert G.generators == tuple(gens)
+
+    def test_degree_one(self):
+        e = Permutation.identity(1)
+        for gens in ([], [e], [e, e]):
+            assert generate(1, gens).elements == {e}
+        assert _closure(1, [(1,)]) == {(1,)}
+
+    def test_degree_two(self):
+        e, s = Permutation.identity(2), Permutation([2, 1])
+        assert generate(2, []).elements == {e}
+        assert generate(2, [e]).elements == {e}
+        for gens in ([s], [e, s], [s, s], [s, e, s]):
+            assert generate(2, gens).elements == {e, s}
+        assert _closure(2, [(2, 1)]) == {(1, 2), (2, 1)}
+
+    def test_s4_census_sets_and_order(self):
+        # every subgroup of S4 is generated by at most two elements
+        found = {oracle_closure(4, [a.images, b.images])
+                 for a, b in itertools.product(S4_ELEMS, repeat=2)}
+        expected = sorted(found, key=lambda S: (len(S), sorted(S)))
+        assert len(expected) == 30
+        assert [{p.images for p in H.elements} for H in all_subgroups(S4)] == expected
+
+
+class TestGroupRefusals:
+    def test_empty(self):
+        with pytest.raises(ValueError, match="a group needs at least the identity"):
+            PermGroup(4, [])
+
+    def test_identity_missing(self):
+        with pytest.raises(ValueError, match="identity missing"):
+            PermGroup(4, [cyc((1, 2))])
+
+    def test_inverse_missing(self):
+        with pytest.raises(ValueError, match=r"inverse of Permutation\(\(123\), degree=4\) missing"):
+            PermGroup(4, [Permutation.identity(4), cyc((1, 2, 3))])
+
+    def test_mixed_degrees(self):
+        with pytest.raises(ValueError, match="mixed degrees in group element set"):
+            PermGroup(4, [Permutation.identity(4), Permutation.identity(3)])
+
+    def test_generate_degree_mismatch(self):
+        with pytest.raises(ValueError):
+            generate(4, [Permutation.from_cycles(3, [(1, 2)])])
+
+    def test_generate_rejects_larger_degree(self):
+        with pytest.raises(ValueError, match="has degree 5, not 4"):
+            generate(4, [Permutation.from_cycles(5, [(4, 5)])])
 
 
 class TestSubgroupCensus:

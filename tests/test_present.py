@@ -5,10 +5,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from kleintwist import present
 from kleintwist.cocycle import Cocycle2, klein_bicharacter
-from kleintwist.errors import (InfiniteCharacterSpace, PatternMismatch,
-                               SignMismatch)
-from kleintwist.perm import isomorphism_type, symmetric_group
+from kleintwist.errors import (ClosureFailure, InfiniteCharacterSpace,
+                               PatternMismatch, SignMismatch)
+from kleintwist.perm import Permutation, isomorphism_type, symmetric_group
 from kleintwist.present import (KLEIN_PRODUCT, Bidegree, IncSeq, O2, O2Minus,
                                 SO3, SO3Minus, SnPlus, character_group_of,
                                 commutation_sign,
@@ -142,6 +143,35 @@ class TestSolutions:
     def test_incseq_has_no_character_group(self):
         with pytest.raises(ValueError, match="rectangular"):
             character_group_of(IncSeq(2, 4))
+
+    @pytest.mark.parametrize("spec", [O2Minus(), SO3Minus(), SnPlus(3), SnPlus(4)],
+                             ids=lambda p: p.name)
+    def test_character_group_matches_matrix_products(self, spec):
+        # reference: every product as a term-by-term matrix product
+        mats = [s.matrix for s in solve_characters(spec)]
+        index = {m: i for i, m in enumerate(mats)}
+        n = spec.rows
+
+        def matmul(a, b):
+            return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n))
+                         for i in range(n))
+
+        expected = {Permutation([index[matmul(a, b)] + 1 for b in mats]) for a in mats}
+        assert character_group_of(spec).elements == expected
+
+    def test_character_group_refuses_open_sets(self, monkeypatch):
+        sols = solve_characters(O2Minus())
+        ident = ((1, 0), (0, 1))
+        no_identity = [s for s in sols if s.matrix != ident]
+        monkeypatch.setattr(present, "solve_characters", lambda p: no_identity)
+        with pytest.raises(ClosureFailure, match="identity matrix is not a character"):
+            character_group_of(O2Minus())
+        # a group with one element dropped is no longer product-closed
+        missing_one = [s for s in sols if s.matrix != ((0, 1), (1, 0))]
+        assert len(missing_one) == len(sols) - 1
+        monkeypatch.setattr(present, "solve_characters", lambda p: missing_one)
+        with pytest.raises(ClosureFailure, match="character product escapes"):
+            character_group_of(O2Minus())
 
     def test_continuous_presentations_refused(self):
         with pytest.raises(InfiniteCharacterSpace):
