@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -59,12 +60,32 @@ class Cocycle2:
             raise ValueError("star corrector length disagrees with carrier dim")
         return Cocycle2(carrier, tab, inv, cor)
 
+    # The tables cleared to (integer array, scale) pairs, once per
+    # instance; the arrays are read-only because every caller shares them.
+
+    @cached_property
+    def cleared_table(self) -> tuple[np.ndarray, int]:
+        return _frozen(_cleared(self.table))
+
+    @cached_property
+    def cleared_inverse_table(self) -> tuple[np.ndarray, int]:
+        return _frozen(_cleared(self.inverse_table))
+
+    @cached_property
+    def cleared_star_corrector(self) -> tuple[np.ndarray, int]:
+        return _frozen(_cleared(self.star_corrector))
+
     def value(self, x: dict, y: dict):
         acc = Fraction(0)
         for i, a in x.items():
             for j, b in y.items():
                 acc += a * b * self.table[i][j]
         return _n(acc)
+
+
+def _frozen(pair: tuple[np.ndarray, int]) -> tuple[np.ndarray, int]:
+    pair[0].flags.writeable = False
+    return pair
 
 
 def _grouplike_corrector(carrier: FDHopf, table) -> tuple:
@@ -132,8 +153,8 @@ def verify_cocycle(sigma: Cocycle2) -> bool:
     """
     H = sigma.carrier
     U, M, C, E = H.U, H.M, H.C, H.E
-    Sg, dSg = _cleared(sigma.table)
-    Sv, dSv = _cleared(sigma.inverse_table)
+    Sg, dSg = sigma.cleared_table
+    Sv, dSv = sigma.cleared_inverse_table
 
     ok = True
     for tab, d in ((Sg, dSg), (Sv, dSv)):
@@ -164,14 +185,13 @@ def pullback(sigma: Cocycle2, pi: HopfMap) -> Cocycle2:
         raise KleintwistError(f"pullback needs a Hopf map, failed at: {pi.failure}")
     P, d = pi.P, pi.d
 
-    def pulled(table):
-        A, dA = _cleared(table)
+    def pulled(A, dA):
         return _fractions(_safe_einsum("ia,jb,ab->ij", P, P, A), d * d * dA)
 
-    L, dL = _cleared(sigma.star_corrector)
+    L, dL = sigma.cleared_star_corrector
     corrector = _fractions(_safe_einsum("ia,a->i", P, L), d * dL)
-    out = Cocycle2.build(pi.source, pulled(sigma.table),
-                         pulled(sigma.inverse_table), corrector)
+    out = Cocycle2.build(pi.source, pulled(*sigma.cleared_table),
+                         pulled(*sigma.cleared_inverse_table), corrector)
     if not verify_cocycle(out):
         raise KleintwistError("pulled-back table fails the cocycle identities")
     return out
@@ -199,8 +219,8 @@ def twist(H: FDHopf, sigma: Cocycle2, verify: bool = True,
     if sigma.carrier is not H:
         raise ValueError("cocycle is bound to a different algebra; rebind first")
     C, M, S = H.C, H.M, H.S
-    Sg, dSg = _cleared(sigma.table)
-    Sv, dSv = _cleared(sigma.inverse_table)
+    Sg, dSg = sigma.cleared_table
+    Sv, dSv = sigma.cleared_inverse_table
 
     # x *_sigma y: Delta2(x) = a b c and Delta2(y) = p q r, dressed by
     # sigma(a, p) sigma^-1(c, r) around the product b q; one row x at a time.
@@ -219,7 +239,7 @@ def twist(H: FDHopf, sigma: Cocycle2, verify: bool = True,
     star = (H.T, H.dT)
     if correct_star:
         # star_sigma(x) = L(x1) star(x2) L(x3)
-        L, dL = _cleared(sigma.star_corrector)
+        L, dL = sigma.cleared_star_corrector
         star = (_safe_einsum("ixc,xab,a,bt,c->it", C, C, L, H.T, L),
                 H.dC ** 2 * dL ** 2 * H.dT)
 

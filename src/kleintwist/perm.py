@@ -11,8 +11,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import lcm
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from .errors import NotASubgroup
 
@@ -28,6 +30,43 @@ def _inverse_images(a: Images) -> Images:
     for i, j in enumerate(a, start=1):
         inv[j - 1] = i
     return tuple(inv)
+
+
+# from about this order on, numpy's fixed cost is below the Python loop's
+_VECTOR_MIN_ORDER = 128
+# the row codes, below (degree + 1) ** degree, must fit in int64
+_VECTOR_MAX_DEGREE = 15
+
+
+def _inverse_closed(degree: int, images: frozenset[Images]) -> bool:
+    """True iff the inverse of every image tuple in images, all of length
+    degree, is in images too.
+
+    Large sets of small degree are checked in numpy. Every row must sort
+    to 1..degree. A permutation t is coded as the sum of t[i] w[i], with
+    w[i] = (degree + 1) ** i, and its inverse u, u[t[i] - 1] = i + 1, has
+    the code sum of (i + 1) w[t[i] - 1]; the set is inverse-closed iff the
+    two code arrays agree once sorted. The codes are summed one column at
+    a time into preallocated arrays, so no temporary holds more than one
+    integer per element. Elsewhere each inverse is looked up in Python.
+    """
+    if len(images) < _VECTOR_MIN_ORDER or degree > _VECTOR_MAX_DEGREE:
+        return all(_inverse_images(t) in images for t in images)
+    # bytes() is the fastest way in; it refuses entries outside 0..255
+    rows = np.frombuffer(bytes(itertools.chain.from_iterable(images)),
+                         dtype=np.uint8).reshape(len(images), degree)
+    if not (np.sort(rows, axis=1) == np.arange(1, degree + 1, dtype=np.uint8)).all():
+        return False
+    weights = (degree + 1) ** np.arange(degree, dtype=np.int64)
+    codes, inverse_codes, term = np.zeros((3, len(images)), dtype=np.int64)
+    for i, col in enumerate(rows.T):
+        codes += np.multiply(col, weights[i], out=term)
+        # the rows are permutations, so every index is in range
+        np.take(weights, col - 1, out=term, mode="clip")
+        inverse_codes += np.multiply(term, i + 1, out=term)
+    codes.sort()
+    inverse_codes.sort()
+    return np.array_equal(codes, inverse_codes)
 
 
 class Permutation:
@@ -138,40 +177,71 @@ class Permutation:
 class PermGroup:
     """A finite group of permutations of one common degree.
 
-    The constructor verifies that the identity is present and that the
-    set is inverse-closed, on the image tuples. It does not check product
+    The stored form is `images`, the frozenset of the elements' image
+    tuples; order, membership, equality and hashing read it, and the hash
+    equals the hash of (degree, frozenset of the Permutations). `elements`,
+    the frozenset of Permutation objects, is built from `images` on first
+    access and kept, so every element passes Permutation's own check
+    there; a group made by the public constructor keeps the Permutations
+    it was given.
+
+    The public constructor and _from_images, which generate,
+    all_subgroups and symmetric_group use, store through one step
+    (_store) that first checks that the set is non-empty, of one degree,
+    holds the identity and is inverse-closed. It does not check product
     closure, which costs |G|^2 products: as_subgroup and is_closed do,
-    and generate() output is closed by construction.
+    and the closure behind generate() is closed by construction.
     """
 
-    __slots__ = ("degree", "elements", "generators")
+    __slots__ = ("degree", "images", "generators", "_elements")
 
     def __init__(self, degree: int, elements: Iterable[Permutation],
                  generators: Iterable[Permutation] = ()):
         elems = frozenset(elements)
-        if not elems:
+        self._store(degree, frozenset(p.images for p in elems), generators)
+        self._elements = elems
+
+    @classmethod
+    def _from_images(cls, degree: int, images: Iterable[Images],
+                     generators: Iterable[Permutation] = ()) -> "PermGroup":
+        """The group whose elements have the given image tuples; the
+        Permutation objects are built only if `elements` is read."""
+        G = cls.__new__(cls)
+        G._store(degree, frozenset(images), generators)
+        G._elements = None
+        return G
+
+    def _store(self, degree: int, images: frozenset[Images],
+               generators: Iterable[Permutation]) -> None:
+        if not images:
             raise ValueError("a group needs at least the identity")
-        images = {p.images for p in elems}
-        if any(len(t) != degree for t in images):
+        if set(map(len, images)) != {degree}:
             raise ValueError("mixed degrees in group element set")
         if tuple(range(1, degree + 1)) not in images:
             raise ValueError("identity missing")
-        for p in elems:
-            if _inverse_images(p.images) not in images:
-                raise ValueError(f"inverse of {p} missing")
+        if not _inverse_closed(degree, images):
+            t = next(t for t in images if _inverse_images(t) not in images)
+            raise ValueError(f"inverse of {Permutation(t)} missing")
         self.degree = degree
-        self.elements = elems
+        self.images = images
         self.generators = tuple(generators)
 
     @property
+    def elements(self) -> frozenset[Permutation]:
+        if self._elements is None:
+            self._elements = frozenset(map(Permutation, self.images))
+        return self._elements
+
+    @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.images)
 
     def sorted_elements(self) -> list[Permutation]:
-        return sorted(self.elements)
+        # one degree throughout, so image order is Permutation order
+        return sorted(self.elements, key=attrgetter("images"))
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in self.elements
+        return p.images in self.images
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.sorted_elements())
@@ -179,10 +249,10 @@ class PermGroup:
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PermGroup)
                 and self.degree == other.degree
-                and self.elements == other.elements)
+                and self.images == other.images)
 
     def __hash__(self) -> int:
-        return hash((self.degree, self.elements))
+        return hash((self.degree, self.images))
 
     def __repr__(self) -> str:
         return f"PermGroup(order={self.order}, degree={self.degree})"
@@ -203,7 +273,7 @@ class PermGroup:
         return True
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.degree == other.degree and self.elements <= other.elements
+        return self.degree == other.degree and self.images <= other.images
 
     def conjugate_by(self, g: Permutation) -> "PermGroup":
         ginv = g.inverse()
@@ -255,20 +325,18 @@ def generate(degree: int, generators: Iterable[Permutation]) -> PermGroup:
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator {g} has degree {g.degree}, not {degree}")
-    return PermGroup(degree, map(Permutation, _closure(degree, [g.images for g in gens])),
-                     gens)
+    return PermGroup._from_images(degree, _closure(degree, [g.images for g in gens]), gens)
 
 
 def symmetric_group(n: int) -> PermGroup:
     if n < 1:
         raise ValueError("degree must be positive")
-    elems = {Permutation(p) for p in itertools.permutations(range(1, n + 1))}
     gens: tuple[Permutation, ...] = ()
     if n >= 2:
         swap = Permutation.from_cycles(n, [(1, 2)])
         cyc = Permutation(tuple(range(2, n + 1)) + (1,))
         gens = (swap,) if n == 2 else (swap, cyc)
-    return PermGroup(n, elems, gens)
+    return PermGroup._from_images(n, itertools.permutations(range(1, n + 1)), gens)
 
 
 def klein_group() -> PermGroup:
@@ -318,7 +386,7 @@ def all_subgroups(G: PermGroup) -> list[PermGroup]:
     if G.order > 48:
         raise ValueError(f"subgroup enumeration restricted to order <= 48, got {G.order}")
     ident = tuple(range(1, G.degree + 1))
-    elems = sorted(p.images for p in G.elements)
+    elems = sorted(G.images)
     trivial = frozenset({ident})
     found = {trivial}
     layer = [trivial]
@@ -334,7 +402,7 @@ def all_subgroups(G: PermGroup) -> list[PermGroup]:
                     fresh.append(K)
         layer = fresh
     ordered = sorted(found, key=lambda S: (len(S), sorted(S)))
-    return [PermGroup(G.degree, map(Permutation, S)) for S in ordered]
+    return [PermGroup._from_images(G.degree, S) for S in ordered]
 
 
 def subgroups_of_type(G: PermGroup, t: "GroupType | str") -> list[PermGroup]:
@@ -359,7 +427,7 @@ def is_characteristic_under_inner(G: PermGroup, H: PermGroup) -> bool:
 def are_conjugate(G: PermGroup, H1: PermGroup, H2: PermGroup) -> Optional[Permutation]:
     """A g in G with g H1 g^-1 == H2, or None.  The identity is tried
     first so equal subgroups get the identity witness."""
-    if H1.elements == H2.elements:
+    if H1.images == H2.images:
         return Permutation.identity(G.degree)
     # the identity is the smallest image tuple, so it sorts first
     for g in G.sorted_elements()[1:]:

@@ -2,7 +2,9 @@
 
 import hashlib
 import itertools
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kleintwist.cocycle import (Cocycle2, build_s4tau, double_twist,
@@ -55,6 +57,27 @@ class TestBicharacter:
     def test_trivial_cocycle_verifies(self):
         H = function_algebra(symmetric_group(3))
         assert verify_cocycle(trivial_cocycle(H))
+
+
+class TestClearedTables:
+    def test_cleared_once_and_read_only(self):
+        sigma = _s4tau_once().cocycle
+        for name, field in (("cleared_table", sigma.table),
+                            ("cleared_inverse_table", sigma.inverse_table),
+                            ("cleared_star_corrector", sigma.star_corrector)):
+            A, d = getattr(sigma, name)
+            assert getattr(sigma, name)[0] is A
+            assert not A.flags.writeable
+            assert (A.astype(object) * Fraction(1, d)).tolist() == \
+                np.array(field, dtype=object).tolist()
+            with pytest.raises(ValueError):
+                A[(0,) * A.ndim] = 7
+
+    def test_fields_and_equality_unchanged(self):
+        sigma = klein_bicharacter()
+        sigma.cleared_table
+        assert Cocycle2.build(sigma.carrier, sigma.table, sigma.inverse_table,
+                              sigma.star_corrector) == sigma
 
 
 class TestPullback:

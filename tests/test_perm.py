@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kleintwist.errors import NotASubgroup
-from kleintwist.perm import (GroupType, PermGroup, Permutation, _closure, all_subgroups,
-                             are_conjugate, as_subgroup, easy_klein, generate,
-                             is_characteristic_under_inner, isomorphism_type,
-                             klein_group, normalizer, subgroups_of_type,
-                             symmetric_group)
+from kleintwist.incseq import all_sequences, complete_diagram
+from kleintwist.perm import (GroupType, PermGroup, Permutation, _closure, _inverse_closed,
+                             _inverse_images, all_subgroups, are_conjugate, as_subgroup,
+                             easy_klein, generate, is_characteristic_under_inner,
+                             isomorphism_type, klein_group, normalizer,
+                             subgroups_of_type, symmetric_group)
 
 S4 = symmetric_group(4)
 S4_ELEMS = S4.sorted_elements()
@@ -169,6 +170,105 @@ class TestClosure:
         assert [{p.images for p in H.elements} for H in all_subgroups(S4)] == expected
 
 
+class TestConstructionPaths:
+    """generate() builds its group from image tuples (PermGroup._from_images);
+    the public constructor takes Permutation objects. Both must give the
+    same group."""
+
+    @given(generator_lists(), st.data())
+    def test_generate_matches_public_constructor(self, case, data):
+        degree, gens = case
+        G = generate(degree, gens)
+        elems = [Permutation(t) for t in oracle_closure(degree, [g.images for g in gens])]
+        P = PermGroup(degree, elems)
+        assert G == P and P == G
+        assert hash(G) == hash(P)
+        assert G.order == P.order == len(elems)
+        assert G.sorted_elements() == P.sorted_elements() == sorted(elems)
+        assert list(G) == list(P)
+        for p in data.draw(st.lists(st.sampled_from(elems), max_size=4)):
+            assert p in G and p in P
+        perm = st.permutations(range(1, degree + 1)).map(Permutation)
+        for q in data.draw(st.lists(perm, max_size=4)):
+            assert (q in G) == (q in P) == (q in elems)
+        if G.order <= 24:
+            assert isomorphism_type(G) == isomorphism_type(P)
+
+    def test_hash_is_the_hash_of_the_permutation_set(self):
+        V = klein_group()
+        assert hash(V) == hash((4, frozenset(V.sorted_elements())))
+        assert hash(V) == hash((4, frozenset({Permutation.identity(4), cyc((1, 2), (3, 4)),
+                                              cyc((1, 3), (2, 4)), cyc((1, 4), (2, 3))})))
+
+    def test_symmetric_group(self):
+        for n in range(1, 6):
+            G = symmetric_group(n)
+            P = PermGroup(n, map(Permutation, itertools.permutations(range(1, n + 1))))
+            assert G == P
+            assert G.sorted_elements() == P.sorted_elements()
+            assert list(G) == sorted(map(Permutation, itertools.permutations(range(1, n + 1))))
+        assert symmetric_group(1).generators == ()
+        assert symmetric_group(2).generators == (Permutation([2, 1]),)
+        assert symmetric_group(4).generators == (cyc((1, 2)), cyc((1, 2, 3, 4)))
+
+    def test_order_builds_no_permutation(self, monkeypatch):
+        gens = [complete_diagram(s) for s in all_sequences(4, 8)]
+        assert len(gens) == 70
+        built = []
+        init = Permutation.__init__
+
+        def counting_init(self, images):
+            built.append(1)
+            init(self, images)
+
+        monkeypatch.setattr(Permutation, "__init__", counting_init)
+        G = generate(8, gens)
+        assert G.order == 40320
+        assert built == []
+        elems = G.elements
+        assert len(built) == 40320
+        assert len(elems) == 40320 and all(type(p) is Permutation for p in elems)
+        assert G.elements is elems
+        assert len(built) == 40320
+
+    def test_public_constructor_keeps_its_permutations(self):
+        elems = frozenset(klein_group().elements)
+        assert PermGroup(4, elems).elements is elems
+
+
+class TestInverseClosed:
+    """_inverse_closed checks sets of 128 or more elements in numpy and
+    smaller ones in Python; both must agree with a lookup per element."""
+
+    S6 = frozenset(itertools.permutations(range(1, 7)))
+
+    @given(st.lists(st.sampled_from(sorted(S6)), max_size=6), st.booleans(),
+           st.integers(4, 6))
+    def test_agrees_with_lookup(self, removed, with_inverses, fixed):
+        # S6 less a few elements (and their inverses, when asked), and
+        # those of them that fix the points above `fixed`: 24, 120 or 720
+        # elements less the removed ones
+        if with_inverses:
+            removed += [_inverse_images(t) for t in removed]
+        kept = self.S6 - set(removed)
+        for images in (kept, frozenset(t for t in kept if t[fixed:] == tuple(range(fixed + 1, 7)))):
+            expected = all(_inverse_images(t) in images for t in images)
+            assert _inverse_closed(6, images) == expected
+
+    def test_refuses_non_permutations(self):
+        assert _inverse_closed(6, self.S6)
+        assert not _inverse_closed(6, self.S6 | {(1, 1, 3, 4, 5, 6)})
+        assert not _inverse_closed(6, self.S6 | {(7, 0, 3, 4, 5, 6)})
+
+    def test_large_degree_uses_lookup(self):
+        # S5 x Z3 on 16 points: 360 elements, too many digits for the codes
+        gens = [Permutation.from_cycles(16, c) for c in ([(1, 2, 3, 4, 5)], [(1, 2)], [(6, 7, 8)])]
+        images = generate(16, gens).images
+        assert len(images) == 360
+        assert _inverse_closed(16, images)
+        assert not _inverse_closed(16, images - {gens[2].images})
+
+
 class TestGroupRefusals:
     def test_empty(self):
         with pytest.raises(ValueError, match="a group needs at least the identity"):
@@ -185,6 +285,26 @@ class TestGroupRefusals:
     def test_mixed_degrees(self):
         with pytest.raises(ValueError, match="mixed degrees in group element set"):
             PermGroup(4, [Permutation.identity(4), Permutation.identity(3)])
+
+    @pytest.mark.parametrize("images, message", [
+        ([], "a group needs at least the identity"),
+        ([(2, 1, 3, 4)], "identity missing"),
+        ([(1, 2, 3, 4), (2, 3, 1, 4)], r"inverse of Permutation\(\(123\), degree=4\) missing"),
+        ([(1, 2, 3, 4), (1, 2, 3)], "mixed degrees in group element set"),
+    ])
+    def test_from_images(self, images, message):
+        with pytest.raises(ValueError, match=message):
+            PermGroup._from_images(4, images)
+
+    def test_inverse_missing_in_a_large_set(self):
+        # 719 elements: the check runs in numpy, the message still names
+        # the one element whose inverse is gone
+        images = frozenset(itertools.permutations(range(1, 7))) - {(2, 3, 1, 4, 5, 6)}
+        message = r"inverse of Permutation\(\(132\), degree=6\) missing"
+        with pytest.raises(ValueError, match=message):
+            PermGroup._from_images(6, images)
+        with pytest.raises(ValueError, match=message):
+            PermGroup(6, map(Permutation, images))
 
     def test_generate_degree_mismatch(self):
         with pytest.raises(ValueError):
