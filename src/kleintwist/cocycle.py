@@ -13,13 +13,13 @@ deformed product to be commutative, so twisting anything interesting
 would fail the star axioms.
 
 All three are exact integer contractions over the double coproduct
-(x1, x2, x3) of the algebra's stored integer tensors and the cleared
-cocycle tables, pruned to the cocycle's support; each result goes to the
-twisted FDHopf as an integer array with its product of scales, and no
-Fraction is built.  pullback likewise contracts the cleared tables with
-the Hopf map's integer matrix, after HopfMap.verify has checked that map
-on the shared tensors; the pulled-back tables, which a Cocycle2 keeps as
-Fractions, are divided back only there.
+(x1, x2, x3) of the algebra's stored integer tensors and the cocycle's
+stored integer tables, pruned to the cocycle's support; each result goes
+to the twisted FDHopf as an integer array with its product of scales, and
+no Fraction is built.  A Cocycle2, like an FDHopf, stores its tables only
+cleared to integers, so pullback, which contracts them with the Hopf
+map's integer matrix after HopfMap.verify has checked that map on the
+shared tensors, hands its results straight to the pulled-back cocycle.
 """
 
 from __future__ import annotations
@@ -31,49 +31,63 @@ from functools import cached_property
 import numpy as np
 
 from .errors import KleintwistError, TwistNotHopf
-from .hopf import (FDHopf, HopfMap, _n, _rescale, _safe_einsum, fourier_iso,
+from .hopf import (FDHopf, HopfMap, _n, _q, _rescale, _safe_einsum, fourier_iso,
                    group_algebra, restriction_surjection, verify_hopf_axioms)
 from .perm import PermGroup, Permutation, easy_klein, klein_group, symmetric_group
 from .ratlinalg import _cleared
 
 
-@dataclass(frozen=True)
 class Cocycle2:
-    """A 2-cocycle on `carrier`: table[i][j] = sigma(e_i, e_j), its
-    convolution inverse, and the star-correction functional."""
+    """A 2-cocycle on `carrier`: sigma(e_i, e_j), its convolution inverse,
+    and the star-correction functional L(e_i).
 
-    carrier: FDHopf
-    table: tuple
-    inverse_table: tuple
-    star_corrector: tuple
+    Only cleared_table, cleared_inverse_table and cleared_star_corrector
+    are stored: read-only (integer array, scale) pairs in canonical form
+    (ratlinalg._cleared), which other cocycles may share.  table,
+    inverse_table and star_corrector are their int/Fraction views, built
+    on first access.  Equal means the same carrier object, equal tables."""
 
-    @staticmethod
-    def build(carrier: FDHopf, table, inverse_table, star_corrector) -> "Cocycle2":
-        tab = tuple(tuple(_n(c) for c in row) for row in table)
-        inv = tuple(tuple(_n(c) for c in row) for row in inverse_table)
-        cor = tuple(_n(c) for c in star_corrector)
-        if len(tab) != carrier.dim or any(len(r) != carrier.dim for r in tab):
+    @classmethod
+    def build(cls, carrier: FDHopf, table, inverse_table, star_corrector) -> "Cocycle2":
+        """The cocycle of int/Fraction tables, each copied and cleared once."""
+        n = carrier.dim
+        if len(table) != n or any(len(r) != n for r in table):
             raise ValueError("table shape disagrees with carrier dim")
-        if len(inv) != carrier.dim or any(len(r) != carrier.dim for r in inv):
+        if len(inverse_table) != n or any(len(r) != n for r in inverse_table):
             raise ValueError("inverse table shape disagrees with carrier dim")
-        if len(cor) != carrier.dim:
+        if len(star_corrector) != n:
             raise ValueError("star corrector length disagrees with carrier dim")
-        return Cocycle2(carrier, tab, inv, cor)
+        return cls._from_tensors(carrier, *((np.array(t, dtype=object), 1)
+                                            for t in (table, inverse_table, star_corrector)))
 
-    # The tables cleared to (integer array, scale) pairs, once per
-    # instance; the arrays are read-only because every caller shares them.
+    @classmethod
+    def _from_tensors(cls, carrier: FDHopf, *pairs) -> "Cocycle2":
+        """The cocycle of three (array, scale) pairs, in the order table,
+        inverse table, star corrector, brought to canonical form.  An
+        array already in that form is kept, not copied."""
+        sigma = cls.__new__(cls)
+        sigma.carrier = carrier
+        sigma._pairs = tuple(_cleared(A, d) for A, d in pairs)
+        for A, _ in sigma._pairs:
+            A.flags.writeable = False
+        (sigma.cleared_table, sigma.cleared_inverse_table,
+         sigma.cleared_star_corrector) = sigma._pairs
+        return sigma
 
-    @cached_property
-    def cleared_table(self) -> tuple[np.ndarray, int]:
-        return _frozen(_cleared(self.table))
+    table = cached_property(lambda self: _view(*self.cleared_table))
+    inverse_table = cached_property(lambda self: _view(*self.cleared_inverse_table))
+    star_corrector = cached_property(lambda self: _view(*self.cleared_star_corrector))
 
-    @cached_property
-    def cleared_inverse_table(self) -> tuple[np.ndarray, int]:
-        return _frozen(_cleared(self.inverse_table))
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Cocycle2):
+            return NotImplemented
+        return self.carrier is other.carrier and all(
+            d == e and np.array_equal(A, B)
+            for (A, d), (B, e) in zip(self._pairs, other._pairs))
 
-    @cached_property
-    def cleared_star_corrector(self) -> tuple[np.ndarray, int]:
-        return _frozen(_cleared(self.star_corrector))
+    def __hash__(self) -> int:
+        return hash((self.carrier,) + tuple(
+            (d, tuple(A.ravel().tolist())) for A, d in self._pairs))
 
     def value(self, x: dict, y: dict):
         acc = Fraction(0)
@@ -83,9 +97,9 @@ class Cocycle2:
         return _n(acc)
 
 
-def _frozen(pair: tuple[np.ndarray, int]) -> tuple[np.ndarray, int]:
-    pair[0].flags.writeable = False
-    return pair
+def _view(A: np.ndarray, d: int) -> tuple:
+    """A / d as nested tuples of ints and Fractions, A an integer array."""
+    return tuple(_view(r, d) for r in A) if A.ndim > 1 else tuple(_q(v, d) for v in A.tolist())
 
 
 def _grouplike_corrector(carrier: FDHopf, table) -> tuple:
@@ -95,34 +109,27 @@ def _grouplike_corrector(carrier: FDHopf, table) -> tuple:
     than an arbitrary solution of the sign identity) keeps the twisted
     star independent of how the basis happens to be labeled."""
     n = carrier.dim
-    for i in range(n):
-        if carrier.comult[i] != [(i, i, 1)]:
-            raise KleintwistError("corrector search needs a group-like basis")
-    prod = {}
-    for i in range(n):
-        for j in range(n):
-            v = carrier.mult.get((i, j), {})
-            if len(v) != 1 or set(v.values()) != {1}:
-                raise KleintwistError("corrector search needs a group basis")
-            prod[(i, j)] = next(iter(v))
-    inverse = {}
-    (unit_idx,) = carrier.unit.keys()
-    for i in range(n):
-        inverse[i] = next(j for j in range(n) if prod[(i, j)] == unit_idx)
-    lam = [table[i][inverse[i]] for i in range(n)]
+    C, diag = carrier.C, range(n)
+    if carrier.dC != 1 or np.count_nonzero(C) != n or not (C[diag, diag, diag] == 1).all():
+        raise KleintwistError("corrector search needs a group-like basis")
+    M = carrier.M
+    if carrier.dM != 1 or not np.isin(M, (0, 1)).all() or not (M.sum(axis=2) == 1).all():
+        raise KleintwistError("corrector search needs a group basis")
+    prod = M.argmax(axis=2)
+    (unit_idx,) = np.flatnonzero(carrier.U)
+    _, inverse = np.nonzero(prod == unit_idx)
+    tab = np.array(table, dtype=object)
+    lam = tab[diag, inverse]
     # L must trivialize the antisymmetrization, else no star can work
-    ok = all(lam[prod[(i, j)]] * lam[i] * lam[j] == table[i][j] * table[j][i]
-             for i in range(n) for j in range(n))
-    if not ok:
+    if not (lam[prod] * lam[:, None] * lam[None, :] == tab * tab.T).all():
         raise KleintwistError("sigma(g, g^-1) does not correct this cocycle's star")
-    return tuple(lam)
+    return tuple(lam.tolist())
 
 
 def trivial_cocycle(H: FDHopf) -> Cocycle2:
     """sigma = counit x counit; twisting by it changes nothing."""
-    e = H.counit
-    table = [[_n(Fraction(e[i]) * e[j]) for j in range(H.dim)] for i in range(H.dim)]
-    return Cocycle2.build(H, table, table, e)
+    ee = (_safe_einsum("i,j->ij", H.E, H.E), H.dE * H.dE)
+    return Cocycle2._from_tensors(H, ee, ee, (H.E, H.dE))
 
 
 def klein_bicharacter() -> Cocycle2:
@@ -138,11 +145,6 @@ def klein_bicharacter() -> Cocycle2:
     ]
     corrector = _grouplike_corrector(carrier, table)
     return Cocycle2.build(carrier, table, table, corrector)
-
-
-def _fractions(arr: np.ndarray, scale: int) -> list:
-    """arr / scale as nested lists of Fractions, arr an exact integer array."""
-    return (arr.astype(object) * Fraction(1, scale)).tolist()
 
 
 def verify_cocycle(sigma: Cocycle2) -> bool:
@@ -184,14 +186,11 @@ def pullback(sigma: Cocycle2, pi: HopfMap) -> Cocycle2:
     if not pi.verify():
         raise KleintwistError(f"pullback needs a Hopf map, failed at: {pi.failure}")
     P, d = pi.P, pi.d
-
-    def pulled(A, dA):
-        return _fractions(_safe_einsum("ia,jb,ab->ij", P, P, A), d * d * dA)
-
-    L, dL = sigma.cleared_star_corrector
-    corrector = _fractions(_safe_einsum("ia,a->i", P, L), d * dL)
-    out = Cocycle2.build(pi.source, pulled(*sigma.cleared_table),
-                         pulled(*sigma.cleared_inverse_table), corrector)
+    (Sg, dSg), (Sv, dSv), (L, dL) = sigma._pairs
+    out = Cocycle2._from_tensors(pi.source,
+                                 (_safe_einsum("ia,jb,ab->ij", P, P, Sg), d * d * dSg),
+                                 (_safe_einsum("ia,jb,ab->ij", P, P, Sv), d * d * dSv),
+                                 (_safe_einsum("ia,a->i", P, L), d * dL))
     if not verify_cocycle(out):
         raise KleintwistError("pulled-back table fails the cocycle identities")
     return out
@@ -203,7 +202,7 @@ def rebind(sigma: Cocycle2, H: FDHopf) -> Cocycle2:
     re-verified because the cocycle identity involves the product."""
     if H.dim != sigma.carrier.dim:
         raise ValueError("dimension mismatch")
-    out = Cocycle2.build(H, sigma.table, sigma.inverse_table, sigma.star_corrector)
+    out = Cocycle2._from_tensors(H, *sigma._pairs)
     if not verify_cocycle(out):
         raise KleintwistError("table is not a cocycle over the new product")
     return out

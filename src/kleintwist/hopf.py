@@ -590,8 +590,8 @@ def characters(H: FDHopf) -> list:
     commutative quotient into local blocks through generalized
     eigenspaces of multiplication operators.  Each block yields one
     character; a minimal polynomial without enough rational roots
-    raises NonSplitQuotient.  Every step runs on the integer tensors of
-    scaled_integer_tensors(H).
+    raises NonSplitQuotient.  Every step runs on the algebra's stored
+    integer tensors.
     """
     n = H.dim
     if n > 64:

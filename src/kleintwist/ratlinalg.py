@@ -189,13 +189,21 @@ def _cleared(values, scale: int = 1) -> tuple[np.ndarray, int]:
     shape, d > 0 and no common factor of A and d: the canonical cleared
     form.  values is an integer array, or an object array or nested lists
     of any shape holding ints and Fractions, whose denominators are
-    cleared here entry by nonzero entry."""
+    cleared here entry by nonzero entry.  Anything inexact, a float array
+    or a nonzero entry without a denominator, raises TypeError rather
+    than be truncated."""
     A = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
     d = scale
+    if A.dtype.kind not in "iuO":
+        raise TypeError(f"cannot clear an array of dtype {A.dtype}: not exact")
     if A.dtype == object:
         nz = np.flatnonzero(A)
         entries = A.reshape(-1)[nz].tolist()
-        den = lcm(1, *{x.denominator for x in entries})
+        try:
+            den = lcm(1, *{x.denominator for x in entries})
+        except AttributeError:
+            bad = next(x for x in entries if not hasattr(x, "denominator"))
+            raise TypeError(f"cannot clear {bad!r}: not an int or Fraction") from None
         A = np.zeros(A.shape, dtype=object)
         A.reshape(-1)[nz] = [x.numerator * (den // x.denominator) for x in entries]
         d *= den

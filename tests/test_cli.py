@@ -11,11 +11,11 @@ from types import SimpleNamespace
 import pytest
 
 import kleintwist
-from kleintwist import checks
+from kleintwist import checks, present
 from kleintwist.checks import (CheckResult, RunConfig, all_check_ids, run,
                                run_one)
 from kleintwist.cli import main, render_json, render_markdown
-from kleintwist.cocycle import trivial_cocycle
+from kleintwist.cocycle import Cocycle2, klein_bicharacter, trivial_cocycle
 from kleintwist.errors import NonSplitQuotient, UnknownCheck
 from kleintwist.hopf import function_algebra, group_algebra
 from kleintwist.perm import klein_group, symmetric_group
@@ -178,6 +178,23 @@ class TestCheckOutcomes:
         assert result.status == "pass"
         assert result.metrics["carrier_dim"] == 6
         assert result.metrics["minus_entries"] == 0
+
+    @pytest.mark.parametrize("check,status,details", [
+        ("cocycle-valid", "fail", "bicharacter fails the cocycle identities"),
+        ("sign-table", "error", "PatternMismatch: "),
+        ("det-to-perm", "error", "SignMismatch: "),
+    ])
+    def test_flipped_bicharacter_entry_is_caught(self, monkeypatch, check, status, details):
+        # det-to-perm reads the bicharacter through present's default argument
+        sigma = klein_bicharacter()
+        rows = [list(r) for r in sigma.table]
+        rows[1][2] *= -1
+        flipped = Cocycle2.build(sigma.carrier, rows, rows, sigma.star_corrector)
+        monkeypatch.setattr(checks, "klein_bicharacter", lambda: flipped)
+        monkeypatch.setattr(present, "klein_bicharacter", lambda: flipped)
+        result = run_one(check, RunConfig())
+        assert result.status == status
+        assert result.details.startswith(details)
 
     def test_diagonal_twist_wrong_outcome_fails(self, monkeypatch):
         # C(S3) stands in for the twist: commutative, but 6 characters of type S3

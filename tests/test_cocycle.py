@@ -7,11 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kleintwist.cocycle import (Cocycle2, build_s4tau, double_twist,
-                                klein_bicharacter, pullback, rebind,
-                                trivial_cocycle, twist, verify_cocycle)
+from kleintwist.cocycle import (Cocycle2, _grouplike_corrector, build_s4tau,
+                                double_twist, klein_bicharacter, pullback,
+                                rebind, trivial_cocycle, twist, verify_cocycle)
 from kleintwist.errors import KleintwistError, TwistNotHopf
-from kleintwist.hopf import (HopfMap, all_axioms_pass, character_group,
+from kleintwist.hopf import (FDHopf, HopfMap, all_axioms_pass, character_group,
                              characters, function_algebra, fourier_iso,
                              group_algebra, restriction_surjection,
                              verify_hopf_axioms)
@@ -58,6 +58,33 @@ class TestBicharacter:
         H = function_algebra(symmetric_group(3))
         assert verify_cocycle(trivial_cocycle(H))
 
+    @pytest.mark.parametrize("build,counit", [
+        (function_algebra, (1, 0, 0, 0, 0, 0)), (group_algebra, (1,) * 6)])
+    def test_trivial_cocycle_views(self, build, counit):
+        sigma = trivial_cocycle(build(symmetric_group(3)))
+        table = tuple(tuple(a * b for b in counit) for a in counit)
+        assert sigma.table == sigma.inverse_table == table
+        assert sigma.star_corrector == counit
+        assert {type(v) for row in sigma.table for v in row} == {int}
+        assert {type(v) for v in sigma.star_corrector} == {int}
+
+
+def _halved_product(H):
+    return FDHopf._from_tensors(H.basis_labels, *[(A, 2 * d if k == 1 else d)
+                                                  for k, (A, d) in enumerate(H._pairs)])
+
+
+@pytest.mark.parametrize("carrier,table,message", [
+    (lambda: function_algebra(symmetric_group(3)), [[1] * 6] * 6, "group-like basis"),
+    (lambda: _halved_product(group_algebra(klein_group())), [[1] * 4] * 4,
+     "group basis"),
+    (lambda: group_algebra(klein_group()),
+     [[1, 1, 1, 1], [1, 1, -1, 1], [1, 1, 1, 1], [1, 1, 1, 1]], "does not correct"),
+])
+def test_grouplike_corrector_refusals(carrier, table, message):
+    with pytest.raises(KleintwistError, match=message):
+        _grouplike_corrector(carrier(), table)
+
 
 class TestClearedTables:
     def test_cleared_once_and_read_only(self):
@@ -78,6 +105,34 @@ class TestClearedTables:
         sigma.cleared_table
         assert Cocycle2.build(sigma.carrier, sigma.table, sigma.inverse_table,
                               sigma.star_corrector) == sigma
+
+    def test_equality_and_hash(self):
+        sigma = _s4tau_once().cocycle
+        again = Cocycle2.build(sigma.carrier, sigma.table, sigma.inverse_table,
+                               sigma.star_corrector)
+        assert again == sigma and hash(again) == hash(sigma)
+        rows = [list(r) for r in sigma.table]
+        rows[1][1] = -rows[1][1]
+        assert Cocycle2.build(sigma.carrier, rows, sigma.inverse_table,
+                              sigma.star_corrector) != sigma
+        twin = FDHopf._from_tensors(sigma.carrier.basis_labels, *sigma.carrier._pairs)
+        assert twin.structure_equal(sigma.carrier)
+        assert Cocycle2.build(twin, sigma.table, sigma.inverse_table,
+                              sigma.star_corrector) != sigma
+        hash(_s4tau_once())         # a TwistedS4 holding the cocycle stays hashable
+
+    def test_build_copies_an_array_it_is_given(self):
+        sigma = klein_bicharacter()
+        A = np.array(sigma.table)
+        again = Cocycle2.build(sigma.carrier, A, A, sigma.star_corrector)
+        assert again == sigma and again.cleared_table[0] is not A
+        assert A.flags.writeable
+
+    def test_rebind_shares_the_arrays(self):
+        t = _s4tau_once()
+        sig = rebind(t.cocycle, t.algebra)
+        for name in ("cleared_table", "cleared_inverse_table", "cleared_star_corrector"):
+            assert getattr(sig, name)[0] is getattr(t.cocycle, name)[0]
 
 
 class TestPullback:
@@ -202,6 +257,30 @@ TWIST_DUMP_SHA256 = {
     ("(14)", "(23)"): _V14_B, ("(23)", "(14)(23)"): _V14_B, ("(14)(23)", "(14)"): _V14_B,
 }
 
+# sha256 of repr((table, inverse_table, star_corrector)) of the pulled-back
+# cocycle build_s4tau(V, (g1, g2)).cocycle, as the Fraction-valued tables
+# read before the cocycle was stored only as cleared integer arrays.
+_SIG_N_A = "77d66e49715fd08077194926adde77ac9ff5b60c59674d1abb2dc22ff164e296"
+_SIG_N_B = "1e91eea75bf283682e18a899b2561d51c22a7ff56c1389a8318c22c0b90632bc"
+_SIG_12_A = "4a6f9dfddb1f661d31d0b68293bef4adf8befe37612a0cda9fa58231d0679899"
+_SIG_12_B = "86818db39d2dc58b2b1d2f022eca00616a2175e72c7d35b6ebfcddb65de42c6c"
+_SIG_13_A = "303ab1aa4224536f763a6203cda744c22d14495801f8b930f1391cff2a910ee6"
+_SIG_13_B = "817ae904054c12b06e1c9e39c325513c17741ace18e5d9c01b68ba25f01de620"
+_SIG_14_A = "ba8a0b98048d0174a420ee4ae6804ba9dd61d42b12566bd93b309b6db0a6c958"
+_SIG_14_B = "c8cc524e75b1944e8270bf617a76a44d3e4a191ad76c0f31bdf37a7961603fab"
+COCYCLE_SHA256 = {
+    ("(12)(34)", "(13)(24)"): _SIG_N_A, ("(13)(24)", "(14)(23)"): _SIG_N_A,
+    ("(14)(23)", "(12)(34)"): _SIG_N_A,
+    ("(12)(34)", "(14)(23)"): _SIG_N_B, ("(13)(24)", "(12)(34)"): _SIG_N_B,
+    ("(14)(23)", "(13)(24)"): _SIG_N_B,
+    ("(34)", "(12)"): _SIG_12_A, ("(12)", "(12)(34)"): _SIG_12_A, ("(12)(34)", "(34)"): _SIG_12_A,
+    ("(12)", "(34)"): _SIG_12_B, ("(34)", "(12)(34)"): _SIG_12_B, ("(12)(34)", "(12)"): _SIG_12_B,
+    ("(24)", "(13)"): _SIG_13_A, ("(13)", "(13)(24)"): _SIG_13_A, ("(13)(24)", "(24)"): _SIG_13_A,
+    ("(13)", "(24)"): _SIG_13_B, ("(24)", "(13)(24)"): _SIG_13_B, ("(13)(24)", "(13)"): _SIG_13_B,
+    ("(23)", "(14)"): _SIG_14_A, ("(14)", "(14)(23)"): _SIG_14_A, ("(14)(23)", "(23)"): _SIG_14_A,
+    ("(14)", "(23)"): _SIG_14_B, ("(23)", "(14)(23)"): _SIG_14_B, ("(14)(23)", "(14)"): _SIG_14_B,
+}
+
 
 def _klein_pairs():
     """(V, (g1, g2)) for the four Klein subgroups of S4, normal first, and
@@ -221,9 +300,12 @@ def test_every_klein_twist_is_pinned_and_undone(V, gens):
     t = build_s4tau(V, gens)
     key = tuple(g.cycle_string() for g in gens)
     assert hashlib.sha256(t.algebra.dump().encode()).hexdigest() == TWIST_DUMP_SHA256[key]
+    sigma = t.cocycle
+    views = repr((sigma.table, sigma.inverse_table, sigma.star_corrector))
+    assert hashlib.sha256(views.encode()).hexdigest() == COCYCLE_SHA256[key]
     assert double_twist(t).structure_equal(t.base)
 
 
 def test_pinned_twists_cover_all_pairs():
     assert {tuple(g.cycle_string() for g in gens)
-            for _, gens in _klein_pairs()} == set(TWIST_DUMP_SHA256)
+            for _, gens in _klein_pairs()} == set(TWIST_DUMP_SHA256) == set(COCYCLE_SHA256)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kleintwist.cocycle import build_s4tau
+from kleintwist.cocycle import Cocycle2, build_s4tau
 from kleintwist.errors import KleintwistError, NonSplitQuotient, NotASubgroup
 from kleintwist.hopf import (FDHopf, HopfMap, all_axioms_pass, character_group,
                              character_to_permutation, characters, convolution,
@@ -182,6 +182,19 @@ class TestStoredForm:
         H = group_algebra(klein_group())
         with pytest.raises(ValueError, match="out of range"):
             FDHopf(**{**_dict_form(H), part: bad})
+
+    @pytest.mark.parametrize("build", [
+        lambda K: FDHopf(**{**_dict_form(K), "unit": {0: 0.5}}),
+        lambda K: FDHopf(**{**_dict_form(K), "counit": np.ones(4)}),
+        lambda K: HopfMap(K, K, [{i: 0.5} for i in range(4)]),
+        lambda K: HopfMap(K, K, [dict(enumerate(row)) for row in np.eye(4)]),
+        lambda K: Cocycle2.build(K, [[0.5] * 4] * 4, [[1] * 4] * 4, [1] * 4),
+        lambda K: Cocycle2.build(K, np.ones((4, 4)), np.ones((4, 4)), np.ones(4)),
+    ], ids=["FDHopf-0.5", "FDHopf-float64", "HopfMap-0.5", "HopfMap-float64",
+            "Cocycle2-0.5", "Cocycle2-float64"])
+    def test_inexact_entries_are_refused(self, build):
+        with pytest.raises(TypeError, match="cannot clear"):
+            build(group_algebra(klein_group()))
 
     def test_witness_is_the_first_pair_in_row_major_order(self):
         H = _s4tau()

@@ -158,3 +158,18 @@ def test_cleared_any_shape_is_canonical(values, shape, scale):
         assert d > 0 and gcd(int(np.gcd.reduce(A, axis=None)), d) == 1
         assert [Fraction(int(a), d) for a in A.reshape(-1).tolist()] == \
             [Fraction(q) / scale for q in values]
+
+
+@pytest.mark.parametrize("values,named", [
+    (np.array([0.5, 1.0]), "dtype float64"),
+    (np.array([[1.0]], dtype=np.float32), "dtype float32"),
+    (np.array([True, False]), "dtype bool"),
+    ([0.5, 1], "0.5"),
+    ([[1, Fraction(1, 2)], [np.float64(2.0), 0]], "np.float64(2.0)"),
+])
+def test_cleared_refuses_inexact_input(values, named):
+    """Truncating a float would change the value, so it is refused, and
+    the message names the dtype or the entry."""
+    with pytest.raises(TypeError) as refused:
+        _cleared(values)
+    assert named in str(refused.value)
