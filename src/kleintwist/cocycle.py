@@ -112,12 +112,19 @@ def _grouplike_corrector(carrier: FDHopf, table) -> tuple:
     C, diag = carrier.C, range(n)
     if carrier.dC != 1 or np.count_nonzero(C) != n or not (C[diag, diag, diag] == 1).all():
         raise KleintwistError("corrector search needs a group-like basis")
-    M = carrier.M
+    M, U = carrier.M, carrier.U
     if carrier.dM != 1 or not np.isin(M, (0, 1)).all() or not (M.sum(axis=2) == 1).all():
         raise KleintwistError("corrector search needs a group basis")
     prod = M.argmax(axis=2)
-    (unit_idx,) = np.flatnonzero(carrier.U)
-    _, inverse = np.nonzero(prod == unit_idx)
+    # the basis must be a group under prod: a one-term unit e that is an
+    # identity, associativity, and exactly one right inverse per element
+    units, idx = np.flatnonzero(U), np.arange(n)
+    e = units[0] if len(units) == 1 and U[units[0]] == carrier.dU else None
+    if (e is None or not (prod[e] == idx).all() or not (prod[:, e] == idx).all()
+            or not (prod[prod] == prod[idx[:, None, None], prod]).all()
+            or not ((prod == e).sum(axis=1) == 1).all()):
+        raise KleintwistError("corrector search needs a group basis")
+    inverse = (prod == e).argmax(axis=1)
     tab = np.array(table, dtype=object)
     lam = tab[diag, inverse]
     # L must trivialize the antisymmetrization, else no star can work
@@ -222,11 +229,13 @@ def twist(H: FDHopf, sigma: Cocycle2, verify: bool = True,
     Sv, dSv = sigma.cleared_inverse_table
 
     # x *_sigma y: Delta2(x) = a b c and Delta2(y) = p q r, dressed by
-    # sigma(a, p) sigma^-1(c, r) around the product b q; one row x at a time.
+    # sigma(a, p) sigma^-1(c, r) around the product b q.  Three whole-tensor
+    # contractions: x's legs with the cocycles, then y's legs, then M; the
+    # largest array is the n^4 ijbq intermediate.
     left = _safe_einsum("ixc,xab,ap,cr->ibpr", C, C, Sg, Sv)
-    mult = np.stack([_safe_einsum("bjq,bqs->js",
-                                  _safe_einsum("bpr,jyr,ypq->bjq", row, C, C), M)
-                     for row in left])
+    B = _safe_einsum("ibpr,jyr,ypq->ijbq", left, C, C)
+    mult = _safe_einsum("ijbq,bqs->ijs", B, M)
+    del left, B     # freed before verify_hopf_axioms, whose own n^4 arrays set the peak
     mscale = H.dC ** 4 * dSg * dSv * H.dM
 
     # S_sigma(x) = f(x1) S(x2) g(x3), f(x) = sigma(x1, S x2), g(x) = sigma^-1(S x1, x2).

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from kleintwist.perm import (Permutation, easy_klein, generate,
                              isomorphism_type, klein_group, symmetric_group)
 
 S4 = symmetric_group(4)
+Z5 = generate(5, [Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])])
 
 
 def _s4tau_once():
@@ -74,12 +76,47 @@ def _halved_product(H):
                                                   for k, (A, d) in enumerate(H._pairs)])
 
 
+def _replaced(H, k, A):
+    """H with its k-th tensor (order U, M, C, E, S, T) replaced by A, scale 1."""
+    return FDHopf._from_tensors(H.basis_labels, *[(A, 1) if m == k else pair
+                                                  for m, pair in enumerate(H._pairs)])
+
+
+def _every_product_e0(H):
+    M = np.zeros_like(H.M)
+    M[:, :, 0] = 1
+    return _replaced(H, 1, M)
+
+
+def _two_term_unit(H):
+    U = np.zeros_like(H.U)
+    U[:2] = 1
+    return _replaced(H, 0, U)
+
+
+# a loop of order 5 with identity 0: a Latin square whose elements are all
+# self-inverse, so not the cyclic group of order 5, so not associative
+_LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def _loop_product(H):
+    M = np.zeros_like(H.M)
+    for i, row in enumerate(_LOOP5):
+        M[i, range(5), row] = 1
+    return _replaced(H, 1, M)
+
+
 @pytest.mark.parametrize("carrier,table,message", [
     (lambda: function_algebra(symmetric_group(3)), [[1] * 6] * 6, "group-like basis"),
     (lambda: _halved_product(group_algebra(klein_group())), [[1] * 4] * 4,
      "group basis"),
     (lambda: group_algebra(klein_group()),
      [[1, 1, 1, 1], [1, 1, -1, 1], [1, 1, 1, 1], [1, 1, 1, 1]], "does not correct"),
+    (lambda: _every_product_e0(group_algebra(klein_group())), [[1] * 4] * 4,
+     "group basis"),
+    (lambda: _two_term_unit(group_algebra(klein_group())), [[1] * 4] * 4,
+     "group basis"),
+    (lambda: _loop_product(group_algebra(Z5)), [[1] * 5] * 5, "group basis"),
 ])
 def test_grouplike_corrector_refusals(carrier, table, message):
     with pytest.raises(KleintwistError, match=message):
@@ -210,6 +247,88 @@ class TestTwist:
         sig = rebind(t.cocycle, t.algebra)
         assert sig.table == t.cocycle.table
         assert sig.carrier is t.algebra
+
+
+def _double_coproduct(H, i):
+    """(a, b, c, coefficient) over the terms of (delta x id) delta(e_i)."""
+    return [(a, b, c, u * v) for x, c, u in H.comult[i] for a, b, v in H.comult[x]]
+
+
+def _term_by_term_twist(H, sigma):
+    """The twisted product and antipode of H summed term by term from the
+    dict views, skipping every term where sigma or sigma^-1 vanishes:
+
+        x *_sigma y = sum sigma(x1, y1) sigma^-1(x3, y3) x2 y2,
+        S_sigma(x)  = f(x1) S(x2) g(x3),
+
+    f(x) = sigma(x1, S x2) and g(x) = sigma^-1(S x1, x2)."""
+    n, sg, sv = H.dim, sigma.table, sigma.inverse_table
+    delta2 = [_double_coproduct(H, i) for i in range(n)]
+    # the x and y legs that meet a nonzero row, resp. column, of both tables
+    rows = [[(a, b, c, u) for a, b, c, u in terms if any(sg[a]) and any(sv[c])]
+            for terms in delta2]
+    cols = [[(p, q, r, v) for p, q, r, v in terms
+             if any(row[p] for row in sg) and any(row[r] for row in sv)]
+            for terms in delta2]
+    mult = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        acc = {}
+        for a, b, c, u in rows[i]:
+            for p, q, r, v in cols[j]:
+                if not sg[a][p] or not sv[c][r]:
+                    continue
+                for k, w in H.mult.get((b, q), {}).items():
+                    acc[k] = acc.get(k, 0) + sg[a][p] * sv[c][r] * u * v * w
+        acc = {k: w for k, w in acc.items() if w}
+        if acc:
+            mult[i, j] = acc
+    f = [sum(c * w * sg[a][k] for a, b, c in H.comult[i]
+             for k, w in H.antipode[b].items() if sg[a][k]) for i in range(n)]
+    g = [sum(c * w * sv[k][b] for a, b, c in H.comult[i]
+             for k, w in H.antipode[a].items() if sv[k][b]) for i in range(n)]
+    antipode = {}
+    for i in range(n):
+        acc = {}
+        for a, b, c, u in delta2[i]:
+            if f[a] and g[c]:
+                for k, w in H.antipode[b].items():
+                    acc[k] = acc.get(k, 0) + f[a] * g[c] * u * w
+        antipode[i] = {k: w for k, w in acc.items() if w}
+    return mult, antipode
+
+
+def test_twist_matches_term_by_term_oracle():
+    a, b = Permutation.from_cycles(4, [(1, 2)]), Permutation.from_cycles(4, [(3, 4)])
+    t = build_s4tau(generate(4, [a, b]), (a, b), verify=False)     # not normal in S4
+    assert not t.base.structure_equal(t.algebra)
+    twisted = twist(t.base, t.cocycle, verify=False)
+    mult, antipode = _term_by_term_twist(t.base, t.cocycle)
+    assert twisted.mult == mult
+    assert twisted.antipode == antipode
+
+
+def test_twist_peak_memory_stays_under_the_axiom_check():
+    """The product's intermediates stay below the axiom check's n^4 arrays
+    and are freed before that check runs inside twist(verify=True)."""
+    sigma = _s4tau_once().cocycle
+    H = sigma.carrier
+    twist(H, sigma, verify=False)                       # warm every lazy cache
+    tracemalloc.start()
+    try:
+        out = twist(H, sigma, verify=False)
+        twist_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        verify_hopf_axioms(out)
+        verify_peak = tracemalloc.get_traced_memory()[1]
+        del out
+        tracemalloc.reset_peak()
+        twist(H, sigma)
+        verified_twist_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert twist_peak <= verify_peak
+    # one n^4 int64 array (24^4 * 8 bytes = 2.65 MB) kept alive would show
+    assert verified_twist_peak <= verify_peak + 2 ** 20
 
 
 class TestLabelingIndependence:

@@ -66,7 +66,8 @@ def operands(draw, subscripts):
 
 def test_every_package_subscript_is_covered():
     assert len(SUBSCRIPTS) > 30
-    assert {"i,i->", "ixc,xab,ap,cr->ibpr", "jde,kgh,dg,ieh->ijk"} <= set(SUBSCRIPTS)
+    assert {"i,i->", "ixc,xab,ap,cr->ibpr", "ibpr,jyr,ypq->ijbq",
+            "jde,kgh,dg,ieh->ijk"} <= set(SUBSCRIPTS)
 
 
 @pytest.mark.parametrize("subscripts", SUBSCRIPTS)
