@@ -344,8 +344,7 @@ def check_normalizer_24(cfg: RunConfig) -> CheckResult:
     G = symmetric_group(4)
     expect = {rho(x).rows if x.sign() == 1 else (-rho(x)).rows for x in G}
     got = {m.rows for m in norm}
-    ok = len(norm) == 24 and got == expect
-    res = _ok if ok else _bad
+    res = _ok if got == expect else _bad
     return res("normalizer-24", {"normalizer_order": len(norm)}, {},
                "24 rotations permuting the diagonal reflections among themselves")
 

@@ -3,6 +3,13 @@ enumeration, conjugacy, and isomorphism-type recognition for the small
 orders this package cares about.
 
 Composition is right-to-left: (a * b)(i) == a(b(i)).
+
+Groups are computed two ways. _closure lists every element (Dimino's
+algorithm) and is the only enumerator; _schreier_sims finds a base and
+its transversals, whose orbit lengths multiply to the group order without
+listing a single element. A group made by generate() uses the second for
+`order` and the first for everything that reads its elements, and when a
+group has used both, the two counts must agree.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -177,28 +184,35 @@ class Permutation:
 class PermGroup:
     """A finite group of permutations of one common degree.
 
-    The stored form is `images`, the frozenset of the elements' image
-    tuples; order, membership, equality and hashing read it, and the hash
-    equals the hash of (degree, frozenset of the Permutations). `elements`,
-    the frozenset of Permutation objects, is built from `images` on first
+    `images` is the frozenset of the elements' image tuples; membership,
+    equality, hashing and subgroup tests read it, and the hash equals the
+    hash of (degree, frozenset of the Permutations). `elements`, the
+    frozenset of Permutation objects, is built from `images` on first
     access and kept, so every element passes Permutation's own check
     there; a group made by the public constructor keeps the Permutations
     it was given.
 
-    The public constructor and _from_images, which generate,
-    all_subgroups and symmetric_group use, store through one step
-    (_store) that first checks that the set is non-empty, of one degree,
-    holds the identity and is inverse-closed. It does not check product
-    closure, which costs |G|^2 products: as_subgroup and is_closed do,
-    and the closure behind generate() is closed by construction.
+    The public constructor, and _from_images, which all_subgroups and
+    symmetric_group use, store `images` at once. A group made by generate()
+    stores only its degree and generators. Its `order` runs Schreier-Sims
+    once and keeps the product of the orbit lengths; its `images` are
+    built on first read by _closure, and if the order is known by then the
+    two counts must agree, or ValueError is raised.
+
+    Every image set is stored through one step (_store) that first checks
+    that the set is non-empty, of one degree, holds the identity and is
+    inverse-closed. It does not check product closure, which costs |G|^2
+    products: as_subgroup and is_closed do, and _closure is closed by
+    construction.
     """
 
-    __slots__ = ("degree", "images", "generators", "_elements")
+    __slots__ = ("degree", "generators", "_images", "_order", "_elements")
 
     def __init__(self, degree: int, elements: Iterable[Permutation],
                  generators: Iterable[Permutation] = ()):
         elems = frozenset(elements)
         self._store(degree, frozenset(p.images for p in elems), generators)
+        self._order = None
         self._elements = elems
 
     @classmethod
@@ -208,7 +222,17 @@ class PermGroup:
         Permutation objects are built only if `elements` is read."""
         G = cls.__new__(cls)
         G._store(degree, frozenset(images), generators)
-        G._elements = None
+        G._order = G._elements = None
+        return G
+
+    @classmethod
+    def _generated(cls, degree: int, generators: tuple[Permutation, ...]) -> "PermGroup":
+        """The group generated by permutations of the given degree; nothing
+        about it is computed until it is read."""
+        G = cls.__new__(cls)
+        G.degree = degree
+        G.generators = generators
+        G._images = G._order = G._elements = None
         return G
 
     def _store(self, degree: int, images: frozenset[Images],
@@ -223,8 +247,18 @@ class PermGroup:
             t = next(t for t in images if _inverse_images(t) not in images)
             raise ValueError(f"inverse of {Permutation(t)} missing")
         self.degree = degree
-        self.images = images
+        self._images = images
         self.generators = tuple(generators)
+
+    @property
+    def images(self) -> frozenset[Images]:
+        if self._images is None:
+            images = _closure(self.degree, [g.images for g in self.generators])
+            if self._order is not None and len(images) != self._order:
+                raise ValueError(f"closure lists {len(images)} elements, "
+                                 f"Schreier-Sims counts {self._order}")
+            self._store(self.degree, images, self.generators)
+        return self._images
 
     @property
     def elements(self) -> frozenset[Permutation]:
@@ -234,7 +268,12 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        return len(self.images)
+        if self._images is not None:
+            return len(self._images)
+        if self._order is None:
+            _, transversals = _schreier_sims(self.degree, [g.images for g in self.generators])
+            self._order = prod(map(len, transversals))
+        return self._order
 
     def sorted_elements(self) -> list[Permutation]:
         # one degree throughout, so image order is Permutation order
@@ -319,13 +358,94 @@ def _closure(degree: int, seed: Iterable[Images]) -> frozenset[Images]:
     return frozenset(seen)
 
 
+def _schreier_sims(degree: int, seed: Iterable[Images]) -> tuple[list[int], list[dict]]:
+    """A base and its transversals for the group generated by the seed,
+    by the deterministic Schreier-Sims algorithm (Sims, 1970; Holt, Eick
+    and O'Brien, Handbook of Computational Group Theory, 2005, 4.4.2).
+
+    Points and image tuples are 0-based here. Level i has a base point
+    b_i, the strong generators that fix b_0..b_{i-1}, and a transversal
+    mapping each point c of the orbit of b_i under them to a pair (u, u^-1)
+    with u(b_i) == c. To sift g from level i is to divide it by the u of
+    g(b_i) at each level until a point falls outside an orbit; a residue of
+    the identity proves g lies in the group. A seed element that sifts to
+    the identity is dropped. Otherwise its residue joins the strong
+    generators of every level it fixes, and the levels are completed from
+    that one back to level 0: every Schreier generator u_{x(c)}^-1 x u_c
+    of a level must sift to the identity through the levels after it, and
+    one that does not adds its residue the same way and restarts at the
+    level where it stuck. Then the stabilizer of b_i in the group of level
+    i is generated by the strong generators of level i + 1, so the group
+    order is the product of the orbit lengths. Returns the base and, per
+    level, {c: u}.
+    """
+    # only a group that moves a point has a base point, and then degree >= 2:
+    # every getter below takes at least two indices and returns a tuple
+    ident = tuple(range(degree))
+    base, strong, trans = [], [], []
+
+    def sift(g, level):
+        for i in range(level, len(base)):
+            pair = trans[i].get(g[base[i]])
+            if pair is None:
+                return g, i
+            g = itemgetter(*g)(pair[1])
+        return g, len(base)
+
+    def add(r, first, last):
+        if last == len(base):
+            base.append(next(p for p in ident if r[p] != p))
+            strong.append([])
+            trans.append({base[-1]: (ident, ident)})
+        for i in range(first, last + 1):
+            strong[i].append(r)
+            orbit = trans[i]
+            points = list(orbit)
+            for c in points:
+                u = orbit[c][0]
+                for x in strong[i]:
+                    d = x[c]
+                    if d not in orbit:
+                        v = itemgetter(*u)(x)
+                        orbit[d] = (v, tuple(sorted(ident, key=v.__getitem__)))
+                        points.append(d)
+
+    def unsifted_schreier_generator(i):
+        orbit = trans[i]
+        for c, (u, _) in orbit.items():
+            for x in strong[i]:
+                h = itemgetter(*itemgetter(*u)(x))(orbit[x[c]][1])
+                if h != ident:
+                    r, j = sift(h, i + 1)
+                    if r != ident:
+                        return r, j
+        return None
+
+    for g in seed:
+        r, j = sift(tuple(p - 1 for p in g), 0)
+        if r == ident:
+            continue
+        add(r, 0, j)
+        i = j
+        while i >= 0:
+            found = unsifted_schreier_generator(i)
+            if found is None:
+                i -= 1
+            else:
+                add(found[0], i + 1, found[1])
+                i = found[1]
+    return base, [{c: u for c, (u, _) in orbit.items()} for orbit in trans]
+
+
 def generate(degree: int, generators: Iterable[Permutation]) -> PermGroup:
-    """Smallest group containing the given permutations."""
+    """Smallest group containing the given permutations. Only the degree
+    and the generators are stored; see PermGroup for what is computed when
+    `order` or the elements are read."""
     gens = tuple(generators)
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator {g} has degree {g.degree}, not {degree}")
-    return PermGroup._from_images(degree, _closure(degree, [g.images for g in gens]), gens)
+    return PermGroup._generated(degree, gens)
 
 
 def symmetric_group(n: int) -> PermGroup:

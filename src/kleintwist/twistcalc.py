@@ -443,7 +443,10 @@ def verify_twisted_presentation(kind: str, gens: tuple = None) -> list:
     """Check every defining relation of the named presentation against a
     generator matrix of model elements (default: the canonical one),
     zero-testing each relation exactly.  Raises RelationFailure naming
-    the first violated relation; returns the list of relation ids."""
+    the first violated relation; returns the list of relation ids.
+
+    Every relation is read from one table of the n^4 products of two
+    generator entries, so each product is computed once."""
     if kind not in _SIZES:
         raise ValueError(f"unknown presentation kind {kind!r}")
     n = _SIZES[kind]
@@ -452,6 +455,10 @@ def verify_twisted_presentation(kind: str, gens: tuple = None) -> list:
     alg = gens[0][0].algebra
     one = TwistedElement.one(alg)
     zero = TwistedElement.zero(alg)
+    entries = [(i, j) for i in range(n) for j in range(n)]
+    # product[(i, j), (k, l)] = gens[i][j] * gens[k][l]
+    product = {(a, b): twisted_mul(gens[a[0]][a[1]], gens[b[0]][b[1]])
+               for a in entries for b in entries}
     checked = []
 
     def demand(rel_id: str, element: TwistedElement):
@@ -465,8 +472,8 @@ def verify_twisted_presentation(kind: str, gens: tuple = None) -> list:
             acc = zero
             accc = zero
             for k in range(n):
-                acc = acc + twisted_mul(gens[i][k], gens[j][k])
-                accc = accc + twisted_mul(gens[k][i], gens[k][j])
+                acc = acc + product[(i, k), (j, k)]
+                accc = accc + product[(k, i), (k, j)]
             demand(f"orth-row-{i + 1}{j + 1}", acc - target)
             demand(f"orth-col-{i + 1}{j + 1}", accc - target)
 
@@ -475,16 +482,14 @@ def verify_twisted_presentation(kind: str, gens: tuple = None) -> list:
             for k in range(1, n + 1):
                 for l in range(1, n + 1):
                     s = commutation_sign(_SIGMA_COCYCLE, Bidegree(i, j), Bidegree(k, l))
-                    a = gens[i - 1][j - 1]
-                    b = gens[k - 1][l - 1]
-                    demand(f"comm-{i}{j}-{k}{l}",
-                           twisted_mul(a, b) - twisted_mul(b, a).scale(s))
+                    a = (i - 1, j - 1)
+                    b = (k - 1, l - 1)
+                    demand(f"comm-{i}{j}-{k}{l}", product[a, b] - product[b, a].scale(s))
 
     if kind == "so3minus":
         acc = zero
         for tau in symmetric_group(3).sorted_elements():
-            term = twisted_mul(twisted_mul(gens[0][tau(1) - 1], gens[1][tau(2) - 1]),
-                               gens[2][tau(3) - 1])
+            term = twisted_mul(product[(0, tau(1) - 1), (1, tau(2) - 1)], gens[2][tau(3) - 1])
             acc = acc + term
         demand("det", acc - one)
     return checked

@@ -5,10 +5,11 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from kleintwist import perm
 from kleintwist.errors import NotASubgroup
 from kleintwist.incseq import all_sequences, complete_diagram
 from kleintwist.perm import (GroupType, PermGroup, Permutation, _closure, _inverse_closed,
-                             _inverse_images, all_subgroups, are_conjugate, as_subgroup,
+                             _inverse_images, _schreier_sims, all_subgroups, are_conjugate, as_subgroup,
                              easy_klein, generate, is_characteristic_under_inner,
                              isomorphism_type, klein_group, normalizer,
                              subgroups_of_type, symmetric_group)
@@ -147,6 +148,20 @@ class TestClosure:
         assert {p.images for p in G.elements} == expected
         assert G.generators == tuple(gens)
 
+    @given(generator_lists())
+    def test_schreier_sims_transversals(self, case):
+        # every transversal element lies in the group, maps its base point
+        # to its key and fixes the base points before it
+        degree, gens = case
+        group = oracle_closure(degree, [g.images for g in gens])
+        base, transversals = _schreier_sims(degree, [g.images for g in gens])
+        assert len(set(base)) == len(base) == len(transversals)
+        for i, (b, orbit) in enumerate(zip(base, transversals)):
+            assert b in orbit and len(orbit) > 1
+            for c, u in orbit.items():
+                assert tuple(p + 1 for p in u) in group
+                assert u[b] == c and all(u[p] == p for p in base[:i])
+
     def test_degree_one(self):
         e = Permutation.identity(1)
         for gens in ([], [e], [e, e]):
@@ -179,7 +194,10 @@ class TestConstructionPaths:
     def test_generate_matches_public_constructor(self, case, data):
         degree, gens = case
         G = generate(degree, gens)
-        elems = [Permutation(t) for t in oracle_closure(degree, [g.images for g in gens])]
+        expected = oracle_closure(degree, [g.images for g in gens])
+        # the order comes from Schreier-Sims, before any image set exists
+        assert G.order == len(expected)
+        elems = [Permutation(t) for t in expected]
         P = PermGroup(degree, elems)
         assert G == P and P == G
         assert hash(G) == hash(P)
@@ -221,15 +239,37 @@ class TestConstructionPaths:
             built.append(1)
             init(self, images)
 
+        closures = []
+        closure = perm._closure
+
+        def counting_closure(degree, seed):
+            closures.append(1)
+            return closure(degree, seed)
+
         monkeypatch.setattr(Permutation, "__init__", counting_init)
+        monkeypatch.setattr(perm, "_closure", counting_closure)
         G = generate(8, gens)
         assert G.order == 40320
-        assert built == []
+        assert built == [] and closures == []
         elems = G.elements
-        assert len(built) == 40320
+        assert len(built) == 40320 and closures == [1]
         assert len(elems) == 40320 and all(type(p) is Permutation for p in elems)
         assert G.elements is elems
         assert len(built) == 40320
+
+    def test_order_and_closure_must_agree(self, monkeypatch):
+        # a closure that loses (123) and its inverse (132) still passes
+        # _store, so only the Schreier-Sims count can catch it
+        closure = perm._closure
+        monkeypatch.setattr(perm, "_closure", lambda degree, seed: closure(degree, seed)
+                            - {(2, 3, 1, 4), (3, 1, 2, 4)})
+        gens = [cyc((1, 2)), cyc((1, 2, 3, 4))]
+        assert len(generate(4, gens).images) == 22
+        G = generate(4, gens)
+        assert G.order == 24
+        for _ in range(2):
+            with pytest.raises(ValueError, match="closure lists 22 elements, Schreier-Sims counts 24"):
+                G.images
 
     def test_public_constructor_keeps_its_permutations(self):
         elems = frozenset(klein_group().elements)

@@ -1,5 +1,7 @@
 """Twisted coordinate model: signed matrices, star product, automorphisms."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -202,6 +204,62 @@ class TestZeroTest:
         bad = ((g[0][1], g[0][0]), (g[1][0], g[1][1]))
         with pytest.raises(RelationFailure):
             verify_twisted_presentation("o2minus", bad)
+
+    @pytest.mark.parametrize("kind", ["o2minus", "so3minus"])
+    @pytest.mark.parametrize("perturb", ["none", "swap-00-01", "negate-10", "copy-10-to-01",
+                                         "transpose"])
+    def test_matches_relation_by_relation_reference(self, kind, perturb):
+        g = [list(row) for row in _gens(kind)]
+        if perturb == "swap-00-01":
+            g[0][0], g[0][1] = g[0][1], g[0][0]
+        elif perturb == "negate-10":
+            g[1][0] = g[1][0].scale(-1)
+        elif perturb == "copy-10-to-01":
+            g[0][1] = g[1][0]
+        elif perturb == "transpose":
+            g = [list(col) for col in zip(*g)]
+        gens = tuple(map(tuple, g))
+        try:
+            expected = _relations_one_by_one(kind, gens)
+        except RelationFailure as err:
+            with pytest.raises(RelationFailure, match=f"^{err}$"):
+                verify_twisted_presentation(kind, gens)
+        else:
+            assert verify_twisted_presentation(kind, gens) == expected
+
+
+def _relations_one_by_one(kind, gens):
+    """Reference for verify_twisted_presentation: every relation built
+    from its own products, in the same order and with the same ids."""
+    n = len(gens)
+    one, zero = TwistedElement.one(kind), TwistedElement.zero(kind)
+    checked = []
+
+    def demand(rel_id, element):
+        if not is_zero(element):
+            raise RelationFailure(f"relation {rel_id} does not vanish")
+        checked.append(rel_id)
+
+    for i in range(n):
+        for j in range(n):
+            target = one if i == j else zero
+            row = col = zero
+            for k in range(n):
+                row = row + gens[i][k] * gens[j][k]
+                col = col + gens[k][i] * gens[k][j]
+            demand(f"orth-row-{i + 1}{j + 1}", row - target)
+            demand(f"orth-col-{i + 1}{j + 1}", col - target)
+    sigma = klein_bicharacter()
+    for i, j, k, l in itertools.product(range(1, n + 1), repeat=4):
+        s = commutation_sign(sigma, Bidegree(i, j), Bidegree(k, l))
+        a, b = gens[i - 1][j - 1], gens[k - 1][l - 1]
+        demand(f"comm-{i}{j}-{k}{l}", a * b - (b * a).scale(s))
+    if kind == "so3minus":
+        det = zero
+        for tau in symmetric_group(3).sorted_elements():
+            det = det + gens[0][tau(1) - 1] * gens[1][tau(2) - 1] * gens[2][tau(3) - 1]
+        demand("det", det - one)
+    return checked
 
 
 class TestCharacters:
