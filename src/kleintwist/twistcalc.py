@@ -4,33 +4,48 @@ The twisted function algebras of the 2x2 and 3x3 presentations are
 modeled on the classical coordinate rings: a TwistedElement stores, per
 Klein bidegree, an ordinary commutative polynomial in the matrix
 entries, and the twisted product multiplies componentwise with the
-bicharacter sign of the two bidegrees.  An element is zero exactly when
-its underlying polynomial vanishes on every real point of the classical
-group, which is decided exactly: O(2) through the rational circle
-parametrization of both components plus the two matrices the
-parametrization misses, SO(3) through the unit quaternion substitution
-followed by reduction modulo the sphere relation (the double cover is
-onto, and a polynomial vanishing on the real sphere has zero normal
-form because the two square roots separate the d-even and d-odd parts).
+bicharacter sign of the two bidegrees.  A monomial's bidegree is a
+function of the monomial, so a product of monomials is their exponent
+sum with one sign.
+
+An element is zero exactly when its underlying polynomial vanishes on
+every real point of the classical group, which is decided exactly: O(2)
+through the rational circle parametrization of both components plus the
+two matrices the parametrization misses, SO(3) through the unit
+quaternion substitution followed by reduction modulo the sphere relation
+(the double cover is onto, and a polynomial vanishing on the real sphere
+has zero normal form because the two square roots separate the d-even
+and d-odd parts).  Both are linear in the coefficients, so the zero test
+runs over a whole system at once: every relation of a presentation is a
+sparse integer row over its monomials, each monomial gets the row of its
+substitution in normal form (the zero map), and one exact matrix product
+shows the first relation that does not vanish.  is_zero is the one-row
+case.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import add, mul
+
+import numpy as np
 
 from .cocycle import klein_bicharacter
 from .errors import (CharacterActionMismatch, CountMismatch, NotASubgroup,
                      RelationFailure)
+from .hopf import _FLOAT64_LIMIT
 from .incseq import generated_completion_group
 from .perm import (PermGroup, Permutation, are_conjugate, as_subgroup,
                    generate, klein_group, symmetric_group)
 from .present import (KLEIN_PRODUCT, Bidegree, O2Minus, SO3Minus,
-                      commutation_sign, solve_characters)
+                      solve_characters)
+from .ratlinalg import _int_dtype
 
-_SIGMA_COCYCLE = klein_bicharacter()
-_SIGMA = _SIGMA_COCYCLE.table
+_SIGMA = klein_bicharacter().table
 _SIZES = {"o2minus": 2, "so3minus": 3}
 
 
@@ -54,11 +69,9 @@ class SignedMatrix:
         return len(self.rows)
 
     def __mul__(self, other: "SignedMatrix") -> "SignedMatrix":
-        n = self.size
-        a, b = self.rows, other.rows
-        return SignedMatrix(tuple(
-            tuple(sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n))
-            for i in range(n)))
+        cols = tuple(zip(*other.rows))
+        return SignedMatrix(tuple(tuple(sum(map(mul, r, c)) for c in cols)
+                                  for r in self.rows))
 
     def __neg__(self) -> "SignedMatrix":
         return SignedMatrix(tuple(tuple(-v for v in r) for r in self.rows))
@@ -94,7 +107,6 @@ class SignedMatrix:
 
 def all_signed_permutations(n: int) -> list:
     """All 2^n n! signed permutation matrices of size n, sorted."""
-    import itertools
     out = []
     for perm in itertools.permutations(range(n)):
         for signs in itertools.product((1, -1), repeat=n):
@@ -186,6 +198,12 @@ def _poly_mul(a: dict, b: dict) -> dict:
     return out
 
 
+def _pair_sign(left1: int, right1: int, left2: int, right2: int) -> int:
+    """Bicharacter sign sigma(g,g') sigma(h,h') of the twisted product of
+    bidegrees (g,h) and (g',h'); every product sign is read here."""
+    return _SIGMA[left1][left2] * _SIGMA[right1][right2]
+
+
 def _mono_bidegree(alg: str, mono: tuple) -> tuple:
     n = _SIZES[alg]
     left = right = 0
@@ -195,6 +213,15 @@ def _mono_bidegree(alg: str, mono: tuple) -> tuple:
             left = KLEIN_PRODUCT[left][i + 1]
             right = KLEIN_PRODUCT[right][j + 1]
     return left, right
+
+
+@lru_cache(maxsize=None)
+def _mono_mul(alg: str, m1: tuple, m2: tuple) -> tuple:
+    """Twisted product of two generator monomials: the exponent sum and
+    the sign of their bidegrees (a monomial's bidegree is a function of
+    the monomial)."""
+    return (tuple(map(add, m1, m2)),
+            _pair_sign(*_mono_bidegree(alg, m1), *_mono_bidegree(alg, m2)))
 
 
 class TwistedElement:
@@ -219,6 +246,16 @@ class TwistedElement:
         self.algebra = algebra
         self.components = comps
 
+    @classmethod
+    def _make(cls, algebra: str, components: dict) -> "TwistedElement":
+        """Constructor for the operations that only build homogeneous
+        components without zero coefficients: no re-check, empty
+        components dropped."""
+        self = object.__new__(cls)
+        self.algebra = algebra
+        self.components = {d: p for d, p in components.items() if p}
+        return self
+
     @staticmethod
     def zero(algebra: str) -> "TwistedElement":
         return TwistedElement(algebra, {})
@@ -236,21 +273,24 @@ class TwistedElement:
         mono = tuple(1 if v == (i - 1) * n + (j - 1) else 0 for v in range(n * n))
         return TwistedElement(algebra, {Bidegree(i, j): {mono: 1}})
 
-    def __add__(self, other: "TwistedElement") -> "TwistedElement":
+    def _plus(self, other: "TwistedElement", scale) -> "TwistedElement":
         if self.algebra != other.algebra:
             raise ValueError("mixed algebras")
         comps = {d: dict(p) for d, p in self.components.items()}
         for d, p in other.components.items():
-            _poly_add_into(comps.setdefault(d, {}), p)
-        return TwistedElement(self.algebra, comps)
+            _poly_add_into(comps.setdefault(d, {}), p, scale)
+        return TwistedElement._make(self.algebra, comps)
+
+    def __add__(self, other: "TwistedElement") -> "TwistedElement":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "TwistedElement") -> "TwistedElement":
-        return self + other.scale(-1)
+        return self._plus(other, -1)
 
     def scale(self, c) -> "TwistedElement":
         if not c:
             return TwistedElement.zero(self.algebra)
-        return TwistedElement(self.algebra, {
+        return TwistedElement._make(self.algebra, {
             d: {m: cf * c for m, cf in p.items()}
             for d, p in self.components.items()})
 
@@ -282,16 +322,46 @@ def twisted_mul(x: TwistedElement, y: TwistedElement) -> TwistedElement:
     comps: dict = {}
     for d1, p1 in x.components.items():
         for d2, p2 in y.components.items():
-            sign = _SIGMA[d1.left][d2.left] * _SIGMA[d1.right][d2.right]
+            sign = _pair_sign(d1.left, d1.right, d2.left, d2.right)
             acc = comps.setdefault(d1 * d2, {})
             _poly_add_into(acc, _poly_mul(p1, p2), sign)
-    return TwistedElement(x.algebra, comps)
+    return TwistedElement._make(x.algebra, comps)
 
 
 def generator_matrix(algebra: str) -> tuple:
     n = _SIZES[algebra]
     return tuple(tuple(TwistedElement.generator(algebra, i, j)
                        for j in range(1, n + 1)) for i in range(1, n + 1))
+
+
+def _flat(x: TwistedElement) -> dict:
+    """The element as one {monomial: coefficient} map; its components
+    hold disjoint monomials."""
+    return {m: c for p in x.components.values() for m, c in p.items()}
+
+
+def _flat_mul(alg: str, p: dict, q: dict) -> dict:
+    """Twisted product of two flat maps; cancelled terms stay as zeros."""
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m, s = _mono_mul(alg, m1, m2)
+            out[m] = out.get(m, 0) + s * c1 * c2
+    return out
+
+
+def _signed_positions(R: SignedMatrix) -> list:
+    """(k, R[i][k]) for the one nonzero entry of each row i of a signed
+    permutation matrix R."""
+    if not R.is_signed_permutation():
+        raise ValueError("substitution matrix must be a signed permutation")
+    return [next((k, v) for k, v in enumerate(row) if v) for row in R.rows]
+
+
+def _conjugated(where: list, block: tuple, scale) -> tuple:
+    """R block R^T for R given by _signed_positions: entry (i, j) is
+    R[i][k] R[j][l] block[k][l], scaled by scale(entry, sign)."""
+    return tuple(tuple(scale(block[k][l], u * v) for l, v in where) for k, u in where)
 
 
 # -- exact zero test on the classical group -----------------------------
@@ -384,56 +454,113 @@ def _subst_mono_so3(mono: tuple) -> tuple:
     return tuple(sorted(_reduce_sphere(acc).items()))
 
 
-def _eval_mono(mono: tuple, matrix: tuple, n: int):
-    val = 1
+@lru_cache(maxsize=None)
+def _mono_factors(alg: str, mono: tuple) -> tuple:
+    """A monomial as its character sign and its (row, column, exponent)
+    factors.  A commutative monomial stands for the sign times the
+    star-ordered monomial."""
+    n = _SIZES[alg]
+    left = right = 0
+    sign = 1
+    factors = []
     for v, e in enumerate(mono):
-        if e:
-            i, j = divmod(v, n)
-            val *= matrix[i][j] ** e
+        if not e:
+            continue
+        i, j = divmod(v, n)
+        factors.append((i, j, e))
+        for _ in range(e):
+            sign *= _pair_sign(left, right, i + 1, j + 1)
+            left = KLEIN_PRODUCT[left][i + 1]
+            right = KLEIN_PRODUCT[right][j + 1]
+    return sign, tuple(factors)
+
+
+def _eval_factors(factors: tuple, matrix: tuple):
+    val = 1
+    for i, j, e in factors:
+        val *= matrix[i][j] ** e
     return val
+
+
+@lru_cache(maxsize=None)
+def _zero_map_row(alg: str, mono: tuple, degree: int) -> tuple:
+    """Row of the zero map for one generator monomial, as (column,
+    value) pairs.  so3minus: the sphere normal form of the quaternion
+    substitution.  o2minus: the numerator on each circle branch times
+    (1+t^2)^(degree - deg), so that every monomial of a system shares
+    the denominator (1+t^2)^degree, then the values at the two missed
+    points."""
+    if alg == "so3minus":
+        return _subst_mono_so3(mono)
+    out = []
+    for branch in (0, 1):
+        terms, deg = _subst_mono_o2(branch, mono)
+        hom = _uni_mul(dict(terms), dict(_qpow(degree - deg)))
+        out.extend(((branch, e), c) for e, c in hom.items())
+    for k, point in enumerate(_O2_MISSED):
+        out.append((("missed", k), _eval_factors(_mono_factors(alg, mono)[1], point)))
+    return tuple(out)
+
+
+def _integer_row(row: dict) -> dict:
+    """The row times the least common denominator of its coefficients
+    (the same zero set)."""
+    row = {m: Fraction(c) for m, c in row.items()}
+    den = lcm(*(c.denominator for c in row.values()))
+    return {m: int(c * den) for m, c in row.items()}
+
+
+def _sparse(shape: tuple, rows: list, cols: list, values: list, dtype) -> np.ndarray:
+    out = np.zeros(shape, dtype=dtype)
+    out[rows, cols] = values
+    return out
+
+
+def _first_nonzero(alg: str, rows: list):
+    """Index of the first row, a {monomial: coefficient} map, whose
+    polynomial does not vanish on the real points of the classical group
+    behind the model; None when all of them vanish.
+
+    Each support monomial m gets the row Z[m] of the zero map: the
+    substitution that decides vanishing, in normal form.  A linear
+    combination of monomials vanishes exactly when its combination of
+    rows is zero, so the system is tested by one exact product rows @ Z.
+    Its bound, the largest entries of both sides times the number of
+    monomials, bounds every product and partial sum and picks the tier
+    as in hopf._safe_einsum: float64 (BLAS) below 2^53, then int64, then
+    exact Python ints."""
+    if not all(type(c) is int for row in rows for c in row.values()):
+        rows = [_integer_row(row) for row in rows]
+    support = {}
+    r_rows, r_cols, r_values = [], [], []
+    for r, row in enumerate(rows):
+        for m, c in row.items():
+            if c:
+                r_rows.append(r)
+                r_cols.append(support.setdefault(m, len(support)))
+                r_values.append(c)
+    if not support:
+        return None
+    degree = max(map(sum, support)) if alg == "o2minus" else 0
+    columns = {}
+    z_rows, z_cols, z_values = [], [], []
+    for m, k in support.items():
+        for key, v in _zero_map_row(alg, m, degree):
+            z_rows.append(k)
+            z_cols.append(columns.setdefault(key, len(columns)))
+            z_values.append(v)
+    bound = max(map(abs, r_values)) * max(map(abs, z_values)) * len(support)
+    dtype = np.float64 if bound < _FLOAT64_LIMIT else _int_dtype(bound)
+    R = _sparse((len(rows), len(support)), r_rows, r_cols, r_values, dtype)
+    Z = _sparse((len(support), len(columns)), z_rows, z_cols, z_values, dtype)
+    bad = np.flatnonzero((R @ Z != 0).any(axis=1))
+    return int(bad[0]) if bad.size else None
 
 
 def is_zero(x: TwistedElement) -> bool:
     """Exact test: does the element vanish identically on the real
     points of the classical group behind the model?"""
-    total: dict = {}
-    for p in x.components.values():
-        _poly_add_into(total, p)
-    if not total:
-        return True
-    if x.algebra == "so3minus":
-        acc: dict = {}
-        for mono, c in total.items():
-            for m4, k in _subst_mono_so3(mono):
-                v = acc.get(m4, 0) + c * k
-                if v:
-                    acc[m4] = v
-                else:
-                    acc.pop(m4, None)
-        return not acc
-    for branch in (0, 1):
-        parts = []
-        dmax = 0
-        for mono, c in total.items():
-            terms, deg = _subst_mono_o2(branch, mono)
-            parts.append((terms, deg, c))
-            dmax = max(dmax, deg)
-        acc2: dict = {}
-        for terms, deg, c in parts:
-            for e1, c1 in terms:
-                for e2, c2 in _qpow(dmax - deg):
-                    e = e1 + e2
-                    v = acc2.get(e, 0) + c * c1 * c2
-                    if v:
-                        acc2[e] = v
-                    else:
-                        acc2.pop(e, None)
-        if acc2:
-            return False
-    for point in _O2_MISSED:
-        if sum(c * _eval_mono(mono, point, 2) for mono, c in total.items()):
-            return False
-    return True
+    return _first_nonzero(x.algebra, [_flat(x)]) is None
 
 
 # -- presentations in the model ------------------------------------------
@@ -441,88 +568,73 @@ def is_zero(x: TwistedElement) -> bool:
 
 def verify_twisted_presentation(kind: str, gens: tuple = None) -> list:
     """Check every defining relation of the named presentation against a
-    generator matrix of model elements (default: the canonical one),
-    zero-testing each relation exactly.  Raises RelationFailure naming
-    the first violated relation; returns the list of relation ids.
+    generator matrix of model elements (default: the canonical one).
+    Raises RelationFailure naming the first violated relation; returns
+    the list of relation ids.
 
     Every relation is read from one table of the n^4 products of two
-    generator entries, so each product is computed once."""
+    generator entries and assembled as a sparse row over the monomials;
+    the whole system is zero-tested at once."""
     if kind not in _SIZES:
         raise ValueError(f"unknown presentation kind {kind!r}")
     n = _SIZES[kind]
     if gens is None:
         gens = generator_matrix(kind)
-    alg = gens[0][0].algebra
-    one = TwistedElement.one(alg)
-    zero = TwistedElement.zero(alg)
-    entries = [(i, j) for i in range(n) for j in range(n)]
-    # product[(i, j), (k, l)] = gens[i][j] * gens[k][l]
-    product = {(a, b): twisted_mul(gens[a[0]][a[1]], gens[b[0]][b[1]])
-               for a in entries for b in entries}
-    checked = []
+    entries = [gens[i][j] for i in range(n) for j in range(n)]
+    alg = entries[0].algebra
+    if any(e.algebra != alg for e in entries):
+        raise ValueError("mixed algebras")
+    # entries are numbered row by row; product[a * n^2 + b] = g[a] g[b]
+    g = [_flat(e) for e in entries]
+    product = [_flat_mul(alg, p, q) for p in g for q in g]
+    unit = (0,) * (_SIZES[alg] ** 2)
+    ids, rows = [], []
 
-    def demand(rel_id: str, element: TwistedElement):
-        if not is_zero(element):
-            raise RelationFailure(f"relation {rel_id} does not vanish")
-        checked.append(rel_id)
+    def relation(rel_id: str, terms, constant: int = 0):
+        row = {unit: -constant} if constant else {}
+        for s, p in terms:
+            for m, c in p.items():
+                row[m] = row.get(m, 0) + s * c
+        ids.append(rel_id)
+        rows.append(row)
 
+    nn = n * n
     for i in range(n):
         for j in range(n):
-            target = one if i == j else zero
-            acc = zero
-            accc = zero
-            for k in range(n):
-                acc = acc + product[(i, k), (j, k)]
-                accc = accc + product[(k, i), (k, j)]
-            demand(f"orth-row-{i + 1}{j + 1}", acc - target)
-            demand(f"orth-col-{i + 1}{j + 1}", accc - target)
+            relation(f"orth-row-{i + 1}{j + 1}",
+                     [(1, product[(i * n + k) * nn + j * n + k]) for k in range(n)], i == j)
+            relation(f"orth-col-{i + 1}{j + 1}",
+                     [(1, product[(k * n + i) * nn + k * n + j]) for k in range(n)], i == j)
 
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    s = commutation_sign(_SIGMA_COCYCLE, Bidegree(i, j), Bidegree(k, l))
-                    a = (i - 1, j - 1)
-                    b = (k - 1, l - 1)
-                    demand(f"comm-{i}{j}-{k}{l}", product[a, b] - product[b, a].scale(s))
+    bidegrees = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    for a, (i, j) in enumerate(bidegrees):
+        for b, (k, l) in enumerate(bidegrees):
+            s = _pair_sign(i, j, k, l) * _pair_sign(k, l, i, j)
+            relation(f"comm-{i}{j}-{k}{l}",
+                     [(1, product[a * nn + b]), (-s, product[b * nn + a])])
 
     if kind == "so3minus":
-        acc = zero
-        for tau in symmetric_group(3).sorted_elements():
-            term = twisted_mul(product[(0, tau(1) - 1), (1, tau(2) - 1)], gens[2][tau(3) - 1])
-            acc = acc + term
-        demand("det", acc - one)
-    return checked
+        relation("det", [(1, _flat_mul(alg, product[t1 * nn + n + t2], g[2 * n + t3]))
+                         for t1, t2, t3 in itertools.permutations(range(n))], 1)
+
+    bad = _first_nonzero(alg, rows)
+    if bad is not None:
+        raise RelationFailure(f"relation {ids[bad]} does not vanish")
+    return ids
 
 
 def character_value(x: TwistedElement, matrix: tuple):
     """Evaluate a character, given by its value matrix on the generators,
     on a model element.  A commutative monomial stands for the sign
     times the star-ordered monomial, so evaluation multiplies the entry
-    values by the reordering sign."""
-    n = _SIZES[x.algebra]
-    total = Fraction(0)
+    values by the reordering sign.  Summed in Python ints unless a
+    coefficient is a Fraction; an integer value is returned as an int."""
+    total = 0
     for p in x.components.values():
         for mono, c in p.items():
-            total += c * _mono_char_sign(x.algebra, mono) * _eval_mono(mono, matrix, n)
+            sign, factors = _mono_factors(x.algebra, mono)
+            total += sign * c * _eval_factors(factors, matrix)
     return int(total) if total.denominator == 1 else total
-
-
-@lru_cache(maxsize=None)
-def _mono_char_sign(alg: str, mono: tuple) -> int:
-    n = _SIZES[alg]
-    left = right = 0
-    sign = 1
-    for v, e in enumerate(mono):
-        if not e:
-            continue
-        i, j = divmod(v, n)
-        ti, tj = i + 1, j + 1
-        for _ in range(e):
-            sign *= _SIGMA[left][ti] * _SIGMA[right][tj]
-            left = KLEIN_PRODUCT[left][ti]
-            right = KLEIN_PRODUCT[right][tj]
-    return sign
 
 
 # -- automorphisms of the 3x3 model --------------------------------------
@@ -544,29 +656,15 @@ def automorphism_check(x: Permutation) -> Permutation:
     permutation of the 24 character matrices (M -> rho(x)^T M rho(x)).
     CharacterActionMismatch when the action fails to permute the
     character set or disagrees with direct evaluation."""
-    R = rho(x)
-    gens = generator_matrix("so3minus")
-    B = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            acc = TwistedElement.zero("so3minus")
-            for k in range(3):
-                for l in range(3):
-                    c = R.rows[k][i] * R.rows[l][j]
-                    if c:
-                        acc = acc + gens[k][l].scale(c)
-            row.append(acc)
-        B.append(tuple(row))
-    B = tuple(B)
+    where = _signed_positions(rho(x).transpose())
+    B = _conjugated(where, generator_matrix("so3minus"), TwistedElement.scale)
     verify_twisted_presentation("so3minus", B)
 
     sols = _so3_solution_matrices()
     index = {m: i for i, m in enumerate(sols)}
-    rt = R.transpose()
     images = []
     for m in sols:
-        img = (rt * SignedMatrix(m) * R).rows
+        img = _conjugated(where, m, mul)
         pos = index.get(img)
         if pos is None:
             raise CharacterActionMismatch(
@@ -610,20 +708,7 @@ def phi_embedding(x: Permutation) -> tuple:
         (g[1][0], g[1][1], zero),
         (zero, zero, corner),
     )
-    R = rho(x)
-    E = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            acc = TwistedElement.zero("o2minus")
-            for k in range(3):
-                for l in range(3):
-                    c = R.rows[i][k] * R.rows[j][l]
-                    if c:
-                        acc = acc + block[k][l].scale(c)
-            row.append(acc)
-        E.append(tuple(row))
-    E = tuple(E)
+    E = _conjugated(_signed_positions(rho(x)), block, TwistedElement.scale)
     verify_twisted_presentation("so3minus", E)
     return E
 
@@ -637,15 +722,14 @@ def embedding_character_images() -> list:
     sols24 = set(_so3_solution_matrices())
     images = {}
     for x in symmetric_group(4).sorted_elements():
-        R = rho(x)
-        rt = R.transpose()
+        where = _signed_positions(rho(x))
         mats = set()
         for m in _o2_solution_matrices():
             corner = m[0][0] * m[1][1] + m[0][1] * m[1][0]
-            bhat = SignedMatrix(((m[0][0], m[0][1], 0),
-                                 (m[1][0], m[1][1], 0),
-                                 (0, 0, corner)))
-            img = (R * bhat * rt).rows
+            bhat = ((m[0][0], m[0][1], 0),
+                    (m[1][0], m[1][1], 0),
+                    (0, 0, corner))
+            img = _conjugated(where, bhat, mul)
             if img not in sols24:
                 raise NotASubgroup("embedded character leaves the solution set")
             mats.add(img)

@@ -1,10 +1,17 @@
 """Twisted coordinate model: signed matrices, star product, automorphisms."""
 
 import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kleintwist
 from kleintwist.cocycle import klein_bicharacter
 from kleintwist.errors import RelationFailure
 from kleintwist.perm import (Permutation, generate, isomorphism_type,
@@ -19,6 +26,8 @@ from kleintwist.twistcalc import (GenerationReport, SignedMatrix,
                                   klein_normalizer_so3, matrices_to_subgroup,
                                   phi_embedding, rho, rho_image,
                                   verify_twisted_presentation)
+from kleintwist.twistcalc import (_O2_MISSED, _qpow, _subst_mono_o2,
+                                  _subst_mono_so3)
 
 S4 = symmetric_group(4)
 
@@ -218,25 +227,113 @@ class TestZeroTest:
             g[0][1] = g[1][0]
         elif perturb == "transpose":
             g = [list(col) for col in zip(*g)]
-        gens = tuple(map(tuple, g))
-        try:
-            expected = _relations_one_by_one(kind, gens)
-        except RelationFailure as err:
-            with pytest.raises(RelationFailure, match=f"^{err}$"):
-                verify_twisted_presentation(kind, gens)
-        else:
-            assert verify_twisted_presentation(kind, gens) == expected
+        _assert_matches_reference(kind, tuple(map(tuple, g)))
+
+    @pytest.mark.parametrize("source", ["o2minus", "so3minus", "phi-(12)", "phi-(123)",
+                                        "phi-(1234)", "automorphism-(1324)"])
+    @pytest.mark.parametrize("change", ["double", "negate", "plus-one"])
+    def test_every_single_entry_change_matches_reference(self, source, change):
+        kind, gens = _relation_source(source)
+        alg = gens[0][0].algebra
+        failed = 0
+        for i, j in itertools.product(range(len(gens)), repeat=2):
+            g = [list(row) for row in gens]
+            if change == "double":
+                g[i][j] = g[i][j].scale(2)
+            elif change == "negate":
+                g[i][j] = g[i][j].scale(-1)
+            else:
+                g[i][j] = g[i][j] + TwistedElement.one(alg)
+            failed += not _assert_matches_reference(kind, tuple(map(tuple, g)))
+        assert failed      # the changes do break relations, so the comparison is not vacuous
+
+
+def _relation_source(source):
+    """(presentation kind, generator matrix) behind a test source name."""
+    if source in ("o2minus", "so3minus"):
+        return source, _gens(source)
+    name, cycle = source.split("-")
+    x = Permutation.from_cycles(4, [tuple(int(ch) for ch in cycle.strip("()"))])
+    if name == "phi":
+        return "so3minus", phi_embedding(x)
+    # b_ij = sum_kl rho(x)_ki rho(x)_lj a_kl, built term by term
+    R, a = rho(x).rows, _gens("so3minus")
+    zero = TwistedElement.zero("so3minus")
+    return "so3minus", tuple(
+        tuple(sum((a[k][l].scale(R[k][i] * R[l][j]) for k in range(3) for l in range(3)),
+                  zero) for j in range(3)) for i in range(3))
+
+
+def _assert_matches_reference(kind, gens):
+    """verify_twisted_presentation agrees with _relations_one_by_one: the
+    same id list, or the same RelationFailure message.  True when the
+    relations hold."""
+    try:
+        expected = _relations_one_by_one(kind, gens)
+    except RelationFailure as err:
+        with pytest.raises(RelationFailure, match=f"^{err}$"):
+            verify_twisted_presentation(kind, gens)
+        return False
+    assert verify_twisted_presentation(kind, gens) == expected
+    return True
+
+
+def _eval_mono(mono, matrix, n):
+    val = 1
+    for v, e in enumerate(mono):
+        if e:
+            i, j = divmod(v, n)
+            val *= matrix[i][j] ** e
+    return val
+
+
+def _uni_add_product(acc, terms, factor, scale):
+    for e1, c1 in terms:
+        for e2, c2 in factor:
+            acc[e1 + e2] = acc.get(e1 + e2, 0) + scale * c1 * c2
+
+
+def _is_zero_term_by_term(x):
+    """Oracle for is_zero: each element on its own, term by term through
+    the same substitutions (SO(3) sphere normal form; O(2) both circle
+    branches over the element's own largest degree, then the two missed
+    points)."""
+    total = {}
+    for p in x.components.values():
+        for mono, c in p.items():
+            total[mono] = total.get(mono, 0) + c
+    total = {m: c for m, c in total.items() if c}
+    if not total:
+        return True
+    if x.algebra == "so3minus":
+        acc = {}
+        for mono, c in total.items():
+            for m4, k in _subst_mono_so3(mono):
+                acc[m4] = acc.get(m4, 0) + c * k
+        return not any(acc.values())
+    for branch in (0, 1):
+        parts = [(*_subst_mono_o2(branch, mono), c) for mono, c in total.items()]
+        dmax = max(deg for _, deg, _ in parts)
+        acc = {}
+        for terms, deg, c in parts:
+            _uni_add_product(acc, terms, _qpow(dmax - deg), c)
+        if any(acc.values()):
+            return False
+    return not any(sum(c * _eval_mono(mono, point, 2) for mono, c in total.items())
+                   for point in _O2_MISSED)
 
 
 def _relations_one_by_one(kind, gens):
     """Reference for verify_twisted_presentation: every relation built
-    from its own products, in the same order and with the same ids."""
+    from its own products and zero-tested on its own by the term-by-term
+    oracle, in the same order and with the same ids."""
     n = len(gens)
-    one, zero = TwistedElement.one(kind), TwistedElement.zero(kind)
+    alg = gens[0][0].algebra
+    one, zero = TwistedElement.one(alg), TwistedElement.zero(alg)
     checked = []
 
     def demand(rel_id, element):
-        if not is_zero(element):
+        if not _is_zero_term_by_term(element):
             raise RelationFailure(f"relation {rel_id} does not vanish")
         checked.append(rel_id)
 
@@ -260,6 +357,81 @@ def _relations_one_by_one(kind, gens):
             det = det + gens[0][tau(1) - 1] * gens[1][tau(2) - 1] * gens[2][tau(3) - 1]
         demand("det", det - one)
     return checked
+
+
+class TestZeroTestOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1),
+           st.sampled_from(["o2minus", "so3minus"]), st.sampled_from([0, 1, 2]),
+           st.fractions(min_value=-3, max_value=3, max_denominator=7))
+    def test_is_zero_matches_term_by_term(self, a_bits, b_bits, kind, shape, scale):
+        x = _random_element(kind, a_bits)
+        if shape:
+            # times a relation, so the element vanishes on the group
+            g = _gens(kind)
+            one = TwistedElement.one(kind)
+            i, j = divmod(b_bits % 4, 2)
+            relation = (g[i][0] * g[j][0] + g[i][1] * g[j][1]
+                        + (g[i][2] * g[j][2] if kind == "so3minus" else TwistedElement.zero(kind))
+                        - (one if i == j else TwistedElement.zero(kind)))
+            x = x * relation if shape == 1 else x + _random_element(kind, b_bits) * relation
+        for y in (x, x.scale(scale), x.scale(scale) + x):
+            assert is_zero(y) == _is_zero_term_by_term(y)
+
+    @pytest.mark.parametrize("kind", ["o2minus", "so3minus"])
+    @pytest.mark.parametrize("power", [1, 40, 70, 200])     # float64, int64, object tiers
+    def test_large_coefficients_stay_exact(self, kind, power):
+        g = _gens(kind)
+        one = TwistedElement.one(kind)
+        row = g[0][0] * g[0][0] + g[0][1] * g[0][1] - one
+        if kind == "so3minus":
+            row = row + g[0][2] * g[0][2]
+        big = row.scale(2 ** power)
+        for x, zero in ((big, True), (big + one, False),
+                        (big + g[1][1].scale(-1) * g[1][1] + g[1][1] * g[1][1], True),
+                        (big + (g[1][0] * g[1][0]).scale(3), False)):
+            assert is_zero(x) is zero
+            assert _is_zero_term_by_term(x) is zero
+
+    def test_oracle_sees_zero_and_nonzero(self):
+        g = _gens("so3minus")
+        one = TwistedElement.one("so3minus")
+        row = g[0][0] * g[0][0] + g[0][1] * g[0][1] + g[0][2] * g[0][2] - one
+        assert _is_zero_term_by_term(row) and is_zero(row)
+        assert not _is_zero_term_by_term(row + one.scale(Fraction(1, 3)))
+        assert not is_zero(row + one.scale(Fraction(1, 3)))
+        assert is_zero(row.scale(Fraction(2, 3)))
+
+
+class TestGatedCosts:
+    def test_import_fills_no_twistcalc_cache(self):
+        """import kleintwist builds nothing in twistcalc: a fresh process
+        finds every lru_cache of the module empty."""
+        src = str(Path(kleintwist.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import kleintwist, kleintwist.twistcalc as t\n"
+                "caches = {k: f.cache_info().currsize for k, f in vars(t).items()"
+                " if hasattr(f, 'cache_info')}\n"
+                "print(sorted(caches.items()))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        caches = eval(proc.stdout)
+        assert {"_mono_mul", "_mono_factors", "_zero_map_row"} <= {k for k, _ in caches}
+        assert all(size == 0 for _, size in caches), caches
+
+    def test_automorphism_actions_peak_memory(self):
+        """One x at a time over sparse monomial maps: no dense product
+        tensor or 24-way batch is alive during the automorphism check."""
+        all_automorphism_actions()                      # warm the lru_caches
+        tracemalloc.start()
+        try:
+            all_automorphism_actions()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
 
 
 class TestCharacters:
@@ -289,6 +461,36 @@ class TestCharacters:
         b = _random_element("o2minus", b_bits)
         assert character_value(a * b, m) == \
             character_value(a, m) * character_value(b, m)
+
+    @pytest.mark.parametrize("kind", ["o2minus", "so3minus"])
+    def test_character_multiplicative_on_generator_products(self, kind):
+        # products of three generators carry reordering signs that the
+        # eight and 24 signed-permutation characters can see
+        from kleintwist.twistcalc import _o2_solution_matrices, _so3_solution_matrices
+        sols = _o2_solution_matrices() if kind == "o2minus" else _so3_solution_matrices()
+        g = _gens(kind)
+        flat = [e for row in g for e in row]
+        for length in (2, 3):
+            for factors in itertools.product(flat, repeat=length):
+                prod = factors[0]
+                for f in factors[1:]:
+                    prod = prod * f
+                for m in sols:
+                    expected = 1
+                    for f in factors:
+                        expected *= character_value(f, m)
+                    value = character_value(prod, m)
+                    assert value == expected and type(value) is int
+
+    def test_character_value_types(self):
+        from kleintwist.twistcalc import _so3_solution_matrices
+        m = _so3_solution_matrices()[5]
+        a = _gens("so3minus")[0][0]
+        assert type(character_value(a.scale(3), m)) is int
+        assert type(character_value(a.scale(Fraction(3)), m)) is int
+        half = character_value(a.scale(Fraction(1, 2)), m)
+        assert half == Fraction(m[0][0], 2) and isinstance(half, (int, Fraction))
+        assert character_value(TwistedElement.zero("so3minus"), m) == 0
 
     def test_character_unital(self):
         from kleintwist.twistcalc import _so3_solution_matrices
