@@ -17,9 +17,9 @@ class EvaluationNotPermutation(KleintwistError):
 
 
 class NonSplitQuotient(KleintwistError):
-    """Character enumeration hit an operator whose minimal polynomial has no
-    rational root on some invariant block, so the abelianization does not
-    split over the rationals."""
+    """Character enumeration hit an operator whose minimal polynomial does
+    not split over the rationals on some invariant block, so neither does
+    the abelianization."""
 
 
 class ClosureFailure(KleintwistError):

@@ -31,8 +31,11 @@ the commutative quotient into local blocks by generalized eigenspaces of
 multiplication operators, refusing loudly (NonSplitQuotient) whenever a
 minimal polynomial fails to split over the rationals.  Each block is a
 fraction-free echelon basis (ratlinalg.RowSpace); one contraction
-restricts every operator to it, one exact residual certifies invariance,
-and only an operator that splits the block reaches minimal_polynomial.
+restricts every operator to it as an integer matrix over one scale, one
+exact residual certifies invariance, and only an operator that splits
+the block reaches minimal_polynomial and integer_roots, which stay in
+integers: the operator's eigenvalues are its integer roots over the
+scale.
 The characters are audited by three contractions on their cleared value
 matrix.  The character group comes from one integer contraction of that
 matrix with the coproduct and the antipode.
@@ -49,11 +52,11 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import (ClosureFailure, EvaluationNotPermutation, KleintwistError,
-                     NonSplitQuotient, NotASubgroup)
+                     NotASubgroup)
 from .perm import PermGroup, Permutation, generate, klein_group
 from .ratlinalg import (RowSpace, _cleared, _int_dtype, _inverse, _max_abs, _rescale,
-                        _sub, generalized_eigenspace, minimal_polynomial,
-                        rational_roots)
+                        _sub, generalized_eigenspace, integer_roots,
+                        minimal_polynomial)
 
 Vec = dict
 
@@ -589,9 +592,10 @@ def characters(H: FDHopf) -> list:
     Quotients by the two-sided commutator ideal, then splits the
     commutative quotient into local blocks through generalized
     eigenspaces of multiplication operators.  Each block yields one
-    character; a minimal polynomial without enough rational roots
-    raises NonSplitQuotient.  Every step runs on the algebra's stored
-    integer tensors.
+    character; a minimal polynomial that does not split over the
+    rationals raises NonSplitQuotient.  Every step, down to the roots of
+    the minimal polynomials, runs on integers from the algebra's stored
+    tensors.
     """
     n = H.dim
     if n > 64:
@@ -641,15 +645,15 @@ def characters(H: FDHopf) -> list:
         diag = D[:, range(b), range(b)]
         scalar = ~(off != 0).any(axis=(1, 2)) & (diag == diag[:, :1]).all(axis=1)
         for j in np.flatnonzero(~scalar):
-            roots, rem = rational_roots(minimal_polynomial(D[j], s))
-            if len(rem) > 1:
-                raise NonSplitQuotient(f"minimal polynomial without rational roots: {rem}")
+            # D[j] and D[j] / s share their generalized eigenspaces, and
+            # an eigenvalue r of D[j] is r / s of the operator.
+            roots = integer_roots(minimal_polynomial(D[j]), D[j])
             if len(roots) == 1:
                 continue          # one eigenvalue: nothing to split
-            # The generalized eigenspace of lam is the kernel of
-            # (D[j] / s - lam)^k, k the multiplicity of lam in the minimal
-            # polynomial; together they must fill the block.
-            pieces = [generalized_eigenspace(D[j], lam, k, s) for lam, k in roots]
+            # The generalized eigenspace of r is the kernel of (D[j] - r)^k,
+            # k the multiplicity of r in the minimal polynomial; together
+            # they must fill the block.
+            pieces = [generalized_eigenspace(D[j], r, k) for r, k in roots]
             if sum(len(X) for X in pieces) != b:
                 raise KleintwistError("generalized eigenspaces do not span the block")
             for X in pieces:

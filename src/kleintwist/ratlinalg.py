@@ -13,10 +13,10 @@ Python ints in object arrays past that, never a silent wraparound.
 Rationals appear only at the boundary, and _cleared is the one routine
 that clears them: ints and Fractions of any shape to an integer array and
 one scale in canonical form.  invert and kernel_basis take matrices of
-ints/Fractions, clear their denominators once and return Fractions.  minimal_polynomial and generalized_eigenspace take such a
-matrix too, or an integer array with a common denominator, so a caller
-that already holds integers builds no Fraction per entry;
-minimal_polynomial returns Fractions, generalized_eigenspace integer rows.
+ints/Fractions, clear their denominators once and return Fractions.
+minimal_polynomial, integer_roots and generalized_eigenspace take integer
+matrices and return ints: the monic integer minimal polynomial, its
+integer roots, and integer rows spanning a generalized eigenspace.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
+
+from .errors import NonSplitQuotient
 
 _INT64_LIMIT = 2 ** 62
 
@@ -113,7 +115,8 @@ class RowSpace:
     @property
     def free(self) -> list[int]:
         """The columns that hold no pivot."""
-        return [c for c in range(self.width) if c not in set(self.pivots)]
+        pivots = set(self.pivots)
+        return [c for c in range(self.width) if c not in pivots]
 
     @property
     def scale(self) -> int:
@@ -242,10 +245,10 @@ def kernel_basis(M) -> list[list[Fraction]]:
             for k, f in zip(space.kernel(), space.free)]
 
 
-def minimal_polynomial(M, scale: int = 1) -> list[Fraction]:
-    """Monic minimal polynomial of the square rational matrix M / scale,
+def minimal_polynomial(A) -> list[int]:
+    """Monic minimal polynomial of the square integer matrix A, integer
     coefficients in ascending degree order."""
-    A, d = _cleared(M, scale)
+    A = _fit(A)
     n = len(A)
     powers = RowSpace(n * n)
     flats = []
@@ -253,26 +256,25 @@ def minimal_polynomial(M, scale: int = 1) -> list[Fraction]:
     while powers.add(power.reshape(-1)):
         flats.append(power.reshape(-1))
         power = _dot(power, A)
-    # sum_t c_t A^t = 0 for the kernel vector c; A = d R for R = M / scale,
-    # so the monic minimal polynomial of R has coefficients c_t d^t / (c_k d^k)
+    # sum_t c_t A^t = 0 for the primitive kernel vector c.  The monic
+    # minimal polynomial has integer coefficients and content 1 (Gauss's
+    # lemma), so c is plus or minus it and its top entry is +-1.
     columns = RowSpace(len(flats) + 1)
     columns.extend(_fit(np.array(flats + [power.reshape(-1)], dtype=object).T))
     (c,) = columns.kernel()
-    k = len(flats)
-    return [Fraction(int(c[t]) * d ** t, int(c[k]) * d ** k) for t in range(k + 1)]
+    lead = int(c[-1])
+    return [int(x) // lead for x in c]
 
 
-def generalized_eigenspace(M, lam, k: int, scale: int = 1) -> np.ndarray:
-    """Integer rows spanning {x : x (M / scale - lam)^k = 0}, for a square
-    rational matrix M acting on row vectors."""
-    A, d = _cleared(M, scale)
-    lam = Fraction(lam)
+def generalized_eigenspace(A, lam: int, k: int) -> np.ndarray:
+    """Integer rows spanning {x : x (A - lam)^k = 0}, for a square integer
+    matrix A acting on row vectors and an integer lam."""
+    A = _fit(A)
     eye = np.eye(len(A), dtype=np.int64)
-    # M / scale - lam = (q A - p d I) / (q d) for lam = p/q.  Positive
-    # factors, such as 1 / (q d) or each power's content, leave the kernel
-    N = _sub(_rescale(A, lam.denominator), _rescale(eye, lam.numerator * d))
+    N = _sub(A, _rescale(eye, lam))
     P = eye
     for _ in range(k):
+        # each power's content is a positive factor: it leaves the kernel
         P = _dot(P, N)
         P = _fit(P // max(1, abs(int(np.gcd.reduce(P, axis=None)))))
     space = RowSpace(len(A))
@@ -280,63 +282,38 @@ def generalized_eigenspace(M, lam, k: int, scale: int = 1) -> np.ndarray:
     return space.kernel()
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def integer_roots(f, A) -> list[tuple[int, int]]:
+    """The roots of f, the monic integer minimal polynomial of the square
+    integer matrix A (ascending ints), with multiplicity, largest first.
 
-
-def _poly_eval(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(coeffs, root: Fraction) -> list[Fraction]:
-    """Synthetic division by (x - root); exact when root is a root."""
-    out = [Fraction(0)] * (len(coeffs) - 1)
-    acc = Fraction(0)
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc = acc * root + coeffs[i]
-        out[i - 1] = acc
-    return out
-
-
-def rational_roots(coeffs) -> tuple[list[tuple[Fraction, int]], list[Fraction]]:
-    """All rational roots (with multiplicity) of the polynomial, plus the
-    remaining factor after deflating them away."""
-    poly = [Fraction(c) for c in coeffs]
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    roots: list[tuple[Fraction, int]] = []
-    # Factor out x^k first.
-    zero_mult = 0
-    while len(poly) > 1 and poly[0] == 0:
-        poly = poly[1:]
-        zero_mult += 1
-    if zero_mult:
-        roots.append((Fraction(0), zero_mult))
-    if len(poly) > 1:
-        den = lcm(*[c.denominator for c in poly])
-        ints = [int(c * den) for c in poly]
-        candidates = set()
-        for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
-                candidates.add(Fraction(p, q))
-                candidates.add(Fraction(-p, q))
-        for cand in sorted(candidates):
-            mult = 0
-            while len(poly) > 1 and _poly_eval(poly, cand) == 0:
-                poly = _deflate(poly, cand)
-                mult += 1
-            if mult:
-                roots.append((cand, mult))
-    return roots, poly
+    Floored Newton steps from above: x starts at the Gershgorin bound of A,
+    which no eigenvalue exceeds.  Above the largest root of a monic
+    polynomial with only real roots f, f' and f'' are positive, so a step
+    never passes an integer root.  Every step lowers x by at least 1, and
+    f < 0 or f' <= 0 is reached as x falls; there the remaining factor has
+    a root that is not an integer, and NonSplitQuotient is raised."""
+    absA = np.abs(_fit(A))
+    x = min(int(absA.sum(axis=1).max()), int(absA.sum(axis=0).max()))
+    f = [int(c) for c in f]
+    roots: list[tuple[int, int]] = []
+    while len(f) > 1:
+        # synthetic division by (y - x): the quotient, descending, then f(x)
+        q = [f[-1]]
+        for c in reversed(f[:-1]):
+            q.append(q[-1] * x + c)
+        value = q.pop()
+        if value == 0:
+            f = q[::-1]
+            if roots and roots[-1][0] == x:
+                roots[-1] = (x, roots[-1][1] + 1)
+            else:
+                roots.append((x, 1))
+            continue
+        slope = q[0]                   # f'(x) is the quotient at x
+        for c in q[1:]:
+            slope = slope * x + c
+        if value < 0 or slope <= 0:
+            raise NonSplitQuotient(
+                f"minimal polynomial does not split over the rationals: {f}")
+        x -= max(1, value // slope)
+    return roots

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kleintwist.cocycle import (Cocycle2, build_s4tau, klein_bicharacter, pullback,
                                 twist, verify_cocycle)
@@ -229,7 +231,7 @@ def test_benchmark_algebras_stay_in_int64(census, name):
 
 
 @pytest.mark.parametrize("seed", [1, 5])
-@pytest.mark.parametrize("height", [2, 3, 50])
+@pytest.mark.parametrize("height", [2, 3, 50, 10 ** 4])
 @pytest.mark.parametrize("build,count,gtype", [
     (function_algebra, 6, "S3"), (group_algebra, 2, "Z2")])
 def test_rational_basis_change_keeps_everything(build, count, gtype, height, seed):
@@ -244,6 +246,33 @@ def test_rational_basis_change_keeps_everything(build, count, gtype, height, see
     mult = dict(H.mult)
     (k, c), *_ = mult[(0, 0)].items()
     mult[(0, 0)] = {**mult[(0, 0)], k: c + 1}
+    broken = FDHopf(H.dim, H.basis_labels, H.unit, mult, H.comult,
+                    H.counit, H.antipode, H.star)
+    assert not all_axioms_pass(verify_hopf_axioms(broken))
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.sampled_from([(function_algebra, S3), (group_algebra, S3),
+                        (group_algebra, klein_group())]),
+       st.integers(2, 10 ** 4), st.integers(0, 2 ** 32), st.data())
+def test_basis_change_is_metamorphic(case, height, seed, data):
+    """A rational basis change of height up to 10^4 keeps all six axiom
+    suites, the character count and the character group type; adding 1
+    to one structure entry m(e_i, e_j) with unit coefficient u_i != 0
+    breaks the left unit law, so some suite fails."""
+    build, G = case
+    K = build(G)
+    H = transport(K, random_basis_change(K.dim, height, seed))
+    assert all_axioms_pass(verify_hopf_axioms(H))
+    chars, want = characters(H), characters(K)
+    assert len(chars) == len(want)
+    assert (isomorphism_type(character_group(H, chars)).name
+            == isomorphism_type(character_group(K, want)).name)
+
+    i = data.draw(st.sampled_from(sorted(H.unit)))
+    j, k = data.draw(st.integers(0, H.dim - 1)), data.draw(st.integers(0, H.dim - 1))
+    product = H.mult.get((i, j), {})
+    mult = {**H.mult, (i, j): {**product, k: product.get(k, 0) + 1}}
     broken = FDHopf(H.dim, H.basis_labels, H.unit, mult, H.comult,
                     H.counit, H.antipode, H.star)
     assert not all_axioms_pass(verify_hopf_axioms(broken))

@@ -304,7 +304,9 @@ class TestCharacters:
         assert isomorphism_type(g).name == "Klein"
 
     def test_nonsplit_quotient_refused(self):
-        with pytest.raises(NonSplitQuotient):
+        # x^3 - 1 = (x - 1)(x^2 + x + 1): the quadratic factor stays
+        with pytest.raises(NonSplitQuotient, match=r"minimal polynomial does not split "
+                           r"over the rationals: \[1, 1, 1\]"):
             characters(group_algebra(Z3))
 
     def test_character_values_are_unital(self):

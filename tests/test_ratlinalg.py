@@ -2,15 +2,16 @@
 against a plain Fraction Gauss-Jordan elimination written here."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kleintwist.errors import NonSplitQuotient
 from kleintwist.ratlinalg import (RowSpace, _cleared, _fit, generalized_eigenspace,
-                                  invert, kernel_basis, minimal_polynomial)
+                                  integer_roots, invert, kernel_basis, minimal_polynomial)
 
 SMALL = st.integers(-3, 3)
 NEAR_2_31 = st.integers(2 ** 31 - 3, 2 ** 31 + 3).flatmap(
@@ -132,14 +133,162 @@ def test_minimal_polynomial_and_generalized_eigenspace():
     # e0 -> e0 + e1, e1 -> e1, e2 -> 0 on row vectors: x (x - 1)^2
     R = [[1, 1, 0], [0, 1, 0], [0, 0, 0]]
     assert minimal_polynomial(R) == [0, 1, -2, 1]
-    assert minimal_polynomial(np.array(R) * 6, 6) == [0, 1, -2, 1]
+    assert minimal_polynomial(np.array(R) * 6) == [0, 36, -12, 1]    # x (x - 6)^2
     assert generalized_eigenspace(R, 1, 2).tolist() == [[1, 0, 0], [0, 1, 0]]
     assert generalized_eigenspace(R, 1, 1).tolist() == [[0, 1, 0]]
-    assert generalized_eigenspace(np.array(R) * 3, 1, 2, 3).tolist() == [[1, 0, 0], [0, 1, 0]]
+    assert generalized_eigenspace(np.array(R) * 3, 3, 2).tolist() == [[1, 0, 0], [0, 1, 0]]
     assert generalized_eigenspace(R, 0, 1).tolist() == [[0, 0, 1]]
-    half = [[Fraction(1, 2), 0], [0, Fraction(-3, 4)]]
-    assert minimal_polynomial(half) == [Fraction(-3, 8), Fraction(1, 4), 1]
+    # 4 * diag(1/2, -3/4): (x - 2)(x + 3)
+    assert minimal_polynomial([[2, 0], [0, -3]]) == [-6, 1, 1]
 
+
+# -- integer roots against the rational root sweep they replaced -----------
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
+
+
+def _poly_eval(coeffs, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _deflate(coeffs, root: Fraction) -> list[Fraction]:
+    """Synthetic division by (x - root); exact when root is a root."""
+    out = [Fraction(0)] * (len(coeffs) - 1)
+    acc = Fraction(0)
+    for i in range(len(coeffs) - 1, 0, -1):
+        acc = acc * root + coeffs[i]
+        out[i - 1] = acc
+    return out
+
+
+def rational_roots(coeffs) -> tuple[list[tuple[Fraction, int]], list[Fraction]]:
+    """All rational roots (with multiplicity) of the polynomial, plus the
+    remaining factor after deflating them away: every candidate p/q of
+    the rational root theorem, tried by exact evaluation."""
+    poly = [Fraction(c) for c in coeffs]
+    while len(poly) > 1 and poly[-1] == 0:
+        poly.pop()
+    roots: list[tuple[Fraction, int]] = []
+    zero_mult = 0
+    while len(poly) > 1 and poly[0] == 0:
+        poly = poly[1:]
+        zero_mult += 1
+    if zero_mult:
+        roots.append((Fraction(0), zero_mult))
+    if len(poly) > 1:
+        den = lcm(*[c.denominator for c in poly])
+        ints = [int(c * den) for c in poly]
+        candidates = set()
+        for p in _divisors(ints[0]):
+            for q in _divisors(ints[-1]):
+                candidates.add(Fraction(p, q))
+                candidates.add(Fraction(-p, q))
+        for cand in sorted(candidates):
+            mult = 0
+            while len(poly) > 1 and _poly_eval(poly, cand) == 0:
+                poly = _deflate(poly, cand)
+                mult += 1
+            if mult:
+                roots.append((cand, mult))
+    return roots, poly
+
+
+def poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def jordan(roots):
+    """A matrix in Jordan form with one block of size k per (r, k): its
+    minimal polynomial is the product of the (x - r)^k, r distinct."""
+    n = sum(k for _, k in roots)
+    A = np.zeros((n, n), dtype=object)
+    at = 0
+    for r, k in roots:
+        for i in range(at, at + k):
+            A[i, i] = r
+            if i + 1 < at + k:
+                A[i, i + 1] = 1
+        at += k
+    return A
+
+
+def companion(f):
+    """The companion matrix of the monic f (ascending coefficients), whose
+    minimal polynomial is f."""
+    d = len(f) - 1
+    A = np.zeros((d, d), dtype=object)
+    A[np.arange(1, d), np.arange(d - 1)] = 1
+    A[:, -1] = [-c for c in f[:-1]]
+    return A
+
+
+def product_poly(roots):
+    f = [1]
+    for r, k in roots:
+        for _ in range(k):
+            f = poly_mul(f, [-r, 1])
+    return f
+
+
+def distinct_roots(values, max_mult):
+    return st.lists(st.tuples(values, st.integers(1, max_mult)), min_size=1, max_size=4,
+                    unique_by=lambda t: t[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(distinct_roots(st.integers(-5, 5), 4))
+def test_integer_roots_match_rational_root_sweep(roots):
+    """Small integer roots, zero among them, multiplicities up to 4: the
+    Newton descent finds what the rational root theorem sweep finds, and
+    the Jordan matrix's minimal polynomial is the product itself."""
+    f = product_poly(roots)
+    A = jordan(roots)
+    assert minimal_polynomial(A) == f
+    want, rest = rational_roots(f)
+    assert rest == [1]
+    got = integer_roots(f, A)
+    assert sorted(got) == sorted((int(r), k) for r, k in want)
+    assert [r for r, _ in got] == sorted((r for r, _ in got), reverse=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(distinct_roots(st.integers(-2 ** 64, 2 ** 64), 3))
+def test_integer_roots_up_to_2_64(roots):
+    f = product_poly(roots)
+    assert integer_roots(f, jordan(roots)) == sorted(roots, reverse=True)
+
+
+@pytest.mark.parametrize("factors", [
+    [[1, 0, 1]],                       # x^2 + 1
+    [[-2, 0, 1]],                      # x^2 - 2
+    [[-1, 1], [1, 1, 1]],              # (x - 1)(x^2 + x + 1)
+    [[5, 1], [2, -2, 1]],              # (x + 5)(x^2 - 2x + 2)
+], ids=["x2+1", "x2-2", "cyclotomic3", "gaussian"])
+def test_integer_roots_refuse_non_split(factors):
+    f = [1]
+    for g in factors:
+        f = poly_mul(f, g)
+    A = companion(f)
+    assert minimal_polynomial(A) == f
+    with pytest.raises(NonSplitQuotient, match="does not split over the rationals"):
+        integer_roots(f, A)
 
 
 @settings(deadline=None)
