@@ -27,15 +27,25 @@ proportion to their support rather than to n^k.
 
 Character enumeration runs on the same integer arrays.  It quotients by
 the commutator ideal, built in batched rounds of contractions, and splits
-the commutative quotient into local blocks by generalized eigenspaces of
-multiplication operators, refusing loudly (NonSplitQuotient) whenever a
-minimal polynomial fails to split over the rationals.  Each block is a
-fraction-free echelon basis (ratlinalg.RowSpace); one contraction
-restricts every operator to it as an integer matrix over one scale, one
-exact residual certifies invariance, and only an operator that splits
-the block reaches minimal_polynomial and integer_roots, which stay in
-integers: the operator's eigenvalues are its integer roots over the
-scale.
+the commutative quotient with one generic element a_t = sum_k (k+1)^t e_fk
+(primitive-element splitting, after Friedl and Ronyai, STOC 1985), trying
+t = 1, 2, ... until a_t separates the characters.  The minimal polynomial
+f of a_t comes from the Krylov rows u, u a_t, u a_t^2, ... of the
+quotient's unit u, at the quotient's width (from minimal_polynomial only
+for a unit vector that is no unit), and its roots from integer_roots,
+which refuses loudly (NonSplitQuotient) when f does not split over the
+rationals; the message then names the first basis element whose own
+operator does not split.  When deg f is the quotient's
+dimension, a_t generates the quotient and each local block is spanned by
+eigen-rows, combinations of those same Krylov rows with the quotients of
+f by powers of (y - r), found by deflation; no kernel is solved.  Only
+otherwise do the blocks come from generalized eigenspaces; a squarefree
+f of lower degree, or a block on which some operator keeps two
+eigenvalues, moves on to the next t.
+Each block is a fraction-free echelon basis (ratlinalg.RowSpace); one
+product restricts every operator to it as an integer matrix over one
+scale, one exact residual certifies invariance, and the character's
+values are the operators' traces over the block's dimension.
 The characters are audited by three contractions on their cleared value
 matrix.  The character group comes from one integer contraction of that
 matrix with the coproduct and the antipode.
@@ -46,17 +56,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import (ClosureFailure, EvaluationNotPermutation, KleintwistError,
-                     NotASubgroup)
+                     NonSplitQuotient, NotASubgroup)
 from .perm import PermGroup, Permutation, generate, klein_group
-from .ratlinalg import (RowSpace, _cleared, _int_dtype, _inverse, _max_abs, _rescale,
-                        _sub, generalized_eigenspace, integer_roots,
-                        minimal_polynomial)
+from .ratlinalg import (RowSpace, _cleared, _dot, _fit, _int_dtype, _inverse, _max_abs,
+                        _rescale, _sub, deflate, first_relation, generalized_eigenspace,
+                        integer_roots, minimal_polynomial)
 
 Vec = dict
 
@@ -590,12 +601,12 @@ def characters(H: FDHopf) -> list:
     """All characters of H, exactly.
 
     Quotients by the two-sided commutator ideal, then splits the
-    commutative quotient into local blocks through generalized
-    eigenspaces of multiplication operators.  Each block yields one
-    character; a minimal polynomial that does not split over the
-    rationals raises NonSplitQuotient.  Every step, down to the roots of
-    the minimal polynomials, runs on integers from the algebra's stored
-    tensors.
+    commutative quotient into local blocks: the generalized eigenspaces of
+    one generic element, spanned by combinations of its Krylov rows at the
+    unit when it generates the quotient.  Each block yields one character,
+    read off the traces of the operators on it; an operator whose minimal
+    polynomial does not split over the rationals raises NonSplitQuotient.
+    Every step runs on integers from the algebra's stored tensors.
     """
     n = H.dim
     if n > 64:
@@ -623,46 +634,70 @@ def characters(H: FDHopf) -> list:
     Q = _safe_einsum("jkp,pq->jkq", M[np.ix_(free, free)], proj)
     dQ = H.dM * ideal.scale
 
-    whole = RowSpace(m)
-    whole.extend(np.eye(m, dtype=np.int64))
-    queue = [whole]
-    blocks = []
-    while queue:
-        block = queue.pop()
-        B, b = block.rows, block.dim
-        # Every operator on every row of the block at once.  The block is
-        # invariant exactly when every residue vanishes; an image's
-        # coefficient on row r is then its entry at pivot r over that pivot.
-        # So operator j acts on block coordinates (row vectors) as D[j] / s.
-        Y = _safe_einsum("rk,jkq->jrq", B, Q)
-        if (block.reduce(Y.reshape(-1, m)) != 0).any():
-            raise KleintwistError("block not invariant under multiplication")
-        D = _safe_einsum("jrc,c->jrc", Y[:, :, block.pivots], block.cofactors())
-        s = block.scale * dQ
-        traces = _safe_einsum("jrr->j", D)
-        off = D.copy()
-        off[:, range(b), range(b)] = 0
-        diag = D[:, range(b), range(b)]
-        scalar = ~(off != 0).any(axis=(1, 2)) & (diag == diag[:, :1]).all(axis=1)
-        for j in np.flatnonzero(~scalar):
-            # D[j] and D[j] / s share their generalized eigenspaces, and
-            # an eigenvalue r of D[j] is r / s of the operator.
-            roots = integer_roots(minimal_polynomial(D[j]), D[j])
-            if len(roots) == 1:
-                continue          # one eigenvalue: nothing to split
-            # The generalized eigenspace of r is the kernel of (D[j] - r)^k,
-            # k the multiplicity of r in the minimal polynomial; together
-            # they must fill the block.
-            pieces = [generalized_eigenspace(D[j], r, k) for r, k in roots]
-            if sum(len(X) for X in pieces) != b:
-                raise KleintwistError("generalized eigenspaces do not span the block")
+    # a_t = sum_k (k+1)^t e_fk.  A sum of m exponentials c_k (k+1)^t, not all
+    # c_k zero, vanishes for at most m - 1 values of t (Descartes' rule of
+    # signs for exponential sums): two characters agree on a_t, or a_t has
+    # no nilpotent part on a non-reduced block, for fewer than m^3 values
+    # of t.  A is a_t's operator over its content, and f its minimal
+    # polynomial: at width m from the Krylov rows u A^i when u acts as a
+    # nonzero scalar, as the unit does (then u p(A) = 0 only if p(A) = 0).
+    u = _safe_einsum("i,iq->q", H.U, proj)
+    L = _safe_einsum("k,kpq->pq", u, Q)
+    unital = L[0, 0] != 0 and np.count_nonzero(L) == m and (L.diagonal() == L[0, 0]).all()
+    for t in range(1, m ** 3 + 1):
+        A = _safe_einsum("k,kpq->pq", _fit([(k + 1) ** t for k in range(m)]), Q)
+        A = _fit(A // max(1, abs(int(np.gcd.reduce(A, axis=None)))))
+        K = _fit(np.array(list(accumulate([u] + [A] * m, _dot)), dtype=object))
+        f = first_relation(K) if unital else minimal_polynomial(A)
+        generated = unital and len(f) == m + 1
+        try:
+            roots = integer_roots(f, A)
+            if not generated:
+                if len(f) <= m and all(k == 1 for _, k in roots):
+                    continue    # A is diagonalizable, with an eigenspace not a line
+                pieces = [generalized_eigenspace(A, r, k) for r, k in roots]
+            else:
+                # p(y) -> u p(A) maps Q[y]/(f) onto the quotient, so the block
+                # of a root r of multiplicity k is spanned by u (f / (y - r)^i)(A),
+                # i = 1 .. k: the eigen-rows, by deflation of f.
+                pieces = []
+                for r, k in roots:
+                    g, polys = f, []
+                    for _ in range(k):
+                        g = deflate(g, r)[0]
+                        polys.append(g + [0] * (m - len(g)))
+                    pieces.append(_dot(_fit(polys), K[:m]))
+            if sum(len(X) for X in pieces) != m:
+                raise KleintwistError("generalized eigenspaces do not span the quotient")
+            blocks = []
             for X in pieces:
-                piece = RowSpace(m)
-                piece.extend(_safe_einsum("xr,rq->xq", X, B))
-                queue.append(piece)
+                block = RowSpace(m)
+                block.extend(X)
+                # Every operator on every row at once.  The block is invariant
+                # exactly when every residue vanishes; an image's coefficient on
+                # row r is then its entry at pivot r over that pivot: D[j] / s.
+                Y = _dot(block.rows, Q)
+                if (block.reduce(Y.reshape(-1, m)) != 0).any():
+                    raise KleintwistError("block not invariant under multiplication")
+                D = _rescale(Y[:, :, block.pivots], block.cofactors())
+                # D[j] and D[j] / s share their generalized eigenspaces
+                if not generated and any(
+                        len(integer_roots(minimal_polynomial(R), R)) > 1 for R in D):
+                    break       # not a local block: try the next t
+                b, s = block.dim, block.scale * dQ
+                blocks.append((b * s, np.trace(D, axis1=1, axis2=2,
+                                               dtype=_int_dtype(b * _max_abs(D)))))
+        except NonSplitQuotient:
+            for j, c in enumerate(free):    # name a basis element, never a_t
+                try:
+                    integer_roots(minimal_polynomial(Q[j]), Q[j], dQ)
+                except NonSplitQuotient as err:
+                    raise NonSplitQuotient(f"{err}, basis element {H.basis_labels[c]}") from None
+            raise KleintwistError("basis operators split but a combination does not") from None
+        if len(blocks) == len(pieces):
             break
-        else:
-            blocks.append((b * s, traces))
+    else:
+        raise KleintwistError("no generic element separates the characters")
 
     # chi(e_f) for the quotient basis is the unique eigenvalue of each
     # operator on the block, trace / b; then chi(e_i) = sum_f proj[i, f]

@@ -14,9 +14,11 @@ Rationals appear only at the boundary, and _cleared is the one routine
 that clears them: ints and Fractions of any shape to an integer array and
 one scale in canonical form.  invert and kernel_basis take matrices of
 ints/Fractions, clear their denominators once and return Fractions.
-minimal_polynomial, integer_roots and generalized_eigenspace take integer
-matrices and return ints: the monic integer minimal polynomial, its
-integer roots, and integer rows spanning a generalized eigenspace.
+first_relation, minimal_polynomial, integer_roots and
+generalized_eigenspace take integer rows or matrices and return ints: the
+least monic relation among rows (a minimal polynomial, of a matrix or of
+a matrix at one vector), its integer roots, and integer rows spanning a
+generalized eigenspace.  deflate divides an integer polynomial by y - x.
 """
 
 from __future__ import annotations
@@ -245,6 +247,23 @@ def kernel_basis(M) -> list[list[Fraction]]:
             for k, f in zip(space.kernel(), space.free)]
 
 
+def first_relation(K) -> list[int]:
+    """The monic polynomial c of least degree with sum_t c_t K[t] = 0, for
+    integer rows K[0], K[1], ... such as the powers of an integer matrix
+    or the Krylov rows u, uA, uA^2, ... of an integer vector u: integer
+    coefficients in ascending degree order.  Some monic integer
+    polynomial must relate the rows, and K must reach its degree."""
+    columns = RowSpace(len(K))
+    columns.extend(_fit(K).T)
+    # The first free column d is the first row in the span of the rows
+    # before it; its kernel vector is zero past d.  c is primitive, and the
+    # least relation divides a monic integer one, so it has integer
+    # coefficients and content 1 (Gauss's lemma): c[d] is +-1.
+    d = columns.free[0]
+    c = columns.kernel()[0]
+    return [int(x) // int(c[d]) for x in c[:d + 1]]
+
+
 def minimal_polynomial(A) -> list[int]:
     """Monic minimal polynomial of the square integer matrix A, integer
     coefficients in ascending degree order."""
@@ -256,14 +275,7 @@ def minimal_polynomial(A) -> list[int]:
     while powers.add(power.reshape(-1)):
         flats.append(power.reshape(-1))
         power = _dot(power, A)
-    # sum_t c_t A^t = 0 for the primitive kernel vector c.  The monic
-    # minimal polynomial has integer coefficients and content 1 (Gauss's
-    # lemma), so c is plus or minus it and its top entry is +-1.
-    columns = RowSpace(len(flats) + 1)
-    columns.extend(_fit(np.array(flats + [power.reshape(-1)], dtype=object).T))
-    (c,) = columns.kernel()
-    lead = int(c[-1])
-    return [int(x) // lead for x in c]
+    return first_relation(np.array(flats + [power.reshape(-1)], dtype=object))
 
 
 def generalized_eigenspace(A, lam: int, k: int) -> np.ndarray:
@@ -282,7 +294,17 @@ def generalized_eigenspace(A, lam: int, k: int) -> np.ndarray:
     return space.kernel()
 
 
-def integer_roots(f, A) -> list[tuple[int, int]]:
+def deflate(f, x: int) -> tuple[list[int], int]:
+    """(q, f(x)) with f = (y - x) q + f(x): synthetic division of the
+    integer polynomial f (ascending ints, degree >= 1) by y - x."""
+    q = [f[-1]]
+    for c in reversed(f[:-1]):
+        q.append(q[-1] * x + c)
+    value = q.pop()
+    return q[::-1], value
+
+
+def integer_roots(f, A, scale: int = 1) -> list[tuple[int, int]]:
     """The roots of f, the monic integer minimal polynomial of the square
     integer matrix A (ascending ints), with multiplicity, largest first.
 
@@ -291,29 +313,27 @@ def integer_roots(f, A) -> list[tuple[int, int]]:
     polynomial with only real roots f, f' and f'' are positive, so a step
     never passes an integer root.  Every step lowers x by at least 1, and
     f < 0 or f' <= 0 is reached as x falls; there the remaining factor has
-    a root that is not an integer, and NonSplitQuotient is raised."""
+    a root that is not an integer, and NonSplitQuotient is raised.  Its
+    message names that factor for the operator A / scale, whose root
+    r / scale belongs to each root r of A: the coefficient of y^t is
+    divided by scale^(deg - t), in lowest terms."""
     absA = np.abs(_fit(A))
     x = min(int(absA.sum(axis=1).max()), int(absA.sum(axis=0).max()))
     f = [int(c) for c in f]
     roots: list[tuple[int, int]] = []
     while len(f) > 1:
-        # synthetic division by (y - x): the quotient, descending, then f(x)
-        q = [f[-1]]
-        for c in reversed(f[:-1]):
-            q.append(q[-1] * x + c)
-        value = q.pop()
+        q, value = deflate(f, x)
         if value == 0:
-            f = q[::-1]
+            f = q
             if roots and roots[-1][0] == x:
                 roots[-1] = (x, roots[-1][1] + 1)
             else:
                 roots.append((x, 1))
             continue
-        slope = q[0]                   # f'(x) is the quotient at x
-        for c in q[1:]:
-            slope = slope * x + c
+        slope = deflate(q, x)[1]       # f'(x) is the quotient at x
         if value < 0 or slope <= 0:
-            raise NonSplitQuotient(
-                f"minimal polynomial does not split over the rationals: {f}")
+            factor = (Fraction(c, scale ** (len(f) - 1 - t)) for t, c in enumerate(f))
+            raise NonSplitQuotient("minimal polynomial does not split over the "
+                                   f"rationals: [{', '.join(map(str, factor))}]")
         x -= max(1, value // slope)
     return roots

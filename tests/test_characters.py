@@ -4,21 +4,26 @@ references, and the exact verifiers under rational changes of basis."""
 import hashlib
 import random
 from fractions import Fraction
+from functools import cache
+from math import lcm
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kleintwist import hopf, ratlinalg
 from kleintwist.cocycle import (Cocycle2, build_s4tau, klein_bicharacter, pullback,
                                 twist, verify_cocycle)
-from kleintwist.errors import ClosureFailure, KleintwistError
-from kleintwist.hopf import (Character, FDHopf, HopfMap, all_axioms_pass,
-                             character_group, characters, convolution,
+from kleintwist.errors import ClosureFailure, KleintwistError, NonSplitQuotient
+from kleintwist.hopf import (Character, FDHopf, HopfMap, _q, _safe_einsum,
+                             all_axioms_pass, character_group, characters, convolution,
                              convolution_identity, convolution_inverse,
                              function_algebra, group_algebra, verify_hopf_axioms)
 from kleintwist.perm import (PermGroup, Permutation, generate, isomorphism_type,
                              klein_group, symmetric_group)
-from kleintwist.ratlinalg import invert
+from kleintwist.ratlinalg import (RowSpace, _rescale, _sub, generalized_eigenspace,
+                                  integer_roots, invert, minimal_polynomial)
 
 S3 = symmetric_group(3)
 S4 = symmetric_group(4)
@@ -175,15 +180,184 @@ def test_character_group_matches_convolution_oracle(census, name):
     assert character_group(H, chars).elements == convolution_oracle_group(H, chars).elements
 
 
+def mult_only(labels, unit: dict, mult: dict) -> FDHopf:
+    """An algebra given by its unit and multiplication, with zero coproduct
+    and counit and the identity star: all that characters reads."""
+    n = len(labels)
+    return FDHopf(n, labels, unit, mult, {i: [] for i in range(n)}, [0] * n,
+                  {i: {} for i in range(n)}, {i: {i: 1} for i in range(n)})
+
+
+# Q[x]/(x^2) x Q in the basis (e1 + x, x, e2): a_1 = e1 + 3x + 3e2 has the
+# minimal polynomial (y - 1)^2 (y - 3), so the block of 1 takes two deflations.
+SQUARE_ZERO = mult_only(["e1+x", "x", "e2"], {0: 1, 1: -1, 2: 1},
+                        {(0, 0): {0: 1, 1: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                         (2, 2): {2: 1}})
+
+
 def test_non_semisimple_quotient():
-    """Q[x]/(x^2) x Q in the basis (e1 + x, x, e2), multiplication only:
-    the operator of e1 + x has minimal polynomial x (x - 1)^2, so its
-    generalized eigenspace for 1 needs the square of (R - 1)."""
-    mult = {(0, 0): {0: 1, 1: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (2, 2): {2: 1}}
-    H = FDHopf(3, ["e1+x", "x", "e2"], {0: 1, 1: -1, 2: 1}, mult,
-               {i: [] for i in range(3)}, [0, 0, 0], {i: {} for i in range(3)},
-               {i: {i: 1} for i in range(3)})
-    assert [ch.values for ch in characters(H)] == [(0, 0, 1), (1, 0, 0)]
+    assert [ch.values for ch in characters(SQUARE_ZERO)] == [(0, 0, 1), (1, 0, 0)]
+
+
+def recursive_characters(H: FDHopf) -> list:
+    """The characters as the enumeration found them before it split with
+    one generic element: a queue of invariant blocks, each split by the
+    generalized eigenspaces of the first operator that has two eigenvalues
+    on it, until every operator has one.  Values only, without the audit."""
+    n = H.dim
+    M = H.M
+    ideal = RowSpace(n)
+    grown = ideal.extend(_sub(M, M.transpose(1, 0, 2)))
+    while len(grown):
+        grown = ideal.extend(np.concatenate([
+            _safe_einsum("ka,ajp->kjp", grown, M).reshape(-1, n),
+            _safe_einsum("ka,jap->kjp", grown, M).reshape(-1, n)]))
+    free = ideal.free
+    m = len(free)
+    proj = ideal.reduce(np.eye(n, dtype=np.int64))[:, free]
+    Q = _safe_einsum("jkp,pq->jkq", M[np.ix_(free, free)], proj)
+    dQ = H.dM * ideal.scale
+
+    whole = RowSpace(m)
+    whole.extend(np.eye(m, dtype=np.int64))
+    queue = [whole]
+    blocks = []
+    while queue:
+        block = queue.pop()
+        B, b = block.rows, block.dim
+        Y = _safe_einsum("rk,jkq->jrq", B, Q)
+        assert not (block.reduce(Y.reshape(-1, m)) != 0).any()
+        D = _safe_einsum("jrc,c->jrc", Y[:, :, block.pivots], block.cofactors())
+        for R in D:
+            roots = integer_roots(minimal_polynomial(R), R)
+            if len(roots) > 1:
+                for r, k in roots:
+                    piece = RowSpace(m)
+                    piece.extend(_safe_einsum("xr,rq->xq", generalized_eigenspace(R, r, k), B))
+                    queue.append(piece)
+                break
+        else:
+            blocks.append((b * block.scale * dQ * ideal.scale, _safe_einsum("jrr->j", D)))
+    dX = lcm(*(den for den, _ in blocks))
+    X = [_rescale(_safe_einsum("iq,q->i", proj, tr), dX // den) for den, tr in blocks]
+    return [Character(H, tuple(_q(x, dX) for x in row))
+            for row in sorted(tuple(int(x) for x in row) for row in X)]
+
+
+# Q[x]/(x^2) x Q in the basis (e1, x, e2 / 3): a_1 = e1 + 2x + e2 takes the
+# value 1 at both characters, so a_1 does not separate them and t = 2 does.
+UNSEPARATED = mult_only(["e1", "x", "e2/3"], {0: 1, 2: 3},
+                        {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                         (2, 2): {2: Fraction(1, 3)}})
+# Q[x,y]/(x,y)^2 x Q in the basis (e1, x, y, e2): no element generates it,
+# so its blocks come from generalized eigenspaces.
+NON_MONOGENIC = mult_only(["e1", "x", "y", "e2"], {0: 1, 3: 1},
+                          {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                           (0, 2): {2: 1}, (2, 0): {2: 1}, (3, 3): {3: 1}})
+# The permutation that the character-census benchmark draws for its diagonal
+# twist at seed 1, pass 0 (basis vector i becomes basis vector PERM_1_0[i]).
+# There a_1 takes 18 values on the 24 characters, so the search goes on to t = 2.
+PERM_1_0 = [1, 22, 14, 0, 8, 21, 17, 16, 15, 11, 2, 10, 13, 23, 4, 6, 12, 3, 18, 9, 7,
+            19, 5, 20]
+
+
+def relabelled(H: FDHopf, perm) -> FDHopf:
+    """H with basis vector i renamed perm[i]."""
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    return transport(H, permutation_matrix(inverse))
+
+
+@cache
+def oracle_case(name: str, height: int, seed: int) -> FDHopf:
+    """A fixed algebra by name, or C(S3), Q[S3], Q[Klein] or C(D4) relabelled
+    by a seeded permutation (height 1) or under a seeded basis change."""
+    fixed = {"square_zero": lambda: SQUARE_ZERO, "unseparated": lambda: UNSEPARATED,
+             "non_monogenic": lambda: NON_MONOGENIC,
+             "diagtwist_1_0": lambda: relabelled(_build("diagtwist"), PERM_1_0)}
+    if name in fixed:
+        return fixed[name]()
+    K = _build(name)
+    if height == 1:
+        perm = list(range(K.dim))
+        random.Random(seed).shuffle(perm)
+        return relabelled(K, perm)
+    return transport(K, random_basis_change(K.dim, height, seed))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(["cs3", "qs3", "qklein", "cd4"]),
+       st.one_of(st.just(1), st.integers(2, 10 ** 4)), st.integers(0, 2 ** 32))
+@example("square_zero", 1, 0)
+@example("unseparated", 1, 0)
+@example("non_monogenic", 1, 0)
+@example("diagtwist_1_0", 1, 0)
+def test_characters_match_recursive_splitter(name, height, seed):
+    H = oracle_case(name, height, seed)
+    assert ([ch.values for ch in characters(H)]
+            == [ch.values for ch in recursive_characters(H)])
+
+
+@pytest.mark.parametrize("name,degrees", [
+    ("square_zero", [3]), ("unseparated", [2, 3]), ("non_monogenic", [3]),
+    ("diagtwist_1_0", [18, 24])])
+def test_generic_element_routes(monkeypatch, name, degrees):
+    """The degree of a_t's minimal polynomial at each t tried: a_t generates
+    the quotient (degree m), or its blocks come from generalized eigenspaces
+    and are kept (non_monogenic) or not local (unseparated), or its
+    polynomial is squarefree of lower degree (diagtwist_1_0)."""
+    seen = []
+
+    def first_relation(K):
+        f = ratlinalg.first_relation(K)
+        seen.append(len(f) - 1)
+        return f
+
+    monkeypatch.setattr(hopf, "first_relation", first_relation)
+    characters(oracle_case(name, 1, 0))
+    assert seen == degrees
+
+
+def test_characters_cost_guard(monkeypatch):
+    """A count that reads no clock: characters(C(S4)) echelons the ideal,
+    the Krylov relation and its 24 one-dimensional blocks, 26 RowSpace
+    insertions, where the recursive splitter made 186."""
+    calls = []
+    extend = RowSpace.extend
+    monkeypatch.setattr(RowSpace, "extend", lambda self, v: calls.append(1) or extend(self, v))
+    assert len(characters(function_algebra(S4))) == 24
+    assert len(calls) <= 30
+
+
+def test_nonsplit_quotient_names_a_basis_element():
+    """Q[Z3] with basis vector f_0 = sum_i P[i][0] g_i: f_0 takes the value
+    c0 + c1 w + c2 w^2 at the characters through a cube root of unity w, a
+    root of y^2 - (2 c0 - c1 - c2) y + c0^2 + c1^2 + c2^2 - c0 c1 - c1 c2 - c0 c2.
+    The message names that factor of f_0's own operator, not the block
+    scale's powers or a_t's factor."""
+    Z3 = generate(3, [Permutation.from_cycles(3, [(1, 2, 3)])])
+    P = random_basis_change(3, 50, 1)
+    c0, c1, c2 = (P[i][0] for i in range(3))
+    factor = [c0 * c0 + c1 * c1 + c2 * c2 - c0 * c1 - c1 * c2 - c0 * c2,
+              -(2 * c0 - c1 - c2), 1]
+    assert factor == [Fraction(52905052, 3286969), Fraction(10190, 1813), 1]
+    with pytest.raises(NonSplitQuotient) as err:
+        characters(transport(group_algebra(Z3), P))
+    assert str(err.value) == ("minimal polynomial does not split over the rationals: "
+                              "[52905052/3286969, 10190/1813, 1], basis element id")
+
+
+@pytest.mark.parametrize("unit", [{k: 2 for k in range(6)}, {0: 1}, {}],
+                         ids=["doubled", "one_delta", "zero"])
+def test_wrong_unit_vector_refused(unit):
+    """A unit vector twice too long moves no block and no trace, so only the
+    audit sees it: values normalised against the unit would hide it.  A
+    vector that is no unit at all leaves the Krylov rows short of the
+    quotient, and the blocks come from the minimal polynomial of a_t."""
+    H = function_algebra(S3)
+    broken = FDHopf(H.dim, H.basis_labels, unit, H.mult, H.comult, H.counit,
+                    H.antipode, H.star)
+    with pytest.raises(KleintwistError, match=r"character fails chi\(1\) = 1"):
+        characters(broken)
 
 
 @pytest.mark.parametrize("key,product,message", [

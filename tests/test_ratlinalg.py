@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kleintwist.errors import NonSplitQuotient
-from kleintwist.ratlinalg import (RowSpace, _cleared, _fit, generalized_eigenspace,
-                                  integer_roots, invert, kernel_basis, minimal_polynomial)
+from kleintwist.ratlinalg import (RowSpace, _cleared, _fit, deflate, first_relation,
+                                  generalized_eigenspace, integer_roots, invert, kernel_basis,
+                                  minimal_polynomial)
 
 SMALL = st.integers(-3, 3)
 NEAR_2_31 = st.integers(2 ** 31 - 3, 2 ** 31 + 3).flatmap(
@@ -289,6 +290,53 @@ def test_integer_roots_refuse_non_split(factors):
     assert minimal_polynomial(A) == f
     with pytest.raises(NonSplitQuotient, match="does not split over the rationals"):
         integer_roots(f, A)
+
+
+def poly_rem(f, c):
+    """The remainder of f on division by the monic c."""
+    f = list(f)
+    for i in range(len(f) - len(c), -1, -1):
+        lead = f[i + len(c) - 1]
+        for j, cj in enumerate(c):
+            f[i + j] -= lead * cj
+    return f[:len(c) - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(distinct_roots(st.integers(-4, 4), 3),
+       st.lists(st.integers(-3, 3), min_size=12, max_size=12))
+def test_first_relation_is_the_least_krylov_relation(roots, u):
+    """The Krylov rows u, uA, uA^2, ... of a Jordan matrix A: their least
+    monic relation c annihilates u, the rows below degree deg c are
+    independent, and c divides the minimal polynomial of A."""
+    A = jordan(roots)
+    K = [np.array(u[:len(A)], dtype=object)]
+    for _ in range(len(A)):
+        K.append(K[-1].dot(A))
+    c = first_relation(np.array(K))
+    assert c[-1] == 1
+    assert not any(sum(ci * k for ci, k in zip(c, K)))
+    below = RowSpace(len(A))
+    below.extend(_fit(np.array(K[:len(c) - 1])))
+    assert below.dim == len(c) - 1
+    assert not any(poly_rem(minimal_polynomial(A), c))
+
+
+@given(st.lists(st.integers(-10 ** 20, 10 ** 20), min_size=2, max_size=8),
+       st.integers(-10 ** 6, 10 ** 6))
+def test_deflate_divides_by_y_minus_x(f, x):
+    q, value = deflate(f, x)
+    assert poly_mul(q, [-x, 1])[:len(f)] == [c - value * (i == 0) for i, c in enumerate(f)]
+    assert len(q) == len(f) - 1
+
+
+def test_integer_roots_name_the_factor_of_the_scaled_operator():
+    # 6 * (y - 1/2)(y^2 + y/3 + 1/4) for the operator A / 6 of A = companion(f)
+    f = poly_mul([-3, 1], [9, 2, 1])
+    with pytest.raises(NonSplitQuotient, match=r"rationals: \[1/4, 1/3, 1\]$"):
+        integer_roots(f, companion(f), 6)
+    with pytest.raises(NonSplitQuotient, match=r"rationals: \[9, 2, 1\]$"):
+        integer_roots(f, companion(f))
 
 
 @settings(deadline=None)

@@ -26,6 +26,14 @@ def test_traced_characters_run():
         S3 = kt.perm.symmetric_group(3)
         for H in (kt.hopf.function_algebra(S3), kt.hopf.group_algebra(S3)):
             kt.hopf.character_group(H, kt.hopf.characters(H))
+        # Q[x,y]/(x,y)^2 x Q has no generating element, so characters tests
+        # its blocks for locality, which reaches RowSpace.add
+        kt.hopf.characters(kt.hopf.FDHopf(
+            4, ["e1", "x", "y", "e2"], {0: 1, 3: 1},
+            {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (0, 2): {2: 1},
+             (2, 0): {2: 1}, (3, 3): {3: 1}},
+            {i: [] for i in range(4)}, [0] * 4, {i: {} for i in range(4)},
+            {i: {i: 1} for i in range(4)}))
     finally:
         tr.uninstall()
     names = {tr.names[i] for i in tr.name_id}
@@ -34,8 +42,8 @@ def test_traced_characters_run():
     for idx, value in tr.observed.items():
         assert type(value) is OBSERVED_TYPE[tr.names[tr.name_id[idx]]]
     metrics = tracing.layer_metrics(tr)
-    assert metrics["hopf.characters.calls"] == 2
-    assert metrics["hopf.characters.found"] == 8
+    assert metrics["hopf.characters.calls"] == 3
+    assert metrics["hopf.characters.found"] == 10
     assert 0 < metrics["ratlinalg.RowSpace.add.grew_ratio"] < 1
 
 
