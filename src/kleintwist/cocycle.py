@@ -229,13 +229,11 @@ def twist(H: FDHopf, sigma: Cocycle2, verify: bool = True,
     Sv, dSv = sigma.cleared_inverse_table
 
     # x *_sigma y: Delta2(x) = a b c and Delta2(y) = p q r, dressed by
-    # sigma(a, p) sigma^-1(c, r) around the product b q.  Three whole-tensor
-    # contractions: x's legs with the cocycles, then y's legs, then M; the
-    # largest array is the n^4 ijbq intermediate.
-    left = _safe_einsum("ixc,xab,ap,cr->ibpr", C, C, Sg, Sv)
-    B = _safe_einsum("ibpr,jyr,ypq->ijbq", left, C, C)
-    mult = _safe_einsum("ijbq,bqs->ijs", B, M)
-    del left, B     # freed before verify_hopf_axioms, whose own n^4 arrays set the peak
+    # sigma(a, p) sigma^-1(c, r) around the product b q.  One contraction,
+    # slab by slab over x's index i: y's legs jyr,ypq once, then per slab
+    # x's legs with the cocycles, y's legs, and M; an n^4 array never forms.
+    mult = _safe_einsum("ixc,xab,ap,cr,jyr,ypq,bqs->ijs", C, C, Sg, Sv, C, C, M,
+                        path=[(4, 5), (0, 1), (0, 4), (0, 3), (1, 2), (0, 1)])
     mscale = H.dC ** 4 * dSg * dSv * H.dM
 
     # S_sigma(x) = f(x1) S(x2) g(x3), f(x) = sigma(x1, S x2), g(x) = sigma^-1(S x1, x2).

@@ -12,18 +12,26 @@ arbitrary-precision object arrays before int64 could overflow.  A HopfMap
 stores one cleared integer matrix and is verified on the same arrays,
 each suite one contraction per side.
 
-A contraction runs in one of three tiers, chosen by a proven bound on the
-absolute value of every partial sum it can form: below 2^53 on float64
-arrays through BLAS, below 2^62 on int64, otherwise on Python ints.  The
-float tier is exact because every operand entry, product and partial sum
-is then an integer of magnitude below 2^53, which float64 represents
-exactly, so no operation rounds, whatever order BLAS sums in; the result
-is cast back to int64.  Callers only ever see int64 or object arrays.
-Every contraction is also support-pruned: each index is cut to the
-positions where all operands carrying it have a nonzero slice, which
-drops only zero terms, and the bound is taken over the cut sizes; sparse
-operands such as a cocycle living on a Klein subgroup then cost in
-proportion to their support rather than to n^k.
+A contraction is planned once from its whole operands, then evaluated one
+slab of its first output index at a time (loop tiling, after Wolf and
+Lam, PLDI 1991).  Planning cuts each index to the positions where all
+operands carrying it have a nonzero slice, which drops only zero terms,
+so sparse operands such as a cocycle living on a Klein subgroup cost in
+proportion to their support rather than to n^k.  Over the cut sizes it
+proves a bound, scales included, on the absolute value of every partial
+sum the contraction can form, and the bound picks one of three tiers:
+below 2^53 float64 arrays through BLAS, below 2^62 int64, otherwise
+Python ints.  The float tier is exact because every operand entry,
+product and partial sum is then an integer of magnitude below 2^53, which
+float64 represents exactly, so no operation rounds, whatever order BLAS
+sums in; callers only ever see int64 or object arrays.  Planning also runs
+once every step of the contraction path that does not reach the slab
+index, such as the j-side factor of the bialgebra identity; each slab
+runs only the steps that carry it, so no step on a slab forms an n^4
+array whole.
+An axiom identity X = Y between two contractions is decided the same
+way, slab against slab, stopping at the first slab that differs; twist
+builds its product slab by slab as well.
 
 Character enumeration runs on the same integer arrays.  It quotients by
 the commutator ideal, built in batched rounds of contractions, and splits
@@ -55,9 +63,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Optional
 
 import numpy as np
@@ -217,9 +225,6 @@ class FDHopf:
     def is_commutative(self) -> bool:
         return self.noncommutative_witness() is None
 
-    def is_cocommutative(self) -> bool:
-        return np.array_equal(self.C, self.C.transpose(0, 2, 1))
-
     def structure_equal(self, other: "FDHopf") -> bool:
         return self.dim == other.dim and all(
             d == e and np.array_equal(A, B)
@@ -288,83 +293,221 @@ def function_algebra(G: PermGroup) -> FDHopf:
 
 
 _FLOAT64_LIMIT = 2 ** 53
+# Entries of the largest array one slab may form: 512 KB in float64, so a
+# slab stays in cache and no step on a slab allocates an n^4 array.
+_SLAB_ENTRIES = 2 ** 16
+# A step forming fewer products than this runs as a plain einsum loop,
+# which costs less than the path search and reshapes of the BLAS route.
+_BLAS_WORK = 2 ** 16
 
 
-def _safe_einsum(subscripts: str, *arrays: np.ndarray) -> np.ndarray:
-    """Exact integer einsum over the operands' common support.
+def _tier(bound: int):
+    """The dtype of a contraction whose partial sums are proven below bound:
+    float64 below 2^53, where BLAS is exact on integers, else int64 or
+    objects by the integer guard."""
+    return np.float64 if bound < _FLOAT64_LIMIT else _int_dtype(bound)
 
-    Every index is first cut to the positions where each operand carrying
-    it has a nonzero slice: any other position multiplies a zero, so the
-    cut contraction equals the full one.  The bound, the product of the
-    cut operands' largest entries (at least 1 each) times the number of
-    terms summed per output entry, bounds every product, partial sum and
-    intermediate array of any contraction order.  It picks the tier:
 
-    - below 2^53: float64 with BLAS, cast back to int64.  Every value
+@lru_cache(maxsize=1024)
+def _greedy_path(subscripts: str, shapes: tuple) -> list:
+    """einsum's greedy pairwise path, which depends on the shapes only."""
+    dummies = [np.broadcast_to(np.float64(0), shape) for shape in shapes]
+    return np.einsum_path(subscripts, *dummies, optimize="greedy")[0][1:]
+
+
+def _slab_height(widest: int) -> int:
+    """Rows of the slab index per slab, when one row of the widest array a
+    slab forms holds widest entries."""
+    return max(1, _SLAB_ENTRIES // widest)
+
+
+def _support(terms, arrays) -> dict:
+    """Per index, the positions where every operand carrying it has a
+    nonzero slice, as a boolean mask."""
+    live: dict = {}
+    for term, arr in zip(terms, arrays):
+        for axis, ch in enumerate(term):
+            hit = arr.any(axis=tuple(a for a in range(arr.ndim) if a != axis))
+            live[ch] = live.get(ch, True) & hit
+    return live
+
+
+class _Contraction:
+    """One exact integer contraction times an integer scale, planned once
+    from its whole operands and evaluated slab by slab over its first
+    output index, the slab index.
+
+    Every index is cut to its live positions (_support; the caller may
+    widen an output index's): any other position multiplies a zero, so the
+    cut contraction equals the full one.  The bound, the scale times the
+    product of the cut operands' largest entries (at least 1 each) times
+    the number of terms summed per output entry, bounds every product,
+    partial sum and intermediate of any contraction order, and _tier picks
+    the dtype from it.  ready() casts the operands, folds the scale into
+    the smallest one, and runs once every step of the pairwise path that
+    no slab operand reaches; slab() runs the remaining steps on rows of the
+    slab index only.  Results stay in the tier's dtype."""
+
+    def __init__(self, subscripts: str, arrays, scale: int = 1, live: Optional[dict] = None):
+        lhs, self.rhs = subscripts.split("->")
+        self.terms = lhs.split(",")
+        self.sizes = {ch: arr.shape[axis] for term, arr in zip(self.terms, arrays)
+                      for axis, ch in enumerate(term)}
+        live = _support(self.terms, arrays) if live is None else live
+        self.cut = {ch: np.flatnonzero(hit) for ch, hit in live.items() if not hit.all()}
+        self.ops = [arr[self.positions(term)] if self.cut.keys() & set(term) else arr
+                    for term, arr in zip(self.terms, arrays)]
+        self.scale = scale
+        self.bound = scale
+        for arr in self.ops:
+            self.bound *= max(1, _max_abs(arr))
+        for ch in set(lhs) - set(self.rhs) - {","}:
+            self.bound *= self.size(ch)
+        self.length = self.size(self.rhs[0]) if self.rhs else 1
+
+    def size(self, ch: str) -> int:
+        return len(self.cut[ch]) if ch in self.cut else self.sizes[ch]
+
+    def positions(self, term: str, rows: slice = slice(None)):
+        """The index of the cut positions of term, rows of the slab index
+        taken among them."""
+        return np.ix_(*[(self.cut[ch] if ch in self.cut else np.arange(self.sizes[ch]))
+                        [rows if ch == self.rhs[:1] else slice(None)] for ch in term])
+
+    def ready(self, dtype, path=None) -> "_Contraction":
+        """Cast to dtype and contract what no slab needs; path is an
+        einsum_path list of steps, greedy when not given."""
+        self.dtype = dtype
+        ops = list(self.ops)
+        if self.scale != 1:
+            k = min(range(len(ops)), key=lambda j: ops[j].size)
+            ops[k] = _rescale(ops[k], self.scale)
+        ops = [a.astype(dtype, copy=False) for a in ops]
+        slab = self.rhs[:1]
+        nodes = [(term, op, bool(slab) and slab in term) for term, op in zip(self.terms, ops)]
+        if path is None:
+            path = [tuple(range(len(ops)))]
+            if len(ops) > 2:
+                path = _greedy_path(",".join(self.terms) + "->" + self.rhs,
+                                    tuple(a.shape for a in ops))
+        widest = 1
+        for step in path:
+            parts = [nodes.pop(k) for k in sorted(step, reverse=True)]
+            parts.sort(key=lambda part: not part[2])        # slab operands first
+            keep = set(self.rhs).union(*(term for term, _, _ in nodes))
+            out = "".join(dict.fromkeys(ch for term, _, _ in parts for ch in term
+                                        if ch in keep))
+            if not parts[0][2]:
+                nodes.append((out, self._step(parts, out), False))
+                continue
+            if len(parts) == 2 and not parts[1][2]:
+                parts[1] = self._arranged(parts[0][0], parts[1], keep)
+            nodes.append((out, parts, True))
+            widest = max(widest, prod(self.size(ch) for ch in out if ch != slab))
+        (self.root,) = nodes
+        widest = max(widest, prod(self.size(ch) for ch in self.rhs[1:]))
+        self.height = _slab_height(widest)
+        return self
+
+    @staticmethod
+    def _arranged(a_term: str, part, keep):
+        """A fixed operand laid out as numpy's batched-matmul route reads
+        its right operand against the slab operand a: shared kept indices,
+        then summed ones in a's order, then its own.  It is copied once
+        here, so no slab copies it."""
+        term, op, _ = part
+        shared = [ch for ch in a_term if ch in term]
+        want = "".join([ch for ch in shared if ch in keep] + [ch for ch in shared if ch not in keep]
+                       + [ch for ch in term if ch not in a_term])
+        if want == term:
+            return part
+        return want, np.ascontiguousarray(np.einsum(f"{term}->{want}", op)), False
+
+    def _step(self, parts, out: str) -> np.ndarray:
+        sub = ",".join(term for term, _, _ in parts) + "->" + out
+        ops = [op for _, op, _ in parts]
+        if self.dtype is object:
+            # plain einsum: numpy's optimize route turns an object operand that
+            # a step sums to a scalar into int64 (numpy 2.4), which can wrap
+            return np.asarray(np.einsum(sub, *ops), dtype=object)
+        sizes = {ch: n for term, op, _ in parts for ch, n in zip(term, op.shape)}
+        return np.einsum(sub, *ops, optimize=prod(sizes.values()) >= _BLAS_WORK)
+
+    def _eval(self, node, rows: slice):
+        term, value, slabbed = node
+        if not slabbed:
+            return value
+        if isinstance(value, np.ndarray):
+            index = [slice(None)] * value.ndim
+            index[term.index(self.rhs[0])] = rows
+            return value[tuple(index)]
+        return self._step([(part[0], self._eval(part, rows), False) for part in value], term)
+
+    def slab(self, lo: int, hi: int):
+        """Rows lo:hi of the slab index (cut positions) of the result."""
+        term = self.root[0]
+        out = self._eval(self.root, slice(lo, hi))
+        if term == self.rhs and self.dtype is not object:
+            return out
+        return np.einsum(f"{term}->{self.rhs}", out)
+
+    def slabs(self):
+        """(rows, slab) over the whole slab index, one slab at a time."""
+        for lo in range(0, self.length, self.height):
+            rows = slice(lo, min(lo + self.height, self.length))
+            yield rows, self.slab(rows.start, rows.stop)
+
+    def evaluate(self):
+        """The whole result, int64 or object, scattered back to full shape."""
+        if not self.rhs:
+            out = self.slab(0, 1)
+            return out if self.dtype is object else out.astype(np.int64)
+        full = np.zeros([self.sizes[ch] for ch in self.rhs],
+                        dtype=object if self.dtype is object else np.int64)
+        cut = bool(self.cut.keys() & set(self.rhs))
+        for rows, part in self.slabs():
+            full[self.positions(self.rhs, rows) if cut else rows] = part
+        return full
+
+
+def _safe_einsum(subscripts: str, *arrays: np.ndarray, path=None) -> np.ndarray:
+    """Exact integer einsum over the operands' common support, in the tier
+    its proven bound allows (see _Contraction):
+
+    - below 2^53: float64 with BLAS, written back as int64.  Every value
       formed is an integer float64 holds exactly, so no step rounds;
     - below 2^62: int64;
     - otherwise: exact Python ints in object arrays.
 
-    Every tier contracts pairwise in the order einsum's greedy path search
-    picks.  An output index that was cut is scattered back into a zero
-    array of full shape.  When nothing is cut, no operand is copied.
-    """
-    lhs, rhs = subscripts.split("->")
-    terms = lhs.split(",")
-    sizes: dict = {}
-    live: dict = {}
-    for term, arr in zip(terms, arrays):
-        for axis, ch in enumerate(term):
-            sizes[ch] = arr.shape[axis]
-            hit = arr.any(axis=tuple(a for a in range(arr.ndim) if a != axis))
-            live[ch] = live.get(ch, True) & hit
-    cut = {ch: np.flatnonzero(hit) for ch, hit in live.items() if not hit.all()}
-
-    def positions(term):
-        return np.ix_(*[cut[ch] if ch in cut else np.arange(sizes[ch]) for ch in term])
-
-    arrays = [arr[positions(term)] if cut.keys() & set(term) else arr
-              for term, arr in zip(terms, arrays)]
-    bound = 1
-    for arr in arrays:
-        bound *= max(1, _max_abs(arr))
-    for ch in set(lhs) - set(rhs) - {","}:
-        bound *= len(cut[ch]) if ch in cut else sizes[ch]
-    if bound < _FLOAT64_LIMIT:
-        out = np.einsum(subscripts, *[a.astype(np.float64) for a in arrays],
-                        optimize=True).astype(np.int64)
-    elif _int_dtype(bound) is object:
-        out = _object_einsum(subscripts, arrays)
-    else:
-        out = np.einsum(subscripts, *[a.astype(np.int64, copy=False) for a in arrays],
-                        optimize=True)
-    if not cut.keys() & set(rhs):
-        return out
-    full = np.zeros([sizes[ch] for ch in rhs], dtype=out.dtype)
-    full[positions(rhs)] = out
-    return full
+    An output index that was cut is scattered back into a zero array of
+    full shape; a scalar result of the object tier is a Python int."""
+    plan = _Contraction(subscripts, arrays)
+    return plan.ready(_tier(plan.bound), path).evaluate()
 
 
-def _object_einsum(subscripts: str, arrays) -> np.ndarray:
-    """Exact einsum on Python ints, contracted pairwise along einsum's
-    greedy path.  Each step is a plain einsum kept as an object array:
-    numpy's optimize=True route turns an operand that a step sums to a
-    scalar into int64 (numpy 2.4), where the product can wrap around.
-    A scalar result is returned as a Python int."""
-    lhs, rhs = subscripts.split("->")
-    terms = lhs.split(",")
-    ops = [a.astype(object) for a in arrays]
-    for step in np.einsum_path(subscripts, *ops, optimize="greedy")[0][1:]:
-        picked = sorted(step, reverse=True)
-        step_terms = [terms.pop(k) for k in picked]
-        step_ops = [ops.pop(k) for k in picked]
-        keep = set(rhs).union(*terms)
-        out = "".join(dict.fromkeys(ch for t in step_terms for ch in t if ch in keep))
-        terms.append(out)
-        ops.append(np.asarray(np.einsum(",".join(step_terms) + "->" + out, *step_ops),
-                              dtype=object))
-    (term,), (op,) = terms, ops
-    return np.einsum(f"{term}->{rhs}", op)
+def _identity_holds(x_subscripts: str, x_arrays, kx: int,
+                    y_subscripts: str, y_arrays, ky: int) -> bool:
+    """Whether X * kx == Y * ky exactly, X and Y two contractions whose
+    outputs have the same shape, compared axis by axis.
+
+    Both are planned once: each output axis is cut to the positions live
+    on either side, so the two cut results line up, and both take the tier
+    of the larger proven bound, scales included.  They are then evaluated
+    and compared one slab of the first output axis at a time, stopping at
+    the first slab that differs; neither side exists whole."""
+    (x_lhs, xs), (y_lhs, ys) = x_subscripts.split("->"), y_subscripts.split("->")
+    x_live, y_live = _support(x_lhs.split(","), x_arrays), _support(y_lhs.split(","), y_arrays)
+    if [len(x_live[a]) for a in xs] != [len(y_live[b]) for b in ys]:
+        return False
+    for a, b in zip(xs, ys):
+        x_live[a] = y_live[b] = x_live[a] | y_live[b]
+    X = _Contraction(x_subscripts, x_arrays, kx, x_live)
+    Y = _Contraction(y_subscripts, y_arrays, ky, y_live)
+    dtype = _tier(max(X.bound, Y.bound))
+    X.ready(dtype)
+    Y.ready(dtype)
+    Y.height = X.height = min(X.height, Y.height)
+    return all(np.array_equal(x, y) for (_, x), (_, y) in zip(X.slabs(), Y.slabs()))
 
 
 def verify_hopf_axioms(H: FDHopf) -> dict:
@@ -375,21 +518,19 @@ def verify_hopf_axioms(H: FDHopf) -> dict:
     U, M, C, E, S, T = H.U, H.M, H.C, H.E, H.S, H.T
     eye = np.eye(n, dtype=np.int64)
 
-    assoc = np.array_equal(_safe_einsum("ijw,wkp->ijkp", M, M),
-                           _safe_einsum("jkw,iwp->ijkp", M, M))
+    assoc = _identity_holds("ijw,wkp->ijkp", (M, M), 1, "jkw,iwp->ijkp", (M, M), 1)
     assoc = assoc and np.array_equal(_safe_einsum("i,ijp->jp", U, M), _rescale(eye, H.dU * H.dM))
     assoc = assoc and np.array_equal(_safe_einsum("j,ijp->ip", U, M), _rescale(eye, H.dU * H.dM))
 
-    coassoc = np.array_equal(_safe_einsum("iab,axy->ixyb", C, C),
-                             _safe_einsum("iab,bxy->iaxy", C, C))
+    coassoc = _identity_holds("iab,axy->ixyb", (C, C), 1, "iab,bxy->iaxy", (C, C), 1)
 
     counit = (np.array_equal(_safe_einsum("iab,a->ib", C, E), _rescale(eye, H.dC * H.dE))
               and np.array_equal(_safe_einsum("iab,b->ia", C, E), _rescale(eye, H.dC * H.dE)))
 
-    # Delta(xy) = Delta(x) Delta(y), the right side first: its contraction
-    # peaks at five n^4 arrays, so no other one should be alive then.
-    bialg = np.array_equal(_safe_einsum("iab,jcd,acp,bdq->ijpq", C, C, M, M),
-                           _rescale(_safe_einsum("ijw,wpq->ijpq", M, C), H.dC * H.dM))
+    # Delta(xy) = Delta(x) Delta(y); the j-side factor jcd,bdq is contracted
+    # once, every slab reads it
+    bialg = _identity_holds("iab,jcd,acp,bdq->ijpq", (C, C, M, M), 1,
+                            "ijw,wpq->ijpq", (M, C), H.dC * H.dM)
     bialg = bialg and np.array_equal(_rescale(_safe_einsum("ijw,w->ij", M, E), H.dE),
                                      _rescale(_safe_einsum("i,j->ij", E, E), H.dM))
     bialg = bialg and np.array_equal(_rescale(_safe_einsum("i,ipq->pq", U, C), H.dU),

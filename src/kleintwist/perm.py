@@ -314,10 +314,6 @@ class PermGroup:
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and self.images <= other.images
 
-    def conjugate_by(self, g: Permutation) -> "PermGroup":
-        ginv = g.inverse()
-        return PermGroup(self.degree, {g * h * ginv for h in self.elements})
-
     def element_order_profile(self) -> tuple[tuple[int, int], ...]:
         counts = Counter(p.order() for p in self.elements)
         return tuple(sorted(counts.items()))

@@ -12,13 +12,12 @@ Python ints in object arrays past that, never a silent wraparound.
 
 Rationals appear only at the boundary, and _cleared is the one routine
 that clears them: ints and Fractions of any shape to an integer array and
-one scale in canonical form.  invert and kernel_basis take matrices of
-ints/Fractions, clear their denominators once and return Fractions.
-first_relation, minimal_polynomial, integer_roots and
-generalized_eigenspace take integer rows or matrices and return ints: the
-least monic relation among rows (a minimal polynomial, of a matrix or of
-a matrix at one vector), its integer roots, and integer rows spanning a
-generalized eigenspace.  deflate divides an integer polynomial by y - x.
+one scale in canonical form.  first_relation, minimal_polynomial,
+integer_roots and generalized_eigenspace take integer rows or matrices
+and return ints: the least monic relation among rows (a minimal
+polynomial, of a matrix or of a matrix at one vector), its integer roots,
+and integer rows spanning a generalized eigenspace.  deflate divides an
+integer polynomial by y - x.
 """
 
 from __future__ import annotations
@@ -227,24 +226,6 @@ def _inverse(A: np.ndarray) -> tuple[np.ndarray, int]:
     if space.pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return _cleared(_rescale(space.rows[:, n:], space.cofactors()[:, None]), space.scale)
-
-
-def invert(matrix) -> list[list[Fraction]]:
-    A, d = _cleared(matrix)
-    B, e = _inverse(A)          # (A / d)^-1 = d B / e
-    return [[Fraction(x * d, e) for x in row] for row in B.tolist()]
-
-
-def kernel_basis(M) -> list[list[Fraction]]:
-    """Basis of {x : Mx = 0}; M is a list of rows, domain = column count.
-    Each basis vector has a 1 at its own free column."""
-    if not len(M):
-        return []
-    A, _ = _cleared(M)
-    space = RowSpace(A.shape[1])
-    space.extend(A)
-    return [[Fraction(int(x), int(k[f])) for x in k]
-            for k, f in zip(space.kernel(), space.free)]
 
 
 def first_relation(K) -> list[int]:

@@ -37,13 +37,12 @@ import numpy as np
 from .cocycle import klein_bicharacter
 from .errors import (CharacterActionMismatch, CountMismatch, NotASubgroup,
                      RelationFailure)
-from .hopf import _FLOAT64_LIMIT
+from .hopf import _tier
 from .incseq import generated_completion_group
 from .perm import (PermGroup, Permutation, are_conjugate, as_subgroup,
                    generate, klein_group, symmetric_group)
 from .present import (KLEIN_PRODUCT, Bidegree, O2Minus, SO3Minus,
                       solve_characters)
-from .ratlinalg import _int_dtype
 
 _SIGMA = klein_bicharacter().table
 _SIZES = {"o2minus": 2, "so3minus": 3}
@@ -305,9 +304,6 @@ class TwistedElement:
     def __hash__(self):
         raise TypeError("TwistedElement is not hashable")
 
-    def is_structurally_zero(self) -> bool:
-        return not self.components
-
     def __repr__(self) -> str:
         terms = sum(len(p) for p in self.components.values())
         return f"TwistedElement({self.algebra}, {len(self.components)} bidegrees, {terms} terms)"
@@ -550,7 +546,7 @@ def _first_nonzero(alg: str, rows: list):
             z_cols.append(columns.setdefault(key, len(columns)))
             z_values.append(v)
     bound = max(map(abs, r_values)) * max(map(abs, z_values)) * len(support)
-    dtype = np.float64 if bound < _FLOAT64_LIMIT else _int_dtype(bound)
+    dtype = _tier(bound)
     R = _sparse((len(rows), len(support)), r_rows, r_cols, r_values, dtype)
     Z = _sparse((len(support), len(columns)), z_rows, z_cols, z_values, dtype)
     bad = np.flatnonzero((R @ Z != 0).any(axis=1))
@@ -766,8 +762,10 @@ _REFERENCE_D4 = (
 @dataclass(frozen=True)
 class GenerationReport:
     """Outcome of the generation test around the embedded dihedral
-    subgroup: joining it with itself stays dihedral while the classical
-    completions do reach the full symmetric group."""
+    subgroup: the classical completions joined with it reach the full
+    symmetric group.  self_join, the subgroup joined with itself, equals
+    d_group for every group, so it shows nothing; it stays only for
+    callers that still read it."""
 
     d_group: PermGroup
     self_join: PermGroup

@@ -22,13 +22,20 @@ from kleintwist.hopf import (Character, FDHopf, HopfMap, _q, _safe_einsum,
                              function_algebra, group_algebra, verify_hopf_axioms)
 from kleintwist.perm import (PermGroup, Permutation, generate, isomorphism_type,
                              klein_group, symmetric_group)
-from kleintwist.ratlinalg import (RowSpace, _rescale, _sub, generalized_eigenspace,
-                                  integer_roots, invert, minimal_polynomial)
+from kleintwist.ratlinalg import (RowSpace, _cleared, _inverse, _rescale, _sub,
+                                  generalized_eigenspace, integer_roots, minimal_polynomial)
 
 S3 = symmetric_group(3)
 S4 = symmetric_group(4)
 D4 = generate(4, [Permutation.from_cycles(4, [(1, 2, 3, 4)]),
                   Permutation.from_cycles(4, [(1, 3)])])
+
+
+def invert(matrix) -> list[list[Fraction]]:
+    """The inverse of a square matrix of ints/Fractions, as Fractions."""
+    A, d = _cleared(matrix)
+    B, e = _inverse(A)          # (A / d)^-1 = d B / e
+    return [[Fraction(x * d, e) for x in row] for row in B.tolist()]
 
 
 def transport(H: FDHopf, P) -> FDHopf:

@@ -1,8 +1,10 @@
 """The guarded, support-pruned contraction behind every exact tensor
-identity, against plain einsum on Python integers."""
+identity, and the slab-by-slab identity test built on it, against plain
+einsum on Python integers."""
 
 import re
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -11,13 +13,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import kleintwist
-from kleintwist.hopf import _safe_einsum
+from kleintwist import hopf
+from kleintwist.hopf import _identity_holds, _safe_einsum
 from kleintwist.ratlinalg import _INT64_LIMIT
 
 # Every subscript string written in the package source.
 SUBSCRIPTS = sorted({m for path in Path(kleintwist.__file__).parent.glob("*.py")
                      for m in re.findall(r'"([a-z]+(?:,[a-z]+)*->[a-z]*)"',
                                          path.read_text())})
+
+# The ones with n^4 outputs, which identities are evaluated slab by slab.
+N4_SUBSCRIPTS = [s for s in SUBSCRIPTS if len(s.split("->")[1]) == 4]
 
 SMALL = st.integers(-3, 3)
 # Two such factors already pass 2^53, where float64 would round an odd sum.
@@ -66,7 +72,7 @@ def operands(draw, subscripts):
 
 def test_every_package_subscript_is_covered():
     assert len(SUBSCRIPTS) > 30
-    assert {"i,i->", "ixc,xab,ap,cr->ibpr", "ibpr,jyr,ypq->ijbq",
+    assert {"i,i->", "ixc,xab,ap,cr,jyr,ypq,bqs->ijs", "iab,jcd,acp,bdq->ijpq",
             "jde,kgh,dg,ieh->ijk"} <= set(SUBSCRIPTS)
 
 
@@ -140,3 +146,41 @@ def test_just_under_float64_range_stays_exact():
     out = _safe_einsum("ij,jk->ik", a, b)
     assert out.dtype == np.int64
     assert out.tolist() == [[want] * 3, [-want] * 3]
+
+
+def renamed(subscripts):
+    """The same contraction with other index names, so that the two sides
+    of an identity line up by output position, not by name."""
+    return subscripts.translate(str.maketrans("abcdijkpqwxy", "ABCDIJKPQWXY"))
+
+
+@pytest.mark.parametrize("subscripts", N4_SUBSCRIPTS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_identity_matches_plain_einsum(subscripts, data):
+    _, ops = data.draw(operands(subscripts))
+    s = data.draw(st.sampled_from([1, 2, 3]))
+    other = [a * s if k == 0 else a.copy() for k, a in enumerate(ops)]
+    if other[0].size and data.draw(st.booleans()):         # one entry off
+        flat = other[0].reshape(-1)
+        flat[data.draw(st.integers(0, flat.size - 1))] += data.draw(st.sampled_from([1, -1]))
+    ky = data.draw(st.sampled_from([1, 5, 2 ** 30]))
+    kx = s * ky if data.draw(st.integers(0, 3)) else s * ky + 1
+    # slabs of 1-4 rows of an index of at most 3: short remainder slabs too
+    height = data.draw(st.integers(1, 4))
+    with patch.object(hopf, "_slab_height", lambda widest: height):
+        got = _identity_holds(subscripts, ops, kx, renamed(subscripts), other, ky)
+    want = np.array_equal(reference(subscripts, ops) * kx,
+                          reference(subscripts, other) * ky)
+    assert got == want
+
+
+def test_scales_past_float64_take_the_int64_tier():
+    one = np.ones((1, 1), dtype=np.int64)
+    k = 2 ** 53 + 1                     # float64 rounds it to 2^53
+    tiers = []
+    real = hopf._tier
+    with patch.object(hopf, "_tier", lambda bound: tiers.append(real(bound)) or tiers[-1]):
+        assert not _identity_holds("ij,jk->ik", (one, one), k, "ij,jk->ik", (one, one), k - 1)
+        assert _identity_holds("ij,jk->ik", (one, one), k, "ij,jk->ik", (one, one), k)
+    assert tiers == [np.int64, np.int64]

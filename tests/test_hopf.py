@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kleintwist import hopf
 from kleintwist.cocycle import Cocycle2, build_s4tau
 from kleintwist.errors import KleintwistError, NonSplitQuotient, NotASubgroup
 from kleintwist.hopf import (FDHopf, HopfMap, all_axioms_pass, character_group,
@@ -61,6 +62,44 @@ class TestAxioms:
                         H.counit, H.antipode, star)
         assert not verify_hopf_axioms(broken)["star"]
 
+    @pytest.mark.parametrize("suite,subscripts", [
+        ("associativity", "ijw,wkp->ijkp"), ("coassociativity", "iab,axy->ixyb"),
+        ("bialgebra", "iab,jcd,acp,bdq->ijpq")])
+    @pytest.mark.parametrize("height,row", [(4, 0), (4, 23), (5, 17), (5, 23)])
+    def test_one_entry_in_any_slab_flips_only_its_suite(self, monkeypatch, suite,
+                                                        subscripts, height, row):
+        # of 24 rows: the first and the last of six 4-row slabs, then the last
+        # full 5-row slab and the 4-row remainder slab after it
+        H = _s4tau()
+        real = hopf._identity_holds
+
+        def perturbed(x_subscripts, x_arrays, *rest):
+            if x_subscripts == subscripts:      # one entry of the sliced operand
+                A = x_arrays[0].copy()
+                A[row, 0, 0] += 1
+                x_arrays = (A,) + tuple(x_arrays[1:])
+            return real(x_subscripts, x_arrays, *rest)
+
+        monkeypatch.setattr(hopf, "_slab_height", lambda widest: height)
+        monkeypatch.setattr(hopf, "_identity_holds", perturbed)
+        report = verify_hopf_axioms(H)
+        assert report == {k: k != suite for k in report}
+
+    def test_bialgebra_contracts_its_j_side_factor_once(self, monkeypatch):
+        H = _s4tau()
+        steps = []
+        real = hopf._Contraction._step
+
+        def spy(self, parts, out):
+            steps.append(frozenset(term for term, _, _ in parts))
+            return real(self, parts, out)
+
+        monkeypatch.setattr(hopf, "_slab_height", lambda widest: 5)
+        monkeypatch.setattr(hopf._Contraction, "_step", spy)
+        assert all_axioms_pass(verify_hopf_axioms(H))
+        assert steps.count(frozenset({"jcd", "bdq"})) == 1
+        assert steps.count(frozenset({"iab", "acp"})) == 5      # one per slab
+
 
 class TestAlgebras:
     def test_group_algebra_multiplies_like_group(self):
@@ -80,11 +119,6 @@ class TestAlgebras:
         H = group_algebra(S3)
         assert not H.is_commutative()
         assert H.noncommutative_witness() is not None
-
-    def test_cocommutativity_swaps_sides(self):
-        assert group_algebra(S3).is_cocommutative()
-        assert not function_algebra(S3).is_cocommutative()
-        assert function_algebra(klein_group()).is_cocommutative()
 
     def test_structure_equal(self):
         assert function_algebra(S3).structure_equal(function_algebra(S3))

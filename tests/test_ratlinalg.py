@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kleintwist.errors import NonSplitQuotient
-from kleintwist.ratlinalg import (RowSpace, _cleared, _fit, deflate, first_relation,
-                                  generalized_eigenspace, integer_roots, invert, kernel_basis,
-                                  minimal_polynomial)
+from kleintwist.ratlinalg import (RowSpace, _cleared, _fit, _inverse, deflate, first_relation,
+                                  generalized_eigenspace, integer_roots, minimal_polynomial)
 
 SMALL = st.integers(-3, 3)
 NEAR_2_31 = st.integers(2 ** 31 - 3, 2 ** 31 + 3).flatmap(
@@ -111,23 +110,35 @@ def test_entries_past_int64_stay_exact():
         assert space.contains(vec)
 
 
+def kernel_basis(M) -> list[list[Fraction]]:
+    """Basis of {x : Mx = 0} from RowSpace.kernel; M is a list of rows of
+    ints/Fractions, domain = column count.  Each basis vector has a 1 at
+    its own free column."""
+    A, _ = _cleared(M)
+    space = RowSpace(A.shape[1])
+    space.extend(A)
+    return [[Fraction(int(x), int(k[f])) for x in k]
+            for k, f in zip(space.kernel(), space.free)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_invert_and_kernel(data):
     width, rows = data.draw(matrices())
     A = [[Fraction(x, data.draw(st.integers(1, 5))) for x in row] for row in rows]
-    for k in kernel_basis(A):
-        assert all(sum(a * x for a, x in zip(row, k)) == 0 for row in A)
     if A:
+        for k in kernel_basis(A):
+            assert all(sum(a * x for a, x in zip(row, k)) == 0 for row in A)
         assert len(kernel_basis(A)) == width - len(gauss_jordan(A, width)[0])
     square = A[:width]
     if len(square) == width and len(gauss_jordan(square, width)[0]) == width:
-        inv = invert(square)
-        assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)]
-                for row in square] == [[int(i == j) for j in range(width)] for i in range(width)]
+        P, d = _cleared(square)
+        B, e = _inverse(P)          # (P / d)^-1 = d B / e, so P B = e I
+        assert (P.astype(object) @ B.astype(object)).tolist() == [
+            [e * (i == j) for j in range(width)] for i in range(width)]
     elif len(square) == width:
         with pytest.raises(ValueError, match="singular"):
-            invert(square)
+            _inverse(_cleared(square)[0])
 
 
 def test_minimal_polynomial_and_generalized_eigenspace():

@@ -132,7 +132,7 @@ class TestTwistedElements:
         x = g[0][0] + g[0][0]
         assert x == g[0][0].scale(2)
         assert (x - g[0][0]) == g[0][0]
-        assert (x - x).is_structurally_zero()
+        assert not (x - x).components
 
     def test_unit_laws(self):
         one = TwistedElement.one("so3minus")
@@ -509,8 +509,8 @@ class TestEmbedding:
         corner = g[0][0] * g[1][1] + g[0][1] * g[1][0]
         assert e[2][2] == corner
         for k in range(2):
-            assert e[2][k].is_structurally_zero()
-            assert e[k][2].is_structurally_zero()
+            assert not e[2][k].components
+            assert not e[k][2].components
 
     def test_three_images(self):
         images = embedding_character_images()
@@ -538,7 +538,5 @@ class TestGeneration:
         assert isinstance(rep, GenerationReport)
         assert rep.matches_reference
         assert rep.d_group.order == 8
-        assert rep.self_join.order == 8
-        assert rep.self_join == rep.d_group
         assert rep.full_join.order == 24
         assert rep.full_join == generate(4, list(S4))
