@@ -18,8 +18,7 @@ from .errors import (CharacterActionMismatch, ClosureFailure, CountMismatch,
                      TwistNotHopf, UnknownCheck)
 from .hopf import (Character, FDHopf, HopfMap, all_axioms_pass,
                    character_group,
-                   character_to_permutation, characters, convolution,
-                   convolution_identity, convolution_inverse,
+                   character_to_permutation, characters, convolution_identity,
                    function_algebra, fourier_iso, group_algebra,
                    restriction_surjection, verify_hopf_axioms)
 from .incseq import (BinaryRectMatrix, IncreasingSequence, all_sequences,
@@ -60,7 +59,7 @@ __all__ = [
     "all_axioms_pass", "build_s4tau", "character_group", "character_group_of",
     "character_to_permutation", "character_value", "characters",
     "commutation_sign", "complete_diagram", "complete_formula",
-    "convolution", "convolution_identity", "convolution_inverse",
+    "convolution_identity",
     "determinant_to_permanent_signs", "double_twist", "easy_klein",
     "embedding_character_images", "function_algebra", "fourier_iso",
     "generate", "generated_completion_group", "generation_counterexample",

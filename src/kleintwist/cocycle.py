@@ -25,13 +25,12 @@ shared tensors, hands its results straight to the pulled-back cocycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .errors import KleintwistError, TwistNotHopf
-from .hopf import (FDHopf, HopfMap, _n, _q, _rescale, _safe_einsum, fourier_iso,
+from .hopf import (FDHopf, HopfMap, _q, _rescale, _safe_einsum, fourier_iso,
                    group_algebra, restriction_surjection, verify_hopf_axioms)
 from .perm import PermGroup, Permutation, easy_klein, klein_group, symmetric_group
 from .ratlinalg import _cleared
@@ -88,13 +87,6 @@ class Cocycle2:
     def __hash__(self) -> int:
         return hash((self.carrier,) + tuple(
             (d, tuple(A.ravel().tolist())) for A, d in self._pairs))
-
-    def value(self, x: dict, y: dict):
-        acc = Fraction(0)
-        for i, a in x.items():
-            for j, b in y.items():
-                acc += a * b * self.table[i][j]
-        return _n(acc)
 
 
 def _view(A: np.ndarray, d: int) -> tuple:

@@ -37,26 +37,20 @@ Character enumeration runs on the same integer arrays.  It quotients by
 the commutator ideal, built in batched rounds of contractions, and splits
 the commutative quotient with one generic element a_t = sum_k (k+1)^t e_fk
 (primitive-element splitting, after Friedl and Ronyai, STOC 1985), trying
-t = 1, 2, ... until a_t separates the characters.  The minimal polynomial
-f of a_t comes from the Krylov rows u, u a_t, u a_t^2, ... of the
-quotient's unit u, at the quotient's width (from minimal_polynomial only
-for a unit vector that is no unit), and its roots from integer_roots,
-which refuses loudly (NonSplitQuotient) when f does not split over the
-rationals; the message then names the first basis element whose own
-operator does not split.  When deg f is the quotient's
-dimension, a_t generates the quotient and each local block is spanned by
-eigen-rows, combinations of those same Krylov rows with the quotients of
-f by powers of (y - r), found by deflation; no kernel is solved.  Only
-otherwise do the blocks come from generalized eigenspaces; a squarefree
-f of lower degree, or a block on which some operator keeps two
-eigenvalues, moves on to the next t.
-Each block is a fraction-free echelon basis (ratlinalg.RowSpace); one
-product restricts every operator to it as an integer matrix over one
-scale, one exact residual certifies invariance, and the character's
-values are the operators' traces over the block's dimension.
-The characters are audited by three contractions on their cleared value
-matrix.  The character group comes from one integer contraction of that
-matrix with the coproduct and the antipode.
+t = 1, 2, ... until a_t separates the characters.  Its minimal polynomial
+f is the least relation among the Krylov rows u, u a_t, ... of the unit u
+(ratlinalg.first_relation: modulo word-size primes, one exact
+certificate), and integer_roots finds its roots or raises NonSplitQuotient,
+naming a basis element whose own operator does not split.  When deg f is
+the quotient's dimension, the quotient is Q[y]/(f), and the socle of its
+local factor at a root r is the line of v_r = u (f / (y - r))(a_t), on
+which every element acts by its value at r's character: one product puts
+every basis operator on every v_r, and one exact residual certifies those
+scalars.  Only otherwise do the blocks come from generalized eigenspaces
+(RowSpace echelon bases, values from traces); a squarefree f of lower
+degree, or a block on which some operator keeps two eigenvalues, moves on
+to the next t.  Three contractions on the cleared value matrix audit the
+characters; one with the coproduct and the antipode gives their group.
 """
 
 from __future__ import annotations
@@ -74,16 +68,8 @@ from .errors import (ClosureFailure, EvaluationNotPermutation, KleintwistError,
                      NonSplitQuotient, NotASubgroup)
 from .perm import PermGroup, Permutation, generate, klein_group
 from .ratlinalg import (RowSpace, _cleared, _dot, _fit, _int_dtype, _inverse, _max_abs,
-                        _rescale, _sub, deflate, first_relation, generalized_eigenspace,
-                        integer_roots, minimal_polynomial)
-
-Vec = dict
-
-
-def _n(q):
-    if isinstance(q, Fraction) and q.denominator == 1:
-        return int(q)
-    return q
+                        _primitive, _rescale, _sub, deflate, first_relation,
+                        generalized_eigenspace, integer_roots, minimal_polynomial)
 
 
 def _q(v: int, d: int):
@@ -146,7 +132,7 @@ class FDHopf:
     Fractions.  The views are shared, so callers copy before editing.
     """
 
-    def __init__(self, dim: int, basis_labels: Iterable[str], unit: Vec,
+    def __init__(self, dim: int, basis_labels: Iterable[str], unit: dict,
                  mult: dict, comult: dict, counit: Iterable,
                  antipode: dict, star: dict):
         labels = tuple(basis_labels)
@@ -185,7 +171,7 @@ class FDHopf:
     # -- the dict form, derived on first access ------------------------
 
     @cached_property
-    def unit(self) -> Vec:
+    def unit(self) -> dict:
         return {i: c for (i,), c in _entries(self.U, self.dU)}
 
     @cached_property
@@ -734,21 +720,15 @@ class Character:
     parent: FDHopf
     values: tuple
 
-    def __call__(self, x: Vec):
-        return _n(sum((a * self.values[i] for i, a in x.items()), Fraction(0)))
-
 
 def characters(H: FDHopf) -> list:
-    """All characters of H, exactly.
+    """All characters of H, exactly, from the algebra's integer tensors.
 
-    Quotients by the two-sided commutator ideal, then splits the
-    commutative quotient into local blocks: the generalized eigenspaces of
-    one generic element, spanned by combinations of its Krylov rows at the
-    unit when it generates the quotient.  Each block yields one character,
-    read off the traces of the operators on it; an operator whose minimal
-    polynomial does not split over the rationals raises NonSplitQuotient.
-    Every step runs on integers from the algebra's stored tensors.
-    """
+    Quotients by the two-sided commutator ideal and splits the commutative
+    quotient with one generic element: one socle row per root of its
+    minimal polynomial when it generates the quotient, else one block per
+    generalized eigenspace.  An operator whose minimal polynomial does not
+    split over the rationals raises NonSplitQuotient."""
     n = H.dim
     if n > 64:
         raise ValueError(f"character enumeration restricted to dim <= 64, got {n}")
@@ -788,26 +768,25 @@ def characters(H: FDHopf) -> list:
     for t in range(1, m ** 3 + 1):
         A = _safe_einsum("k,kpq->pq", _fit([(k + 1) ** t for k in range(m)]), Q)
         A = _fit(A // max(1, abs(int(np.gcd.reduce(A, axis=None)))))
-        K = _fit(np.array(list(accumulate([u] + [A] * m, _dot)), dtype=object))
+        K = _fit(np.array(list(accumulate([u.astype(object)] + [A.astype(object)] * m, np.dot))))
         f = first_relation(K) if unital else minimal_polynomial(A)
-        generated = unital and len(f) == m + 1
         try:
             roots = integer_roots(f, A)
-            if not generated:
-                if len(f) <= m and all(k == 1 for _, k in roots):
-                    continue    # A is diagonalizable, with an eigenspace not a line
-                pieces = [generalized_eigenspace(A, r, k) for r, k in roots]
-            else:
-                # p(y) -> u p(A) maps Q[y]/(f) onto the quotient, so the block
-                # of a root r of multiplicity k is spanned by u (f / (y - r)^i)(A),
-                # i = 1 .. k: the eigen-rows, by deflation of f.
-                pieces = []
-                for r, k in roots:
-                    g, polys = f, []
-                    for _ in range(k):
-                        g = deflate(g, r)[0]
-                        polys.append(g + [0] * (m - len(g)))
-                    pieces.append(_dot(_fit(polys), K[:m]))
+            if unital and len(f) == m + 1:
+                # p(y) -> u p(A) maps Q[y]/(f) onto the quotient: the socle of
+                # the local factor at r is the line of v_r = u (f / (y - r))(A),
+                # and every element acts on it by its value at r's character.
+                V = _primitive(_dot(_fit([deflate(f, r)[0] for r, _ in roots]), K[:m]))
+                at = np.arange(len(V)), (V != 0).argmax(axis=1)
+                Y = _dot(V, Q)                  # Y[j, r] = v_r Q[j]
+                lead, value = V[at], Y[:, at[0], at[1]]
+                if (_rescale(Y, lead[:, None]) != _rescale(V, value[..., None])).any():
+                    raise KleintwistError("block not invariant under multiplication")
+                blocks = [(int(c) * dQ, y) for c, y in zip(lead, value.T)]
+                break
+            if len(f) <= m and all(k == 1 for _, k in roots):
+                continue        # A is diagonalizable, with an eigenspace not a line
+            pieces = [generalized_eigenspace(A, r, k) for r, k in roots]
             if sum(len(X) for X in pieces) != m:
                 raise KleintwistError("generalized eigenspaces do not span the quotient")
             blocks = []
@@ -822,8 +801,7 @@ def characters(H: FDHopf) -> list:
                     raise KleintwistError("block not invariant under multiplication")
                 D = _rescale(Y[:, :, block.pivots], block.cofactors())
                 # D[j] and D[j] / s share their generalized eigenspaces
-                if not generated and any(
-                        len(integer_roots(minimal_polynomial(R), R)) > 1 for R in D):
+                if any(len(integer_roots(minimal_polynomial(R), R)) > 1 for R in D):
                     break       # not a local block: try the next t
                 b, s = block.dim, block.scale * dQ
                 blocks.append((b * s, np.trace(D, axis1=1, axis2=2,
@@ -840,8 +818,8 @@ def characters(H: FDHopf) -> list:
     else:
         raise KleintwistError("no generic element separates the characters")
 
-    # chi(e_f) for the quotient basis is the unique eigenvalue of each
-    # operator on the block, trace / b; then chi(e_i) = sum_f proj[i, f]
+    # chi(e_f) for the quotient basis is the eigenvalue of each operator on
+    # the socle row, or on a block its trace / b; then chi(e_i) = sum_f proj[i, f]
     # chi(e_f) / ideal.scale.  X holds all values over one denominator dX.
     dens = [den * ideal.scale for den, _ in blocks]
     dX = lcm(*dens)
@@ -870,28 +848,8 @@ def characters(H: FDHopf) -> list:
     return [Character(H, tuple(_q(x, dX) for x in row)) for row in rows]
 
 
-def convolution(H: FDHopf, f: Character, g: Character) -> Character:
-    values = []
-    for i in range(H.dim):
-        acc = Fraction(0)
-        for (a, b, c) in H.comult[i]:
-            acc += c * Fraction(f.values[a]) * Fraction(g.values[b])
-        values.append(_n(acc))
-    return Character(H, tuple(values))
-
-
 def convolution_identity(H: FDHopf) -> Character:
     return Character(H, tuple(H.counit))
-
-
-def convolution_inverse(H: FDHopf, f: Character) -> Character:
-    values = []
-    for i in range(H.dim):
-        acc = Fraction(0)
-        for w, c in H.antipode[i].items():
-            acc += c * Fraction(f.values[w])
-        values.append(_n(acc))
-    return Character(H, tuple(values))
 
 
 def character_group(H: FDHopf, chars: Optional[list] = None) -> PermGroup:
@@ -944,8 +902,8 @@ def character_to_permutation(G: PermGroup, chi: Character) -> Permutation:
     mat = [[0] * deg for _ in range(deg)]
     for i in range(1, deg + 1):
         for j in range(1, deg + 1):
-            val = _n(sum((Fraction(chi.values[k]) for k, g in enumerate(elems)
-                          if g(j) == i), Fraction(0)))
+            val = sum((Fraction(chi.values[k]) for k, g in enumerate(elems)
+                       if g(j) == i), Fraction(0))
             if val not in (0, 1):
                 raise EvaluationNotPermutation(
                     f"u[{i}][{j}] evaluates to {val}")

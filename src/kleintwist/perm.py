@@ -202,8 +202,7 @@ class PermGroup:
     Every image set is stored through one step (_store) that first checks
     that the set is non-empty, of one degree, holds the identity and is
     inverse-closed. It does not check product closure, which costs |G|^2
-    products: as_subgroup and is_closed do, and _closure is closed by
-    construction.
+    products: as_subgroup does, and _closure is closed by construction.
     """
 
     __slots__ = ("degree", "generators", "_images", "_order", "_elements")
@@ -295,13 +294,6 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"PermGroup(order={self.order}, degree={self.degree})"
-
-    def is_closed(self) -> bool:
-        for a in self.elements:
-            for b in self.elements:
-                if a * b not in self.elements:
-                    return False
-        return True
 
     def is_abelian(self) -> bool:
         elems = self.sorted_elements()

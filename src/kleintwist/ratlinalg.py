@@ -12,24 +12,26 @@ Python ints in object arrays past that, never a silent wraparound.
 
 Rationals appear only at the boundary, and _cleared is the one routine
 that clears them: ints and Fractions of any shape to an integer array and
-one scale in canonical form.  first_relation, minimal_polynomial,
-integer_roots and generalized_eigenspace take integer rows or matrices
-and return ints: the least monic relation among rows (a minimal
-polynomial, of a matrix or of a matrix at one vector), its integer roots,
-and integer rows spanning a generalized eigenspace.  deflate divides an
-integer polynomial by y - x.
+one scale in canonical form.  first_relation finds the least monic
+relation among integer rows, such as a minimal polynomial at one vector,
+modulo word-size primes and returns it only once one exact product
+certifies it; minimal_polynomial, integer_roots (with deflate) and
+generalized_eigenspace give a matrix's minimal polynomial, its integer
+roots, and integer rows spanning a generalized eigenspace.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import count, islice
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
 from .errors import NonSplitQuotient
 
 _INT64_LIMIT = 2 ** 62
+_PRIMES: list[int] = []
 
 
 def _int_dtype(bound: int):
@@ -228,35 +230,92 @@ def _inverse(A: np.ndarray) -> tuple[np.ndarray, int]:
     return _cleared(_rescale(space.rows[:, n:], space.cofactors()[:, None]), space.scale)
 
 
+def _primes():
+    """The primes below 2^30, largest first, without end, each found once
+    and kept; a remainder by one is one digit of a Python int.  Below
+    3.2 * 10^9 the strong probable-prime test to the bases 2, 3, 5 and 7
+    decides primality (Jaeschke, Math. Comp. 1993)."""
+    for k in count():
+        p = _PRIMES[-1] if _PRIMES else 2 ** 30 + 1
+        while k == len(_PRIMES):
+            p -= 2
+            s = ((p - 1) & (1 - p)).bit_length() - 1      # p - 1 = q 2^s, q odd
+            if all(x == 1 or p - 1 in (pow(x, 1 << i, p) for i in range(s))
+                   for x in (pow(a, (p - 1) >> s, p) for a in (2, 3, 5, 7))):
+                _PRIMES.append(p)
+        yield _PRIMES[k]
+
+
+def _relations_mod(K, primes) -> list:
+    """Per prime p: (d, c), K[d] the first row in the span of the rows before
+    it modulo p and c = [c_0, ..., c_d = 1] that relation's residues, or None
+    for rows independent modulo p.  Gauss-Jordan on the transposed residues
+    of all primes at once; entries stay below p < 2^30, products below 2^60."""
+    P = np.array(primes, dtype=np.int64)[:, None, None]
+    T = (K.T[None] % P).astype(np.int64)
+    out, at = [None] * len(P), np.arange(len(P))
+    for j in range(T.shape[2]):
+        # columns 0 .. j-1 are reduced to the unit vectors of rows 0 .. j-1
+        nz = T[:, j:, j] != 0
+        for b in np.flatnonzero(~nz.any(axis=1)):
+            out[b] = out[b] or (j, [int(x) for x in -T[b, :j, j] % P[b, 0]] + [1])
+        if all(out):
+            break
+        k = j + nz.argmax(axis=1)
+        T[at, j], T[at, k] = T[at, k], T[at, j].copy()
+        inv = [pow(int(v), -1, int(p)) if v else 0 for v, p in zip(T[:, j, j], P.flat)]
+        row = T[:, j, j:] * np.array(inv)[:, None] % P[:, 0]
+        T[:, :, j:] = (T[:, :, j:] - T[:, :, j:j + 1] * row[:, None]) % P
+        T[:, j, j:] = row
+    return out
+
+
 def first_relation(K) -> list[int]:
     """The monic polynomial c of least degree with sum_t c_t K[t] = 0, for
-    integer rows K[0], K[1], ... such as the powers of an integer matrix
-    or the Krylov rows u, uA, uA^2, ... of an integer vector u: integer
-    coefficients in ascending degree order.  Some monic integer
-    polynomial must relate the rows, and K must reach its degree."""
-    columns = RowSpace(len(K))
-    columns.extend(_fit(K).T)
-    # The first free column d is the first row in the span of the rows
-    # before it; its kernel vector is zero past d.  c is primitive, and the
-    # least relation divides a monic integer one, so it has integer
-    # coefficients and content 1 (Gauss's lemma): c[d] is +-1.
-    d = columns.free[0]
-    c = columns.kernel()[0]
-    return [int(x) // int(c[d]) for x in c[:d + 1]]
+    integer rows K[0], K[1], ... such as the Krylov rows u, uA, uA^2, ...
+    of an integer vector u: integer coefficients in ascending degree order.
+    ValueError when the rows have no relation, or no integral least one.
+
+    A prime at which the first dependent row d comes earlier than at
+    another has dropped rank and is skipped.  The residues at the others
+    are lifted by incremental Chinese remaindering to the symmetric range,
+    and a lift is returned only once the exact product sum_t c_t K[t] = 0
+    certifies it: K[:d] independent modulo a prime is independent over Q.
+    An integral |c_t|, and a minor that a rank drop divides, is at most
+    Hadamard's bound prod_t |K[t]|; past twice that, an uncertified lift
+    proves that the least relation is not integral."""
+    K = _fit(K)
+    primes, batch = _primes(), 1 + _max_abs(K).bit_length() // 30
+    d, kept = -1, []
+    while True:
+        chunk = list(islice(primes, batch))
+        for p, found in zip(chunk, _relations_mod(K, chunk)):
+            if found is None:
+                raise ValueError(f"the rows have no relation: independent modulo {p}")
+            if found[0] > d:
+                d, kept = found[0], []
+            if found[0] == d:
+                kept.append((p, found[1]))
+        M, x = 1, [0] * (d + 1)
+        for p, c in kept:
+            step = pow(M, -1, p)
+            x = [a + M * ((b - a) * step % p) for a, b in zip(x, c)]
+            M *= p
+        lift = [a - M if 2 * a > M else a for a in x]
+        if not _dot(_fit([lift]), K[:d + 1]).any():
+            return lift
+        if M > 2 * prod(isqrt(int(s)) + 1 for s in (K[:d + 1].astype(object) ** 2).sum(axis=1)):
+            raise ValueError("the least relation among the rows is not integral")
 
 
 def minimal_polynomial(A) -> list[int]:
     """Monic minimal polynomial of the square integer matrix A, integer
     coefficients in ascending degree order."""
     A = _fit(A)
-    n = len(A)
-    powers = RowSpace(n * n)
-    flats = []
-    power = np.eye(n, dtype=np.int64)
-    while powers.add(power.reshape(-1)):
-        flats.append(power.reshape(-1))
-        power = _dot(power, A)
-    return first_relation(np.array(flats + [power.reshape(-1)], dtype=object))
+    powers, flats = RowSpace(A.size), [np.eye(len(A), dtype=np.int64)]
+    while powers.add(flats[-1].reshape(-1)):
+        flats.append(_dot(flats[-1], A))
+    return first_relation(np.array([P.reshape(-1) for P in flats], dtype=object))
 
 
 def generalized_eigenspace(A, lam: int, k: int) -> np.ndarray:

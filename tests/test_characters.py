@@ -17,13 +17,14 @@ from kleintwist.cocycle import (Cocycle2, build_s4tau, klein_bicharacter, pullba
                                 twist, verify_cocycle)
 from kleintwist.errors import ClosureFailure, KleintwistError, NonSplitQuotient
 from kleintwist.hopf import (Character, FDHopf, HopfMap, _q, _safe_einsum,
-                             all_axioms_pass, character_group, characters, convolution,
-                             convolution_identity, convolution_inverse,
-                             function_algebra, group_algebra, verify_hopf_axioms)
+                             all_axioms_pass, character_group, characters,
+                             convolution_identity, function_algebra, group_algebra,
+                             verify_hopf_axioms)
 from kleintwist.perm import (PermGroup, Permutation, generate, isomorphism_type,
                              klein_group, symmetric_group)
 from kleintwist.ratlinalg import (RowSpace, _cleared, _inverse, _rescale, _sub,
                                   generalized_eigenspace, integer_roots, minimal_polynomial)
+from oracles import convolution, convolution_inverse
 
 S3 = symmetric_group(3)
 S4 = symmetric_group(4)
@@ -325,14 +326,19 @@ def test_generic_element_routes(monkeypatch, name, degrees):
 
 
 def test_characters_cost_guard(monkeypatch):
-    """A count that reads no clock: characters(C(S4)) echelons the ideal,
-    the Krylov relation and its 24 one-dimensional blocks, 26 RowSpace
-    insertions, where the recursive splitter made 186."""
-    calls = []
-    extend = RowSpace.extend
-    monkeypatch.setattr(RowSpace, "extend", lambda self, v: calls.append(1) or extend(self, v))
+    """Counts that read no clock.  characters(C(S4)) inserts rows into one
+    RowSpace, the commutator ideal (per-block echelon bases made 26
+    insertions, the recursive splitter 186), and decides the Krylov relation
+    of a_1, whose entries reach 24^24 < 2^111, modulo one batch of four
+    primes: 24! < 2^80 needs three."""
+    widths, drawn = [], []
+    extend, primes = RowSpace.extend, ratlinalg._primes
+    monkeypatch.setattr(RowSpace, "extend",
+                        lambda self, v: widths.append(self.width) or extend(self, v))
+    monkeypatch.setattr(ratlinalg, "_primes", lambda: (drawn.append(p) or p for p in primes()))
     assert len(characters(function_algebra(S4))) == 24
-    assert len(calls) <= 30
+    assert widths == [24]
+    assert len(drawn) == 4
 
 
 def test_nonsplit_quotient_names_a_basis_element():
@@ -377,6 +383,29 @@ def test_broken_multiplication_refused(key, product, message):
                     H.comult, H.counit, H.antipode, H.star)
     with pytest.raises(KleintwistError, match=message):
         characters(broken)
+
+
+def test_socle_rows_refuse_a_non_associative_product(monkeypatch):
+    """C(S3) in the basis (unit, d_1, ..., d_5), with f_1 f_2 = f_2 f_1 = f_3
+    in place of 0: still unital and commutative, and a_1 still generates,
+    so the socle-row route runs, and its residual refuses the rows on
+    which multiplication does not act by a scalar."""
+    seen = []
+
+    def first_relation(K):
+        f = ratlinalg.first_relation(K)
+        seen.append(len(f) - 1)
+        return f
+
+    monkeypatch.setattr(hopf, "first_relation", first_relation)
+    H = transport(function_algebra(S3),
+                  [[Fraction(int(a == 0 or a == i)) for a in range(6)] for i in range(6)])
+    mult = {**H.mult, (1, 2): {3: 1}, (2, 1): {3: 1}}
+    broken = FDHopf(H.dim, H.basis_labels, H.unit, mult, H.comult, H.counit,
+                    H.antipode, H.star)
+    with pytest.raises(KleintwistError, match="block not invariant under multiplication"):
+        characters(broken)
+    assert seen == [6]
 
 
 def _flip_one_value(chars):

@@ -2,16 +2,19 @@
 against a plain Fraction Gauss-Jordan elimination written here."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import islice
+from math import gcd, isqrt, lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kleintwist import ratlinalg
 from kleintwist.errors import NonSplitQuotient
-from kleintwist.ratlinalg import (RowSpace, _cleared, _fit, _inverse, deflate, first_relation,
-                                  generalized_eigenspace, integer_roots, minimal_polynomial)
+from kleintwist.ratlinalg import (RowSpace, _cleared, _fit, _inverse, _relations_mod, deflate,
+                                  first_relation, generalized_eigenspace, integer_roots,
+                                  minimal_polynomial)
 
 SMALL = st.integers(-3, 3)
 NEAR_2_31 = st.integers(2 ** 31 - 3, 2 ** 31 + 3).flatmap(
@@ -331,6 +334,101 @@ def test_first_relation_is_the_least_krylov_relation(roots, u):
     below.extend(_fit(np.array(K[:len(c) - 1])))
     assert below.dim == len(c) - 1
     assert not any(poly_rem(minimal_polynomial(A), c))
+
+
+def rowspace_first_relation(K) -> list[int]:
+    """The least monic relation among the integer rows K by exact
+    fraction-free elimination of their transpose, as first_relation found
+    it before it ran modulo primes: the first free column d is the first
+    row in the span of the rows before it, and its kernel vector is zero
+    past d."""
+    columns = RowSpace(len(K))
+    columns.extend(_fit(K).T)
+    d = columns.free[0]
+    c = columns.kernel()[0]
+    return [int(x) // int(c[d]) for x in c[:d + 1]]
+
+
+@st.composite
+def conjugated_krylov_rows(draw):
+    """The Krylov rows u, uA, ..., uA^n of A = U^-1 J U, for a Jordan matrix
+    J with roots past 2^32 and a unimodular U = (unit lower)(unit upper)
+    with small entries, so A is an integer matrix that is not triangular.
+    u = w U, and w is drawn in the first Jordan block half of the time, so
+    that the rows uA^t = w J^t U stay in its invariant subspace."""
+    roots = draw(distinct_roots(st.integers(2 ** 33, 2 ** 40).flatmap(
+        lambda r: st.sampled_from([r, -r])), 3))
+    J = jordan(roots)
+    n = len(J)
+    lower, upper = (np.eye(n, dtype=object) for _ in range(2))
+    for i in range(n):
+        for j in range(i):
+            lower[i, j] = draw(SMALL)
+            upper[j, i] = draw(SMALL)
+    U = lower.dot(upper)
+    V, e = _inverse(_fit(U))
+    assert e == 1
+    A = V.astype(object).dot(J).dot(U)
+    w = draw(st.lists(SMALL, min_size=n, max_size=n).filter(any))
+    if draw(st.booleans()) and any(w[:roots[0][1]]):
+        w = w[:roots[0][1]] + [0] * (n - roots[0][1])
+    K = [np.array(w, dtype=object).dot(U)]
+    for _ in range(n):
+        K.append(K[-1].dot(A))
+    return np.array(K)
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugated_krylov_rows())
+def test_first_relation_matches_rowspace_elimination(K):
+    """Modulo primes with one exact certificate against exact elimination,
+    on Krylov rows whose entries pass 2^64 after two steps and whose
+    relation may stop short of the dimension."""
+    if len(K) > 2:
+        assert max(abs(int(x)) for x in K[-1]) > 2 ** 64
+    assert first_relation(K) == rowspace_first_relation(K)
+
+
+def test_first_relation_skips_a_prime_where_the_rank_drops():
+    """The Krylov rows (1, (1 + p)^t) of diag(1, 1 + p) at (1, 1) are
+    independent over Q below degree 2, but modulo p, the first prime of
+    the sequence, row 1 equals row 0: that prime must be skipped."""
+    p = next(ratlinalg._primes())
+    K = _fit([[1, (1 + p) ** t] for t in range(3)])
+    assert _relations_mod(K, [p]) == [(1, [p - 1, 1])]
+    assert first_relation(K) == [1 + p, -(2 + p), 1] == rowspace_first_relation(K)
+
+
+def test_certificate_refuses_a_lift_from_too_few_primes(monkeypatch):
+    """y - 1000 relates the rows (1), (1000).  Modulo 7, 7 * 11 and
+    7 * 11 * 13 = 1001 the symmetric lift of -1000 is 1, a relation the
+    exact product refuses each time; 17 more primes it up to 17017, past
+    twice the coefficient, and the true relation is certified."""
+    drawn = []
+    monkeypatch.setattr(ratlinalg, "_primes",
+                        lambda: (drawn.append(p) or p for p in [7, 11, 13, 17, 19, 23]))
+    assert first_relation([[1], [1000]]) == [-1000, 1]
+    assert drawn == [7, 11, 13, 17]
+
+
+def test_first_relation_refuses_rows_without_an_integral_relation():
+    with pytest.raises(ValueError, match="rows have no relation"):
+        first_relation(np.eye(2, dtype=np.int64))
+    with pytest.raises(ValueError, match="rows have no relation"):
+        first_relation([[3, 1], [2 ** 70, 5]])
+    # 2 K[1] = K[0]: the least relation y - 1/2 is not integral
+    with pytest.raises(ValueError, match="not integral"):
+        first_relation([[2, 4], [1, 2]])
+
+
+def test_primes_are_the_primes_below_2_30():
+    """The first 40 primes of the sequence against trial division."""
+    want, n = [], 2 ** 30 - 1
+    while len(want) < 40:
+        if all(n % q for q in range(3, isqrt(n) + 1, 2)):
+            want.append(n)
+        n -= 2
+    assert list(islice(ratlinalg._primes(), 40)) == want
 
 
 @given(st.lists(st.integers(-10 ** 20, 10 ** 20), min_size=2, max_size=8),
