@@ -68,6 +68,8 @@ class RunConfig:
         if not 1 <= self.max_n <= MAX_N_CAP:
             raise ValueError(f"max_n must be between 1 and {MAX_N_CAP}")
         if self.checks is not None:
+            if not self.checks:
+                raise ValueError("no check selected")
             for name in self.checks:
                 if name not in REGISTRY:
                     raise UnknownCheck(f"unknown check {name!r}")

@@ -3,8 +3,11 @@
 `kleintwist verify` runs the registered checks and can write the
 results as JSON and as a Markdown report.  Exit code 0 means every
 selected check passed, 1 that at least one failed or errored, 2 a usage
-problem.  Reports are rendered deterministically; pass --zero-durations
-to blank the timing column so two runs compare byte for byte.
+problem: an unknown or empty check selection, a report path that cannot
+be written (refused before any check runs), a presentation name that is
+unknown or past the solver's 5x5 bound.  Reports are rendered
+deterministically; pass --zero-durations to blank the timing column so
+two runs compare byte for byte.
 """
 
 from __future__ import annotations
@@ -96,13 +99,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    checks = tuple(s for s in args.checks.split(",") if s) if args.checks else None
+    checks = None if args.checks is None else tuple(s for s in args.checks.split(",") if s)
     try:
         cfg = RunConfig(checks=checks, max_n=args.max_n,
                         json_out=args.json_out, md_out=args.md_out)
     except (UnknownCheck, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    for path in filter(None, (cfg.json_out, cfg.md_out)):
+        try:        # before any check runs, so a long run cannot end unwritten
+            with open(path, "a"):
+                pass
+        except OSError as exc:
+            print(f"usage error: cannot write a report to {path}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     results = run(cfg)
     for r in results:
         dur = "0.0" if args.zero_durations else f"{r.duration_ms}"
@@ -119,11 +130,10 @@ def _cmd_verify(args) -> int:
 def _cmd_characters(args) -> int:
     try:
         spec = parse_presentation(args.name)
+        sols = solve_characters(spec)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    try:
-        sols = solve_characters(spec)
     except InfiniteCharacterSpace as exc:
         print(f"refused: {exc}")
         return 1

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import KleintwistError, TwistNotHopf
-from .hopf import (FDHopf, HopfMap, _q, _rescale, _safe_einsum, fourier_iso,
+from .hopf import (FDHopf, HopfMap, _contract, _first_difference, _q, fourier_iso,
                    group_algebra, restriction_surjection, verify_hopf_axioms)
 from .perm import PermGroup, Permutation, easy_klein, klein_group, symmetric_group
 from .ratlinalg import _cleared
@@ -127,8 +127,9 @@ def _grouplike_corrector(carrier: FDHopf, table) -> tuple:
 
 def trivial_cocycle(H: FDHopf) -> Cocycle2:
     """sigma = counit x counit; twisting by it changes nothing."""
-    ee = (_safe_einsum("i,j->ij", H.E, H.E), H.dE * H.dE)
-    return Cocycle2._from_tensors(H, ee, ee, (H.E, H.dE))
+    E = H._pairs[3]
+    ee = _contract("i,j->ij", E, E)
+    return Cocycle2._from_tensors(H, ee, ee, E)
 
 
 def klein_bicharacter() -> Cocycle2:
@@ -152,30 +153,16 @@ def verify_cocycle(sigma: Cocycle2) -> bool:
 
         sigma(x1,y1) sigma(x2 y2, z)  =  sigma(y1,z1) sigma(x, y2 z2).
     """
-    H = sigma.carrier
-    U, M, C, E = H.U, H.M, H.C, H.E
-    Sg, dSg = sigma.cleared_table
-    Sv, dSv = sigma.cleared_inverse_table
-
-    ok = True
-    for tab, d in ((Sg, dSg), (Sv, dSv)):
-        for sub in ("i,ij->j", "j,ij->i"):
-            ok = ok and np.array_equal(_rescale(_safe_einsum(sub, U, tab), H.dE),
-                                       _rescale(E, H.dU * d))
-    if not ok:
-        return False
-
-    ee = _rescale(_safe_einsum("i,j->ij", E, E), H.dC * H.dC * dSg * dSv)
-    for left, right in ((Sg, Sv), (Sv, Sg)):
-        conv = _safe_einsum("iab,jde,ad,be->ij", C, C, left, right)
-        if not np.array_equal(_rescale(conv, H.dE * H.dE), ee):
-            return False
-
-    SM1 = _safe_einsum("bew,wk->bek", M, Sg)
-    lhs = _safe_einsum("iab,jde,ad,bek->ijk", C, C, Sg, SM1)
-    SM2 = _safe_einsum("ehw,iw->ieh", M, Sg)
-    rhs = _safe_einsum("jde,kgh,dg,ieh->ijk", C, C, Sg, SM2)
-    return np.array_equal(lhs, rhs)
+    U, M, C, E = sigma.carrier._pairs[:4]
+    Sg, Sv = sigma.cleared_table, sigma.cleared_inverse_table
+    identities = [((sub, U, tab), ("i->i", E)) for tab in (Sg, Sv)
+                  for sub in ("i,ij->j", "j,ij->i")]
+    identities += [(("iab,jde,ad,be->ij", C, C, left, right), ("i,j->ij", E, E))
+                   for left, right in ((Sg, Sv), (Sv, Sg))]
+    # the cocycle identity, slab by slab over x's index i
+    identities.append((("iab,jde,ad,bek->ijk", C, C, Sg, _contract("bew,wk->bek", M, Sg)),
+                       ("jde,kgh,dg,ieh->ijk", C, C, Sg, _contract("ehw,iw->ieh", M, Sg))))
+    return all(_first_difference(x, y) is None for x, y in identities)
 
 
 def pullback(sigma: Cocycle2, pi: HopfMap) -> Cocycle2:
@@ -184,12 +171,10 @@ def pullback(sigma: Cocycle2, pi: HopfMap) -> Cocycle2:
         raise ValueError("pi's target is not the cocycle's carrier")
     if not pi.verify():
         raise KleintwistError(f"pullback needs a Hopf map, failed at: {pi.failure}")
-    P, d = pi.P, pi.d
-    (Sg, dSg), (Sv, dSv), (L, dL) = sigma._pairs
-    out = Cocycle2._from_tensors(pi.source,
-                                 (_safe_einsum("ia,jb,ab->ij", P, P, Sg), d * d * dSg),
-                                 (_safe_einsum("ia,jb,ab->ij", P, P, Sv), d * d * dSv),
-                                 (_safe_einsum("ia,a->i", P, L), d * dL))
+    P = (pi.P, pi.d)
+    Sg, Sv, L = sigma._pairs
+    out = Cocycle2._from_tensors(pi.source, _contract("ia,jb,ab->ij", P, P, Sg),
+                                 _contract("ia,jb,ab->ij", P, P, Sv), _contract("ia,a->i", P, L))
     if not verify_cocycle(out):
         raise KleintwistError("pulled-back table fails the cocycle identities")
     return out
@@ -216,33 +201,25 @@ def twist(H: FDHopf, sigma: Cocycle2, verify: bool = True,
     failure mode)."""
     if sigma.carrier is not H:
         raise ValueError("cocycle is bound to a different algebra; rebind first")
-    C, M, S = H.C, H.M, H.S
-    Sg, dSg = sigma.cleared_table
-    Sv, dSv = sigma.cleared_inverse_table
+    U, M, C, E, S, T = H._pairs
+    Sg, Sv, L = sigma._pairs
 
     # x *_sigma y: Delta2(x) = a b c and Delta2(y) = p q r, dressed by
     # sigma(a, p) sigma^-1(c, r) around the product b q.  One contraction,
     # slab by slab over x's index i: y's legs jyr,ypq once, then per slab
     # x's legs with the cocycles, y's legs, and M; an n^4 array never forms.
-    mult = _safe_einsum("ixc,xab,ap,cr,jyr,ypq,bqs->ijs", C, C, Sg, Sv, C, C, M,
-                        path=[(4, 5), (0, 1), (0, 4), (0, 3), (1, 2), (0, 1)])
-    mscale = H.dC ** 4 * dSg * dSv * H.dM
+    mult = _contract("ixc,xab,ap,cr,jyr,ypq,bqs->ijs", C, C, Sg, Sv, C, C, M,
+                     path=[(4, 5), (0, 1), (0, 4), (0, 3), (1, 2), (0, 1)])
 
     # S_sigma(x) = f(x1) S(x2) g(x3), f(x) = sigma(x1, S x2), g(x) = sigma^-1(S x1, x2).
-    f = _safe_einsum("xab,aw,bw->x", C, Sg, S)
-    g = _safe_einsum("xab,aw,wb->x", C, S, Sv)
-    antipode = (_safe_einsum("ixc,xab,a,bt,c->it", C, C, f, S, g),
-                H.dC ** 4 * H.dS ** 3 * dSg * dSv)
+    f = _contract("xab,aw,bw->x", C, Sg, S)
+    g = _contract("xab,aw,wb->x", C, S, Sv)
+    antipode = _contract("ixc,xab,a,bt,c->it", C, C, f, S, g)
 
-    star = (H.T, H.dT)
-    if correct_star:
-        # star_sigma(x) = L(x1) star(x2) L(x3)
-        L, dL = sigma.cleared_star_corrector
-        star = (_safe_einsum("ixc,xab,a,bt,c->it", C, C, L, H.T, L),
-                H.dC ** 2 * dL ** 2 * H.dT)
+    # star_sigma(x) = L(x1) star(x2) L(x3)
+    star = _contract("ixc,xab,a,bt,c->it", C, C, L, T, L) if correct_star else T
 
-    out = FDHopf._from_tensors(H.basis_labels, (H.U, H.dU), (mult, mscale), (C, H.dC),
-                               (H.E, H.dE), antipode, star)
+    out = FDHopf._from_tensors(H.basis_labels, U, mult, C, E, antipode, star)
     if verify:
         rep = verify_hopf_axioms(out)
         failed = [k for k, v in rep.items() if not v]

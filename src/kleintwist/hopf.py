@@ -9,8 +9,7 @@ arrays, so an exhaustive check at dimension 24 stays fast while remaining
 exact.  Every integer step (conversion, contraction, rescaling) goes
 through one bound guard, ratlinalg's _int_dtype, that switches to
 arbitrary-precision object arrays before int64 could overflow.  A HopfMap
-stores one cleared integer matrix and is verified on the same arrays,
-each suite one contraction per side.
+stores one cleared integer matrix and is verified on the same arrays.
 
 A contraction is planned once from its whole operands, then evaluated one
 slab of its first output index at a time (loop tiling, after Wolf and
@@ -29,9 +28,19 @@ once every step of the contraction path that does not reach the slab
 index, such as the j-side factor of the bialgebra identity; each slab
 runs only the steps that carry it, so no step on a slab forms an n^4
 array whole.
-An axiom identity X = Y between two contractions is decided the same
-way, slab against slab, stopping at the first slab that differs; twist
-builds its product slab by slab as well.
+
+Every axiom, of an algebra, a Hopf map or a cocycle, is an identity
+X = Y between two such contractions, and one routine decides them all
+(_first_difference).  Each side is given as its subscripts and its
+operands, every operand an (integer array, scale) pair, as stored or as
+_contract returns a contraction of pairs, so that side stands for X / dx,
+dx the product of its scales.  The two sides are cross-multiplied by
+their scales, X * (dy/g) = Y * (dx/g) with g = gcd(dx, dy), planned
+together so that their cut outputs line up and share one tier, and
+compared slab against slab, stopping at the first slab that differs; the
+first differing index is located in that slab only, and names a failing
+Hopf-map suite.  No axiom check, and neither twist nor pullback, writes
+out a product of scales.
 
 Character enumeration runs on the same integer arrays.  It quotients by
 the commutator ideal, built in batched rounds of contractions, and splits
@@ -59,7 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Optional
 
 import numpy as np
@@ -368,7 +377,7 @@ class _Contraction:
         if self.scale != 1:
             k = min(range(len(ops)), key=lambda j: ops[j].size)
             ops[k] = _rescale(ops[k], self.scale)
-        ops = [a.astype(dtype, copy=False) for a in ops]
+        ops = [np.asarray(a, dtype=dtype) for a in ops]     # a 0-d product may be an int
         slab = self.rhs[:1]
         nodes = [(term, op, bool(slab) and slab in term) for term, op in zip(self.terms, ops)]
         if path is None:
@@ -471,79 +480,77 @@ def _safe_einsum(subscripts: str, *arrays: np.ndarray, path=None) -> np.ndarray:
     return plan.ready(_tier(plan.bound), path).evaluate()
 
 
-def _identity_holds(x_subscripts: str, x_arrays, kx: int,
-                    y_subscripts: str, y_arrays, ky: int) -> bool:
-    """Whether X * kx == Y * ky exactly, X and Y two contractions whose
-    outputs have the same shape, compared axis by axis.
+def _contract(subscripts: str, *pairs, path=None) -> tuple:
+    """The contraction of (integer array, scale) pairs as one such pair:
+    the exact einsum of the arrays over the product of the scales."""
+    return (_safe_einsum(subscripts, *(A for A, _ in pairs), path=path),
+            prod(d for _, d in pairs))
 
-    Both are planned once: each output axis is cut to the positions live
-    on either side, so the two cut results line up, and both take the tier
-    of the larger proven bound, scales included.  They are then evaluated
-    and compared one slab of the first output axis at a time, stopping at
-    the first slab that differs; neither side exists whole."""
-    (x_lhs, xs), (y_lhs, ys) = x_subscripts.split("->"), y_subscripts.split("->")
-    x_live, y_live = _support(x_lhs.split(","), x_arrays), _support(y_lhs.split(","), y_arrays)
-    if [len(x_live[a]) for a in xs] != [len(y_live[b]) for b in ys]:
-        return False
-    for a, b in zip(xs, ys):
+
+def _first_difference(x: tuple, y: tuple) -> Optional[tuple]:
+    """The first index, in row-major order, at which the contractions X / dx
+    and Y / dy differ, or None when they agree.  Each side is (subscripts,
+    *pairs), every operand an (integer array, scale) pair and dx, dy the
+    products of a side's scales; the two outputs line up axis by axis.
+
+    The sides are cross-multiplied by their scales, X * (dy/g) = Y * (dx/g)
+    with g = gcd(dx, dy), so only integers are compared.  Both are planned
+    once: each output axis is cut to the positions live on either side, so
+    the two cut results line up, and both take the tier of the larger
+    proven bound, scales included.  They are then evaluated one slab of
+    the first output axis at a time; the index is located only in the
+    first slab that differs, and neither side exists whole."""
+    (xs, *xp), (ys, *yp) = x, y
+    dx, dy = prod(d for _, d in xp), prod(d for _, d in yp)
+    g = gcd(dx, dy)
+    x_ops, y_ops = [A for A, _ in xp], [A for A, _ in yp]
+    (x_lhs, x_out), (y_lhs, y_out) = xs.split("->"), ys.split("->")
+    x_live, y_live = _support(x_lhs.split(","), x_ops), _support(y_lhs.split(","), y_ops)
+    if [len(x_live[a]) for a in x_out] != [len(y_live[b]) for b in y_out]:
+        raise ValueError(f"{xs} and {ys} have outputs of different shapes")
+    for a, b in zip(x_out, y_out):
         x_live[a] = y_live[b] = x_live[a] | y_live[b]
-    X = _Contraction(x_subscripts, x_arrays, kx, x_live)
-    Y = _Contraction(y_subscripts, y_arrays, ky, y_live)
+    X = _Contraction(xs, x_ops, dy // g, x_live)
+    Y = _Contraction(ys, y_ops, dx // g, y_live)
     dtype = _tier(max(X.bound, Y.bound))
     X.ready(dtype)
     Y.ready(dtype)
     Y.height = X.height = min(X.height, Y.height)
-    return all(np.array_equal(x, y) for (_, x), (_, y) in zip(X.slabs(), Y.slabs()))
+    for (rows, a), (_, b) in zip(X.slabs(), Y.slabs()):
+        if not np.array_equal(a, b):
+            at = np.argwhere(a != b)[0]
+            return tuple(int(ix.ravel()[k]) for ix, k in zip(X.positions(x_out, rows), at))
+    return None
 
 
 def verify_hopf_axioms(H: FDHopf) -> dict:
     """Exhaustive check of all six axiom suites; returns booleans keyed
     associativity/coassociativity/counit/bialgebra/antipode/star.
     Failures are reported, never thrown."""
-    n = H.dim
-    U, M, C, E, S, T = H.U, H.M, H.C, H.E, H.S, H.T
-    eye = np.eye(n, dtype=np.int64)
-
-    assoc = _identity_holds("ijw,wkp->ijkp", (M, M), 1, "jkw,iwp->ijkp", (M, M), 1)
-    assoc = assoc and np.array_equal(_safe_einsum("i,ijp->jp", U, M), _rescale(eye, H.dU * H.dM))
-    assoc = assoc and np.array_equal(_safe_einsum("j,ijp->ip", U, M), _rescale(eye, H.dU * H.dM))
-
-    coassoc = _identity_holds("iab,axy->ixyb", (C, C), 1, "iab,bxy->iaxy", (C, C), 1)
-
-    counit = (np.array_equal(_safe_einsum("iab,a->ib", C, E), _rescale(eye, H.dC * H.dE))
-              and np.array_equal(_safe_einsum("iab,b->ia", C, E), _rescale(eye, H.dC * H.dE)))
-
-    # Delta(xy) = Delta(x) Delta(y); the j-side factor jcd,bdq is contracted
-    # once, every slab reads it
-    bialg = _identity_holds("iab,jcd,acp,bdq->ijpq", (C, C, M, M), 1,
-                            "ijw,wpq->ijpq", (M, C), H.dC * H.dM)
-    bialg = bialg and np.array_equal(_rescale(_safe_einsum("ijw,w->ij", M, E), H.dE),
-                                     _rescale(_safe_einsum("i,j->ij", E, E), H.dM))
-    bialg = bialg and np.array_equal(_rescale(_safe_einsum("i,ipq->pq", U, C), H.dU),
-                                     _rescale(_safe_einsum("i,j->ij", U, U), H.dC))
-    bialg = bialg and int(_safe_einsum("i,i->", U, E)) == H.dU * H.dE
-
-    target = _rescale(_safe_einsum("i,j->ij", E, U), H.dC * H.dS * H.dM)
-    anti = (np.array_equal(_rescale(_safe_einsum("iab,aw,wbp->ip", C, S, M), H.dE * H.dU), target)
-            and np.array_equal(_rescale(_safe_einsum("iab,bw,awp->ip", C, S, M), H.dE * H.dU),
-                               target))
-
-    star = np.array_equal(_safe_einsum("ij,jk->ik", T, T), _rescale(eye, H.dT * H.dT))
-    star = star and np.array_equal(_rescale(_safe_einsum("ijw,wp->ijp", M, T), H.dT),
-                                   _safe_einsum("jb,ia,bap->ijp", T, T, M))
-    star = star and np.array_equal(_rescale(_safe_einsum("iw,wab->iab", T, C), H.dT),
-                                   _safe_einsum("iab,ax,by->ixy", C, T, T))
-    star = star and np.array_equal(_safe_einsum("i,ij->j", U, T), _rescale(U, H.dT))
-    star = star and np.array_equal(_safe_einsum("ij,j->i", T, E), _rescale(E, H.dT))
-
-    return {
-        "associativity": bool(assoc),
-        "coassociativity": bool(coassoc),
-        "counit": bool(counit),
-        "bialgebra": bool(bialg),
-        "antipode": bool(anti),
-        "star": bool(star),
+    U, M, C, E, S, T = H._pairs
+    eye = ("ij->ij", (np.eye(H.dim, dtype=np.int64), 1))
+    one = ("->", (np.ones((), dtype=np.int64), 1))
+    suites = {
+        "associativity": [(("ijw,wkp->ijkp", M, M), ("jkw,iwp->ijkp", M, M)),
+                          (("i,ijp->jp", U, M), eye), (("j,ijp->ip", U, M), eye)],
+        "coassociativity": [(("iab,axy->ixyb", C, C), ("iab,bxy->iaxy", C, C))],
+        "counit": [(("iab,a->ib", C, E), eye), (("iab,b->ia", C, E), eye)],
+        # Delta(xy) = Delta(x) Delta(y) first; its j-side factor jcd,bdq is
+        # contracted once, every slab reads it
+        "bialgebra": [(("iab,jcd,acp,bdq->ijpq", C, C, M, M), ("ijw,wpq->ijpq", M, C)),
+                      (("ijw,w->ij", M, E), ("i,j->ij", E, E)),
+                      (("i,ipq->pq", U, C), ("i,j->ij", U, U)),
+                      (("i,i->", U, E), one)],
+        "antipode": [(("iab,aw,wbp->ip", C, S, M), ("i,j->ij", E, U)),
+                     (("iab,bw,awp->ip", C, S, M), ("i,j->ij", E, U))],
+        "star": [(("ij,jk->ik", T, T), eye),
+                 (("ijw,wp->ijp", M, T), ("jb,ia,bap->ijp", T, T, M)),
+                 (("iw,wab->iab", T, C), ("iab,ax,by->ixy", C, T, T)),
+                 (("i,ij->j", U, T), ("i->i", U)),
+                 (("ij,j->i", T, E), ("i->i", E))],
     }
+    return {name: all(_first_difference(x, y) is None for x, y in identities)
+            for name, identities in suites.items()}
 
 
 def all_axioms_pass(report: dict) -> bool:
@@ -586,38 +593,30 @@ class HopfMap:
 
     def verify(self) -> bool:
         """Exhaustive check that the map carries unit, product, coproduct,
-        counit, antipode and star of the source to those of the target:
-        one exact contraction per side on the cleared tensors, the two
-        sides cross-multiplied by their scales.  The suites run in that
-        order; the first one that fails is named in `failure` with its
-        first failing basis index (pair, for mult) in row-major order."""
-        s, t, P, d = self.source, self.target, self.P, self.d
+        counit, antipode and star of the source to those of the target.
+        Each suite is one identity (label, X, Y) for _first_difference,
+        each side one contraction of the stored pairs (P, d) and the two
+        algebras' tensors, which that routine cross-multiplies by their
+        scales.  The suites run in that order; the first one that fails is
+        named in `failure` with the first index at which its sides differ
+        (a pair, for mult), in row-major order."""
+        sU, sM, sC, sE, sS, sT = self.source._pairs
+        tU, tM, tC, tE, tS, tT = self.target._pairs
+        P = (self.P, self.d)
         suites = (
-            ("unit",
-             lambda: (_rescale(_safe_einsum("i,ip->p", s.U, P), t.dU),
-                      _rescale(t.U, s.dU * d))),
-            ("mult at ({},{})",
-             lambda: (_rescale(_safe_einsum("ijw,wp->ijp", s.M, P), d * t.dM),
-                      _rescale(_safe_einsum("ia,jb,abp->ijp", P, P, t.M), s.dM))),
-            ("comult at {}",
-             lambda: (_rescale(_safe_einsum("iab,ax,by->ixy", s.C, P, P), t.dC),
-                      _rescale(_safe_einsum("ip,pxy->ixy", P, t.C), s.dC * d))),
-            ("counit at {}",
-             lambda: (_rescale(_safe_einsum("ip,p->i", P, t.E), s.dE),
-                      _rescale(s.E, d * t.dE))),
-            ("antipode at {}",
-             lambda: (_rescale(_safe_einsum("iw,wp->ip", s.S, P), t.dS),
-                      _rescale(_safe_einsum("ip,pq->iq", P, t.S), s.dS))),
-            ("star at {}",
-             lambda: (_rescale(_safe_einsum("iw,wp->ip", s.T, P), t.dT),
-                      _rescale(_safe_einsum("ip,pq->iq", P, t.T), s.dT))),
+            ("unit", ("i,ip->p", sU, P), ("i->i", tU)),
+            ("mult at ({},{})", ("ijw,wp->ijp", sM, P), ("ia,jb,abp->ijp", P, P, tM)),
+            ("comult at {}", ("iab,ax,by->ixy", sC, P, P), ("ip,pxy->ixy", P, tC)),
+            ("counit at {}", ("ip,p->i", P, tE), ("i->i", sE)),
+            ("antipode at {}", ("iw,wp->ip", sS, P), ("ip,pq->iq", P, tS)),
+            ("star at {}", ("iw,wp->ip", sT, P), ("ip,pq->iq", P, tT)),
         )
         self.failure = None
-        for failure, sides in suites:
-            bad = np.not_equal(*sides())
-            if bad.any():
+        for failure, x, y in suites:
+            at = _first_difference(x, y)
+            if at is not None:
                 # format() drops the indices past the template's fields
-                self.failure = failure.format(*np.argwhere(bad)[0].tolist())
+                self.failure = failure.format(*at)
                 return False
         return True
 
@@ -626,8 +625,7 @@ class HopfMap:
         if not other.source.structure_equal(self.target):
             raise ValueError("the second map's source is not the first map's target")
         return HopfMap._from_matrix(self.source, other.target,
-                                    _safe_einsum("ia,ap->ip", self.P, other.P),
-                                    self.d * other.d)
+                                    *_contract("ia,ap->ip", (self.P, self.d), (other.P, other.d)))
 
     def inverse(self) -> "HopfMap":
         if self.source.dim != self.target.dim:
@@ -820,11 +818,12 @@ def characters(H: FDHopf) -> list:
 
     # chi(e_f) for the quotient basis is the eigenvalue of each operator on
     # the socle row, or on a block its trace / b; then chi(e_i) = sum_f proj[i, f]
-    # chi(e_f) / ideal.scale.  X holds all values over one denominator dX.
+    # chi(e_f) / ideal.scale.  R holds every character's chi(e_f) over one
+    # denominator dX, so one contraction gives all values X over dX.
     dens = [den * ideal.scale for den, _ in blocks]
     dX = lcm(*dens)
-    X = np.concatenate([_rescale(_safe_einsum("iq,q->i", proj, tr), dX // den)[None]
-                        for den, (_, tr) in zip(dens, blocks)])
+    R = _fit(np.stack([_rescale(tr, dX // den) for den, (_, tr) in zip(dens, blocks)]))
+    X = _safe_einsum("iq,fq->fi", proj, R)
 
     # The certificate: chi(1) = 1, chi(e_i e_j) = chi(e_i) chi(e_j) over all
     # pairs, chi(e_i*) = chi(e_i), as three contractions on X.

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import kleintwist
-from kleintwist import checks, present
+from kleintwist import checks, cli, present
 from kleintwist.checks import (CheckResult, RunConfig, all_check_ids, run,
                                run_one)
 from kleintwist.cli import main, render_json, render_markdown
@@ -69,6 +69,23 @@ class TestVerify:
     def test_unknown_check_usage_error(self, capsys):
         assert main(["verify", "--checks", "bogus"]) == 2
         assert "usage error" in capsys.readouterr().err
+
+    def test_empty_selection_usage_error(self, capsys):
+        assert main(["verify", "--checks", ",,"]) == 2
+        assert "usage error: no check selected" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="no check selected"):
+            RunConfig(checks=())
+
+    @pytest.mark.parametrize("flag", ["--json-out", "--md-out"])
+    def test_unwritable_report_refused_before_any_check(self, capsys, monkeypatch,
+                                                        tmp_path, flag):
+        ran = []
+        monkeypatch.setattr(cli, "run", lambda cfg: ran.append(cfg) or [])
+        for path in (tmp_path / "missing" / "report", tmp_path):
+            assert main(["verify", "--checks", "sign-table", flag, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: cannot write") and str(path) in err
+        assert not ran
 
     def test_max_n_usage_errors(self, capsys):
         assert main(["verify", "--checks", CHEAP, "--max-n", "0"]) == 2
@@ -138,6 +155,10 @@ class TestCharactersCommand:
 
     def test_unknown_name(self, capsys):
         assert main(["characters", "so9minus"]) == 2
+
+    def test_grid_past_the_solver_bound_is_a_usage_error(self, capsys):
+        assert main(["characters", "snplus:6"]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
 
 
 # sha256 of `kleintwist dump <which>`; refactors must keep these bytes.

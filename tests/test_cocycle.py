@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kleintwist import cocycle
 from kleintwist.cocycle import (Cocycle2, _grouplike_corrector, build_s4tau,
                                 double_twist, klein_bicharacter, pullback,
                                 rebind, trivial_cocycle, twist, verify_cocycle)
@@ -56,6 +57,27 @@ class TestBicharacter:
         tampered = Cocycle2.build(sigma.carrier, rows, rows,
                                   sigma.star_corrector)
         assert not verify_cocycle(tampered)
+
+    # Doubling one table's scale halves it.  The spy lets every identity
+    # run: exactly those of unequal degree in that table on their two sides
+    # differ, its two unit identities and both convolutions; the cocycle
+    # identity, of degree 2 in the table on each side, still holds.
+    @pytest.mark.parametrize("k", [0, 1], ids=["table", "inverse_table"])
+    def test_halved_table_fails_exactly_its_unbalanced_identities(self, monkeypatch, k):
+        sigma = build_s4tau().cocycle
+        pairs = [(A, 2 * d if j == k else d) for j, (A, d) in enumerate(sigma._pairs)]
+        halved = Cocycle2._from_tensors(sigma.carrier, *pairs)
+        assert verify_cocycle(sigma) and not verify_cocycle(halved)
+        real, differ = cocycle._first_difference, []
+
+        def spy(x, y):
+            if real(x, y) is not None:
+                differ.append((x[0], any(p is halved._pairs[k] for p in x[1:])))
+
+        monkeypatch.setattr(cocycle, "_first_difference", spy)
+        assert verify_cocycle(halved)
+        assert sorted(differ) == [("i,ij->j", True), ("iab,jde,ad,be->ij", True),
+                                  ("iab,jde,ad,be->ij", True), ("j,ij->i", True)]
 
     def test_trivial_cocycle_verifies(self):
         H = function_algebra(symmetric_group(3))

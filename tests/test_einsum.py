@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 import kleintwist
 from kleintwist import hopf
-from kleintwist.hopf import _identity_holds, _safe_einsum
+from kleintwist.hopf import _first_difference, _safe_einsum
 from kleintwist.ratlinalg import _INT64_LIMIT
 
 # Every subscript string written in the package source.
@@ -168,11 +168,13 @@ def test_identity_matches_plain_einsum(subscripts, data):
     kx = s * ky if data.draw(st.integers(0, 3)) else s * ky + 1
     # slabs of 1-4 rows of an index of at most 3: short remainder slabs too
     height = data.draw(st.integers(1, 4))
+    # X * kx = Y * ky is X / ky = Y / kx: the factors ride on operand scales
+    x = (subscripts, *[(a, 1) for a in ops[:-1]], (ops[-1], ky))
+    y = (renamed(subscripts), (other[0], kx), *[(a, 1) for a in other[1:]])
     with patch.object(hopf, "_slab_height", lambda widest: height):
-        got = _identity_holds(subscripts, ops, kx, renamed(subscripts), other, ky)
-    want = np.array_equal(reference(subscripts, ops) * kx,
-                          reference(subscripts, other) * ky)
-    assert got == want
+        got = _first_difference(x, y)
+    differ = np.argwhere(reference(subscripts, ops) * kx != reference(subscripts, other) * ky)
+    assert got == (tuple(differ[0].tolist()) if len(differ) else None)
 
 
 def test_scales_past_float64_take_the_int64_tier():
@@ -181,6 +183,10 @@ def test_scales_past_float64_take_the_int64_tier():
     tiers = []
     real = hopf._tier
     with patch.object(hopf, "_tier", lambda bound: tiers.append(real(bound)) or tiers[-1]):
-        assert not _identity_holds("ij,jk->ik", (one, one), k, "ij,jk->ik", (one, one), k - 1)
-        assert _identity_holds("ij,jk->ik", (one, one), k, "ij,jk->ik", (one, one), k)
+        # cross-multiplied: 1 * k against 1 * (k - 1), one value once rounded to float64
+        assert _first_difference(("ij,jk->ik", (one, k - 1), (one, 1)),
+                                 ("ij,jk->ik", (one, k), (one, 1))) == (0, 0)
+        # cross-multiplied: 1 * k against k * 1, equal
+        assert _first_difference(("ij,jk->ik", (one, 1), (one, 1)),
+                                 ("ij,jk->ik", (k * one, k), (one, 1))) is None
     assert tiers == [np.int64, np.int64]

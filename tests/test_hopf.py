@@ -71,19 +71,39 @@ class TestAxioms:
         # of 24 rows: the first and the last of six 4-row slabs, then the last
         # full 5-row slab and the 4-row remainder slab after it
         H = _s4tau()
-        real = hopf._identity_holds
+        real = hopf._first_difference
 
-        def perturbed(x_subscripts, x_arrays, *rest):
-            if x_subscripts == subscripts:      # one entry of the sliced operand
-                A = x_arrays[0].copy()
+        def perturbed(x, y):
+            if x[0] == subscripts:              # one entry of the sliced operand
+                (A, d), *rest = x[1:]
+                A = A.copy()
                 A[row, 0, 0] += 1
-                x_arrays = (A,) + tuple(x_arrays[1:])
-            return real(x_subscripts, x_arrays, *rest)
+                x = (x[0], (A, d), *rest)
+            return real(x, y)
 
         monkeypatch.setattr(hopf, "_slab_height", lambda widest: height)
-        monkeypatch.setattr(hopf, "_identity_holds", perturbed)
+        monkeypatch.setattr(hopf, "_first_difference", perturbed)
         report = verify_hopf_axioms(H)
         assert report == {k: k != suite for k in report}
+
+    # Doubling one scale halves that tensor; the sides of an identity are
+    # cross-multiplied by their scales, so exactly the suites with an
+    # identity of unequal degree in that tensor on its two sides fail.
+    @pytest.mark.parametrize("k,failing", [
+        (0, {"associativity", "bialgebra", "antipode"}),
+        (1, {"associativity", "bialgebra", "antipode"}),
+        (2, {"counit", "bialgebra", "antipode"}),
+        (3, {"counit", "bialgebra", "antipode"}),
+        (4, {"antipode"}),
+        (5, {"star"}),
+    ], ids=list("UMCEST"))
+    @pytest.mark.parametrize("build", [lambda: _s4tau(),
+                                       lambda: group_algebra(S3)], ids=["s4tau", "qs3"])
+    def test_halved_tensor_fails_exactly_its_unbalanced_suites(self, build, k, failing):
+        H = build()
+        pairs = [(A, 2 * d if j == k else d) for j, (A, d) in enumerate(H._pairs)]
+        report = verify_hopf_axioms(FDHopf._from_tensors(H.basis_labels, *pairs))
+        assert {name for name, ok in report.items() if not ok} == failing
 
     def test_bialgebra_contracts_its_j_side_factor_once(self, monkeypatch):
         H = _s4tau()
@@ -303,6 +323,12 @@ class TestMaps:
         pi = HopfMap(H, broken, [{i: 1} for i in range(H.dim)])
         assert not pi.verify()
         assert pi.failure == failure
+
+    def test_doubled_scale_fails_at_unit(self):
+        pi = restriction_surjection(S4, easy_klein()).then(fourier_iso(easy_klein()))
+        halved = HopfMap._from_matrix(pi.source, pi.target, pi.P, 2 * pi.d)
+        assert pi.verify() and not halved.verify()
+        assert halved.failure == "unit"
 
     def test_first_failing_index_is_named(self):
         H = function_algebra(S3)
