@@ -500,5 +500,5 @@ def run_one(name: str, cfg: RunConfig) -> CheckResult:
 
 
 def run(cfg: RunConfig) -> list:
-    names = sorted(cfg.checks) if cfg.checks is not None else all_check_ids()
+    names = sorted(set(cfg.checks)) if cfg.checks is not None else all_check_ids()
     return sorted((run_one(n, cfg) for n in names), key=lambda r: r.check_id)

@@ -99,7 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    checks = None if args.checks is None else tuple(s for s in args.checks.split(",") if s)
+    checks = None if args.checks is None else tuple(
+        s for s in map(str.strip, args.checks.split(",")) if s)
     try:
         cfg = RunConfig(checks=checks, max_n=args.max_n,
                         json_out=args.json_out, md_out=args.md_out)

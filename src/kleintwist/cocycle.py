@@ -192,13 +192,11 @@ def rebind(sigma: Cocycle2, H: FDHopf) -> Cocycle2:
     return out
 
 
-def twist(H: FDHopf, sigma: Cocycle2, verify: bool = True,
-          correct_star: bool = True) -> FDHopf:
+def twist(H: FDHopf, sigma: Cocycle2, verify: bool = True) -> FDHopf:
     """The 2-cocycle twist of H.  Coalgebra unchanged; product dressed by
     sigma on the left and sigma^{-1} on the right of the coproduct legs;
     antipode deformed accordingly; star replaced by its corrected form
-    unless correct_star is switched off (kept only to demonstrate the
-    failure mode)."""
+    L(x1) star(x2) L(x3), with L the cocycle's star corrector."""
     if sigma.carrier is not H:
         raise ValueError("cocycle is bound to a different algebra; rebind first")
     U, M, C, E, S, T = H._pairs
@@ -217,7 +215,7 @@ def twist(H: FDHopf, sigma: Cocycle2, verify: bool = True,
     antipode = _contract("ixc,xab,a,bt,c->it", C, C, f, S, g)
 
     # star_sigma(x) = L(x1) star(x2) L(x3)
-    star = _contract("ixc,xab,a,bt,c->it", C, C, L, T, L) if correct_star else T
+    star = _contract("ixc,xab,a,bt,c->it", C, C, L, T, L)
 
     out = FDHopf._from_tensors(H.basis_labels, U, mult, C, E, antipode, star)
     if verify:

@@ -1,12 +1,11 @@
 """Exact calculations in twisted coordinate models.
 
 The twisted function algebras of the 2x2 and 3x3 presentations are
-modeled on the classical coordinate rings: a TwistedElement stores, per
-Klein bidegree, an ordinary commutative polynomial in the matrix
-entries, and the twisted product multiplies componentwise with the
-bicharacter sign of the two bidegrees.  A monomial's bidegree is a
-function of the monomial, so a product of monomials is their exponent
-sum with one sign.
+modeled on the classical coordinate rings: a TwistedElement is an
+ordinary commutative polynomial in the matrix entries, one {monomial:
+coefficient} map.  A monomial's Klein bidegree is a function of the
+monomial, so the twisted product multiplies monomial by monomial: the
+exponent sum with the bicharacter sign of the two bidegrees.
 
 An element is zero exactly when its underlying polynomial vanishes on
 every real point of the classical group, which is decided exactly: O(2)
@@ -175,26 +174,17 @@ def klein_normalizer_so3() -> list:
 # -- sparse polynomials over the generator grid -------------------------
 
 
-def _poly_add_into(acc: dict, p: dict, scale=1) -> None:
-    for m, c in p.items():
-        v = acc.get(m, 0) + c * scale
-        if v:
-            acc[m] = v
-        else:
-            acc.pop(m, None)
-
-
 def _poly_mul(a: dict, b: dict) -> dict:
+    """Commutative product of two sparse polynomials {exponent:
+    coefficient}, cancelled terms dropped.  An exponent is a tuple (one
+    entry per variable) or, for the one variable of the O(2) circle, an
+    int."""
     out: dict = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-            v = out.get(m, 0) + c1 * c2
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-    return out
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2 if type(e1) is int else tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 def _pair_sign(left1: int, right1: int, left2: int, right2: int) -> int:
@@ -224,36 +214,46 @@ def _mono_mul(alg: str, m1: tuple, m2: tuple) -> tuple:
 
 
 class TwistedElement:
-    """Element of a twisted coordinate model: commutative polynomials
-    split by Klein bidegree.  Construction enforces homogeneity of each
-    component."""
+    """Element of a twisted coordinate model, stored as terms: one
+    {monomial: coefficient} map over the generator grid, with no zero
+    coefficients.  A monomial's Klein bidegree is a function of the
+    monomial, so the split by bidegree is a view (components).  The
+    constructor takes that split and refuses a nonzero term filed under
+    a bidegree that is not its own."""
 
-    __slots__ = ("algebra", "components")
+    __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: str, components: dict):
         if algebra not in _SIZES:
             raise ValueError(f"unknown algebra tag {algebra!r}")
-        comps = {}
+        terms = {}
         for d, p in components.items():
-            clean = {m: c for m, c in p.items() if c}
-            if not clean:
-                continue
-            for m in clean:
+            for m, c in p.items():
+                if not c:
+                    continue
                 if _mono_bidegree(algebra, m) != (d.left, d.right):
                     raise ValueError(f"monomial {m} is not homogeneous of bidegree {d}")
-            comps[d] = clean
+                terms[m] = c
         self.algebra = algebra
-        self.components = comps
+        self.terms = terms
 
     @classmethod
-    def _make(cls, algebra: str, components: dict) -> "TwistedElement":
-        """Constructor for the operations that only build homogeneous
-        components without zero coefficients: no re-check, empty
-        components dropped."""
+    def _make(cls, algebra: str, terms: dict) -> "TwistedElement":
+        """Constructor for the operations, which build terms without zero
+        coefficients: no re-check."""
         self = object.__new__(cls)
         self.algebra = algebra
-        self.components = {d: p for d, p in components.items() if p}
+        self.terms = terms
         return self
+
+    @property
+    def components(self) -> dict:
+        """The terms filed by Klein bidegree, {Bidegree: {monomial:
+        coefficient}}; a new dict on every read."""
+        out: dict = {}
+        for m, c in self.terms.items():
+            out.setdefault(Bidegree(*_mono_bidegree(self.algebra, m)), {})[m] = c
+        return out
 
     @staticmethod
     def zero(algebra: str) -> "TwistedElement":
@@ -275,10 +275,10 @@ class TwistedElement:
     def _plus(self, other: "TwistedElement", scale) -> "TwistedElement":
         if self.algebra != other.algebra:
             raise ValueError("mixed algebras")
-        comps = {d: dict(p) for d, p in self.components.items()}
-        for d, p in other.components.items():
-            _poly_add_into(comps.setdefault(d, {}), p, scale)
-        return TwistedElement._make(self.algebra, comps)
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            terms[m] = terms.get(m, 0) + c * scale
+        return TwistedElement._make(self.algebra, {m: c for m, c in terms.items() if c})
 
     def __add__(self, other: "TwistedElement") -> "TwistedElement":
         return self._plus(other, 1)
@@ -289,9 +289,7 @@ class TwistedElement:
     def scale(self, c) -> "TwistedElement":
         if not c:
             return TwistedElement.zero(self.algebra)
-        return TwistedElement._make(self.algebra, {
-            d: {m: cf * c for m, cf in p.items()}
-            for d, p in self.components.items()})
+        return TwistedElement._make(self.algebra, {m: cf * c for m, cf in self.terms.items()})
 
     def __mul__(self, other: "TwistedElement") -> "TwistedElement":
         return twisted_mul(self, other)
@@ -299,51 +297,34 @@ class TwistedElement:
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, TwistedElement)
                 and self.algebra == other.algebra
-                and self.components == other.components)
+                and self.terms == other.terms)
 
     def __hash__(self):
         raise TypeError("TwistedElement is not hashable")
 
     def __repr__(self) -> str:
-        terms = sum(len(p) for p in self.components.values())
-        return f"TwistedElement({self.algebra}, {len(self.components)} bidegrees, {terms} terms)"
+        bidegrees = len({_mono_bidegree(self.algebra, m) for m in self.terms})
+        return f"TwistedElement({self.algebra}, {bidegrees} bidegrees, {len(self.terms)} terms)"
 
 
 def twisted_mul(x: TwistedElement, y: TwistedElement) -> TwistedElement:
-    """Componentwise product with the bicharacter sign of the bidegrees:
-    homogeneous pieces multiply as sigma(g,g') sigma(h,h') times the
-    commutative product."""
+    """Product monomial by monomial: two monomials multiply to their
+    exponent sum times sigma(g,g') sigma(h,h') for their bidegrees (g,h)
+    and (g',h'); cancelled terms are dropped."""
     if x.algebra != y.algebra:
         raise ValueError("mixed algebras")
-    comps: dict = {}
-    for d1, p1 in x.components.items():
-        for d2, p2 in y.components.items():
-            sign = _pair_sign(d1.left, d1.right, d2.left, d2.right)
-            acc = comps.setdefault(d1 * d2, {})
-            _poly_add_into(acc, _poly_mul(p1, p2), sign)
-    return TwistedElement._make(x.algebra, comps)
+    out: dict = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            m, s = _mono_mul(x.algebra, m1, m2)
+            out[m] = out.get(m, 0) + s * c1 * c2
+    return TwistedElement._make(x.algebra, {m: c for m, c in out.items() if c})
 
 
 def generator_matrix(algebra: str) -> tuple:
     n = _SIZES[algebra]
     return tuple(tuple(TwistedElement.generator(algebra, i, j)
                        for j in range(1, n + 1)) for i in range(1, n + 1))
-
-
-def _flat(x: TwistedElement) -> dict:
-    """The element as one {monomial: coefficient} map; its components
-    hold disjoint monomials."""
-    return {m: c for p in x.components.values() for m, c in p.items()}
-
-
-def _flat_mul(alg: str, p: dict, q: dict) -> dict:
-    """Twisted product of two flat maps; cancelled terms stay as zeros."""
-    out: dict = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m, s = _mono_mul(alg, m1, m2)
-            out[m] = out.get(m, 0) + s * c1 * c2
-    return out
 
 
 def _signed_positions(R: SignedMatrix) -> list:
@@ -385,25 +366,13 @@ _SO3_ENTRIES = (
 )
 
 
-def _uni_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            v = out.get(e1 + e2, 0) + c1 * c2
-            if v:
-                out[e1 + e2] = v
-            else:
-                out.pop(e1 + e2, None)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _qpow(k: int) -> tuple:
     """(1 + t^2)^k as a tuple of (exponent, coefficient)."""
     if k == 0:
         return ((0, 1),)
     prev = dict(_qpow(k - 1))
-    return tuple(sorted(_uni_mul(prev, {0: 1, 2: 1}).items()))
+    return tuple(sorted(_poly_mul(prev, {0: 1, 2: 1}).items()))
 
 
 @lru_cache(maxsize=None)
@@ -414,7 +383,7 @@ def _subst_mono_o2(branch: int, mono: tuple) -> tuple:
     deg = 0
     for v, e in enumerate(mono):
         for _ in range(e):
-            acc = _uni_mul(acc, _O2_NUMS[branch][v])
+            acc = _poly_mul(acc, _O2_NUMS[branch][v])
         deg += e
     return tuple(sorted(acc.items())), deg
 
@@ -491,7 +460,7 @@ def _zero_map_row(alg: str, mono: tuple, degree: int) -> tuple:
     out = []
     for branch in (0, 1):
         terms, deg = _subst_mono_o2(branch, mono)
-        hom = _uni_mul(dict(terms), dict(_qpow(degree - deg)))
+        hom = _poly_mul(dict(terms), dict(_qpow(degree - deg)))
         out.extend(((branch, e), c) for e, c in hom.items())
     for k, point in enumerate(_O2_MISSED):
         out.append((("missed", k), _eval_factors(_mono_factors(alg, mono)[1], point)))
@@ -556,7 +525,7 @@ def _first_nonzero(alg: str, rows: list):
 def is_zero(x: TwistedElement) -> bool:
     """Exact test: does the element vanish identically on the real
     points of the classical group behind the model?"""
-    return _first_nonzero(x.algebra, [_flat(x)]) is None
+    return _first_nonzero(x.algebra, [x.terms]) is None
 
 
 # -- presentations in the model ------------------------------------------
@@ -580,16 +549,15 @@ def verify_twisted_presentation(kind: str, gens: tuple = None) -> list:
     alg = entries[0].algebra
     if any(e.algebra != alg for e in entries):
         raise ValueError("mixed algebras")
-    # entries are numbered row by row; product[a * n^2 + b] = g[a] g[b]
-    g = [_flat(e) for e in entries]
-    product = [_flat_mul(alg, p, q) for p in g for q in g]
+    # entries are numbered row by row; product[a * n^2 + b] = entries[a] entries[b]
+    product = [p * q for p in entries for q in entries]
     unit = (0,) * (_SIZES[alg] ** 2)
     ids, rows = [], []
 
-    def relation(rel_id: str, terms, constant: int = 0):
+    def relation(rel_id: str, summands, constant: int = 0):
         row = {unit: -constant} if constant else {}
-        for s, p in terms:
-            for m, c in p.items():
+        for s, x in summands:
+            for m, c in x.terms.items():
                 row[m] = row.get(m, 0) + s * c
         ids.append(rel_id)
         rows.append(row)
@@ -610,7 +578,7 @@ def verify_twisted_presentation(kind: str, gens: tuple = None) -> list:
                      [(1, product[a * nn + b]), (-s, product[b * nn + a])])
 
     if kind == "so3minus":
-        relation("det", [(1, _flat_mul(alg, product[t1 * nn + n + t2], g[2 * n + t3]))
+        relation("det", [(1, product[t1 * nn + n + t2] * entries[2 * n + t3])
                          for t1, t2, t3 in itertools.permutations(range(n))], 1)
 
     bad = _first_nonzero(alg, rows)
@@ -626,10 +594,9 @@ def character_value(x: TwistedElement, matrix: tuple):
     values by the reordering sign.  Summed in Python ints unless a
     coefficient is a Fraction; an integer value is returned as an int."""
     total = 0
-    for p in x.components.values():
-        for mono, c in p.items():
-            sign, factors = _mono_factors(x.algebra, mono)
-            total += sign * c * _eval_factors(factors, matrix)
+    for mono, c in x.terms.items():
+        sign, factors = _mono_factors(x.algebra, mono)
+        total += sign * c * _eval_factors(factors, matrix)
     return int(total) if total.denominator == 1 else total
 
 

@@ -1,10 +1,14 @@
-"""Term-by-term Fraction references that the tests compare the package's
-integer contractions with; nothing in the package calls them."""
+"""Term-by-term references that the tests compare the package's integer
+contractions and its twisted monomial product with; nothing in the
+package calls them."""
 
 from fractions import Fraction
 
-from kleintwist.cocycle import Cocycle2
+from kleintwist.cocycle import Cocycle2, klein_bicharacter
 from kleintwist.hopf import Character, FDHopf, _q
+from kleintwist.twistcalc import TwistedElement
+
+_KLEIN_SIGNS = klein_bicharacter().table
 
 
 def _n(q: Fraction):
@@ -46,3 +50,22 @@ def cocycle_value(sigma: Cocycle2, x: dict, y: dict):
         for j, b in y.items():
             acc += a * b * sigma.table[i][j]
     return _n(acc)
+
+
+def twisted_product(x: TwistedElement, y: TwistedElement) -> TwistedElement:
+    """x y in a twisted coordinate model, bidegree pair by bidegree pair:
+    components of bidegrees (g, h) and (g', h') multiply as commutative
+    polynomials, times sigma(g, g') sigma(h, h') from the Klein
+    bicharacter's table, filed under the bidegree (g, h) (g', h')."""
+    if x.algebra != y.algebra:
+        raise ValueError("mixed algebras")
+    out = {}
+    for d1, p1 in x.components.items():
+        for d2, p2 in y.components.items():
+            sign = _KLEIN_SIGNS[d1.left][d2.left] * _KLEIN_SIGNS[d1.right][d2.right]
+            acc = out.setdefault(d1 * d2, {})
+            for m1, c1 in p1.items():
+                for m2, c2 in p2.items():
+                    m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+                    acc[m] = acc.get(m, 0) + sign * c1 * c2
+    return TwistedElement(x.algebra, out)

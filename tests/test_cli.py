@@ -76,6 +76,23 @@ class TestVerify:
         with pytest.raises(ValueError, match="no check selected"):
             RunConfig(checks=())
 
+    def test_repeated_check_runs_once(self, capsys, tmp_path):
+        json_path = tmp_path / "report.json"
+        assert main(["verify", "--checks", "sign-table,sign-table", "--zero-durations",
+                     "--json-out", str(json_path)]) == 0
+        assert capsys.readouterr().out.count("[pass] sign-table") == 1
+        assert [r["check_id"] for r in json.loads(json_path.read_text())] == ["sign-table"]
+        assert [r.check_id for r in run(RunConfig(checks=("sign-table",) * 3))] == ["sign-table"]
+
+    def test_spaces_around_check_ids_are_stripped(self, capsys, tmp_path):
+        json_path = tmp_path / "report.json"
+        assert main(["verify", "--checks", " sign-table, det-to-perm ,", "--zero-durations",
+                     "--json-out", str(json_path)]) == 0
+        assert [r["check_id"] for r in json.loads(json_path.read_text())] == [
+            "det-to-perm", "sign-table"]
+        assert main(["verify", "--checks", " , "]) == 2
+        assert "usage error: no check selected" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--json-out", "--md-out"])
     def test_unwritable_report_refused_before_any_check(self, capsys, monkeypatch,
                                                         tmp_path, flag):

@@ -255,11 +255,22 @@ class TestTwist:
         assert isomorphism_type(g).name == "D4"
 
     def test_naive_star_fails_exactly_at_star(self):
+        """The twist with the carrier's star left uncorrected fails the
+        star suite and no other; the twist itself passes all six."""
         pi = restriction_surjection(S4, easy_klein()).then(
             fourier_iso(easy_klein()))
         sig = pullback(klein_bicharacter(), pi)
-        with pytest.raises(TwistNotHopf, match="star"):
-            twist(sig.carrier, sig, correct_star=False)
+        twisted = twist(sig.carrier, sig, verify=False)
+        rep = verify_hopf_axioms(twisted)
+        assert len(rep) == 6 and all_axioms_pass(rep)
+        naive = FDHopf._from_tensors(twisted.basis_labels, *twisted._pairs[:5],
+                                     sig.carrier._pairs[5])
+        assert {k for k, ok in verify_hopf_axioms(naive).items() if not ok} == {"star"}
+        # the counit as star corrector gives the same naive star, and
+        # twist's own check refuses it
+        counit = Cocycle2._from_tensors(sig.carrier, *sig._pairs[:2], sig.carrier._pairs[3])
+        with pytest.raises(TwistNotHopf, match=r"^twisted structure fails \['star'\]"):
+            twist(sig.carrier, counit)
 
     def test_double_twist_restores_everything(self):
         t = _s4tau_once()

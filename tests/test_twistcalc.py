@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -28,6 +29,7 @@ from kleintwist.twistcalc import (GenerationReport, SignedMatrix,
                                   verify_twisted_presentation)
 from kleintwist.twistcalc import (_O2_MISSED, _qpow, _subst_mono_o2,
                                   _subst_mono_so3)
+from oracles import twisted_product
 
 S4 = symmetric_group(4)
 
@@ -127,6 +129,54 @@ class TestTwistedElements:
                 Bidegree(1, 2): {(1, 0, 0, 0): 1},
             })
 
+    def test_nonzero_term_under_a_wrong_bidegree_is_refused(self):
+        for components, monomial, bidegree in (
+                ({Bidegree(1, 2): {(1, 0, 0, 0): 1}}, (1, 0, 0, 0), "Bidegree(left=1, right=2)"),
+                ({Bidegree(1, 1): {(1, 0, 0, 0): 1},
+                  Bidegree(2, 2): {(1, 0, 0, 0): 0, (0, 1, 0, 0): Fraction(5, 3)}},
+                 (0, 1, 0, 0), "Bidegree(left=2, right=2)")):
+            msg = f"monomial {monomial} is not homogeneous of bidegree {bidegree}"
+            with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+                TwistedElement("o2minus", components)
+        with pytest.raises(ValueError, match="^unknown algebra tag 'bogus'$"):
+            TwistedElement("bogus", {})
+
+    def test_zero_term_under_a_wrong_bidegree_is_dropped(self):
+        g = _gens("o2minus")
+        x = TwistedElement("o2minus", {
+            Bidegree(1, 1): {(1, 0, 0, 0): 1},
+            Bidegree(1, 2): {(1, 0, 0, 0): 0, (0, 1, 0, 0): 1},
+            Bidegree(3, 3): {(0, 0, 1, 0): Fraction(0)},
+        })
+        assert x == g[0][0] + g[0][1]
+        assert x.terms == {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1}
+        assert x.components == {Bidegree(1, 1): {(1, 0, 0, 0): 1},
+                                Bidegree(1, 2): {(0, 1, 0, 0): 1}}
+        assert TwistedElement("o2minus", {Bidegree(3, 3): {(1, 0, 0, 0): 0}}) == \
+            TwistedElement.zero("o2minus")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1),
+           st.sampled_from(["o2minus", "so3minus"]),
+           st.fractions(min_value=-3, max_value=3, max_denominator=7))
+    def test_components_round_trip(self, a_bits, b_bits, kind, scale):
+        x = _random_element(kind, a_bits) * _random_element(kind, b_bits).scale(scale)
+        components = x.components
+        assert TwistedElement(kind, components) == x
+        assert sum(len(p) for p in components.values()) == len(x.terms)
+        assert all(components.values()) and all(x.terms.values())
+
+    def test_repr(self):
+        g = _gens("o2minus")
+        one = TwistedElement.one("o2minus")
+        assert repr(g[0][0]) == "TwistedElement(o2minus, 1 bidegrees, 1 terms)"
+        assert repr(g[0][0] + g[0][1] + g[0][0] * g[0][1]) == \
+            "TwistedElement(o2minus, 3 bidegrees, 3 terms)"
+        assert repr(g[0][0] * g[0][0] + g[0][1] * g[0][1] + one.scale(Fraction(1, 2))) == \
+            "TwistedElement(o2minus, 1 bidegrees, 3 terms)"
+        assert repr(TwistedElement.zero("so3minus")) == \
+            "TwistedElement(so3minus, 0 bidegrees, 0 terms)"
+
     def test_add_sub_scale(self):
         g = _gens("o2minus")
         x = g[0][0] + g[0][0]
@@ -143,10 +193,11 @@ class TestTwistedElements:
                 assert g[i][j] * one == g[i][j]
 
     def test_anticommutation_matches_sign_table(self):
+        # all 16 o2minus and all 81 so3minus generator pairs
         sigma = klein_bicharacter()
-        g = _gens("so3minus")
-        for (i, j) in ((0, 0), (1, 2), (2, 1)):
-            for (k, l) in ((0, 1), (2, 2), (1, 0)):
+        for kind in ("o2minus", "so3minus"):
+            g = _gens(kind)
+            for i, j, k, l in itertools.product(range(len(g)), repeat=4):
                 a, b = g[i][j], g[k][l]
                 s = commutation_sign(sigma, Bidegree(i + 1, j + 1),
                                      Bidegree(k + 1, l + 1))
@@ -177,6 +228,28 @@ class TestStarProduct:
         b = _random_element(kind, b_bits)
         c = _random_element(kind, c_bits)
         assert (a * b) * c == a * (b * c)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1),
+           st.sampled_from(["o2minus", "so3minus"]),
+           st.fractions(min_value=-3, max_value=3, max_denominator=7))
+    def test_product_matches_bidegree_oracle(self, a_bits, b_bits, kind, scale):
+        x = _random_element(kind, a_bits).scale(scale)
+        y = _random_element(kind, b_bits)
+        for u, v in ((x, y), (y, x), (x, x), (x + y, x - y), (x, y - y)):
+            product = u * v
+            assert product == twisted_product(u, v)
+            assert all(product.terms.values())     # cancelled terms are dropped
+
+    @pytest.mark.parametrize("kind", ["o2minus", "so3minus"])
+    def test_cancelled_cross_terms_are_dropped(self, kind):
+        # g11 and g12 anticommute, so the cross terms of the square cancel
+        g = _gens(kind)
+        a, b = g[0][0], g[0][1]
+        square = (a + b) * (a + b)
+        assert square == a * a + b * b == twisted_product(a + b, a + b)
+        assert len(square.terms) == 2
+        assert not (a * b + b * a).terms
 
     def test_distributivity(self):
         g = _gens("o2minus")
@@ -325,7 +398,8 @@ def _is_zero_term_by_term(x):
 
 def _relations_one_by_one(kind, gens):
     """Reference for verify_twisted_presentation: every relation built
-    from its own products and zero-tested on its own by the term-by-term
+    from its own products, taken bidegree by bidegree by the oracle
+    twisted_product, and zero-tested on its own by the term-by-term
     oracle, in the same order and with the same ids."""
     n = len(gens)
     alg = gens[0][0].algebra
@@ -342,19 +416,20 @@ def _relations_one_by_one(kind, gens):
             target = one if i == j else zero
             row = col = zero
             for k in range(n):
-                row = row + gens[i][k] * gens[j][k]
-                col = col + gens[k][i] * gens[k][j]
+                row = row + twisted_product(gens[i][k], gens[j][k])
+                col = col + twisted_product(gens[k][i], gens[k][j])
             demand(f"orth-row-{i + 1}{j + 1}", row - target)
             demand(f"orth-col-{i + 1}{j + 1}", col - target)
     sigma = klein_bicharacter()
     for i, j, k, l in itertools.product(range(1, n + 1), repeat=4):
         s = commutation_sign(sigma, Bidegree(i, j), Bidegree(k, l))
         a, b = gens[i - 1][j - 1], gens[k - 1][l - 1]
-        demand(f"comm-{i}{j}-{k}{l}", a * b - (b * a).scale(s))
+        demand(f"comm-{i}{j}-{k}{l}", twisted_product(a, b) - twisted_product(b, a).scale(s))
     if kind == "so3minus":
         det = zero
         for tau in symmetric_group(3).sorted_elements():
-            det = det + gens[0][tau(1) - 1] * gens[1][tau(2) - 1] * gens[2][tau(3) - 1]
+            det = det + twisted_product(twisted_product(gens[0][tau(1) - 1], gens[1][tau(2) - 1]),
+                                        gens[2][tau(3) - 1])
         demand("det", det - one)
     return checked
 
