@@ -29,37 +29,39 @@ index, such as the j-side factor of the bialgebra identity; each slab
 runs only the steps that carry it, so no step on a slab forms an n^4
 array whole.
 
-Every axiom, of an algebra, a Hopf map or a cocycle, is an identity
-X = Y between two such contractions, and one routine decides them all
-(_first_difference).  Each side is given as its subscripts and its
-operands, every operand an (integer array, scale) pair, as stored or as
-_contract returns a contraction of pairs, so that side stands for X / dx,
-dx the product of its scales.  The two sides are cross-multiplied by
-their scales, X * (dy/g) = Y * (dx/g) with g = gcd(dx, dy), planned
-together so that their cut outputs line up and share one tier, and
-compared slab against slab, stopping at the first slab that differs; the
-first differing index is located in that slab only, and names a failing
-Hopf-map suite.  No axiom check, and neither twist nor pullback, writes
-out a product of scales.
+Every axiom, of an algebra, a Hopf map or a cocycle, and every clause of
+the character audit, is an identity X = Y between two such contractions,
+and one routine decides them all (_first_difference).  Each side is given
+as its subscripts and its operands, every operand an (integer array,
+scale) pair, as stored or as _contract returns a contraction of pairs, so
+that side stands for X / dx, dx the product of its scales.  The two sides
+are cross-multiplied by their scales, X * (dy/g) = Y * (dx/g) with
+g = gcd(dx, dy), planned together so that their cut outputs line up and
+share one tier, and compared slab against slab, stopping at the first
+slab that differs; the first differing index is located in that slab
+only, and says where a Hopf-map suite or a character fails.  No axiom
+check, and neither twist nor pullback, writes out a product of scales.
 
 Character enumeration runs on the same integer arrays.  It quotients by
 the commutator ideal, built in batched rounds of contractions, and splits
 the commutative quotient with one generic element a_t = sum_k (k+1)^t e_fk
 (primitive-element splitting, after Friedl and Ronyai, STOC 1985), trying
-t = 1, 2, ... until a_t separates the characters.  Its minimal polynomial
+t = 1, 2, ... until a_t generates the quotient.  Its minimal polynomial
 f is the least relation among the Krylov rows u, u a_t, ... of the unit u
 (ratlinalg.first_relation: modulo word-size primes, one exact
 certificate), and integer_roots finds its roots or raises NonSplitQuotient,
-naming a basis element whose own operator does not split.  When deg f is
-the quotient's dimension, the quotient is Q[y]/(f), and the socle of its
-local factor at a root r is the line of v_r = u (f / (y - r))(a_t), on
-which every element acts by its value at r's character: one product puts
-every basis operator on every v_r, and one exact residual certifies those
-scalars.  Only otherwise do the blocks come from generalized eigenspaces
-(RowSpace echelon bases, values from traces); a squarefree f of lower
-degree, or a block on which some operator keeps two eigenvalues, moves on
-to the next t.  Three contractions on the cleared value matrix audit the
-characters; one with the coproduct and the antipode gives their group.
+naming a basis element whose own operator does not split.  The quotient
+of a Hopf algebra is itself a commutative Hopf algebra, reduced over Q
+(Cartier's theorem), so a unit that does not act as a nonzero scalar, or
+an f with a repeated root, is refused: H is then no Hopf algebra.  A
+squarefree f of lower degree than the quotient's moves on to the next t.
+Once deg f is the quotient's dimension, the quotient is Q[y]/(f), one
+line per root r, spanned by v_r = u (f / (y - r))(a_t), on which every
+element acts by its value at r's character: one product puts every basis
+operator on every v_r, and one exact residual certifies those scalars.
+Three identities on the cleared value matrix, decided by
+_first_difference, audit the characters; one contraction with the
+coproduct and the antipode gives their group.
 """
 
 from __future__ import annotations
@@ -77,8 +79,7 @@ from .errors import (ClosureFailure, EvaluationNotPermutation, KleintwistError,
                      NonSplitQuotient, NotASubgroup)
 from .perm import PermGroup, Permutation, generate, klein_group
 from .ratlinalg import (RowSpace, _cleared, _dot, _fit, _int_dtype, _inverse, _max_abs,
-                        _primitive, _rescale, _sub, deflate, first_relation,
-                        generalized_eigenspace, integer_roots, minimal_polynomial)
+                        _primitive, _rescale, _sub, deflate, first_relation, integer_roots)
 
 
 def _q(v: int, d: int):
@@ -723,10 +724,12 @@ def characters(H: FDHopf) -> list:
     """All characters of H, exactly, from the algebra's integer tensors.
 
     Quotients by the two-sided commutator ideal and splits the commutative
-    quotient with one generic element: one socle row per root of its
-    minimal polynomial when it generates the quotient, else one block per
-    generalized eigenspace.  An operator whose minimal polynomial does not
-    split over the rationals raises NonSplitQuotient."""
+    quotient with one generic element, one socle row per root of its
+    minimal polynomial.  The quotient of a Hopf algebra is reduced, so a
+    unit that does not act as a nonzero scalar on it, or a generic element
+    with a repeated root, raises KleintwistError.  An operator whose
+    minimal polynomial does not split over the rationals raises
+    NonSplitQuotient."""
     n = H.dim
     if n > 64:
         raise ValueError(f"character enumeration restricted to dim <= 64, got {n}")
@@ -753,97 +756,85 @@ def characters(H: FDHopf) -> list:
     Q = _safe_einsum("jkp,pq->jkq", M[np.ix_(free, free)], proj)
     dQ = H.dM * ideal.scale
 
-    # a_t = sum_k (k+1)^t e_fk.  A sum of m exponentials c_k (k+1)^t, not all
-    # c_k zero, vanishes for at most m - 1 values of t (Descartes' rule of
-    # signs for exponential sums): two characters agree on a_t, or a_t has
-    # no nilpotent part on a non-reduced block, for fewer than m^3 values
-    # of t.  A is a_t's operator over its content, and f its minimal
-    # polynomial: at width m from the Krylov rows u A^i when u acts as a
-    # nonzero scalar, as the unit does (then u p(A) = 0 only if p(A) = 0).
+    # The minimal polynomial of the operator A of an element a is the least
+    # relation among the Krylov rows u A^i of the unit u: u acts as a nonzero
+    # scalar c, so u p(A), the coordinates of c p(a), is zero only if p(A) is.
     u = _safe_einsum("i,iq->q", H.U, proj)
     L = _safe_einsum("k,kpq->pq", u, Q)
-    unital = L[0, 0] != 0 and np.count_nonzero(L) == m and (L.diagonal() == L[0, 0]).all()
+    if not (L[0, 0] != 0 and np.count_nonzero(L) == m and (L.diagonal() == L[0, 0]).all()):
+        raise KleintwistError("the unit does not act as a nonzero scalar on the "
+                              "commutative quotient")
+
+    def krylov(A):
+        return _fit(np.array(list(accumulate([u.astype(object)] + [A.astype(object)] * m,
+                                             np.dot))))
+
+    # a_t = sum_k (k+1)^t e_fk.  A sum of m exponentials c_k (k+1)^t, not all
+    # c_k zero, vanishes for at most m - 1 values of t (Descartes' rule of
+    # signs for exponential sums): two characters agree on a_t for fewer
+    # than m^3 values of t.  A is a_t's operator over its content and f its
+    # minimal polynomial.  The quotient of a Hopf algebra over Q is reduced
+    # (Cartier), so f has no repeated root: at one, f / (y - r) of a_t would
+    # be a nonzero element whose square is zero.
     for t in range(1, m ** 3 + 1):
         A = _safe_einsum("k,kpq->pq", _fit([(k + 1) ** t for k in range(m)]), Q)
         A = _fit(A // max(1, abs(int(np.gcd.reduce(A, axis=None)))))
-        K = _fit(np.array(list(accumulate([u.astype(object)] + [A.astype(object)] * m, np.dot))))
-        f = first_relation(K) if unital else minimal_polynomial(A)
+        K = krylov(A)
+        f = first_relation(K)
         try:
             roots = integer_roots(f, A)
-            if unital and len(f) == m + 1:
-                # p(y) -> u p(A) maps Q[y]/(f) onto the quotient: the socle of
-                # the local factor at r is the line of v_r = u (f / (y - r))(A),
-                # and every element acts on it by its value at r's character.
-                V = _primitive(_dot(_fit([deflate(f, r)[0] for r, _ in roots]), K[:m]))
-                at = np.arange(len(V)), (V != 0).argmax(axis=1)
-                Y = _dot(V, Q)                  # Y[j, r] = v_r Q[j]
-                lead, value = V[at], Y[:, at[0], at[1]]
-                if (_rescale(Y, lead[:, None]) != _rescale(V, value[..., None])).any():
-                    raise KleintwistError("block not invariant under multiplication")
-                blocks = [(int(c) * dQ, y) for c, y in zip(lead, value.T)]
-                break
-            if len(f) <= m and all(k == 1 for _, k in roots):
-                continue        # A is diagonalizable, with an eigenspace not a line
-            pieces = [generalized_eigenspace(A, r, k) for r, k in roots]
-            if sum(len(X) for X in pieces) != m:
-                raise KleintwistError("generalized eigenspaces do not span the quotient")
-            blocks = []
-            for X in pieces:
-                block = RowSpace(m)
-                block.extend(X)
-                # Every operator on every row at once.  The block is invariant
-                # exactly when every residue vanishes; an image's coefficient on
-                # row r is then its entry at pivot r over that pivot: D[j] / s.
-                Y = _dot(block.rows, Q)
-                if (block.reduce(Y.reshape(-1, m)) != 0).any():
-                    raise KleintwistError("block not invariant under multiplication")
-                D = _rescale(Y[:, :, block.pivots], block.cofactors())
-                # D[j] and D[j] / s share their generalized eigenspaces
-                if any(len(integer_roots(minimal_polynomial(R), R)) > 1 for R in D):
-                    break       # not a local block: try the next t
-                b, s = block.dim, block.scale * dQ
-                blocks.append((b * s, np.trace(D, axis1=1, axis2=2,
-                                               dtype=_int_dtype(b * _max_abs(D)))))
         except NonSplitQuotient:
             for j, c in enumerate(free):    # name a basis element, never a_t
                 try:
-                    integer_roots(minimal_polynomial(Q[j]), Q[j], dQ)
+                    integer_roots(first_relation(krylov(Q[j])), Q[j], dQ)
                 except NonSplitQuotient as err:
                     raise NonSplitQuotient(f"{err}, basis element {H.basis_labels[c]}") from None
             raise KleintwistError("basis operators split but a combination does not") from None
-        if len(blocks) == len(pieces):
-            break
+        if any(k > 1 for _, k in roots):
+            raise KleintwistError("the commutative quotient is not reduced: a_t has a "
+                                  f"repeated root at t = {t}, so H is not a Hopf algebra")
+        if len(f) == m + 1:
+            break               # else A has an eigenspace that is not a line
     else:
         raise KleintwistError("no generic element separates the characters")
 
-    # chi(e_f) for the quotient basis is the eigenvalue of each operator on
-    # the socle row, or on a block its trace / b; then chi(e_i) = sum_f proj[i, f]
+    # p(y) -> u p(A) maps Q[y]/(f) onto the quotient, which splits as one
+    # line per root r, spanned by v_r = u (f / (y - r))(A); every element
+    # acts on it by its value at r's character.
+    V = _primitive(_dot(_fit([deflate(f, r)[0] for r, _ in roots]), K[:m]))
+    at = np.arange(len(V)), (V != 0).argmax(axis=1)
+    Y = _dot(V, Q)                  # Y[j, r] = v_r Q[j]
+    lead, value = V[at], Y[:, at[0], at[1]]
+    if (_rescale(Y, lead[:, None]) != _rescale(V, value[..., None])).any():
+        raise KleintwistError("block not invariant under multiplication")
+
+    # chi_r(e_f) = value[f, r] / (lead[r] dQ), then chi(e_i) = sum_f proj[i, f]
     # chi(e_f) / ideal.scale.  R holds every character's chi(e_f) over one
     # denominator dX, so one contraction gives all values X over dX.
-    dens = [den * ideal.scale for den, _ in blocks]
+    dens = [int(c) * dQ * ideal.scale for c in lead]
     dX = lcm(*dens)
-    R = _fit(np.stack([_rescale(tr, dX // den) for den, (_, tr) in zip(dens, blocks)]))
+    R = _fit(np.stack([_rescale(y, dX // den) for den, y in zip(dens, value.T)]))
     X = _safe_einsum("iq,fq->fi", proj, R)
 
     # The certificate: chi(1) = 1, chi(e_i e_j) = chi(e_i) chi(e_j) over all
-    # pairs, chi(e_i*) = chi(e_i), as three contractions on X.
-    unital = _safe_einsum("i,fi->f", H.U, X) == H.dU * dX
-    mult_bad = (_rescale(_safe_einsum("ijp,fp->fij", M, X), dX)
-                != _rescale(_safe_einsum("fi,fj->fij", X, X), H.dM))
-    star_bad = _safe_einsum("ip,fp->fi", H.T, X) != _rescale(X, H.dT)
-    for f in range(len(X)):
-        if not unital[f]:
-            raise KleintwistError("character fails chi(1) = 1")
-        if mult_bad[f].any():
-            i, j = np.argwhere(mult_bad[f])[0]
-            raise KleintwistError(f"character not multiplicative at ({i},{j})")
-        if star_bad[f].any():
-            raise KleintwistError(
-                f"character not star-compatible at {np.flatnonzero(star_bad[f])[0]}")
+    # pairs, chi(e_i*) = chi(e_i), as three identities on (X, dX).
+    U, Mp, _, _, _, T = H._pairs
+    P = (X, dX)
+    audit = (
+        ("character fails chi(1) = 1", ("i,fi->f", U, P),
+         ("f->f", (np.ones(len(X), dtype=np.int64), 1))),
+        # format() skips the character index f
+        ("character not multiplicative at ({1},{2})", ("ijp,fp->fij", Mp, P),
+         ("fi,fj->fij", P, P)),
+        ("character not star-compatible at {1}", ("ip,fp->fi", T, P), ("fi->fi", P)),
+    )
+    for failure, x, y in audit:
+        at = _first_difference(x, y)
+        if at is not None:
+            raise KleintwistError(failure.format(*at))
 
+    # no two rows agree: chi_r(a_t) is r times a factor that all r share
     rows = sorted(tuple(int(x) for x in row) for row in X)
-    if len(set(rows)) != len(rows):
-        raise KleintwistError("duplicate characters from distinct blocks")
     return [Character(H, tuple(_q(x, dX) for x in row)) for row in rows]
 
 

@@ -21,8 +21,6 @@ from math import lcm, prod
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional
 
-import numpy as np
-
 from .errors import NotASubgroup
 
 Images = tuple[int, ...]
@@ -37,43 +35,6 @@ def _inverse_images(a: Images) -> Images:
     for i, j in enumerate(a, start=1):
         inv[j - 1] = i
     return tuple(inv)
-
-
-# from about this order on, numpy's fixed cost is below the Python loop's
-_VECTOR_MIN_ORDER = 128
-# the row codes, below (degree + 1) ** degree, must fit in int64
-_VECTOR_MAX_DEGREE = 15
-
-
-def _inverse_closed(degree: int, images: frozenset[Images]) -> bool:
-    """True iff the inverse of every image tuple in images, all of length
-    degree, is in images too.
-
-    Large sets of small degree are checked in numpy. Every row must sort
-    to 1..degree. A permutation t is coded as the sum of t[i] w[i], with
-    w[i] = (degree + 1) ** i, and its inverse u, u[t[i] - 1] = i + 1, has
-    the code sum of (i + 1) w[t[i] - 1]; the set is inverse-closed iff the
-    two code arrays agree once sorted. The codes are summed one column at
-    a time into preallocated arrays, so no temporary holds more than one
-    integer per element. Elsewhere each inverse is looked up in Python.
-    """
-    if len(images) < _VECTOR_MIN_ORDER or degree > _VECTOR_MAX_DEGREE:
-        return all(_inverse_images(t) in images for t in images)
-    # bytes() is the fastest way in; it refuses entries outside 0..255
-    rows = np.frombuffer(bytes(itertools.chain.from_iterable(images)),
-                         dtype=np.uint8).reshape(len(images), degree)
-    if not (np.sort(rows, axis=1) == np.arange(1, degree + 1, dtype=np.uint8)).all():
-        return False
-    weights = (degree + 1) ** np.arange(degree, dtype=np.int64)
-    codes, inverse_codes, term = np.zeros((3, len(images)), dtype=np.int64)
-    for i, col in enumerate(rows.T):
-        codes += np.multiply(col, weights[i], out=term)
-        # the rows are permutations, so every index is in range
-        np.take(weights, col - 1, out=term, mode="clip")
-        inverse_codes += np.multiply(term, i + 1, out=term)
-    codes.sort()
-    inverse_codes.sort()
-    return np.array_equal(codes, inverse_codes)
 
 
 class Permutation:
@@ -242,8 +203,8 @@ class PermGroup:
             raise ValueError("mixed degrees in group element set")
         if tuple(range(1, degree + 1)) not in images:
             raise ValueError("identity missing")
-        if not _inverse_closed(degree, images):
-            t = next(t for t in images if _inverse_images(t) not in images)
+        t = next((t for t in images if _inverse_images(t) not in images), None)
+        if t is not None:
             raise ValueError(f"inverse of {Permutation(t)} missing")
         self.degree = degree
         self._images = images

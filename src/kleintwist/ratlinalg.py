@@ -15,9 +15,8 @@ that clears them: ints and Fractions of any shape to an integer array and
 one scale in canonical form.  first_relation finds the least monic
 relation among integer rows, such as a minimal polynomial at one vector,
 modulo word-size primes and returns it only once one exact product
-certifies it; minimal_polynomial, integer_roots (with deflate) and
-generalized_eigenspace give a matrix's minimal polynomial, its integer
-roots, and integer rows spanning a generalized eigenspace.
+certifies it; integer_roots (with deflate) finds the integer roots of such
+a polynomial.
 """
 
 from __future__ import annotations
@@ -146,9 +145,6 @@ class RowSpace:
                    _dot(flat[:, self.pivots], _rescale(self.rows, self.cofactors()[:, None])))
         return out.reshape(V.shape)
 
-    def contains(self, vec) -> bool:
-        return not bool((self.reduce(vec) != 0).any())
-
     def extend(self, vectors) -> np.ndarray:
         """Insert the integer rows of `vectors` (zero and repeated rows
         allowed).  Returns the rows that grew the space: residues modulo
@@ -173,21 +169,6 @@ class RowSpace:
             self.rows = _fit(np.vstack([self.rows, grown]))[order]
             self.pivots = [pivots[k] for k in order]
         return grown
-
-    def add(self, vec) -> bool:
-        """Insert one integer vector; returns True when the dimension grew."""
-        return len(self.extend(vec)) > 0
-
-    def kernel(self) -> np.ndarray:
-        """Primitive integer rows spanning {x : row . x = 0 for every row},
-        one per free column, in free-column order."""
-        free = self.free
-        K = np.zeros((len(free), self.width), dtype=object)
-        K[np.arange(len(free)), free] = self.scale
-        if self.pivots:
-            W = _rescale(self.rows[:, free], self.cofactors()[:, None])
-            K[:, self.pivots] = -W.T.astype(object)
-        return _primitive(_fit(K))
 
 
 def _cleared(values, scale: int = 1) -> tuple[np.ndarray, int]:
@@ -306,32 +287,6 @@ def first_relation(K) -> list[int]:
             return lift
         if M > 2 * prod(isqrt(int(s)) + 1 for s in (K[:d + 1].astype(object) ** 2).sum(axis=1)):
             raise ValueError("the least relation among the rows is not integral")
-
-
-def minimal_polynomial(A) -> list[int]:
-    """Monic minimal polynomial of the square integer matrix A, integer
-    coefficients in ascending degree order."""
-    A = _fit(A)
-    powers, flats = RowSpace(A.size), [np.eye(len(A), dtype=np.int64)]
-    while powers.add(flats[-1].reshape(-1)):
-        flats.append(_dot(flats[-1], A))
-    return first_relation(np.array([P.reshape(-1) for P in flats], dtype=object))
-
-
-def generalized_eigenspace(A, lam: int, k: int) -> np.ndarray:
-    """Integer rows spanning {x : x (A - lam)^k = 0}, for a square integer
-    matrix A acting on row vectors and an integer lam."""
-    A = _fit(A)
-    eye = np.eye(len(A), dtype=np.int64)
-    N = _sub(A, _rescale(eye, lam))
-    P = eye
-    for _ in range(k):
-        # each power's content is a positive factor: it leaves the kernel
-        P = _dot(P, N)
-        P = _fit(P // max(1, abs(int(np.gcd.reduce(P, axis=None)))))
-    space = RowSpace(len(A))
-    space.extend(P.T)          # x P = 0 exactly when x is orthogonal to P's columns
-    return space.kernel()
 
 
 def deflate(f, x: int) -> tuple[list[int], int]:

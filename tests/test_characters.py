@@ -3,6 +3,7 @@ references, and the exact verifiers under rational changes of basis."""
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -22,9 +23,9 @@ from kleintwist.hopf import (Character, FDHopf, HopfMap, _q, _safe_einsum,
                              verify_hopf_axioms)
 from kleintwist.perm import (PermGroup, Permutation, generate, isomorphism_type,
                              klein_group, symmetric_group)
-from kleintwist.ratlinalg import (RowSpace, _cleared, _inverse, _rescale, _sub,
-                                  generalized_eigenspace, integer_roots, minimal_polynomial)
-from oracles import convolution, convolution_inverse
+from kleintwist.ratlinalg import RowSpace, _cleared, _inverse, _rescale, _sub, integer_roots
+from oracles import (convolution, convolution_inverse, generalized_eigenspace,
+                     minimal_polynomial)
 
 S3 = symmetric_group(3)
 S4 = symmetric_group(4)
@@ -197,14 +198,19 @@ def mult_only(labels, unit: dict, mult: dict) -> FDHopf:
 
 
 # Q[x]/(x^2) x Q in the basis (e1 + x, x, e2): a_1 = e1 + 3x + 3e2 has the
-# minimal polynomial (y - 1)^2 (y - 3), so the block of 1 takes two deflations.
+# minimal polynomial (y - 1)^2 (y - 3).
 SQUARE_ZERO = mult_only(["e1+x", "x", "e2"], {0: 1, 1: -1, 2: 1},
                         {(0, 0): {0: 1, 1: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
                          (2, 2): {2: 1}})
 
 
 def test_non_semisimple_quotient():
-    assert [ch.values for ch in characters(SQUARE_ZERO)] == [(0, 0, 1), (1, 0, 0)]
+    """x is a nonzero element whose square is zero, so the quotient is not
+    reduced and no Hopf algebra has it: the two characters are not listed."""
+    with pytest.raises(KleintwistError, match=re.escape(
+            "the commutative quotient is not reduced: a_t has a repeated root "
+            "at t = 1, so H is not a Hopf algebra")):
+        characters(SQUARE_ZERO)
 
 
 def recursive_characters(H: FDHopf) -> list:
@@ -253,12 +259,12 @@ def recursive_characters(H: FDHopf) -> list:
 
 
 # Q[x]/(x^2) x Q in the basis (e1, x, e2 / 3): a_1 = e1 + 2x + e2 takes the
-# value 1 at both characters, so a_1 does not separate them and t = 2 does.
+# value 1 at both characters, with the minimal polynomial (y - 1)^2.
 UNSEPARATED = mult_only(["e1", "x", "e2/3"], {0: 1, 2: 3},
                         {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
                          (2, 2): {2: Fraction(1, 3)}})
 # Q[x,y]/(x,y)^2 x Q in the basis (e1, x, y, e2): no element generates it,
-# so its blocks come from generalized eigenspaces.
+# and a_1 = e1 + 2x + 3y + 4e2 has the minimal polynomial (y - 1)^2 (y - 4).
 NON_MONOGENIC = mult_only(["e1", "x", "y", "e2"], {0: 1, 3: 1},
                           {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
                            (0, 2): {2: 1}, (2, 0): {2: 1}, (3, 3): {3: 1}})
@@ -295,9 +301,6 @@ def oracle_case(name: str, height: int, seed: int) -> FDHopf:
 @settings(max_examples=8, deadline=None)
 @given(st.sampled_from(["cs3", "qs3", "qklein", "cd4"]),
        st.one_of(st.just(1), st.integers(2, 10 ** 4)), st.integers(0, 2 ** 32))
-@example("square_zero", 1, 0)
-@example("unseparated", 1, 0)
-@example("non_monogenic", 1, 0)
 @example("diagtwist_1_0", 1, 0)
 def test_characters_match_recursive_splitter(name, height, seed):
     H = oracle_case(name, height, seed)
@@ -306,13 +309,15 @@ def test_characters_match_recursive_splitter(name, height, seed):
 
 
 @pytest.mark.parametrize("name,degrees", [
-    ("square_zero", [3]), ("unseparated", [2, 3]), ("non_monogenic", [3]),
+    ("square_zero", [3]), ("unseparated", [2]), ("non_monogenic", [3]),
     ("diagtwist_1_0", [18, 24])])
 def test_generic_element_routes(monkeypatch, name, degrees):
-    """The degree of a_t's minimal polynomial at each t tried: a_t generates
-    the quotient (degree m), or its blocks come from generalized eigenspaces
-    and are kept (non_monogenic) or not local (unseparated), or its
-    polynomial is squarefree of lower degree (diagtwist_1_0)."""
+    """The degree of a_t's minimal polynomial at each t tried.  On the
+    relabelled diagonal twist, a_1's is squarefree of degree 18 < 24, so
+    the search moves on, and a_2 generates the quotient.  The other three
+    algebras are no Hopf algebras: their quotients hold a nonzero element
+    whose square is zero, a_1's polynomial has a repeated root, and the
+    quotient is refused at once, with no second t."""
     seen = []
 
     def first_relation(K):
@@ -321,7 +326,14 @@ def test_generic_element_routes(monkeypatch, name, degrees):
         return f
 
     monkeypatch.setattr(hopf, "first_relation", first_relation)
-    characters(oracle_case(name, 1, 0))
+    H = oracle_case(name, 1, 0)
+    if name == "diagtwist_1_0":
+        assert len(characters(H)) == 24
+    else:
+        with pytest.raises(KleintwistError, match=re.escape(
+                "the commutative quotient is not reduced: a_t has a repeated root "
+                "at t = 1, so H is not a Hopf algebra")):
+            characters(H)
     assert seen == degrees
 
 
@@ -359,29 +371,45 @@ def test_nonsplit_quotient_names_a_basis_element():
                               "[52905052/3286969, 10190/1813, 1], basis element id")
 
 
-@pytest.mark.parametrize("unit", [{k: 2 for k in range(6)}, {0: 1}, {}],
-                         ids=["doubled", "one_delta", "zero"])
-def test_wrong_unit_vector_refused(unit):
-    """A unit vector twice too long moves no block and no trace, so only the
-    audit sees it: values normalised against the unit would hide it.  A
-    vector that is no unit at all leaves the Krylov rows short of the
-    quotient, and the blocks come from the minimal polynomial of a_t."""
+NOT_SCALAR = "the unit does not act as a nonzero scalar on the commutative quotient"
+
+
+@pytest.mark.parametrize("unit,message", [
+    ({k: 2 for k in range(6)}, "character fails chi(1) = 1"),
+    ({0: 1}, NOT_SCALAR), ({}, NOT_SCALAR),
+], ids=["doubled", "one_delta", "zero"])
+def test_wrong_unit_vector_refused(unit, message):
+    """A unit vector twice too long still acts as a nonzero scalar and
+    moves no socle row, so only the audit sees it: values normalised
+    against the unit would hide it.  A vector that is no unit at all is
+    refused before any Krylov row is built."""
     H = function_algebra(S3)
     broken = FDHopf(H.dim, H.basis_labels, unit, H.mult, H.comult, H.counit,
                     H.antipode, H.star)
-    with pytest.raises(KleintwistError, match=r"character fails chi\(1\) = 1"):
+    with pytest.raises(KleintwistError, match=re.escape(message)):
         characters(broken)
 
 
-@pytest.mark.parametrize("key,product,message", [
-    ((0, 0), {0: 2}, r"character fails chi\(1\) = 1"),
-    ((1, 1), {1: 1, 2: 1}, "block not invariant under multiplication"),
-], ids=["unit", "invariance"])
-def test_broken_multiplication_refused(key, product, message):
+@pytest.mark.parametrize("key,product", [((0, 0), {0: 2}), ((1, 1), {1: 1, 2: 1})],
+                         ids=["unit", "invariance"])
+def test_broken_multiplication_refused(key, product):
+    """A product that changes e_0 e_0 or e_1 e_1 of C(S3) also changes the
+    unit's product with e_0 or e_1, so the unit no longer acts as a scalar."""
     H = function_algebra(S3)
     broken = FDHopf(H.dim, H.basis_labels, H.unit, {**H.mult, key: product},
                     H.comult, H.counit, H.antipode, H.star)
-    with pytest.raises(KleintwistError, match=message):
+    with pytest.raises(KleintwistError, match=re.escape(NOT_SCALAR)):
+        characters(broken)
+
+
+def test_broken_star_refused():
+    """Only the audit reads the star.  With e_1* = e_2 on C(S3), the first
+    character that is 1 at e_1 or at e_2 fails chi(e_1*) = chi(e_1), and
+    the message names the basis index 1, not the character's row."""
+    H = function_algebra(S3)
+    broken = FDHopf(H.dim, H.basis_labels, H.unit, H.mult, H.comult, H.counit,
+                    H.antipode, {**H.star, 1: {2: 1}, 2: {1: 1}})
+    with pytest.raises(KleintwistError, match=r"^character not star-compatible at 1$"):
         characters(broken)
 
 

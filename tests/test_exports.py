@@ -1,5 +1,5 @@
-"""The public names: each resolves, and each is either called inside the
-package or listed as an entry point in the README."""
+"""The public names, and every definition of the package: each is either
+read inside the package or listed as an entry point in the README."""
 
 import ast
 import re
@@ -25,6 +25,24 @@ def names_read_in_package() -> set:
     return read
 
 
+def definitions() -> list:
+    """(qualified name, name) of every module-level function and class, and
+    of every public method, defined in a package module other than
+    __init__."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                out.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                out += [(f"{path.stem}.{node.name}.{item.name}", item.name)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return out
+
+
 def readme_entry_points() -> set:
     readme = (PACKAGE.parents[1] / "README.md").read_text()
     section = readme.split("\n## Entry points\n", 1)[1].split("\n## ", 1)[0]
@@ -40,3 +58,12 @@ def test_every_exported_name_resolves_and_is_called_or_documented():
                 if name not in read and name not in documented]
     # an entry point is exported, and has no caller that would make it redundant
     assert documented <= set(kleintwist.__all__) - read
+
+
+def test_every_definition_is_read_or_documented():
+    """No helper outlives its last caller: a function, class or public
+    method that nothing in the package reads must be a documented entry
+    point, or go."""
+    read, documented = names_read_in_package(), readme_entry_points()
+    assert not [qual for qual, name in definitions()
+                if name not in read and name not in documented]

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from kleintwist import perm
 from kleintwist.errors import NotASubgroup
 from kleintwist.incseq import all_sequences, complete_diagram
-from kleintwist.perm import (GroupType, PermGroup, Permutation, _closure, _inverse_closed,
-                             _inverse_images, _schreier_sims, all_subgroups, are_conjugate, as_subgroup,
+from kleintwist.perm import (GroupType, PermGroup, Permutation, _closure, _schreier_sims,
+                             all_subgroups, are_conjugate, as_subgroup,
                              easy_klein, generate, is_characteristic_under_inner,
                              isomorphism_type, klein_group, normalizer,
                              subgroups_of_type, symmetric_group)
@@ -271,39 +271,6 @@ class TestConstructionPaths:
         assert PermGroup(4, elems).elements is elems
 
 
-class TestInverseClosed:
-    """_inverse_closed checks sets of 128 or more elements in numpy and
-    smaller ones in Python; both must agree with a lookup per element."""
-
-    S6 = frozenset(itertools.permutations(range(1, 7)))
-
-    @given(st.lists(st.sampled_from(sorted(S6)), max_size=6), st.booleans(),
-           st.integers(4, 6))
-    def test_agrees_with_lookup(self, removed, with_inverses, fixed):
-        # S6 less a few elements (and their inverses, when asked), and
-        # those of them that fix the points above `fixed`: 24, 120 or 720
-        # elements less the removed ones
-        if with_inverses:
-            removed += [_inverse_images(t) for t in removed]
-        kept = self.S6 - set(removed)
-        for images in (kept, frozenset(t for t in kept if t[fixed:] == tuple(range(fixed + 1, 7)))):
-            expected = all(_inverse_images(t) in images for t in images)
-            assert _inverse_closed(6, images) == expected
-
-    def test_refuses_non_permutations(self):
-        assert _inverse_closed(6, self.S6)
-        assert not _inverse_closed(6, self.S6 | {(1, 1, 3, 4, 5, 6)})
-        assert not _inverse_closed(6, self.S6 | {(7, 0, 3, 4, 5, 6)})
-
-    def test_large_degree_uses_lookup(self):
-        # S5 x Z3 on 16 points: 360 elements, too many digits for the codes
-        gens = [Permutation.from_cycles(16, c) for c in ([(1, 2, 3, 4, 5)], [(1, 2)], [(6, 7, 8)])]
-        images = generate(16, gens).images
-        assert len(images) == 360
-        assert _inverse_closed(16, images)
-        assert not _inverse_closed(16, images - {gens[2].images})
-
-
 class TestGroupRefusals:
     def test_empty(self):
         with pytest.raises(ValueError, match="a group needs at least the identity"):
@@ -332,8 +299,8 @@ class TestGroupRefusals:
             PermGroup._from_images(4, images)
 
     def test_inverse_missing_in_a_large_set(self):
-        # 719 elements: the check runs in numpy, the message still names
-        # the one element whose inverse is gone
+        # 719 elements, through both constructors: the message names the
+        # one element whose inverse is gone
         images = frozenset(itertools.permutations(range(1, 7))) - {(2, 3, 1, 4, 5, 6)}
         message = r"inverse of Permutation\(\(132\), degree=6\) missing"
         with pytest.raises(ValueError, match=message):
