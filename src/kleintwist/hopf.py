@@ -23,11 +23,28 @@ below 2^53 float64 arrays through BLAS, below 2^62 int64, otherwise
 Python ints.  The float tier is exact because every operand entry,
 product and partial sum is then an integer of magnitude below 2^53, which
 float64 represents exactly, so no operation rounds, whatever order BLAS
-sums in; callers only ever see int64 or object arrays.  Planning also runs
-once every step of the contraction path that does not reach the slab
-index, such as the j-side factor of the bialgebra identity; each slab
-runs only the steps that carry it, so no step on a slab forms an n^4
-array whole.
+sums in; callers only ever see int64 or object arrays.  Every step of the
+contraction path is planned pairwise: a step of more than two operands,
+which numpy would run as one nested loop, joins its fixed operands first,
+then each slab operand in turn.  Planning runs once every step that does
+not reach the slab index, and forms each such fixed factor directly in
+the layout of the matmul that reads it; each slab runs only the steps
+that carry it, so no step on a slab forms an n^4 array whole.
+
+Delta(xy) = Delta(x) Delta(y), the one identity of n^6 terms, is decided
+on generators.  Given associativity, the unit identities and
+Delta(1) = 1 (x) 1, it holds as soon as Delta(g y) = Delta(g) Delta(y)
+for every basis y and every g of a set that generates H as an algebra:
+induction on the length of a monomial in the g carries it to every
+monomial, and the monomials span H.  The generators are two, else three,
+fixed generic elements, and their generation of H is certified modulo
+one word-size prime that does not divide the product's scale: the span
+of 1 closed under left multiplication by them reaches dimension n there,
+and rows independent modulo a prime are independent over Q.  That leaves
+one contraction of k n^5 terms for k generators, whose n^4 fixed factor
+is formed once.  When associativity fails, or generation is not
+certified, the full identity runs, so each suite's verdict keeps its
+meaning.
 
 Every axiom, of an algebra, a Hopf map or a cocycle, and every clause of
 the character audit, is an identity X = Y between two such contractions,
@@ -70,7 +87,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Optional
 
 import numpy as np
@@ -78,8 +95,9 @@ import numpy as np
 from .errors import (ClosureFailure, EvaluationNotPermutation, KleintwistError,
                      NonSplitQuotient, NotASubgroup)
 from .perm import PermGroup, Permutation, generate, klein_group
-from .ratlinalg import (RowSpace, _cleared, _dot, _fit, _int_dtype, _inverse, _max_abs,
-                        _primitive, _rescale, _sub, deflate, first_relation, integer_roots)
+from .ratlinalg import (_INT64_LIMIT, RowSpace, _cleared, _dot, _fit, _int_dtype, _inverse,
+                        _is_prime, _max_abs, _primitive, _rescale, _sub, closure_dim_mod,
+                        deflate, first_relation, integer_roots)
 
 
 def _q(v: int, d: int):
@@ -293,7 +311,7 @@ _FLOAT64_LIMIT = 2 ** 53
 # slab stays in cache and no step on a slab allocates an n^4 array.
 _SLAB_ENTRIES = 2 ** 16
 # A step forming fewer products than this runs as a plain einsum loop,
-# which costs less than the path search and reshapes of the BLAS route.
+# which costs less than the reshapes of the matmul route (_matmul).
 _BLAS_WORK = 2 ** 16
 
 
@@ -326,6 +344,64 @@ def _support(terms, arrays) -> dict:
             hit = arr.any(axis=tuple(a for a in range(arr.ndim) if a != axis))
             live[ch] = live.get(ch, True) & hit
     return live
+
+
+def _sides(out: str, x: str, y: str) -> tuple:
+    """(batch, rows, columns) of the output term out of a matmul of the
+    operand x by the operand y: the columns are the longest tail of out
+    that only y carries, the rows the run before it that only x carries,
+    and the batch axes the rest."""
+    k = len(out)
+    while k and out[k - 1] in y and out[k - 1] not in x:
+        k -= 1
+    j = k
+    while j and out[j - 1] in x and out[j - 1] not in y:
+        j -= 1
+    return out[:j], out[j:k], out[k:]
+
+
+def _gemm_size(out: str, x: str, y: str, size) -> int:
+    """Entries of each matrix product when x,y->out runs as one matmul."""
+    _, rows, cols = _sides(out, x, y)
+    return prod(size(ch) for ch in rows + cols)
+
+
+def _matmul(a_term: str, a: np.ndarray, b_term: str, b: np.ndarray, out: str) -> np.ndarray:
+    """The contraction a_term,b_term->out as one broadcast matmul whose
+    result is C-contiguous in the order of out (_sides; the operands are
+    swapped when that gives larger matrix products).  A batch axis that
+    one operand lacks is broadcast over, and an index that only one
+    operand carries and out drops is summed first."""
+    sizes = dict(zip(a_term + b_term, a.shape + b.shape))
+    if _gemm_size(out, b_term, a_term, sizes.get) > _gemm_size(out, a_term, b_term, sizes.get):
+        a_term, a, b_term, b = b_term, b, a_term, a
+    batch, rows, cols = _sides(out, a_term, b_term)
+    summed = "".join(ch for ch in a_term if ch in b_term and ch not in out)
+
+    def laid_out(term, arr, first, last):
+        kept = "".join(ch for ch in batch if ch in term)
+        shape = [sizes[ch] if ch in term else 1 for ch in batch]
+        shape += [prod(sizes[ch] for ch in first), prod(sizes[ch] for ch in last)]
+        return np.einsum(f"{term}->{kept}{first}{last}", arr).reshape(shape)
+
+    product = np.matmul(laid_out(a_term, a, rows, summed), laid_out(b_term, b, summed, cols))
+    return product.reshape([sizes[ch] for ch in out])
+
+
+def _read_layout(a_term: str, term: str, keep, x: str, y: str, size) -> str:
+    """The order of a fixed intermediate's indices, term, in which the
+    step that reads it against the slab operand a_term finds it ready for
+    its matmul: the indices both carry and keep, then those both carry
+    and sum, in a's order, then its own.  Its own come grouped by the
+    operand, x or y, of the step that forms it, in whichever order lets
+    that step run the larger matrix products."""
+    shared = [ch for ch in a_term if ch in term]
+    head = "".join([ch for ch in shared if ch in keep] + [ch for ch in shared if ch not in keep])
+    own = [ch for ch in term if ch not in a_term]
+    from_x = "".join(ch for ch in own if ch in x)
+    from_y = "".join(ch for ch in own if ch not in x)
+    return max((head + from_x + from_y, head + from_y + from_x),
+               key=lambda out: max(_gemm_size(out, x, y, size), _gemm_size(out, y, x, size)))
 
 
 class _Contraction:
@@ -372,7 +448,14 @@ class _Contraction:
 
     def ready(self, dtype, path=None) -> "_Contraction":
         """Cast to dtype and contract what no slab needs; path is an
-        einsum_path list of steps, greedy when not given."""
+        einsum_path list of steps, greedy when not given.
+
+        Every step is planned pairwise.  A path step of more than two
+        operands, which numpy would run as one nested loop, joins its fixed
+        operands first, once, then each slab operand in turn.  A fixed
+        intermediate that a slab step reads is formed directly in the
+        layout that step's matmul reads it in (_read_layout), so no slab
+        copies it."""
         self.dtype = dtype
         ops = list(self.ops)
         if self.scale != 1:
@@ -380,54 +463,60 @@ class _Contraction:
             ops[k] = _rescale(ops[k], self.scale)
         ops = [np.asarray(a, dtype=dtype) for a in ops]     # a 0-d product may be an int
         slab = self.rhs[:1]
-        nodes = [(term, op, bool(slab) and slab in term) for term, op in zip(self.terms, ops)]
+        terms = list(self.terms)
+        slabbed = [bool(slab) and slab in term for term in terms]
         if path is None:
             path = [tuple(range(len(ops)))]
             if len(ops) > 2:
                 path = _greedy_path(",".join(self.terms) + "->" + self.rhs,
                                     tuple(a.shape for a in ops))
-        widest = 1
+        # node ids: the operands, then one per pairwise step (a, b), which
+        # forms node len(ops) + its place in steps; live keeps einsum_path's order
+        live, self.steps = list(range(len(ops))), []
         for step in path:
-            parts = [nodes.pop(k) for k in sorted(step, reverse=True)]
-            parts.sort(key=lambda part: not part[2])        # slab operands first
-            keep = set(self.rhs).union(*(term for term, _, _ in nodes))
-            out = "".join(dict.fromkeys(ch for term, _, _ in parts for ch in term
-                                        if ch in keep))
-            if not parts[0][2]:
+            ids = sorted((live.pop(k) for k in sorted(step, reverse=True)),
+                         key=slabbed.__getitem__)           # fixed operands first
+            while len(ids) > 1:
+                a, b, *rest = ids
+                if slabbed[b]:
+                    a, b = b, a                             # a slab operand on the left
+                keep = set(self.rhs).union(*(terms[i] for i in live + rest))
+                if slabbed[a] and not slabbed[b] and b >= len(ops):
+                    x, y = self.steps[b - len(ops)]
+                    terms[b] = _read_layout(terms[a], terms[b], keep, terms[x], terms[y],
+                                            self.size)
+                terms.append("".join(dict.fromkeys(ch for ch in terms[a] + terms[b]
+                                                   if ch in keep)))
+                slabbed.append(slabbed[a])
+                self.steps.append((a, b))
+                ids = [len(terms) - 1, *rest]
+            live += ids
+        nodes = list(zip(terms, ops, slabbed))
+        widest = 1
+        for a, b in self.steps:
+            out, parts = terms[len(nodes)], [nodes[a], nodes[b]]
+            nodes[a] = nodes[b] = None              # a fixed array lives on in its reader only
+            if parts[0][2]:
+                nodes.append((out, parts, True))
+                widest = max(widest, prod(self.size(ch) for ch in out if ch != slab))
+            else:
                 nodes.append((out, self._step(parts, out), False))
-                continue
-            if len(parts) == 2 and not parts[1][2]:
-                parts[1] = self._arranged(parts[0][0], parts[1], keep)
-            nodes.append((out, parts, True))
-            widest = max(widest, prod(self.size(ch) for ch in out if ch != slab))
-        (self.root,) = nodes
+        (root,) = live
+        self.root = nodes[root]
         widest = max(widest, prod(self.size(ch) for ch in self.rhs[1:]))
         self.height = _slab_height(widest)
         return self
 
-    @staticmethod
-    def _arranged(a_term: str, part, keep):
-        """A fixed operand laid out as numpy's batched-matmul route reads
-        its right operand against the slab operand a: shared kept indices,
-        then summed ones in a's order, then its own.  It is copied once
-        here, so no slab copies it."""
-        term, op, _ = part
-        shared = [ch for ch in a_term if ch in term]
-        want = "".join([ch for ch in shared if ch in keep] + [ch for ch in shared if ch not in keep]
-                       + [ch for ch in term if ch not in a_term])
-        if want == term:
-            return part
-        return want, np.ascontiguousarray(np.einsum(f"{term}->{want}", op)), False
-
     def _step(self, parts, out: str) -> np.ndarray:
-        sub = ",".join(term for term, _, _ in parts) + "->" + out
-        ops = [op for _, op, _ in parts]
+        (a_term, a, _), (b_term, b, _) = parts
+        sub = f"{a_term},{b_term}->{out}"
         if self.dtype is object:
             # plain einsum: numpy's optimize route turns an object operand that
             # a step sums to a scalar into int64 (numpy 2.4), which can wrap
-            return np.asarray(np.einsum(sub, *ops), dtype=object)
-        sizes = {ch: n for term, op, _ in parts for ch, n in zip(term, op.shape)}
-        return np.einsum(sub, *ops, optimize=prod(sizes.values()) >= _BLAS_WORK)
+            return np.asarray(np.einsum(sub, a, b), dtype=object)
+        if prod(dict(zip(a_term + b_term, a.shape + b.shape)).values()) < _BLAS_WORK:
+            return np.einsum(sub, a, b)
+        return _matmul(a_term, a, b_term, b, out)
 
     def _eval(self, node, rows: slice):
         term, value, slabbed = node
@@ -524,10 +613,65 @@ def _first_difference(x: tuple, y: tuple) -> Optional[tuple]:
     return None
 
 
+def _generic(n: int, k: int) -> np.ndarray:
+    """k generic elements of an n-dimensional algebra as the rows of an
+    integer matrix: g_1 = sum_j (j+1) e_j, then g_t = sum_j ((j+1)^t mod 97 + 1) e_j."""
+    return np.array([[j + 1 if t == 1 else pow(j + 1, t, 97) + 1 for j in range(n)]
+                     for t in range(1, k + 1)], dtype=np.int64)
+
+
+def _generates(H: FDHopf, G: np.ndarray) -> bool:
+    """Whether the elements in the rows of G generate H as an algebra with
+    unit, certified modulo one prime p: the span of 1 closed under left
+    multiplication by them (ratlinalg.closure_dim_mod) has dimension n.
+
+    The rows that closure forms are residues of integer multiples of the
+    coordinates of monomials in the g_i: U times products of the integer
+    operators G M.  n of them independent modulo p are independent over Q,
+    so the monomials span H.  p is the largest prime below 2^28, and below
+    sqrt(2^62 / n) so that no sum of products leaves int64, that does not
+    divide dM: then M / dM reduces modulo p, and the closure is that of
+    H's own product over F_p.  A prime dividing dM is never used."""
+    n = H.dim
+    top = min(2 ** 28, isqrt(_INT64_LIMIT // n))
+    p = next(q for q in range((top - 2) | 1, 8, -2) if _is_prime(q) and H.dM % q)
+    ops = np.einsum("gi,iyw->gyw", G % p, np.asarray(H.M % p, dtype=np.int64)) % p
+    return closure_dim_mod(H.U % p, ops, p) == n
+
+
+def _multiplicativity(H: FDHopf, associative: bool) -> tuple:
+    """The identity Delta(xy) = Delta(x) Delta(y), as the two sides that
+    _first_difference takes.  When H is associative with unit, x runs over
+    the first two, else three, generic elements (_generic) whose generation
+    of H is certified (_generates), and y over the basis; otherwise x and
+    y both run over the basis."""
+    M, C = H._pairs[1:3]
+    if associative:
+        for k in (2, 3):
+            G = (_generic(H.dim, k), 1)
+            if _generates(H, G[0]):
+                return (("gi,iab,acp,ycd,bdq->gypq", G, C, M, C, M),
+                        ("gi,iyw,wpq->gypq", G, M, C))
+    return ("iab,jcd,acp,bdq->ijpq", C, C, M, M), ("ijw,wpq->ijpq", M, C)
+
+
 def verify_hopf_axioms(H: FDHopf) -> dict:
     """Exhaustive check of all six axiom suites; returns booleans keyed
     associativity/coassociativity/counit/bialgebra/antipode/star.
-    Failures are reported, never thrown."""
+    Failures are reported, never thrown.
+
+    Delta(xy) = Delta(x) Delta(y) is the one identity of n^6 terms.  When
+    associativity, the unit identities 1 x = x = x 1 and Delta(1) = 1 (x) 1
+    hold, it is decided on generators: if Delta(g y) = Delta(g) Delta(y)
+    for every basis y and every g of a set that generates H, then by
+    induction on the length of a monomial w in the g,
+    Delta(g w y) = Delta(g) Delta(w y) = Delta(g) Delta(w) Delta(y)
+    = Delta(g w) Delta(y), and the monomials span H.  For k generic
+    elements whose generation of H is certified modulo a prime
+    (_generates), that is one contraction of k n^5 terms, whose n^4 fixed
+    factor ycd,bdq is formed once (_multiplicativity).  When associativity
+    fails, or generation is not certified, the full identity runs, so each
+    suite's verdict keeps its meaning."""
     U, M, C, E, S, T = H._pairs
     eye = ("ij->ij", (np.eye(H.dim, dtype=np.int64), 1))
     one = ("->", (np.ones((), dtype=np.int64), 1))
@@ -536,11 +680,9 @@ def verify_hopf_axioms(H: FDHopf) -> dict:
                           (("i,ijp->jp", U, M), eye), (("j,ijp->ip", U, M), eye)],
         "coassociativity": [(("iab,axy->ixyb", C, C), ("iab,bxy->iaxy", C, C))],
         "counit": [(("iab,a->ib", C, E), eye), (("iab,b->ia", C, E), eye)],
-        # Delta(xy) = Delta(x) Delta(y) first; its j-side factor jcd,bdq is
-        # contracted once, every slab reads it
-        "bialgebra": [(("iab,jcd,acp,bdq->ijpq", C, C, M, M), ("ijw,wpq->ijpq", M, C)),
+        # Delta(1) = 1 (x) 1 among these; Delta(xy) = Delta(x) Delta(y) is decided below
+        "bialgebra": [(("i,ipq->pq", U, C), ("i,j->ij", U, U)),
                       (("ijw,w->ij", M, E), ("i,j->ij", E, E)),
-                      (("i,ipq->pq", U, C), ("i,j->ij", U, U)),
                       (("i,i->", U, E), one)],
         "antipode": [(("iab,aw,wbp->ip", C, S, M), ("i,j->ij", E, U)),
                      (("iab,bw,awp->ip", C, S, M), ("i,j->ij", E, U))],
@@ -550,8 +692,11 @@ def verify_hopf_axioms(H: FDHopf) -> dict:
                  (("i,ij->j", U, T), ("i->i", U)),
                  (("ij,j->i", T, E), ("i->i", E))],
     }
-    return {name: all(_first_difference(x, y) is None for x, y in identities)
-            for name, identities in suites.items()}
+    report = {name: all(_first_difference(x, y) is None for x, y in identities)
+              for name, identities in suites.items()}
+    report["bialgebra"] = report["bialgebra"] and _first_difference(
+        *_multiplicativity(H, report["associativity"])) is None
+    return report
 
 
 def all_axioms_pass(report: dict) -> bool:

@@ -16,7 +16,8 @@ one scale in canonical form.  first_relation finds the least monic
 relation among integer rows, such as a minimal polynomial at one vector,
 modulo word-size primes and returns it only once one exact product
 certifies it; integer_roots (with deflate) finds the integer roots of such
-a polynomial.
+a polynomial.  closure_dim_mod closes a row under a set of matrices modulo
+one word-size prime, in int64.
 """
 
 from __future__ import annotations
@@ -211,18 +212,23 @@ def _inverse(A: np.ndarray) -> tuple[np.ndarray, int]:
     return _cleared(_rescale(space.rows[:, n:], space.cofactors()[:, None]), space.scale)
 
 
+def _is_prime(p: int) -> bool:
+    """Whether the odd number 7 < p < 3.2 * 10^9 is prime: below that the
+    strong probable-prime test to the bases 2, 3, 5 and 7 decides it
+    (Jaeschke, Math. Comp. 1993)."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1      # p - 1 = q 2^s, q odd
+    return all(x == 1 or p - 1 in (pow(x, 1 << i, p) for i in range(s))
+               for x in (pow(a, (p - 1) >> s, p) for a in (2, 3, 5, 7)))
+
+
 def _primes():
     """The primes below 2^30, largest first, without end, each found once
-    and kept; a remainder by one is one digit of a Python int.  Below
-    3.2 * 10^9 the strong probable-prime test to the bases 2, 3, 5 and 7
-    decides primality (Jaeschke, Math. Comp. 1993)."""
+    and kept; a remainder by one is one digit of a Python int."""
     for k in count():
         p = _PRIMES[-1] if _PRIMES else 2 ** 30 + 1
         while k == len(_PRIMES):
             p -= 2
-            s = ((p - 1) & (1 - p)).bit_length() - 1      # p - 1 = q 2^s, q odd
-            if all(x == 1 or p - 1 in (pow(x, 1 << i, p) for i in range(s))
-                   for x in (pow(a, (p - 1) >> s, p) for a in (2, 3, 5, 7))):
+            if _is_prime(p):
                 _PRIMES.append(p)
         yield _PRIMES[k]
 
@@ -249,6 +255,32 @@ def _relations_mod(K, primes) -> list:
         T[:, :, j:] = (T[:, :, j:] - T[:, :, j:j + 1] * row[:, None]) % P
         T[:, j, j:] = row
     return out
+
+
+def closure_dim_mod(u, ops, p: int) -> int:
+    """The dimension over F_p of the least subspace that holds the row u and
+    is mapped into itself by v -> v A for every matrix A of ops.  Entries
+    are residues below p, and n p^2 < 2^62 for rows of width n, so no sum
+    of n products leaves int64.  The space is kept in reduced echelon form
+    modulo p, and each round maps only the rows that grew it the round
+    before."""
+    B, pivots = np.zeros((0, len(u)), dtype=np.int64), []
+    new = np.asarray(u, dtype=np.int64)[None] % p
+    while len(new):
+        if pivots:
+            new = (new - new[:, pivots] @ B) % p
+        grown = []
+        while (live := np.flatnonzero(new.any(axis=1))).size:
+            row = new[live[0]]
+            col = int(np.flatnonzero(row)[0])
+            row = row * pow(int(row[col]), -1, p) % p
+            # clears col in every other row, and zeroes the row itself
+            new = (new - new[:, [col]] * row) % p
+            B = np.vstack([(B - B[:, [col]] * row) % p, row])
+            pivots.append(col)
+            grown.append(row)
+        new = np.concatenate([np.array(grown) @ A % p for A in ops]) if grown else grown
+    return len(pivots)
 
 
 def first_relation(K) -> list[int]:

@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import kleintwist
-from kleintwist import hopf
-from kleintwist.hopf import _first_difference, _safe_einsum
+from kleintwist import checks, hopf
+from kleintwist.cocycle import build_s4tau, double_twist
+from kleintwist.hopf import (_first_difference, _safe_einsum, characters,
+                             restriction_surjection)
+from kleintwist.perm import easy_klein, symmetric_group
 from kleintwist.ratlinalg import _INT64_LIMIT
 
 # Every subscript string written in the package source.
@@ -81,7 +84,10 @@ def test_every_package_subscript_is_covered():
 @given(data=st.data())
 def test_pruned_matches_plain_einsum(subscripts, data):
     sizes, ops = data.draw(operands(subscripts))
-    got = _safe_einsum(subscripts, *ops)
+    # at 0, every pairwise step runs as one broadcast matmul (hopf._matmul)
+    blas_work = data.draw(st.sampled_from([hopf._BLAS_WORK, 0]))
+    with patch.object(hopf, "_BLAS_WORK", blas_work):
+        got = _safe_einsum(subscripts, *ops)
     want = reference(subscripts, ops)
     assert np.shape(got) == np.shape(want)
     assert np.array_equal(np.asarray(got, dtype=object), np.asarray(want, dtype=object))
@@ -190,3 +196,60 @@ def test_scales_past_float64_take_the_int64_tier():
         assert _first_difference(("ij,jk->ik", (one, 1), (one, 1)),
                                  ("ij,jk->ik", (k * one, k), (one, 1))) is None
     assert tiers == [np.int64, np.int64]
+
+
+def _spied_plans(monkeypatch):
+    """Every contraction planned while the caller runs, as (subscripts, plan)."""
+    plans = []
+    real = hopf._Contraction.ready
+
+    def spy(self, dtype, path=None):
+        plans.append((",".join(self.terms) + "->" + self.rhs, real(self, dtype, path)))
+        return plans[-1][1]
+
+    monkeypatch.setattr(hopf._Contraction, "ready", spy)
+    return plans
+
+
+def _pairwise(plan) -> bool:
+    """Each step joins two distinct nodes formed before it, and every
+    operand ends in the one root: m operands, m - 1 steps."""
+    formed = len(plan.terms)
+    for a, b in plan.steps:
+        if not (a != b and a < formed and b < formed):
+            return False
+        formed += 1
+    return len(plan.steps) == len(plan.terms) - 1
+
+
+def test_no_planned_step_takes_more_than_two_operands(monkeypatch):
+    plans = _spied_plans(monkeypatch)
+    for cached in (checks._s4tau, checks._s4tau_characters, checks._cs4, checks._qs4):
+        cached.cache_clear()
+    assert all(result.status == "pass" for result in checks.run(checks.RunConfig()))
+    t = build_s4tau()
+    double_twist(t)
+    characters(t.algebra)
+    assert restriction_surjection(symmetric_group(4), easy_klein()).verify()
+    assert not [sub for sub, plan in plans if not _pairwise(plan)]
+    # among them contractions whose greedy path has a step of three operands
+    planned = {sub for sub, _ in plans}
+    assert {"gi,iab,acp,ycd,bdq->gypq", "iab,jde,ad,bek->ijk"} <= planned
+
+
+def test_greedy_three_operand_step_is_split():
+    # einsum's greedy path ends in bcp,bdq,ycd->ypq, which numpy runs as one
+    # nested loop; planned pairwise it is bcp,bdq once, then one product per slab
+    n = 24
+    shapes = ((n, n), (n, n, n), (n, n, n), (n, n, n))
+    subscripts = "ab,acp,bdq,ycd->ypq"
+    assert max(map(len, hopf._greedy_path(subscripts, shapes))) == 3
+    rng = np.random.default_rng(0)
+    ops = [rng.integers(-3, 4, size=shape) for shape in shapes]
+    plan = hopf._Contraction(subscripts, ops)
+    plan.ready(hopf._tier(plan.bound))
+    assert _pairwise(plan)
+    want = np.einsum("cpdq,ycd->ypq", np.einsum("bcp,bdq->cpdq",
+                                                  np.einsum("ab,acp->bcp", *ops[:2]), ops[2]),
+                     ops[3])
+    assert np.array_equal(plan.evaluate(), want)

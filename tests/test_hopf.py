@@ -1,6 +1,7 @@
 """Hopf structure tensors, axiom verification, maps, and characters."""
 
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,17 +9,20 @@ from hypothesis import given, settings, strategies as st
 
 from kleintwist import hopf
 from kleintwist.cocycle import Cocycle2, build_s4tau
-from kleintwist.errors import KleintwistError, NonSplitQuotient, NotASubgroup
-from kleintwist.hopf import (FDHopf, HopfMap, all_axioms_pass, character_group,
+from kleintwist.errors import NonSplitQuotient, NotASubgroup
+from kleintwist.hopf import (FDHopf, HopfMap, _first_difference, _safe_einsum, all_axioms_pass,
+                             character_group,
                              character_to_permutation, characters, convolution_identity,
                              function_algebra, fourier_iso, group_algebra,
                              restriction_surjection, verify_hopf_axioms)
 from kleintwist.perm import (Permutation, easy_klein, generate,
                              isomorphism_type, klein_group, symmetric_group)
+from kleintwist.ratlinalg import RowSpace, _is_prime
 from oracles import convolution, convolution_inverse, evaluate
 
 S3 = symmetric_group(3)
 S4 = symmetric_group(4)
+REDUCED_BIALGEBRA = "gi,iab,acp,ycd,bdq->gypq"
 Z3 = generate(3, [Permutation.from_cycles(3, [(1, 2, 3)])])
 
 
@@ -64,21 +68,29 @@ class TestAxioms:
 
     @pytest.mark.parametrize("suite,subscripts", [
         ("associativity", "ijw,wkp->ijkp"), ("coassociativity", "iab,axy->ixyb"),
-        ("bialgebra", "iab,jcd,acp,bdq->ijpq")])
+        ("bialgebra", "iab,jcd,acp,bdq->ijpq"), ("bialgebra", REDUCED_BIALGEBRA)])
     @pytest.mark.parametrize("height,row", [(4, 0), (4, 23), (5, 17), (5, 23)])
     def test_one_entry_in_any_slab_flips_only_its_suite(self, monkeypatch, suite,
                                                         subscripts, height, row):
         # of 24 rows: the first and the last of six 4-row slabs, then the last
-        # full 5-row slab and the 4-row remainder slab after it
+        # full 5-row slab and the 4-row remainder slab after it.  The reduced
+        # bialgebra identity slabs over its two generators, so there the row
+        # is one of the 24 of its coproduct operand iab.
         H = _s4tau()
         real = hopf._first_difference
+        if subscripts == "iab,jcd,acp,bdq->ijpq":
+            # the full identity runs only when generation is not certified
+            monkeypatch.setattr(hopf, "_generates", lambda H, G: False)
 
         def perturbed(x, y):
-            if x[0] == subscripts:              # one entry of the sliced operand
-                (A, d), *rest = x[1:]
+            if x[0] == subscripts:              # one entry of the first 3-axis operand
+                k = next(k for k, (A, _) in enumerate(x[1:]) if A.ndim == 3)
+                pairs = list(x[1:])
+                A, d = pairs[k]
                 A = A.copy()
                 A[row, 0, 0] += 1
-                x = (x[0], (A, d), *rest)
+                pairs[k] = (A, d)
+                x = (x[0], *pairs)
             return real(x, y)
 
         monkeypatch.setattr(hopf, "_slab_height", lambda widest: height)
@@ -106,6 +118,7 @@ class TestAxioms:
         assert {name for name, ok in report.items() if not ok} == failing
 
     def test_bialgebra_contracts_its_j_side_factor_once(self, monkeypatch):
+        # {1} generates no more than Q 1, so the full identity runs
         H = _s4tau()
         steps = []
         real = hopf._Contraction._step
@@ -114,11 +127,32 @@ class TestAxioms:
             steps.append(frozenset(term for term, _, _ in parts))
             return real(self, parts, out)
 
+        monkeypatch.setattr(hopf, "_generic", lambda n, k: H.U[None])
         monkeypatch.setattr(hopf, "_slab_height", lambda widest: 5)
         monkeypatch.setattr(hopf._Contraction, "_step", spy)
         assert all_axioms_pass(verify_hopf_axioms(H))
         assert steps.count(frozenset({"jcd", "bdq"})) == 1
         assert steps.count(frozenset({"iab", "acp"})) == 5      # one per slab
+
+    def test_reduced_bialgebra_forms_its_fixed_factor_once_in_its_readers_layout(
+            self, monkeypatch):
+        H = _s4tau()
+        steps = []
+        real = hopf._Contraction._step
+
+        def spy(self, parts, out):
+            value = real(self, parts, out)
+            steps.append((frozenset(term for term, _, _ in parts), out, value))
+            return value
+
+        monkeypatch.setattr(hopf._Contraction, "_step", spy)
+        assert all_axioms_pass(verify_hopf_axioms(H))
+        fixed = [(out, value) for terms, out, value in steps if terms == {"ycd", "bdq"}]
+        assert [out for out, _ in fixed] == ["bcyq"]
+        assert fixed[0][1].flags.c_contiguous
+        # the big step reads it as is: one (k n) x n^2 x n^2 matrix product
+        assert [terms for terms, _, _ in steps].count(frozenset({"gbcp", "bcyq"})) == 1
+        assert not any("jcd" in terms for terms, _, _ in steps)
 
 
 class TestAlgebras:
@@ -254,6 +288,129 @@ class TestStoredForm:
         H = _s4tau()
         assert H.noncommutative_witness() == (2, 3)
         assert [H.basis_labels[i] for i in (2, 3)] == ["d_(23)", "d_(234)"]
+
+
+def _exact_closure(H, G):
+    """The dimensions, round by round, of the span of 1 closed under left
+    multiplication by the rows of G, in exact RowSpace arithmetic."""
+    L = _safe_einsum("gi,iyw->gyw", G, H.M)
+    space = RowSpace(H.dim)
+    grown = space.extend(H.U[None])
+    dims = [space.dim]
+    while len(grown):
+        grown = space.extend(np.concatenate([_safe_einsum("ry,yw->rw", grown, A) for A in L]))
+        dims.append(space.dim)
+    return dims
+
+
+def _rescaled(H, k, c):
+    """H on the basis with e_k replaced by c e_k."""
+    s = [c if i == k else 1 for i in range(H.dim)]
+    return FDHopf(
+        dim=H.dim, basis_labels=H.basis_labels,
+        unit={i: Fraction(v) / s[i] for i, v in H.unit.items()},
+        mult={(i, j): {w: Fraction(s[i] * s[j] * v, s[w]) for w, v in vec.items()}
+              for (i, j), vec in H.mult.items()},
+        comult={i: [(a, b, Fraction(s[i] * v, s[a] * s[b])) for a, b, v in terms]
+                for i, terms in H.comult.items()},
+        counit=[s[i] * v for i, v in enumerate(H.counit)],
+        antipode={i: {w: Fraction(s[i] * v, s[w]) for w, v in vec.items()}
+                  for i, vec in H.antipode.items()},
+        star={i: {w: Fraction(s[i] * v, s[w]) for w, v in vec.items()}
+              for i, vec in H.star.items()})
+
+
+# the prime the generation certificate takes first at dimensions up to 64
+TOP_PRIME = next(q for q in range(2 ** 28 - 1, 8, -2) if _is_prime(q))
+
+
+class TestReducedBialgebra:
+    """Delta(xy) = Delta(x) Delta(y) decided on certified generators."""
+
+    @pytest.mark.parametrize("build", [_s4tau, lambda: group_algebra(S3)], ids=["s4tau", "qs3"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_one_entry_of_c_gets_the_same_verdict_on_both_routes(self, build, data):
+        H = build()
+        n = H.dim
+        C, dC = H._pairs[2]
+        C = C.copy()
+        at = tuple(data.draw(st.integers(0, n - 1)) for _ in range(3))
+        C[at] += data.draw(st.sampled_from([1, -1, 2, -3]))
+        pairs = list(H._pairs)
+        pairs[2] = (C, dC)
+        broken = FDHopf._from_tensors(H.basis_labels, *pairs)
+        reduced = hopf._multiplicativity(broken, True)
+        assert reduced[0][0] == REDUCED_BIALGEBRA
+        full = hopf._multiplicativity(broken, False)
+        assert full[0][0] == "iab,jcd,acp,bdq->ijpq"
+        assert (_first_difference(*reduced) is None) == (_first_difference(*full) is None)
+        with patch.object(hopf, "_generates", lambda H, G: False):
+            full_report = verify_hopf_axioms(broken)
+        assert verify_hopf_axioms(broken) == full_report
+
+    def test_qs4_needs_a_third_generator(self, monkeypatch):
+        H = group_algebra(S4)
+        assert _exact_closure(H, hopf._generic(24, 2)) == [1, 3, 7, 14, 20, 22, 22]
+        assert _exact_closure(H, hopf._generic(24, 3))[-1] == 24
+        assert not hopf._generates(H, hopf._generic(24, 2))
+        assert hopf._generates(H, hopf._generic(24, 3))
+        sides = []
+        real = hopf._first_difference
+
+        def spy(x, y):
+            sides.append((x[0], x[1][0].shape))
+            return real(x, y)
+
+        monkeypatch.setattr(hopf, "_first_difference", spy)
+        assert all_axioms_pass(verify_hopf_axioms(H))
+        assert (REDUCED_BIALGEBRA, (3, 24)) in sides
+        # with the third element refused too, the full identity decides
+        sides.clear()
+        monkeypatch.setattr(hopf, "_generates", lambda H, G: False)
+        assert all_axioms_pass(verify_hopf_axioms(H))
+        assert [s for s, _ in sides if "bdq" in s] == ["iab,jcd,acp,bdq->ijpq"]
+
+    @pytest.mark.parametrize("build", [_s4tau, lambda: group_algebra(S3)], ids=["s4tau", "qs3"])
+    def test_unit_alone_generates_nothing(self, build):
+        H = build()
+        assert not hopf._generates(H, H.U[None])
+
+    def test_unit_alone_is_never_trusted(self, monkeypatch):
+        # Q[S3] with one coproduct entry off outside the unit's row e_0:
+        # Delta(1) = 1 (x) 1 still holds, and on {1} alone so does the
+        # reduced identity, Delta(1 y) = Delta(1) Delta(y)
+        Q = group_algebra(S3)
+        C, dC = Q._pairs[2]
+        C = C.copy()
+        C[1, 0, 0] += 1
+        pairs = list(Q._pairs)
+        pairs[2] = (C, dC)
+        broken = FDHopf._from_tensors(Q.basis_labels, *pairs)
+        one, M, C = (Q.U[None], 1), broken._pairs[1], broken._pairs[2]
+        assert _first_difference((REDUCED_BIALGEBRA, one, C, M, C, M),
+                                 ("gi,iyw,wpq->gypq", one, M, C)) is None
+        monkeypatch.setattr(hopf, "_generic", lambda n, k: Q.U[None])
+        report = verify_hopf_axioms(broken)
+        assert report["associativity"] and not report["bialgebra"]
+
+    def test_a_prime_dividing_the_product_scale_is_never_used(self, monkeypatch):
+        primes = []
+        real = hopf.closure_dim_mod
+
+        def spy(u, ops, p):
+            primes.append(p)
+            return real(u, ops, p)
+
+        monkeypatch.setattr(hopf, "closure_dim_mod", spy)
+        plain = group_algebra(S3)
+        assert all_axioms_pass(verify_hopf_axioms(plain))
+        assert primes == [TOP_PRIME]
+        primes.clear()
+        H = _rescaled(plain, 1, TOP_PRIME)
+        assert H.dM % TOP_PRIME == 0
+        assert all_axioms_pass(verify_hopf_axioms(H))
+        assert primes and TOP_PRIME not in primes
 
 
 class TestMaps:

@@ -9,7 +9,7 @@ from kleintwist import present
 from kleintwist.cocycle import Cocycle2, klein_bicharacter
 from kleintwist.errors import (ClosureFailure, InfiniteCharacterSpace,
                                PatternMismatch, SignMismatch)
-from kleintwist.perm import Permutation, isomorphism_type, symmetric_group
+from kleintwist.perm import Permutation, isomorphism_type
 from kleintwist.present import (KLEIN_PRODUCT, Bidegree, IncSeq, O2, O2Minus,
                                 SO3, SO3Minus, SnPlus, character_group_of,
                                 commutation_sign,

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kleintwist import ratlinalg
 from kleintwist.errors import NonSplitQuotient
-from kleintwist.ratlinalg import (RowSpace, _cleared, _fit, _inverse, _relations_mod, deflate,
-                                  first_relation, integer_roots)
+from kleintwist.ratlinalg import (RowSpace, _cleared, _dot, _fit, _inverse, _relations_mod,
+                                  closure_dim_mod, deflate, first_relation, integer_roots)
 from oracles import generalized_eigenspace, kernel, minimal_polynomial
 
 SMALL = st.integers(-3, 3)
@@ -427,6 +428,42 @@ def test_primes_are_the_primes_below_2_30():
             want.append(n)
         n -= 2
     assert list(islice(ratlinalg._primes(), 40)) == want
+
+
+def exact_closure_dim(u, ops) -> int:
+    space = RowSpace(len(u))
+    grown = space.extend(u[None])
+    while len(grown):
+        grown = space.extend(np.concatenate([_dot(grown, A) for A in ops]))
+    return space.dim
+
+
+CLOSURE_PRIME = next(q for q in range(2 ** 28 - 1, 8, -2) if ratlinalg._is_prime(q))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_closure_modulo_a_prime_matches_the_exact_closure(data):
+    n = data.draw(st.integers(1, 5))
+    u = data.draw(arrays(np.int64, (n,), elements=SMALL))
+    ops = [data.draw(arrays(np.int64, (n, n), elements=SMALL))
+           for _ in range(data.draw(st.integers(1, 2)))]
+    p = CLOSURE_PRIME
+    assert closure_dim_mod(u, [A % p for A in ops], p) == exact_closure_dim(u, ops)
+
+
+def test_closure_modulo_a_prime_only_ever_undercounts():
+    """(1, 0) A = (0, p): two dimensions over Q, one modulo p."""
+    p = CLOSURE_PRIME
+    u, A = np.array([1, 0]), np.array([[0, p], [0, 0]])
+    assert exact_closure_dim(u, [A]) == 2
+    assert closure_dim_mod(u, [A % p], p) == 1
+
+
+def test_is_prime_matches_trial_division_below_2_28():
+    odd = range(2 ** 28 - 1, 2 ** 28 - 400, -2)
+    assert [n for n in odd if ratlinalg._is_prime(n)] == [
+        n for n in odd if all(n % q for q in range(3, isqrt(n) + 1, 2))]
 
 
 @given(st.lists(st.integers(-10 ** 20, 10 ** 20), min_size=2, max_size=8),
