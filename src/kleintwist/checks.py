@@ -416,7 +416,7 @@ def _evaluation_map(H: FDHopf, chars: list, G) -> HopfMap:
     ordered = sorted(chars, key=lambda ch: tuple(Fraction(v) for v in ch.values))
     unit_slot = [ch.values for ch in ordered].index(H.counit) + 1
     X, dX = _cleared([ordered[x(unit_slot) - 1].values for x in G.sorted_elements()])
-    return HopfMap._from_matrix(H, function_algebra(G), X.T, dX)
+    return HopfMap(H, function_algebra(G), X.T, dX)
 
 
 def check_diagonal_twist_characters(cfg: RunConfig) -> CheckResult:

@@ -2,14 +2,17 @@
 
 An FDHopf stores its six structure tensors (unit, multiplication,
 comultiplication, counit, antipode, star) only as integer arrays, each
-with one scale in canonical cleared form (ratlinalg._cleared); the
-int/Fraction dicts of its constructor come back as views derived on
-first access.  Axiom verification runs exact integer einsums on those
-arrays, so an exhaustive check at dimension 24 stays fast while remaining
-exact.  Every integer step (conversion, contraction, rescaling) goes
-through one bound guard, ratlinalg's _int_dtype, that switches to
-arbitrary-precision object arrays before int64 could overflow.  A HopfMap
-stores one cleared integer matrix and is verified on the same arrays.
+with one scale in canonical cleared form (ratlinalg._cleared).  Every
+algebra and Hopf map in the package is built straight from integer
+arrays: Q[G] and C(G) from one table of G, a map from its integer
+matrix.  The int/Fraction dict constructor serves only the benchmark
+harness and the tests, and the dicts come back as views derived on first
+access.  Axiom verification runs exact integer einsums on those arrays,
+so an exhaustive check at dimension 24 stays fast while remaining exact.
+Every integer step (conversion, contraction, rescaling) goes through one
+bound guard, ratlinalg's _int_dtype, that switches to arbitrary-precision
+object arrays before int64 could overflow.  A HopfMap stores one cleared
+integer matrix and is verified on the same arrays.
 
 A contraction is planned once from its whole operands, then evaluated one
 slab of its first output index at a time (loop tiling, after Wolf and
@@ -94,7 +97,7 @@ import numpy as np
 
 from .errors import (ClosureFailure, EvaluationNotPermutation, KleintwistError,
                      NonSplitQuotient, NotASubgroup)
-from .perm import PermGroup, Permutation, generate, klein_group
+from .perm import PermGroup, Permutation, klein_group, symmetric_group
 from .ratlinalg import (_INT64_LIMIT, RowSpace, _cleared, _dot, _fit, _int_dtype, _inverse,
                         _is_prime, _max_abs, _primitive, _rescale, _sub, closure_dim_mod,
                         deflate, first_relation, integer_roots)
@@ -151,10 +154,12 @@ class FDHopf:
     entries and scale share no factor and equal algebras store equal
     arrays.  The arrays are read-only; instances are immutable.
 
-    The constructor takes the dict form, which the attributes unit, mult,
-    comult, counit, antipode and star give back as views: mult maps a
-    basis pair (i, j) to the vector {k: c} of e_i * e_j (missing pairs
-    mean zero), comult maps i to the (j, k, c) terms of delta(e_i) sorted
+    The package builds every algebra from integer arrays (_from_tensors).
+    The constructor, which takes the dict form, serves only the benchmark
+    harness and the tests.  The attributes unit, mult, comult, counit,
+    antipode and star give that form back as views: mult maps a basis
+    pair (i, j) to the vector {k: c} of e_i * e_j (missing pairs mean
+    zero), comult maps i to the (j, k, c) terms of delta(e_i) sorted
     by (j, k) (repeated terms are summed), antipode and star map each
     basis index to a vector.  Values are ints when integral, else
     Fractions.  The views are shared, so callers copy before editing.
@@ -262,45 +267,49 @@ class FDHopf:
 # -- concrete constructions ------------------------------------------
 
 
+def _group_table(G: PermGroup) -> tuple:
+    """(elements, product, inverse) of G: its elements in sorted order,
+    product[i, j] the slot of g_i g_j and inverse[i] that of g_i^-1.  The
+    products are composed on the elements' image arrays and looked up by
+    image tuple, so the degree puts no bound on the lookup.  The identity
+    sorts first, in slot 0."""
+    elems = G.sorted_elements()
+    n = len(elems)
+    images = np.array([g.images for g in elems], dtype=np.int64).reshape(n, G.degree) - 1
+    slot = {g.images: i for i, g in enumerate(elems)}
+    # (g_i g_j)(k) = g_i(g_j(k)), on images 0..degree-1
+    composed = images[np.arange(n)[:, None, None], images] + 1
+    product = [slot[t] for t in map(tuple, composed.reshape(n * n, G.degree).tolist())]
+    product = np.array(product, dtype=np.int64).reshape(n, n)
+    return elems, product, (product == 0).argmax(axis=1)
+
+
+def _indicator(shape, *index) -> np.ndarray:
+    """The integer array of the given shape that is 1 at index, else 0."""
+    A = np.zeros(shape, dtype=np.int64)
+    A[index] = 1
+    return A
+
+
 def group_algebra(G: PermGroup) -> FDHopf:
     """Q[G]: basis the group elements (sorted), group-like coproduct."""
-    elems = G.sorted_elements()
-    idx = {g: i for i, g in enumerate(elems)}
-    n = len(elems)
-    ident = Permutation.identity(G.degree)
-    mult = {(i, j): {idx[elems[i] * elems[j]]: 1} for i in range(n) for j in range(n)}
-    return FDHopf(
-        dim=n,
-        basis_labels=[g.cycle_string() for g in elems],
-        unit={idx[ident]: 1},
-        mult=mult,
-        comult={i: [(i, i, 1)] for i in range(n)},
-        counit=[1] * n,
-        antipode={i: {idx[elems[i].inverse()]: 1} for i in range(n)},
-        star={i: {idx[elems[i].inverse()]: 1} for i in range(n)},
-    )
+    elems, product, inverse = _group_table(G)
+    n, i = len(elems), np.arange(len(elems))
+    antipode = _indicator((n, n), i, inverse)
+    return FDHopf._from_tensors([g.cycle_string() for g in elems], *((A, 1) for A in (
+        _indicator(n, 0), _indicator((n, n, n), i[:, None], i, product),
+        _indicator((n, n, n), i, i, i), np.ones(n, dtype=np.int64), antipode, antipode)))
 
 
 def function_algebra(G: PermGroup) -> FDHopf:
     """C(G): delta-function basis (sorted group order), pointwise product,
     coproduct dual to group multiplication."""
-    elems = G.sorted_elements()
-    idx = {g: i for i, g in enumerate(elems)}
-    n = len(elems)
-    ident = Permutation.identity(G.degree)
-    comult = {}
-    for i, g in enumerate(elems):
-        comult[i] = [(idx[a], idx[a.inverse() * g], 1) for a in elems]
-    return FDHopf(
-        dim=n,
-        basis_labels=["d_" + g.cycle_string() for g in elems],
-        unit={i: 1 for i in range(n)},
-        mult={(i, i): {i: 1} for i in range(n)},
-        comult=comult,
-        counit=[1 if g == ident else 0 for g in elems],
-        antipode={i: {idx[elems[i].inverse()]: 1} for i in range(n)},
-        star={i: {i: 1} for i in range(n)},
-    )
+    elems, product, inverse = _group_table(G)
+    n, i = len(elems), np.arange(len(elems))
+    return FDHopf._from_tensors(["d_" + g.cycle_string() for g in elems], *((A, 1) for A in (
+        np.ones(n, dtype=np.int64), _indicator((n, n, n), i, i, i),
+        _indicator((n, n, n), product, i[:, None], i), _indicator(n, 0),
+        _indicator((n, n), i, inverse), np.eye(n, dtype=np.int64))))
 
 
 # -- exhaustive axiom verification ------------------------------------
@@ -707,35 +716,21 @@ def all_axioms_pass(report: dict) -> bool:
 
 
 class HopfMap:
-    """Linear map between FDHopf instances.  Only its matrix cleared to
-    integers is stored, in canonical form: P[i, p] / d is the coefficient
-    of e_p in the image of e_i.  images, the basis images as vectors, is
-    a view derived on first access.  verify() checks exhaustively that
-    the map intertwines all six structure tensors."""
+    """Linear map between FDHopf instances, given by the integer matrix P
+    over the scale d: P[i, p] / d is the coefficient of e_p in the image
+    of e_i.  Only P / d in canonical cleared form (ratlinalg._cleared) is
+    stored, read-only; a P whose shape is not (source.dim, target.dim) is
+    refused.  verify() checks exhaustively that the map intertwines all
+    six structure tensors."""
 
-    def __init__(self, source: FDHopf, target: FDHopf, images: list):
-        if len(images) != source.dim:
-            raise ValueError("image count disagrees with source dim")
-        P = _dense((source.dim, target.dim),
-                   (((i, p), c) for i, v in enumerate(images) for p, c in v.items()))
-        self._store(source, target, *_cleared(P))
-
-    @classmethod
-    def _from_matrix(cls, source: FDHopf, target: FDHopf, P: np.ndarray,
-                     d: int) -> "HopfMap":
-        """The map of the integer matrix P over the scale d."""
-        pi = cls.__new__(cls)
-        pi._store(source, target, *_cleared(P, d))
-        return pi
-
-    def _store(self, source: FDHopf, target: FDHopf, P: np.ndarray, d: int) -> None:
-        P.flags.writeable = False
-        self.source, self.target, self.P, self.d = source, target, P, d
+    def __init__(self, source: FDHopf, target: FDHopf, P, d: int):
+        if np.shape(P) != (source.dim, target.dim):
+            raise ValueError(f"matrix of shape {np.shape(P)} for a map from dimension "
+                             f"{source.dim} to dimension {target.dim}")
+        self.source, self.target = source, target
+        self.P, self.d = _cleared(P, d)
+        self.P.flags.writeable = False
         self.failure: Optional[str] = None
-
-    @cached_property
-    def images(self) -> list:
-        return _row_vectors(self.P, self.d)
 
     def verify(self) -> bool:
         """Exhaustive check that the map carries unit, product, coproduct,
@@ -770,85 +765,64 @@ class HopfMap:
         """This map followed by other, whose source must be this map's target."""
         if not other.source.structure_equal(self.target):
             raise ValueError("the second map's source is not the first map's target")
-        return HopfMap._from_matrix(self.source, other.target,
-                                    *_contract("ia,ap->ip", (self.P, self.d), (other.P, other.d)))
+        return HopfMap(self.source, other.target,
+                       *_contract("ia,ap->ip", (self.P, self.d), (other.P, other.d)))
 
     def inverse(self) -> "HopfMap":
         if self.source.dim != self.target.dim:
             raise ValueError("only square maps can be inverted")
         B, e = _inverse(self.P)       # (P / d)^-1 = d B / e
-        return HopfMap._from_matrix(self.target, self.source, _rescale(B, self.d), e)
+        return HopfMap(self.target, self.source, _rescale(B, self.d), e)
 
 
 def restriction_surjection(G: PermGroup, V: PermGroup) -> HopfMap:
     """C(G) -> C(V), delta_g kept when g lies in V and killed otherwise."""
     if not V.is_subgroup_of(G):
         raise NotASubgroup("V is not a subgroup of G")
-    src = function_algebra(G)
-    tgt = function_algebra(V)
-    velems = V.sorted_elements()
-    vidx = {g: i for i, g in enumerate(velems)}
-    images = []
-    for g in G.sorted_elements():
-        images.append({vidx[g]: 1} if g in V.elements else {})
-    out = HopfMap(src, tgt, images)
+    # V's elements keep their sorted order among G's
+    kept = [i for i, t in enumerate(sorted(G.images)) if t in V.images]
+    out = HopfMap(function_algebra(G), function_algebra(V),
+                  _indicator((G.order, V.order), kept, np.arange(V.order)), 1)
     if not out.verify():
         raise KleintwistError(f"restriction failed to intertwine: {out.failure}")
     return out
 
 
 def fourier_iso(V: PermGroup, dual_generators: Optional[tuple] = None) -> HopfMap:
-    """C(V) -> Q[K] for an elementary abelian 2-group V of order 1, 2 or
-    4, sending delta_v to the averaged character sum (1/|V|) sum chi(v) t_chi.
+    """C(V) -> Q[K] for an elementary abelian 2-group V of order d = 1, 2
+    or 4, sending delta_v to the averaged character sum
+    (1/d) sum_k chi_k(v) t_k.
 
-    K is a fixed concrete carrier of the dual group (the Klein group for
-    |V| = 4).  dual_generators = (g1, g2) pins the labeling: basis slot 1
-    of K is the character with value -1 on g1 and +1 on g2, slot 2 the
-    reverse, slot 3 their product.
+    K is a fixed concrete carrier of the dual group: S1, S2 or the Klein
+    group.  The character in its sorted basis slot k is
+    chi_k(v) = (-1)^popcount(k & bits(v)), where bit j of bits(v) is v's
+    exponent in the j-th dual generator.  dual_generators = (g1, g2) pins
+    the labeling for d = 4: slot 1 is the character with value -1 on g1
+    and +1 on g2, slot 2 the reverse, slot 3 their product.  By default
+    they are the first involutions of V in sorted order.
     """
     if not V.is_abelian() or any(p.order() > 2 for p in V.elements):
         raise ValueError("need an elementary abelian 2-group of exponent 2")
     elems = V.sorted_elements()
-    order = len(elems)
-    ident = Permutation.identity(V.degree)
-    if order == 1:
-        if dual_generators:
-            raise ValueError("trivial group takes no dual generators")
-        K = PermGroup(1, {Permutation.identity(1)})
-        chars = [{ident: 1}]
-    elif order == 2:
-        g = next(p for p in elems if not p.is_identity())
-        if dual_generators is None:
-            dual_generators = (g,)
-        if tuple(dual_generators) != (g,):
-            raise ValueError("dual generator must be the unique involution")
-        K = generate(2, [Permutation.from_cycles(2, [(1, 2)])])
-        chars = [{ident: 1, g: 1}, {ident: 1, g: -1}]
-    elif order == 4:
-        nonid = [p for p in elems if not p.is_identity()]
-        if dual_generators is None:
-            dual_generators = (nonid[0], nonid[1])
-        g1, g2 = dual_generators
-        if g1 not in V.elements or g2 not in V.elements:
-            raise ValueError("dual generators must lie in V")
-        if g1 == g2 or g1.is_identity() or g2.is_identity():
-            raise ValueError("dual generators must be distinct involutions")
-        K = klein_group()
-        g3 = g1 * g2
-        chars = [
-            {ident: 1, g1: 1, g2: 1, g3: 1},
-            {ident: 1, g1: -1, g2: 1, g3: -1},
-            {ident: 1, g1: 1, g2: -1, g3: -1},
-            {ident: 1, g1: -1, g2: -1, g3: 1},
-        ]
-    else:
-        raise ValueError(f"order {order} is not 1, 2 or 4")
-    src = function_algebra(V)
-    tgt = group_algebra(K)
-    images = []
-    for v in elems:
-        images.append({k: Fraction(chars[k][v], order) for k in range(order)})
-    out = HopfMap(src, tgt, images)
+    d = len(elems)
+    if d not in (1, 2, 4):
+        raise ValueError(f"order {d} is not 1, 2 or 4")
+    r = d.bit_length() - 1
+    if dual_generators is None:
+        dual_generators = [p for p in elems if not p.is_identity()][:r]
+    gens = tuple(dual_generators)
+    if len(gens) != r:
+        raise ValueError(f"a group of order {d} takes {r} dual generators, got {len(gens)}")
+    # span[b] = the product of the generators at the set bits of b
+    span = [Permutation.identity(V.degree)]
+    for g in gens:
+        span += [v * g for v in span]
+    bits = {v.images: b for b, v in enumerate(span)}
+    if bits.keys() != V.images:
+        raise ValueError("dual generators must be distinct involutions that generate V")
+    P = [[(-1) ** (bits[v.images] & k).bit_count() for k in range(d)] for v in elems]
+    K = klein_group() if d == 4 else symmetric_group(d)
+    out = HopfMap(function_algebra(V), group_algebra(K), P, d)
     if not out.verify():
         raise KleintwistError(f"fourier map failed to intertwine: {out.failure}")
     return out

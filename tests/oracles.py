@@ -1,14 +1,16 @@
 """Term-by-term references that the tests compare the package's integer
-contractions and its twisted monomial product with, and the linear
-algebra of the recursive character splitter; nothing in the package
-calls them."""
+contractions and its twisted monomial product with, the dict-form
+builders of Q[G] and C(G) that its array builders are compared with, and
+the linear algebra of the recursive character splitter; nothing in the
+package calls them."""
 
 from fractions import Fraction
 
 import numpy as np
 
 from kleintwist.cocycle import Cocycle2, klein_bicharacter
-from kleintwist.hopf import Character, FDHopf, _q
+from kleintwist.hopf import Character, FDHopf, HopfMap, _q
+from kleintwist.perm import PermGroup, Permutation
 from kleintwist.ratlinalg import (RowSpace, _dot, _fit, _primitive, _rescale, _sub,
                                   first_relation)
 from kleintwist.twistcalc import TwistedElement
@@ -19,6 +21,56 @@ _KLEIN_SIGNS = klein_bicharacter().table
 def _n(q: Fraction):
     """q as an int when it is integral."""
     return _q(q.numerator, q.denominator)
+
+
+def group_algebra(G: PermGroup) -> FDHopf:
+    """Q[G] in dict form, one Permutation product per basis pair."""
+    elems = G.sorted_elements()
+    idx = {g: i for i, g in enumerate(elems)}
+    n = len(elems)
+    ident = Permutation.identity(G.degree)
+    mult = {(i, j): {idx[elems[i] * elems[j]]: 1} for i in range(n) for j in range(n)}
+    return FDHopf(
+        dim=n,
+        basis_labels=[g.cycle_string() for g in elems],
+        unit={idx[ident]: 1},
+        mult=mult,
+        comult={i: [(i, i, 1)] for i in range(n)},
+        counit=[1] * n,
+        antipode={i: {idx[elems[i].inverse()]: 1} for i in range(n)},
+        star={i: {idx[elems[i].inverse()]: 1} for i in range(n)},
+    )
+
+
+def function_algebra(G: PermGroup) -> FDHopf:
+    """C(G) in dict form: delta(g) = sum over a of delta_a (x) delta_{a^-1 g}."""
+    elems = G.sorted_elements()
+    idx = {g: i for i, g in enumerate(elems)}
+    n = len(elems)
+    ident = Permutation.identity(G.degree)
+    comult = {}
+    for i, g in enumerate(elems):
+        comult[i] = [(idx[a], idx[a.inverse() * g], 1) for a in elems]
+    return FDHopf(
+        dim=n,
+        basis_labels=["d_" + g.cycle_string() for g in elems],
+        unit={i: 1 for i in range(n)},
+        mult={(i, i): {i: 1} for i in range(n)},
+        comult=comult,
+        counit=[1 if g == ident else 0 for g in elems],
+        antipode={i: {idx[elems[i].inverse()]: 1} for i in range(n)},
+        star={i: {i: 1} for i in range(n)},
+    )
+
+
+def hopf_map(source: FDHopf, target: FDHopf, images: list) -> HopfMap:
+    """The map sending e_i to images[i], a vector {target index: int or
+    Fraction}, given to HopfMap as its matrix over the scale 1."""
+    P = np.zeros((len(images), target.dim), dtype=object)
+    for i, v in enumerate(images):
+        for p, c in v.items():
+            P[i, p] = c
+    return HopfMap(source, target, P, 1)
 
 
 def evaluate(chi: Character, x: dict):

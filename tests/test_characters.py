@@ -17,14 +17,14 @@ from kleintwist import hopf, ratlinalg
 from kleintwist.cocycle import (Cocycle2, build_s4tau, klein_bicharacter, pullback,
                                 twist, verify_cocycle)
 from kleintwist.errors import ClosureFailure, KleintwistError, NonSplitQuotient
-from kleintwist.hopf import (Character, FDHopf, HopfMap, _q, _safe_einsum,
+from kleintwist.hopf import (Character, FDHopf, _q, _safe_einsum,
                              all_axioms_pass, character_group, characters,
                              convolution_identity, function_algebra, group_algebra,
                              verify_hopf_axioms)
 from kleintwist.perm import (PermGroup, Permutation, generate, isomorphism_type,
                              klein_group, symmetric_group)
 from kleintwist.ratlinalg import RowSpace, _cleared, _inverse, _rescale, _sub, integer_roots
-from oracles import (convolution, convolution_inverse, generalized_eigenspace,
+from oracles import (convolution, convolution_inverse, generalized_eigenspace, hopf_map,
                      minimal_polynomial)
 
 S3 = symmetric_group(3)
@@ -525,7 +525,7 @@ def test_basis_changed_klein_bicharacter(height, seed):
     K = group_algebra(klein_group())
     P = random_basis_change(4, height, seed)
     H = transport(K, P)
-    iso = HopfMap(H, K, [{i: P[i][a] for i in range(4) if P[i][a]} for a in range(4)])
+    iso = hopf_map(H, K, [{i: P[i][a] for i in range(4) if P[i][a]} for a in range(4)])
     sigma = pullback(klein_bicharacter(), iso)
     assert verify_cocycle(sigma)
     if height >= 50:

@@ -13,13 +13,13 @@ from kleintwist.cocycle import (Cocycle2, _grouplike_corrector, build_s4tau,
                                 double_twist, klein_bicharacter, pullback,
                                 rebind, trivial_cocycle, twist, verify_cocycle)
 from kleintwist.errors import KleintwistError, TwistNotHopf
-from kleintwist.hopf import (FDHopf, HopfMap, all_axioms_pass, character_group,
+from kleintwist.hopf import (FDHopf, all_axioms_pass, character_group,
                              characters, function_algebra, fourier_iso,
                              group_algebra, restriction_surjection,
                              verify_hopf_axioms)
 from kleintwist.perm import (Permutation, easy_klein, generate,
                              isomorphism_type, klein_group, symmetric_group)
-from oracles import cocycle_value
+from oracles import cocycle_value, hopf_map
 
 S4 = symmetric_group(4)
 Z5 = generate(5, [Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])])
@@ -212,7 +212,7 @@ class TestPullback:
     def test_broken_map_rejected(self):
         pi = restriction_surjection(S4, easy_klein()).then(
             fourier_iso(easy_klein()))
-        broken = HopfMap(pi.source, pi.target, [{} for _ in range(24)])
+        broken = hopf_map(pi.source, pi.target, [{} for _ in range(24)])
         with pytest.raises(KleintwistError, match="failed at"):
             pullback(klein_bicharacter(), broken)
 

@@ -7,18 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kleintwist import hopf
-from kleintwist.cocycle import Cocycle2, build_s4tau
+from kleintwist import checks, hopf
+from kleintwist.cocycle import Cocycle2, build_s4tau, double_twist
 from kleintwist.errors import NonSplitQuotient, NotASubgroup
 from kleintwist.hopf import (FDHopf, HopfMap, _first_difference, _safe_einsum, all_axioms_pass,
                              character_group,
                              character_to_permutation, characters, convolution_identity,
                              function_algebra, fourier_iso, group_algebra,
                              restriction_surjection, verify_hopf_axioms)
-from kleintwist.perm import (Permutation, easy_klein, generate,
+from kleintwist.perm import (Permutation, all_subgroups, easy_klein, generate,
                              isomorphism_type, klein_group, symmetric_group)
 from kleintwist.ratlinalg import RowSpace, _is_prime
-from oracles import convolution, convolution_inverse, evaluate
+import oracles
+from oracles import convolution, convolution_inverse, evaluate, hopf_map
 
 S3 = symmetric_group(3)
 S4 = symmetric_group(4)
@@ -184,6 +185,53 @@ class TestAlgebras:
             assert tag in text
 
 
+class TestArrayBuilders:
+    """The array builders against the dict-form reference in oracles."""
+
+    @staticmethod
+    def _assert_match_reference(G):
+        for build, reference in ((group_algebra, oracles.group_algebra),
+                                 (function_algebra, oracles.function_algebra)):
+            H, R = build(G), reference(G)
+            assert H.structure_equal(R) and H.basis_labels == R.basis_labels
+
+    @pytest.mark.parametrize("degree,count", [(3, 6), (4, 30), (5, 156)])
+    def test_every_subgroup_of_a_symmetric_group_matches(self, degree, count):
+        # each subgroup of S_n, n <= 5, is generated by two elements, so one
+        # generator of each cyclic subgroup joined with another finds them all
+        S = symmetric_group(degree)
+        cyclic = {generate(degree, [g]): g for g in S.sorted_elements()}
+        subgroups = {generate(degree, [a, b]) for a in cyclic.values() for b in cyclic.values()}
+        assert len(subgroups) == count
+        if degree < 5:
+            assert subgroups == set(all_subgroups(S))
+        for G in subgroups:
+            self._assert_match_reference(G)
+
+    def test_the_regular_group_of_degree_24_matches(self):
+        # image tuples of degree 24 overflow a base-24 int64 code
+        G = character_group(build_s4tau(V=klein_group()).algebra)
+        assert (G.degree, G.order) == (24, 24)
+        self._assert_match_reference(G)
+
+    def test_no_dict_form_is_built(self, monkeypatch):
+        # every algebra here is built afresh, not read from a cache an
+        # earlier test may have filled
+        def refuse(*args, **kwargs):
+            raise AssertionError("an FDHopf was built from dicts")
+
+        monkeypatch.setattr(FDHopf, "__init__", refuse)
+        easy, diagonal = build_s4tau(), build_s4tau(V=klein_group())
+        for t in (easy, diagonal):
+            assert double_twist(t).structure_equal(t.base)
+        for H, order in ((function_algebra(S4), 24), (group_algebra(S4), 2), (easy.algebra, 8)):
+            assert character_group(H, characters(H)).order == order
+        chars = characters(diagonal.algebra)
+        ev = checks._evaluation_map(diagonal.algebra, chars,
+                                    character_group(diagonal.algebra, chars))
+        assert ev.verify()
+
+
 def _s4tau():
     if not hasattr(_s4tau, "value"):
         _s4tau.value = build_s4tau().algebra
@@ -274,8 +322,8 @@ class TestStoredForm:
     @pytest.mark.parametrize("build", [
         lambda K: FDHopf(**{**_dict_form(K), "unit": {0: 0.5}}),
         lambda K: FDHopf(**{**_dict_form(K), "counit": np.ones(4)}),
-        lambda K: HopfMap(K, K, [{i: 0.5} for i in range(4)]),
-        lambda K: HopfMap(K, K, [dict(enumerate(row)) for row in np.eye(4)]),
+        lambda K: HopfMap(K, K, [[0.5 if i == p else 0 for p in range(4)] for i in range(4)], 1),
+        lambda K: HopfMap(K, K, np.eye(4), 1),
         lambda K: Cocycle2.build(K, [[0.5] * 4] * 4, [[1] * 4] * 4, [1] * 4),
         lambda K: Cocycle2.build(K, np.ones((4, 4)), np.ones((4, 4)), np.ones(4)),
     ], ids=["FDHopf-0.5", "FDHopf-float64", "HopfMap-0.5", "HopfMap-float64",
@@ -419,7 +467,7 @@ class TestMaps:
         assert pi.verify()
         # delta at a group element outside V dies
         outside = S4.sorted_elements().index(Permutation.from_cycles(4, [(1, 3)]))
-        assert pi.images[outside] == {}
+        assert not pi.P[outside].any()
 
     def test_restriction_rejects_non_subgroup(self):
         with pytest.raises(NotASubgroup):
@@ -432,12 +480,29 @@ class TestMaps:
         with pytest.raises(ValueError):
             fourier_iso(Z3)
 
+    def test_fourier_refusals(self):
+        # a wrong group, or dual generators that are too many, too few, not
+        # in V, repeated, trivial or not involutions of V, are all refused
+        K = klein_group()
+        g1, g2, g3 = K.sorted_elements()[1:]
+        e, t = Permutation.identity(4), Permutation.from_cycles(4, [(1, 2)])
+        z2, trivial = generate(4, [g1]), generate(4, [])
+        cube = generate(6, [Permutation.from_cycles(6, [(1, 2)]),
+                            Permutation.from_cycles(6, [(3, 4)]),
+                            Permutation.from_cycles(6, [(5, 6)])])
+        for V, gens in [(Z3, None), (cube, None), (S3, None), (trivial, (e,)), (z2, (g2,)),
+                        (z2, ()), (z2, (g1, g1)), (K, (g1,)), (K, (g1, g2, g3)),
+                        (K, (g1, g1)), (K, (e, g1)), (K, (g1, t))]:
+            with pytest.raises(ValueError):
+                fourier_iso(V, gens)
+        assert fourier_iso(trivial, ()).verify() and fourier_iso(z2, [g1]).verify()
+
     def test_fourier_inverse_roundtrip(self):
         f = fourier_iso(klein_group())
         g = f.inverse()
         assert g.verify()
         comp = f.then(g)
-        assert comp.images == [{i: 1} for i in range(4)]
+        assert comp.d == 1 and np.array_equal(comp.P, np.eye(4))
 
     def test_composition_needs_matching_algebras(self):
         # the Fourier map ends in Q[K]; a second one would start from C(V)
@@ -445,10 +510,15 @@ class TestMaps:
         with pytest.raises(ValueError, match="source"):
             f.then(fourier_iso(klein_group()))
 
-    def test_images_outside_the_target_are_refused(self):
-        H = group_algebra(klein_group())
-        with pytest.raises(ValueError, match="out of range"):
-            HopfMap(H, H, [{-1: 1}] * 4)
+    @pytest.mark.parametrize("shape", [(4, 4), (6, 4), (3, 6), (4, 6, 1), (24,)],
+                             ids=["4x4", "6x4", "3x6", "4x6x1", "24"])
+    def test_a_matrix_of_the_wrong_shape_is_refused(self, shape):
+        # Q[K] -> C(S3) takes a 4 x 6 matrix; a 4 x 4 one used to be
+        # accepted, and verify() then raised instead of returning False
+        K, C3 = group_algebra(klein_group()), function_algebra(S3)
+        with pytest.raises(ValueError, match="shape"):
+            HopfMap(K, C3, np.ones(shape, dtype=np.int64), 1)
+        assert not HopfMap(K, C3, np.zeros((4, 6), dtype=np.int64), 1).verify()
 
     def test_composed_projection(self):
         pi = restriction_surjection(S4, easy_klein()).then(fourier_iso(easy_klein()))
@@ -456,9 +526,9 @@ class TestMaps:
 
     def test_identity_and_zero_maps(self):
         H = function_algebra(S3)
-        ident = HopfMap(H, H, [{i: 1} for i in range(H.dim)])
+        ident = hopf_map(H, H, [{i: 1} for i in range(H.dim)])
         assert ident.verify() and ident.failure is None
-        zero = HopfMap(H, H, [{} for _ in range(H.dim)])
+        zero = hopf_map(H, H, [{} for _ in range(H.dim)])
         assert not zero.verify()
         assert zero.failure == "unit"
 
@@ -477,13 +547,13 @@ class TestMaps:
         parts = {"unit": H.unit, "mult": H.mult, "comult": H.comult, "counit": H.counit,
                  "antipode": H.antipode, "star": H.star, **perturb(H)}
         broken = FDHopf(H.dim, H.basis_labels, **parts)
-        pi = HopfMap(H, broken, [{i: 1} for i in range(H.dim)])
+        pi = hopf_map(H, broken, [{i: 1} for i in range(H.dim)])
         assert not pi.verify()
         assert pi.failure == failure
 
     def test_doubled_scale_fails_at_unit(self):
         pi = restriction_surjection(S4, easy_klein()).then(fourier_iso(easy_klein()))
-        halved = HopfMap._from_matrix(pi.source, pi.target, pi.P, 2 * pi.d)
+        halved = HopfMap(pi.source, pi.target, pi.P, 2 * pi.d)
         assert pi.verify() and not halved.verify()
         assert halved.failure == "unit"
 
@@ -493,12 +563,12 @@ class TestMaps:
         star = {**H.star, 5: {3: 1}, 4: {3: 1}}
         broken = FDHopf(H.dim, H.basis_labels, H.unit, mult, H.comult, H.counit,
                         H.antipode, star)
-        pi = HopfMap(H, broken, [{i: 1} for i in range(H.dim)])
+        pi = hopf_map(H, broken, [{i: 1} for i in range(H.dim)])
         assert not pi.verify()
         assert pi.failure == "mult at (0,1)"
         broken = FDHopf(H.dim, H.basis_labels, H.unit, H.mult, H.comult, H.counit,
                         H.antipode, star)
-        pi = HopfMap(H, broken, [{i: 1} for i in range(H.dim)])
+        pi = hopf_map(H, broken, [{i: 1} for i in range(H.dim)])
         assert not pi.verify()
         assert pi.failure == "star at 4"
 
