@@ -30,10 +30,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import KleintwistError, TwistNotHopf
-from .hopf import (FDHopf, HopfMap, _contract, _first_difference, _q, fourier_iso,
+from .hopf import (FDHopf, HopfMap, _contract, _first_difference, _q, _stored, fourier_iso,
                    group_algebra, restriction_surjection, verify_hopf_axioms)
 from .perm import PermGroup, Permutation, easy_klein, klein_group, symmetric_group
-from .ratlinalg import _cleared
 
 
 class Cocycle2:
@@ -63,12 +62,11 @@ class Cocycle2:
     def _from_tensors(cls, carrier: FDHopf, *pairs) -> "Cocycle2":
         """The cocycle of three (array, scale) pairs, in the order table,
         inverse table, star corrector, brought to canonical form.  An
-        array already in that form is kept, not copied."""
+        array another object already stores is shared, not copied; any
+        other array of the caller's is copied (hopf._stored)."""
         sigma = cls.__new__(cls)
         sigma.carrier = carrier
-        sigma._pairs = tuple(_cleared(A, d) for A, d in pairs)
-        for A, _ in sigma._pairs:
-            A.flags.writeable = False
+        sigma._pairs = tuple(_stored(A, d) for A, d in pairs)
         (sigma.cleared_table, sigma.cleared_inverse_table,
          sigma.cleared_star_corrector) = sigma._pairs
         return sigma

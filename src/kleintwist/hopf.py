@@ -14,19 +14,28 @@ bound guard, ratlinalg's _int_dtype, that switches to arbitrary-precision
 object arrays before int64 could overflow.  A HopfMap stores one cleared
 integer matrix and is verified on the same arrays.
 
-A contraction is planned once from its whole operands, then evaluated one
-slab of its first output index at a time (loop tiling, after Wolf and
-Lam, PLDI 1991).  Planning cuts each index to the positions where all
-operands carrying it have a nonzero slice, which drops only zero terms,
-so sparse operands such as a cocycle living on a Klein subgroup cost in
-proportion to their support rather than to n^k.  Over the cut sizes it
-proves a bound, scales included, on the absolute value of every partial
-sum the contraction can form, and the bound picks one of three tiers:
+Every contraction proves a bound, scales included, on the absolute value
+of every partial sum it can form, and the bound picks one of three tiers:
 below 2^53 float64 arrays through BLAS, below 2^62 int64, otherwise
-Python ints.  The float tier is exact because every operand entry,
-product and partial sum is then an integer of magnitude below 2^53, which
-float64 represents exactly, so no operation rounds, whatever order BLAS
-sums in; callers only ever see int64 or object arrays.  Every step of the
+Python ints.  One whose naive product count, the product of all its
+index sizes, is below _BLAS_WORK runs whole, as one plain einsum of its
+uncut operands, unless its bound takes the object tier: that nested loop
+forms no more products than the count, so it costs less than a plan.
+Any other contraction is planned once from its whole operands, then
+evaluated one slab of its first output index at a time (loop tiling,
+after Wolf and Lam, PLDI 1991).  Planning cuts each index to the
+positions where all operands carrying it have a nonzero slice, which
+drops only zero terms, so sparse operands such as a cocycle living on a
+Klein subgroup cost in proportion to their support rather than to n^k,
+and takes the bound over the cut sizes.  Planning reads of an operand
+only its profile, the positions of its nonzero slices and its largest
+entry; each array an FDHopf, a HopfMap or a Cocycle2 stores is profiled
+once when it is stored, and copied first if the caller still holds it,
+so no caller can write under its profile.  The float tier is exact
+because every operand entry, product and partial sum is then an integer
+of magnitude below 2^53, which float64 represents exactly, so no
+operation rounds, whatever order BLAS or einsum sums in; callers only
+ever see int64 or object arrays.  Every step of the
 contraction path is planned pairwise: a step of more than two operands,
 which numpy would run as one nested loop, joins its fixed operands first,
 then each slab operand in turn.  Planning runs once every step that does
@@ -56,10 +65,11 @@ as its subscripts and its operands, every operand an (integer array,
 scale) pair, as stored or as _contract returns a contraction of pairs, so
 that side stands for X / dx, dx the product of its scales.  The two sides
 are cross-multiplied by their scales, X * (dy/g) = Y * (dx/g) with
-g = gcd(dx, dy), planned together so that their cut outputs line up and
-share one tier, and compared slab against slab, stopping at the first
-slab that differs; the first differing index is located in that slab
-only, and says where a Hopf-map suite or a character fails.  No axiom
+g = gcd(dx, dy), and share one tier.  Two sides that both run whole are
+compared whole; otherwise their outputs are cut alike, so that they line
+up, and compared slab against slab, stopping at the first slab that
+differs; the first differing index is located in that slab only, and
+says where a Hopf-map suite or a character fails.  No axiom
 check, and neither twist nor pullback, writes out a product of scales.
 
 Character enumeration runs on the same integer arrays.  It quotients by
@@ -86,6 +96,7 @@ coproduct and the antipode gives their group.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -142,6 +153,45 @@ def _row_vectors(A: np.ndarray, d: int) -> list:
     return out
 
 
+# The profile of every stored array, keyed by the array's id: a weak
+# reference to the array, whose callback drops the entry when the array
+# dies, and the profile (_profiled).  No entry keeps its array alive.
+_PROFILES: dict = {}
+
+
+def _nonzero_slices(arr: np.ndarray) -> tuple:
+    """Per axis of arr, the boolean mask of the positions whose slice holds
+    a nonzero entry."""
+    axes = range(arr.ndim)
+    return tuple(arr.any(axis=tuple(b for b in axes if b != a)) for a in axes)
+
+
+def _profiled(arr: np.ndarray) -> Optional[tuple]:
+    """The profile stored with arr (_stored), or None for any other array:
+    (its _nonzero_slices, its largest |entry|), all that planning a
+    contraction reads of an operand."""
+    entry = _PROFILES.get(id(arr))
+    return entry[1] if entry is not None and entry[0]() is arr else None
+
+
+def _stored(values, scale: int) -> tuple:
+    """values / scale as an FDHopf, a HopfMap or a Cocycle2 stores it: in
+    canonical cleared form (ratlinalg._cleared), read-only and profiled
+    once.  An array of the caller's that _cleared hands back as is is
+    copied first, so the caller's array is neither frozen nor shared, and
+    nothing can write under a profile; an array already stored is shared."""
+    A, d = _cleared(values, scale)
+    if _profiled(A) is None:
+        if A is values:
+            A = A.copy()
+        A.flags.writeable = False
+        key = id(A)
+        # pop bound now: the callback may run while the module is torn down
+        _PROFILES[key] = (weakref.ref(A, lambda _, pop=_PROFILES.pop: pop(key, None)),
+                          (_nonzero_slices(A), _max_abs(A)))
+    return A, d
+
+
 class FDHopf:
     """Hopf *-algebra given by structure tensors on a fixed basis.
 
@@ -184,19 +234,18 @@ class FDHopf:
             _dense((n, n), (((i, k), c) for i in rng for k, c in antipode[i].items())),
             _dense((n, n), (((i, k), c) for i in rng for k, c in star[i].items())),
         )
-        self._store(labels, [_cleared(A) for A in tensors])
+        self._store(labels, [(A, 1) for A in tensors])
 
     @classmethod
     def _from_tensors(cls, basis_labels, *tensors) -> "FDHopf":
         """The algebra of six (integer array, scale) pairs, in the order
         U, M, C, E, S, T, brought to canonical form without a Fraction."""
         H = cls.__new__(cls)
-        H._store(tuple(basis_labels), [_cleared(A, d) for A, d in tensors])
+        H._store(tuple(basis_labels), tensors)
         return H
 
-    def _store(self, labels: tuple, tensors: list) -> None:
-        for A, _ in tensors:
-            A.flags.writeable = False
+    def _store(self, labels: tuple, tensors) -> None:
+        tensors = [_stored(A, d) for A, d in tensors]
         self.dim, self.basis_labels, self._pairs = len(labels), labels, tuple(tensors)
         ((self.U, self.dU), (self.M, self.dM), (self.C, self.dC),
          (self.E, self.dE), (self.S, self.dS), (self.T, self.dT)) = tensors
@@ -320,7 +369,9 @@ _FLOAT64_LIMIT = 2 ** 53
 # slab stays in cache and no step on a slab allocates an n^4 array.
 _SLAB_ENTRIES = 2 ** 16
 # A step forming fewer products than this runs as a plain einsum loop,
-# which costs less than the reshapes of the matmul route (_matmul).
+# which costs less than the reshapes of the matmul route (_matmul); so
+# does a whole contraction (_whole_bound), which then costs less than
+# planning it.
 _BLAS_WORK = 2 ** 16
 
 
@@ -344,15 +395,67 @@ def _slab_height(widest: int) -> int:
     return max(1, _SLAB_ENTRIES // widest)
 
 
+def _sizes(terms, arrays) -> dict:
+    """The size of every index of the operands."""
+    return {ch: n for term, arr in zip(terms, arrays) for ch, n in zip(term, arr.shape)}
+
+
 def _support(terms, arrays) -> dict:
     """Per index, the positions where every operand carrying it has a
-    nonzero slice, as a boolean mask."""
+    nonzero slice, as a boolean mask; a stored operand's are read from its
+    profile."""
     live: dict = {}
     for term, arr in zip(terms, arrays):
-        for axis, ch in enumerate(term):
-            hit = arr.any(axis=tuple(a for a in range(arr.ndim) if a != axis))
+        stored = _profiled(arr)
+        for ch, hit in zip(term, stored[0] if stored else _nonzero_slices(arr)):
             live[ch] = live.get(ch, True) & hit
     return live
+
+
+def _peak(arr: np.ndarray) -> int:
+    """The largest |entry| of arr, read from its profile when it is stored."""
+    stored = _profiled(arr)
+    return stored[1] if stored else _max_abs(arr)
+
+
+def _bound(terms, rhs: str, arrays, sizes: dict, scale: int) -> int:
+    """The scale times the product of the operands' largest entries (at
+    least 1 each) times the number of terms summed per output entry: a
+    bound on every product, partial sum and intermediate of any order in
+    which the contraction can be run."""
+    bound = scale
+    for arr in arrays:
+        bound *= max(1, _peak(arr))
+    for ch in sizes.keys() - set(rhs):
+        bound *= sizes[ch]
+    return bound
+
+
+def _whole_bound(subscripts: str, arrays, scale: int = 1) -> Optional[int]:
+    """The proven bound (_bound) of the contraction run whole, as one plain
+    einsum of its uncut operands, or None when it is to be planned and
+    slabbed (_Contraction) instead: when its naive product count, the
+    product of all its index sizes, reaches _BLAS_WORK, or its bound takes
+    the object tier.  That count bounds the nested loop einsum runs, on
+    any number of operands, so a whole contraction costs less than its
+    plan would."""
+    lhs, rhs = subscripts.split("->")
+    terms = lhs.split(",")
+    sizes = _sizes(terms, arrays)
+    if prod(sizes.values()) >= _BLAS_WORK:
+        return None
+    bound = _bound(terms, rhs, arrays, sizes, scale)
+    return bound if bound < _INT64_LIMIT else None
+
+
+def _run_whole(subscripts: str, arrays, dtype, scale: int = 1):
+    """The contraction times scale as one plain einsum in dtype, float64 or
+    int64 by the bound of _whole_bound, which covers the scale.  einsum
+    casts the operands chunk by chunk as it reads them, so no cast copy of
+    a whole operand forms; every entry is below the bound, so no cast
+    rounds or wraps, and "unsafe" only lets object operands through."""
+    out = np.einsum(subscripts, *arrays, dtype=dtype, casting="unsafe")
+    return out * scale if scale != 1 else out
 
 
 def _sides(out: str, x: str, y: str) -> tuple:
@@ -420,30 +523,25 @@ class _Contraction:
 
     Every index is cut to its live positions (_support; the caller may
     widen an output index's): any other position multiplies a zero, so the
-    cut contraction equals the full one.  The bound, the scale times the
-    product of the cut operands' largest entries (at least 1 each) times
-    the number of terms summed per output entry, bounds every product,
-    partial sum and intermediate of any contraction order, and _tier picks
-    the dtype from it.  ready() casts the operands, folds the scale into
-    the smallest one, and runs once every step of the pairwise path that
-    no slab operand reaches; slab() runs the remaining steps on rows of the
-    slab index only.  Results stay in the tier's dtype."""
+    cut contraction equals the full one.  The bound (_bound) is taken over
+    the cut operands and sizes, a stored operand that no cut reaches read
+    from its profile, and _tier picks the dtype from it.  ready() casts
+    the operands, folds the scale into the smallest one, and runs once
+    every step of the pairwise path that no slab operand reaches; slab()
+    runs the remaining steps on rows of the slab index only.  Results stay
+    in the tier's dtype."""
 
     def __init__(self, subscripts: str, arrays, scale: int = 1, live: Optional[dict] = None):
         lhs, self.rhs = subscripts.split("->")
         self.terms = lhs.split(",")
-        self.sizes = {ch: arr.shape[axis] for term, arr in zip(self.terms, arrays)
-                      for axis, ch in enumerate(term)}
+        self.sizes = _sizes(self.terms, arrays)
         live = _support(self.terms, arrays) if live is None else live
         self.cut = {ch: np.flatnonzero(hit) for ch, hit in live.items() if not hit.all()}
         self.ops = [arr[self.positions(term)] if self.cut.keys() & set(term) else arr
                     for term, arr in zip(self.terms, arrays)]
         self.scale = scale
-        self.bound = scale
-        for arr in self.ops:
-            self.bound *= max(1, _max_abs(arr))
-        for ch in set(lhs) - set(self.rhs) - {","}:
-            self.bound *= self.size(ch)
+        self.bound = _bound(self.terms, self.rhs, self.ops,
+                            {ch: self.size(ch) for ch in self.sizes}, scale)
         self.length = self.size(self.rhs[0]) if self.rhs else 1
 
     def size(self, ch: str) -> int:
@@ -573,8 +671,14 @@ def _safe_einsum(subscripts: str, *arrays: np.ndarray, path=None) -> np.ndarray:
     - below 2^62: int64;
     - otherwise: exact Python ints in object arrays.
 
-    An output index that was cut is scattered back into a zero array of
-    full shape; a scalar result of the object tier is a Python int."""
+    A contraction of fewer than _BLAS_WORK naive products outside the object
+    tier runs whole, as one einsum of the uncut operands (_whole_bound);
+    any other is planned and run slab by slab, an output index that was
+    cut scattered back into a zero array of full shape, and a scalar
+    result of the object tier is a Python int."""
+    bound = _whole_bound(subscripts, arrays)
+    if bound is not None:
+        return _run_whole(subscripts, arrays, _tier(bound)).astype(np.int64)
     plan = _Contraction(subscripts, arrays)
     return plan.ready(_tier(plan.bound), path).evaluate()
 
@@ -593,32 +697,56 @@ def _first_difference(x: tuple, y: tuple) -> Optional[tuple]:
     products of a side's scales; the two outputs line up axis by axis.
 
     The sides are cross-multiplied by their scales, X * (dy/g) = Y * (dx/g)
-    with g = gcd(dx, dy), so only integers are compared.  Both are planned
-    once: each output axis is cut to the positions live on either side, so
-    the two cut results line up, and both take the tier of the larger
-    proven bound, scales included.  They are then evaluated one slab of
-    the first output axis at a time; the index is located only in the
-    first slab that differs, and neither side exists whole."""
+    with g = gcd(dx, dy), so only integers are compared, and both take the
+    tier of the larger proven bound, scales included: one _tier decision.
+    When both sides run whole (_whole_bound), the two whole results are
+    compared.  Otherwise each output axis is cut to the positions live on
+    either side, so the two cut results line up; a side that runs whole is
+    cut to them once, the other is planned once (in the object tier both
+    are), and the two are compared one slab of the first output axis at a
+    time.  The index is located only in the first slab that differs, and a
+    planned side never exists whole."""
     (xs, *xp), (ys, *yp) = x, y
     dx, dy = prod(d for _, d in xp), prod(d for _, d in yp)
     g = gcd(dx, dy)
-    x_ops, y_ops = [A for A, _ in xp], [A for A, _ in yp]
-    (x_lhs, x_out), (y_lhs, y_out) = xs.split("->"), ys.split("->")
-    x_live, y_live = _support(x_lhs.split(","), x_ops), _support(y_lhs.split(","), y_ops)
-    if [len(x_live[a]) for a in x_out] != [len(y_live[b]) for b in y_out]:
+    sides = [(xs, [A for A, _ in xp], dy // g), (ys, [A for A, _ in yp], dx // g)]
+    terms = [sub.split("->")[0].split(",") for sub, _, _ in sides]
+    outs = [sub.split("->")[1] for sub, _, _ in sides]
+    shapes = [[_sizes(t, ops)[ch] for ch in out]
+              for t, (_, ops, _), out in zip(terms, sides, outs)]
+    if shapes[0] != shapes[1]:
         raise ValueError(f"{xs} and {ys} have outputs of different shapes")
-    for a, b in zip(x_out, y_out):
-        x_live[a] = y_live[b] = x_live[a] | y_live[b]
-    X = _Contraction(xs, x_ops, dy // g, x_live)
-    Y = _Contraction(ys, y_ops, dx // g, y_live)
-    dtype = _tier(max(X.bound, Y.bound))
-    X.ready(dtype)
-    Y.ready(dtype)
-    Y.height = X.height = min(X.height, Y.height)
-    for (rows, a), (_, b) in zip(X.slabs(), Y.slabs()):
+    whole = [_whole_bound(sub, ops, scale) for sub, ops, scale in sides]
+    if None not in whole:
+        dtype = _tier(max(whole))
+        X, Y = (_run_whole(sub, ops, dtype, scale) for sub, ops, scale in sides)
+        return None if np.array_equal(X, Y) else tuple(int(k) for k in np.argwhere(X != Y)[0])
+    lives = [_support(t, ops) for t, (_, ops, _) in zip(terms, sides)]
+    for a, b in zip(*outs):
+        lives[0][a] = lives[1][b] = lives[0][a] | lives[1][b]
+    plans = [_Contraction(sub, ops, scale, live) if bound is None else None
+             for (sub, ops, scale), live, bound in zip(sides, lives, whole)]
+    dtype = _tier(max(bound if plan is None else plan.bound
+                      for bound, plan in zip(whole, plans)))
+    slabs, heights = [], []
+    for (sub, ops, scale), out, live, plan in zip(sides, outs, lives, plans):
+        if plan is None and dtype is not object:
+            value = _run_whole(sub, ops, dtype, scale)
+            if out:
+                value = value[np.ix_(*(np.flatnonzero(live[ch]) for ch in out))]
+            slabs.append(lambda lo, hi, value=value, out=out: value[lo:hi] if out else value)
+        else:
+            plan = (plan or _Contraction(sub, ops, scale, live)).ready(dtype)
+            slabs.append(plan.slab)
+            heights.append(plan.height)
+    positions = [np.flatnonzero(lives[0][ch]) for ch in outs[0]]
+    height = min(heights)
+    for lo in range(0, len(positions[0]) if positions else 1, height):
+        a, b = (slab(lo, lo + height) for slab in slabs)
         if not np.array_equal(a, b):
             at = np.argwhere(a != b)[0]
-            return tuple(int(ix.ravel()[k]) for ix, k in zip(X.positions(x_out, rows), at))
+            return tuple(int(ix[k + (lo if axis == 0 else 0)])
+                         for axis, (ix, k) in enumerate(zip(positions, at)))
     return None
 
 
@@ -728,8 +856,7 @@ class HopfMap:
             raise ValueError(f"matrix of shape {np.shape(P)} for a map from dimension "
                              f"{source.dim} to dimension {target.dim}")
         self.source, self.target = source, target
-        self.P, self.d = _cleared(P, d)
-        self.P.flags.writeable = False
+        self.P, self.d = _stored(P, d)
         self.failure: Optional[str] = None
 
     def verify(self) -> bool:

@@ -196,6 +196,8 @@ def _cleared(values, scale: int = 1) -> tuple[np.ndarray, int]:
         A.reshape(-1)[nz] = [x.numerator * (den // x.denominator) for x in entries]
         d *= den
     A = _fit(A)
+    if d == 1:                  # the gcd with 1 is 1, whatever A holds
+        return A, d
     g = gcd(int(np.gcd.reduce(A, axis=None)) if A.size else 0, d)
     return (A, d) if g == 1 else (_fit(A // g), d // g)
 

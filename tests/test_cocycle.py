@@ -188,6 +188,15 @@ class TestClearedTables:
         assert again == sigma and again.cleared_table[0] is not A
         assert A.flags.writeable
 
+    def test_from_tensors_copies_the_callers_arrays(self):
+        sigma = klein_bicharacter()
+        mine = [(A.copy(), d) for A, d in sigma._pairs]
+        again = Cocycle2._from_tensors(sigma.carrier, *mine)
+        for (A, _), (B, _) in zip(mine, again._pairs):
+            assert B is not A and A.flags.writeable and not B.flags.writeable
+            A[(0,) * A.ndim] = 5
+        assert again == sigma
+
     def test_rebind_shares_the_arrays(self):
         t = _s4tau_once()
         sig = rebind(t.cocycle, t.algebra)

@@ -2,7 +2,10 @@
 identity, and the slab-by-slab identity test built on it, against plain
 einsum on Python integers."""
 
+import gc
 import re
+import weakref
+from math import gcd, prod
 from pathlib import Path
 from unittest.mock import patch
 
@@ -15,8 +18,8 @@ from hypothesis.extra.numpy import arrays
 import kleintwist
 from kleintwist import checks, hopf
 from kleintwist.cocycle import build_s4tau, double_twist
-from kleintwist.hopf import (_first_difference, _safe_einsum, characters,
-                             restriction_surjection)
+from kleintwist.hopf import (_first_difference, _safe_einsum, characters, function_algebra,
+                             restriction_surjection, verify_hopf_axioms)
 from kleintwist.perm import easy_klein, symmetric_group
 from kleintwist.ratlinalg import _INT64_LIMIT
 
@@ -253,3 +256,132 @@ def test_greedy_three_operand_step_is_split():
                                                   np.einsum("ab,acp->bcp", *ops[:2]), ops[2]),
                      ops[3])
     assert np.array_equal(plan.evaluate(), want)
+
+
+# Every route: all planned (every step a matmul), the default, all whole
+# but for the object tier.
+ROUTE_WORK = [0, hopf._BLAS_WORK, 2 ** 40]
+
+
+def _routed(monkeypatch, blas_work, run):
+    """run() with hopf._BLAS_WORK at blas_work; with it whether any
+    contraction was planned, whether any ran whole, and the tiers chosen."""
+    planned, whole, tiers = [], [], []
+    real_ready, real_whole, real_tier = hopf._Contraction.ready, hopf._run_whole, hopf._tier
+    with monkeypatch.context() as m:
+        m.setattr(hopf, "_BLAS_WORK", blas_work)
+        m.setattr(hopf._Contraction, "ready",
+                  lambda self, *a, **k: planned.append(1) or real_ready(self, *a, **k))
+        m.setattr(hopf, "_run_whole", lambda *a, **k: whole.append(1) or real_whole(*a, **k))
+        m.setattr(hopf, "_tier", lambda bound: tiers.append(real_tier(bound)) or tiers[-1])
+        got = run()
+    return got, bool(planned), bool(whole), tiers
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_planned_and_whole_routes_agree(data):
+    subscripts = data.draw(st.sampled_from(SUBSCRIPTS))
+    sizes, ops = data.draw(operands(subscripts))
+    n_ops = len(ops)
+    # X / dx against Y / dy, Y's operands and scales each a multiple of X's
+    x_scales = data.draw(st.lists(st.sampled_from([1, 2, 3, 2 ** 30]), min_size=n_ops,
+                                  max_size=n_ops))
+    factors = data.draw(st.lists(st.sampled_from([1, 2, 5]), min_size=n_ops, max_size=n_ops))
+    other = [a * c for a, c in zip(ops, factors)]
+    if other[0].size and data.draw(st.booleans()):         # one entry off
+        flat = other[0].reshape(-1)
+        flat[data.draw(st.integers(0, flat.size - 1))] += data.draw(st.sampled_from([1, -1]))
+    x = (subscripts, *zip(ops, x_scales))
+    y = (renamed(subscripts), *zip(other, (d * c for d, c in zip(x_scales, factors))))
+    dx, dy = prod(x_scales), prod(x_scales) * prod(factors)
+    differ = np.argwhere(reference(subscripts, ops) * dy != reference(subscripts, other) * dx)
+    want = tuple(differ[0].tolist()) if len(differ) else None
+    # each side's bound run whole, cross-multiplied by the other side's scale
+    g = gcd(dx, dy)
+    whole_bounds = (proven_bound(subscripts, ops, sizes) * (dy // g),
+                    proven_bound(subscripts, other, sizes) * (dx // g))
+    naive = prod(sizes.values())
+    with pytest.MonkeyPatch.context() as mp:
+        for blas_work in ROUTE_WORK:
+            got, planned, whole, tiers = _routed(mp, blas_work,
+                                                 lambda: _safe_einsum(subscripts, *ops))
+            assert np.array_equal(np.asarray(got, dtype=object),
+                                  np.asarray(reference(subscripts, ops), dtype=object))
+            object_tier = proven_bound(subscripts, ops, sizes) >= _INT64_LIMIT
+            assert whole == (naive < blas_work and not object_tier) != planned
+            assert len(tiers) == 1 and not (whole and tiers[0] is object)
+
+            got, planned, whole, tiers = _routed(mp, blas_work, lambda: _first_difference(x, y))
+            assert got == want
+            assert len(tiers) == 1 and not (whole and tiers[0] is object)
+            if naive >= blas_work:
+                assert planned and not whole
+            elif max(whole_bounds) < _INT64_LIMIT:
+                assert whole and not planned
+
+
+@pytest.mark.parametrize("height", [1, 5, 24])
+@pytest.mark.parametrize("plant", [None, ("E", 0), ("E", 7), ("E", 23), ("U", 0), ("U", 13)])
+def test_one_whole_side_against_a_planned_side(monkeypatch, height, plant):
+    # S(x1) x2 = e(x) 1: 24^5 products on the left, 24^2 on the right
+    H = build_s4tau(verify=False).algebra
+    U, M, C, E, S, _ = H._pairs
+    if plant is not None:
+        name, k = plant
+        A, d = {"E": E, "U": U}[name]
+        A = A.copy()
+        A[k] += 1
+        E, U = ((A, d), U) if name == "E" else (E, (A, d))
+    left = np.einsum("iab,aw,wbp->ip", C[0], S[0], M[0], optimize=True).astype(object)
+    right = np.einsum("i,j->ij", E[0], U[0]).astype(object)
+    differ = np.argwhere(left * (E[1] * U[1]) != right * (C[1] * S[1] * M[1]))
+    want = tuple(differ[0].tolist()) if len(differ) else None
+    monkeypatch.setattr(hopf, "_slab_height", lambda widest: height)
+    got, planned, whole, tiers = _routed(monkeypatch, hopf._BLAS_WORK, lambda: _first_difference(
+        ("iab,aw,wbp->ip", C, S, M), ("i,j->ij", E, U)))
+    assert got == want and planned and whole and len(tiers) == 1
+    assert (want is None) == (plant is None)
+
+
+def test_only_contractions_of_blas_work_products_are_planned(monkeypatch):
+    t = build_s4tau()
+    sides = []
+    real = hopf._first_difference
+    monkeypatch.setattr(hopf, "_first_difference",
+                        lambda x, y: sides.append((x, y)) or real(x, y))
+    plans = _spied_plans(monkeypatch)
+    assert all(verify_hopf_axioms(t.algebra).values())
+
+    def naive(side):
+        return prod(hopf._sizes(side[0].split("->")[0].split(","), [A for A, _ in side[1:]])
+                    .values())
+
+    big = [side[0] for x, y in sides for side in (x, y) if naive(side) >= hopf._BLAS_WORK]
+    assert all(prod(plan.sizes.values()) >= hopf._BLAS_WORK for _, plan in plans)
+    assert sorted(sub for sub, _ in plans) == sorted(big)
+    # 17 identities: 34 sides, of which the 22 that form fewer products run whole
+    assert len(sides) == 17 and len(plans) == 12
+
+
+def test_stored_arrays_are_profiled_once(monkeypatch):
+    calls = []
+    for name in ("_nonzero_slices", "_max_abs"):
+        real = getattr(hopf, name)
+        monkeypatch.setattr(hopf, name, lambda arr, real=real, name=name:
+                            calls.append((name, arr)) or real(arr))
+    H = build_s4tau().algebra
+    assert all(verify_hopf_axioms(H).values())
+    assert len(characters(H)) == 8
+    for A, _ in H._pairs:
+        assert [name for name, arr in calls if arr is A] == ["_nonzero_slices", "_max_abs"]
+
+
+def test_profile_dies_with_its_array():
+    H = function_algebra(symmetric_group(3))
+    assert all(verify_hopf_axioms(H).values()) and len(characters(H)) == 6
+    M, key = weakref.ref(H.M), id(H.M)
+    assert key in hopf._PROFILES
+    del H
+    gc.collect()
+    assert M() is None and key not in hopf._PROFILES

@@ -301,6 +301,26 @@ class TestStoredForm:
         with pytest.raises(ValueError):
             H.M[0, 0, 0] = 1
 
+    def test_map_copies_the_callers_array(self):
+        K = group_algebra(klein_group())
+        P = np.eye(4, dtype=np.int64)
+        m = HopfMap(K, K, P, 1)
+        assert m.P is not P and P.flags.writeable and not m.P.flags.writeable
+        P[0, 0] = 5
+        assert m.P[0, 0] == 1 and m.verify()
+        assert HopfMap(K, K, m.P, 1).P is m.P           # a stored array is shared
+
+    def test_algebra_copies_the_callers_arrays(self):
+        H = group_algebra(S3)
+        mine = [(A.copy(), d) for A, d in H._pairs]
+        again = FDHopf._from_tensors(H.basis_labels, *mine)
+        for (A, _), (B, _) in zip(mine, again._pairs):
+            assert B is not A and A.flags.writeable and not B.flags.writeable
+            A[(0,) * A.ndim] += 7
+        assert again.structure_equal(H)
+        shared = FDHopf._from_tensors(H.basis_labels, *H._pairs)
+        assert all(B is A for (A, _), (B, _) in zip(H._pairs, shared._pairs))
+
     def test_views_keep_their_shape(self):
         H = _s4tau()
         assert set(H.comult) == set(H.antipode) == set(H.star) == set(range(H.dim))
