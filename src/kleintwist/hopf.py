@@ -553,9 +553,9 @@ class _Contraction:
         return np.ix_(*[(self.cut[ch] if ch in self.cut else np.arange(self.sizes[ch]))
                         [rows if ch == self.rhs[:1] else slice(None)] for ch in term])
 
-    def ready(self, dtype, path=None) -> "_Contraction":
-        """Cast to dtype and contract what no slab needs; path is an
-        einsum_path list of steps, greedy when not given.
+    def ready(self, dtype) -> "_Contraction":
+        """Cast to dtype and contract what no slab needs, along einsum's
+        greedy path.
 
         Every step is planned pairwise.  A path step of more than two
         operands, which numpy would run as one nested loop, joins its fixed
@@ -572,11 +572,10 @@ class _Contraction:
         slab = self.rhs[:1]
         terms = list(self.terms)
         slabbed = [bool(slab) and slab in term for term in terms]
-        if path is None:
-            path = [tuple(range(len(ops)))]
-            if len(ops) > 2:
-                path = _greedy_path(",".join(self.terms) + "->" + self.rhs,
-                                    tuple(a.shape for a in ops))
+        path = [tuple(range(len(ops)))]
+        if len(ops) > 2:
+            path = _greedy_path(",".join(self.terms) + "->" + self.rhs,
+                                tuple(a.shape for a in ops))
         # node ids: the operands, then one per pairwise step (a, b), which
         # forms node len(ops) + its place in steps; live keeps einsum_path's order
         live, self.steps = list(range(len(ops))), []
@@ -662,7 +661,7 @@ class _Contraction:
         return full
 
 
-def _safe_einsum(subscripts: str, *arrays: np.ndarray, path=None) -> np.ndarray:
+def _safe_einsum(subscripts: str, *arrays: np.ndarray) -> np.ndarray:
     """Exact integer einsum over the operands' common support, in the tier
     its proven bound allows (see _Contraction):
 
@@ -680,13 +679,13 @@ def _safe_einsum(subscripts: str, *arrays: np.ndarray, path=None) -> np.ndarray:
     if bound is not None:
         return _run_whole(subscripts, arrays, _tier(bound)).astype(np.int64)
     plan = _Contraction(subscripts, arrays)
-    return plan.ready(_tier(plan.bound), path).evaluate()
+    return plan.ready(_tier(plan.bound)).evaluate()
 
 
-def _contract(subscripts: str, *pairs, path=None) -> tuple:
+def _contract(subscripts: str, *pairs) -> tuple:
     """The contraction of (integer array, scale) pairs as one such pair:
     the exact einsum of the arrays over the product of the scales."""
-    return (_safe_einsum(subscripts, *(A for A, _ in pairs), path=path),
+    return (_safe_einsum(subscripts, *(A for A, _ in pairs)),
             prod(d for _, d in pairs))
 
 

@@ -8,18 +8,17 @@ monomial, so the twisted product multiplies monomial by monomial: the
 exponent sum with the bicharacter sign of the two bidegrees.
 
 An element is zero exactly when its underlying polynomial vanishes on
-every real point of the classical group, which is decided exactly: O(2)
-through the rational circle parametrization of both components plus the
-two matrices the parametrization misses, SO(3) through the unit
-quaternion substitution followed by reduction modulo the sphere relation
-(the double cover is onto, and a polynomial vanishing on the real sphere
-has zero normal form because the two square roots separate the d-even
-and d-odd parts).  Both are linear in the coefficients, so the zero test
-runs over a whole system at once: every relation of a presentation is a
-sparse integer row over its monomials, each monomial gets the row of its
-substitution in normal form (the zero map), and one exact matrix product
-shows the first relation that does not vanish.  is_zero is the one-row
-case.
+every real point of the classical group, which both models decide by one
+rule: every monomial, brought to the system's largest degree D by a power
+of the norm, is evaluated at a fixed set of integer points, enough to
+determine a polynomial of the degree that results (O(2): t = 0..2D on the
+rotation and the reflection branch of the circle parametrization; SO(3):
+the quaternions (1, b, c, d) with b + c + d <= 2D).  The test is linear
+in the coefficients, so it runs over a whole system at once: every
+relation of a presentation is a sparse integer row over its monomials,
+each monomial gets its row of point values (the zero map), and one exact
+matrix product shows the first relation that does not vanish.  is_zero
+is the one-row case.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from .perm import (PermGroup, Permutation, are_conjugate, as_subgroup,
                    generate, klein_group, symmetric_group)
 from .present import (KLEIN_PRODUCT, Bidegree, O2Minus, SO3Minus,
                       solve_characters)
+from .ratlinalg import _fit, _max_abs
 
 _SIGMA = klein_bicharacter().table
 _SIZES = {"o2minus": 2, "so3minus": 3}
@@ -172,19 +172,6 @@ def klein_normalizer_so3() -> list:
 
 
 # -- sparse polynomials over the generator grid -------------------------
-
-
-def _poly_mul(a: dict, b: dict) -> dict:
-    """Commutative product of two sparse polynomials {exponent:
-    coefficient}, cancelled terms dropped.  An exponent is a tuple (one
-    entry per variable) or, for the one variable of the O(2) circle, an
-    int."""
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2 if type(e1) is int else tuple(map(add, e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
 
 
 def _pair_sign(left1: int, right1: int, left2: int, right2: int) -> int:
@@ -343,80 +330,13 @@ def _conjugated(where: list, block: tuple, scale) -> tuple:
 
 # -- exact zero test on the classical group -----------------------------
 
-# Circle parametrization c = (1-t^2)/(1+t^2), s = 2t/(1+t^2).  Branch 0
-# is the rotation [[c,-s],[s,c]], branch 1 the reflection [[c,s],[s,-c]];
-# each misses the single point t -> infinity, handled separately.
-_O2_NUMS = (
-    ({2: -1, 0: 1}, {1: -2}, {1: 2}, {2: -1, 0: 1}),
-    ({2: -1, 0: 1}, {1: 2}, {1: 2}, {2: 1, 0: -1}),
-)
-_O2_MISSED = (((-1, 0), (0, -1)), ((-1, 0), (0, 1)))
 
-# Unit quaternion rotation matrix; variables (a, b, c, d).
-_SO3_ENTRIES = (
-    ({(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): -1, (0, 0, 0, 2): -1},
-     {(0, 1, 1, 0): 2, (1, 0, 0, 1): -2},
-     {(0, 1, 0, 1): 2, (1, 0, 1, 0): 2}),
-    ({(0, 1, 1, 0): 2, (1, 0, 0, 1): 2},
-     {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1, (0, 0, 2, 0): 1, (0, 0, 0, 2): -1},
-     {(0, 0, 1, 1): 2, (1, 1, 0, 0): -2}),
-    ({(0, 1, 0, 1): 2, (1, 0, 1, 0): -2},
-     {(0, 0, 1, 1): 2, (1, 1, 0, 0): 2},
-     {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1, (0, 0, 2, 0): -1, (0, 0, 0, 2): 1}),
-)
-
-
-@lru_cache(maxsize=None)
-def _qpow(k: int) -> tuple:
-    """(1 + t^2)^k as a tuple of (exponent, coefficient)."""
-    if k == 0:
-        return ((0, 1),)
-    prev = dict(_qpow(k - 1))
-    return tuple(sorted(_poly_mul(prev, {0: 1, 2: 1}).items()))
-
-
-@lru_cache(maxsize=None)
-def _subst_mono_o2(branch: int, mono: tuple) -> tuple:
-    """Numerator polynomial in t of a generator monomial on the given
-    O(2) branch, with its x-degree (the denominator is (1+t^2)^degree)."""
-    acc = {0: 1}
-    deg = 0
-    for v, e in enumerate(mono):
-        for _ in range(e):
-            acc = _poly_mul(acc, _O2_NUMS[branch][v])
-        deg += e
-    return tuple(sorted(acc.items())), deg
-
-
-def _reduce_sphere(p: dict) -> dict:
-    out: dict = {}
-    work = list(p.items())
-    while work:
-        mono, c = work.pop()
-        if mono[3] >= 2:
-            a, b, cc, d = mono
-            base = (a, b, cc, d - 2)
-            work.append((base, c))
-            work.append(((a + 2, b, cc, d - 2), -c))
-            work.append(((a, b + 2, cc, d - 2), -c))
-            work.append(((a, b, cc + 2, d - 2), -c))
-        else:
-            v = out.get(mono, 0) + c
-            if v:
-                out[mono] = v
-            else:
-                out.pop(mono, None)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _subst_mono_so3(mono: tuple) -> tuple:
-    acc = {(0, 0, 0, 0): 1}
-    for v, e in enumerate(mono):
-        i, j = divmod(v, 3)
-        for _ in range(e):
-            acc = _poly_mul(acc, _SO3_ENTRIES[i][j])
-    return tuple(sorted(_reduce_sphere(acc).items()))
+def _grid(alg: str, top: int) -> tuple:
+    """The free coordinates of the test points: t = 0..top for O(2), the
+    triples (b, c, d) of naturals with b + c + d <= top for SO(3)."""
+    if alg == "o2minus":
+        return tuple(range(top + 1))
+    return tuple(p for p in itertools.product(range(top + 1), repeat=3) if sum(p) <= top)
 
 
 @lru_cache(maxsize=None)
@@ -448,23 +368,37 @@ def _eval_factors(factors: tuple, matrix: tuple):
 
 
 @lru_cache(maxsize=None)
-def _zero_map_row(alg: str, mono: tuple, degree: int) -> tuple:
-    """Row of the zero map for one generator monomial, as (column,
-    value) pairs.  so3minus: the sphere normal form of the quaternion
-    substitution.  o2minus: the numerator on each circle branch times
-    (1+t^2)^(degree - deg), so that every monomial of a system shares
-    the denominator (1+t^2)^degree, then the values at the two missed
-    points."""
-    if alg == "so3minus":
-        return _subst_mono_so3(mono)
+def _point_matrices(alg: str, degree: int) -> tuple:
+    """(norm N, integer matrix X) at every point of _grid(alg, 2 degree):
+    X / N lies on the classical group.  O(2): the rotation [[c, -s], [s,
+    c]] and the reflection [[c, s], [s, -c]] of c = 1 - t^2, s = 2t, over
+    N = 1 + t^2.  SO(3): the rotation of the quaternion (1, b, c, d), with
+    quadratic entries over N = 1 + b^2 + c^2 + d^2."""
     out = []
-    for branch in (0, 1):
-        terms, deg = _subst_mono_o2(branch, mono)
-        hom = _poly_mul(dict(terms), dict(_qpow(degree - deg)))
-        out.extend(((branch, e), c) for e, c in hom.items())
-    for k, point in enumerate(_O2_MISSED):
-        out.append((("missed", k), _eval_factors(_mono_factors(alg, mono)[1], point)))
+    for p in _grid(alg, 2 * degree):
+        if alg == "o2minus":
+            c, s = 1 - p * p, 2 * p
+            out += [(1 + p * p, ((c, -s), (s, c))), (1 + p * p, ((c, s), (s, -c)))]
+            continue
+        b, c, d = p
+        out.append((1 + b * b + c * c + d * d,
+                    ((1 + b * b - c * c - d * d, 2 * (b * c - d), 2 * (b * d + c)),
+                     (2 * (b * c + d), 1 - b * b + c * c - d * d, 2 * (c * d - b)),
+                     (2 * (b * d - c), 2 * (c * d + b), 1 - b * b - c * c + d * d))))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _zero_map_row(alg: str, mono: tuple, degree: int) -> tuple:
+    """Row of the zero map for one generator monomial of a system of the
+    given degree, and its largest |entry|: the monomial homogenised to
+    that degree by a power of the norm, N^(degree - deg) X^mono, at every
+    point of _point_matrices, in the narrowest integer dtype."""
+    factors = _mono_factors(alg, mono)[1]
+    row = _fit([norm ** (degree - sum(mono)) * _eval_factors(factors, X)
+                for norm, X in _point_matrices(alg, degree)])
+    row.flags.writeable = False                 # shared through the cache
+    return row, _max_abs(row)
 
 
 def _integer_row(row: dict) -> dict:
@@ -475,25 +409,26 @@ def _integer_row(row: dict) -> dict:
     return {m: int(c * den) for m, c in row.items()}
 
 
-def _sparse(shape: tuple, rows: list, cols: list, values: list, dtype) -> np.ndarray:
-    out = np.zeros(shape, dtype=dtype)
-    out[rows, cols] = values
-    return out
-
-
 def _first_nonzero(alg: str, rows: list):
     """Index of the first row, a {monomial: coefficient} map, whose
     polynomial does not vanish on the real points of the classical group
     behind the model; None when all of them vanish.
 
-    Each support monomial m gets the row Z[m] of the zero map: the
-    substitution that decides vanishing, in normal form.  A linear
-    combination of monomials vanishes exactly when its combination of
-    rows is zero, so the system is tested by one exact product rows @ Z.
-    Its bound, the largest entries of both sides times the number of
-    monomials, bounds every product and partial sum and picks the tier
-    as in hopf._safe_einsum: float64 (BLAS) below 2^53, then int64, then
-    exact Python ints."""
+    Let D be the largest degree of a support monomial.  Each monomial m
+    gets the row Z[m] of the zero map (_zero_map_row): its values,
+    homogenised to degree D, at the points of _point_matrices.  A row's
+    combination F = N^D f(X / N) is a polynomial of degree at most 2D in
+    the grid coordinates, and the grid determines such a polynomial: 2D+1
+    values of t, or the simplex b + c + d <= 2D (F = F|d=0 + d G by
+    induction on 2D).  So F vanishes on the grid exactly when it is the
+    zero polynomial; F is homogeneous, the quaternion rotation is onto
+    SO(3), and the two matrices of O(2) that no t reaches are limits of
+    the branches, so that is exactly when f vanishes on the group.  The
+    system is tested by one exact product rows @ Z.  Its bound, the
+    largest entries of both sides times the number of monomials, bounds
+    every product and partial sum and picks the tier as in
+    hopf._safe_einsum: float64 (BLAS) below 2^53, then int64, then exact
+    Python ints."""
     if not all(type(c) is int for row in rows for c in row.values()):
         rows = [_integer_row(row) for row in rows]
     support = {}
@@ -506,25 +441,21 @@ def _first_nonzero(alg: str, rows: list):
                 r_values.append(c)
     if not support:
         return None
-    degree = max(map(sum, support)) if alg == "o2minus" else 0
-    columns = {}
-    z_rows, z_cols, z_values = [], [], []
-    for m, k in support.items():
-        for key, v in _zero_map_row(alg, m, degree):
-            z_rows.append(k)
-            z_cols.append(columns.setdefault(key, len(columns)))
-            z_values.append(v)
-    bound = max(map(abs, r_values)) * max(map(abs, z_values)) * len(support)
+    degree = max(map(sum, support))
+    zero_map = [_zero_map_row(alg, m, degree) for m in support]
+    bound = max(map(abs, r_values)) * max(peak for _, peak in zero_map) * len(support)
     dtype = _tier(bound)
-    R = _sparse((len(rows), len(support)), r_rows, r_cols, r_values, dtype)
-    Z = _sparse((len(support), len(columns)), z_rows, z_cols, z_values, dtype)
+    R = np.zeros((len(rows), len(support)), dtype=dtype)
+    R[r_rows, r_cols] = r_values
+    Z = np.stack([row for row, _ in zero_map]).astype(dtype, copy=False)
     bad = np.flatnonzero((R @ Z != 0).any(axis=1))
     return int(bad[0]) if bad.size else None
 
 
 def is_zero(x: TwistedElement) -> bool:
     """Exact test: does the element vanish identically on the real
-    points of the classical group behind the model?"""
+    points of the classical group behind the model?  Decided on the
+    integer point set of its own largest degree (_first_nonzero)."""
     return _first_nonzero(x.algebra, [x.terms]) is None
 
 
@@ -722,8 +653,8 @@ def matrices_to_subgroup(mats) -> PermGroup:
 
 # -- the generation counterexample ----------------------------------------
 
-_REFERENCE_D4 = (
-    "id", "(12)", "(34)", "(12)(34)", "(13)(24)", "(14)(23)", "(1324)", "(1423)")
+_REFERENCE_D4 = ((), ((1, 2),), ((3, 4),), ((1, 2), (3, 4)), ((1, 3), (2, 4)),
+                 ((1, 4), (2, 3)), ((1, 3, 2, 4),), ((1, 4, 2, 3),))
 
 
 @dataclass(frozen=True)
@@ -743,8 +674,7 @@ class GenerationReport:
 def generation_counterexample() -> GenerationReport:
     candidates = [matrices_to_subgroup(s) for s in embedding_character_images()]
     S4 = symmetric_group(4)
-    ref = as_subgroup(S4, [Permutation.from_cycles(4, _parse_cycles(c))
-                           for c in _REFERENCE_D4])
+    ref = as_subgroup(S4, [Permutation.from_cycles(4, c) for c in _REFERENCE_D4])
     d_group = next((g for g in candidates if g == ref), None)
     if d_group is None:
         d_group = next((g for g in candidates
@@ -755,11 +685,3 @@ def generation_counterexample() -> GenerationReport:
     full_join = generate(4, list(d_group) + list(generated_completion_group(2, 4)))
     return GenerationReport(d_group, self_join, full_join, d_group == ref)
 
-
-def _parse_cycles(text: str) -> list:
-    if text == "id":
-        return []
-    out = []
-    for part in text.strip("()").split(")("):
-        out.append(tuple(int(ch) for ch in part))
-    return out

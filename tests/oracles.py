@@ -1,10 +1,13 @@
 """Term-by-term references that the tests compare the package's integer
-contractions and its twisted monomial product with, the dict-form
-builders of Q[G] and C(G) that its array builders are compared with, and
-the linear algebra of the recursive character splitter; nothing in the
-package calls them."""
+contractions and its twisted monomial product with, the symbolic zero
+test of the twisted models that its point-set zero test is compared
+with, the dict-form builders of Q[G] and C(G) that its array builders
+are compared with, and the linear algebra of the recursive character
+splitter; nothing in the package calls them."""
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 
 import numpy as np
 
@@ -126,6 +129,154 @@ def twisted_product(x: TwistedElement, y: TwistedElement) -> TwistedElement:
                     m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
                     acc[m] = acc.get(m, 0) + sign * c1 * c2
     return TwistedElement(x.algebra, out)
+
+
+# -- the symbolic zero test of the twisted models ---------------------------
+
+
+def poly_mul(a: dict, b: dict) -> dict:
+    """Commutative product of two sparse polynomials {exponent:
+    coefficient}, cancelled terms dropped.  An exponent is a tuple (one
+    entry per variable) or, for the one variable of the O(2) circle, an
+    int."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2 if type(e1) is int else tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+# Circle parametrization c = (1-t^2)/(1+t^2), s = 2t/(1+t^2).  Branch 0
+# is the rotation [[c,-s],[s,c]], branch 1 the reflection [[c,s],[s,-c]];
+# each misses the single point t -> infinity, O2_MISSED[branch].
+O2_NUMS = (
+    ({2: -1, 0: 1}, {1: -2}, {1: 2}, {2: -1, 0: 1}),
+    ({2: -1, 0: 1}, {1: 2}, {1: 2}, {2: 1, 0: -1}),
+)
+O2_MISSED = (((-1, 0), (0, -1)), ((-1, 0), (0, 1)))
+
+# Unit quaternion rotation matrix; variables (a, b, c, d).
+SO3_ENTRIES = (
+    ({(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): -1, (0, 0, 0, 2): -1},
+     {(0, 1, 1, 0): 2, (1, 0, 0, 1): -2},
+     {(0, 1, 0, 1): 2, (1, 0, 1, 0): 2}),
+    ({(0, 1, 1, 0): 2, (1, 0, 0, 1): 2},
+     {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1, (0, 0, 2, 0): 1, (0, 0, 0, 2): -1},
+     {(0, 0, 1, 1): 2, (1, 1, 0, 0): -2}),
+    ({(0, 1, 0, 1): 2, (1, 0, 1, 0): -2},
+     {(0, 0, 1, 1): 2, (1, 1, 0, 0): 2},
+     {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1, (0, 0, 2, 0): -1, (0, 0, 0, 2): 1}),
+)
+
+
+@lru_cache(maxsize=None)
+def qpow(k: int) -> tuple:
+    """(1 + t^2)^k as a tuple of (exponent, coefficient)."""
+    if k == 0:
+        return ((0, 1),)
+    prev = dict(qpow(k - 1))
+    return tuple(sorted(poly_mul(prev, {0: 1, 2: 1}).items()))
+
+
+@lru_cache(maxsize=None)
+def subst_mono_o2(branch: int, mono: tuple) -> tuple:
+    """Numerator polynomial in t of a generator monomial on the given
+    O(2) branch, with its x-degree (the denominator is (1+t^2)^degree)."""
+    acc = {0: 1}
+    deg = 0
+    for v, e in enumerate(mono):
+        for _ in range(e):
+            acc = poly_mul(acc, O2_NUMS[branch][v])
+        deg += e
+    return tuple(sorted(acc.items())), deg
+
+
+def reduce_sphere(p: dict) -> dict:
+    """Normal form modulo a^2 + b^2 + c^2 + d^2 = 1: every d^2 rewritten."""
+    out: dict = {}
+    work = list(p.items())
+    while work:
+        mono, c = work.pop()
+        if mono[3] >= 2:
+            a, b, cc, d = mono
+            base = (a, b, cc, d - 2)
+            work.append((base, c))
+            work.append(((a + 2, b, cc, d - 2), -c))
+            work.append(((a, b + 2, cc, d - 2), -c))
+            work.append(((a, b, cc + 2, d - 2), -c))
+        else:
+            v = out.get(mono, 0) + c
+            if v:
+                out[mono] = v
+            else:
+                out.pop(mono, None)
+    return out
+
+
+@lru_cache(maxsize=None)
+def subst_mono_so3(mono: tuple) -> tuple:
+    """Sphere normal form of the quaternion substitution of a generator
+    monomial.  A polynomial vanishing on the real sphere has zero normal
+    form: the two square roots of d^2 separate its d-even and d-odd
+    parts."""
+    acc = {(0, 0, 0, 0): 1}
+    for v, e in enumerate(mono):
+        i, j = divmod(v, 3)
+        for _ in range(e):
+            acc = poly_mul(acc, SO3_ENTRIES[i][j])
+    return tuple(sorted(reduce_sphere(acc).items()))
+
+
+def o2_numerator(terms: dict, branch: int) -> dict:
+    """The numerator on one circle branch of the polynomial {monomial:
+    coefficient}, over (1+t^2) to the polynomial's own largest degree."""
+    parts = [(*subst_mono_o2(branch, mono), c) for mono, c in terms.items()]
+    dmax = max(deg for _, deg, _ in parts)
+    acc = {}
+    for numerator, deg, c in parts:
+        for e1, c1 in numerator:
+            for e2, c2 in qpow(dmax - deg):
+                acc[e1 + e2] = acc.get(e1 + e2, 0) + c * c1 * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def value_at(terms: dict, matrix: tuple):
+    """The polynomial {monomial: coefficient} at a value matrix, the
+    monomial's variables numbered row by row."""
+    n = len(matrix)
+    total = 0
+    for mono, c in terms.items():
+        val = c
+        for v, e in enumerate(mono):
+            if e:
+                i, j = divmod(v, n)
+                val *= matrix[i][j] ** e
+        total += val
+    return total
+
+
+def is_zero_term_by_term(x: TwistedElement) -> bool:
+    """Reference for is_zero: each element on its own, term by term
+    through symbolic substitutions (SO(3) sphere normal form; O(2) both
+    circle branches over the element's own largest degree, then the two
+    missed points)."""
+    total = {}
+    for p in x.components.values():
+        for mono, c in p.items():
+            total[mono] = total.get(mono, 0) + c
+    total = {m: c for m, c in total.items() if c}
+    if not total:
+        return True
+    if x.algebra == "so3minus":
+        acc = {}
+        for mono, c in total.items():
+            for m4, k in subst_mono_so3(mono):
+                acc[m4] = acc.get(m4, 0) + c * k
+        return not any(acc.values())
+    if any(o2_numerator(total, branch) for branch in (0, 1)):
+        return False
+    return not any(value_at(total, point) for point in O2_MISSED)
 
 
 def kernel(space: RowSpace) -> np.ndarray:

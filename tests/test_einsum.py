@@ -206,8 +206,8 @@ def _spied_plans(monkeypatch):
     plans = []
     real = hopf._Contraction.ready
 
-    def spy(self, dtype, path=None):
-        plans.append((",".join(self.terms) + "->" + self.rhs, real(self, dtype, path)))
+    def spy(self, dtype):
+        plans.append((",".join(self.terms) + "->" + self.rhs, real(self, dtype)))
         return plans[-1][1]
 
     monkeypatch.setattr(hopf._Contraction, "ready", spy)

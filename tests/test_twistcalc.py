@@ -1,6 +1,7 @@
 """Twisted coordinate model: signed matrices, star product, automorphisms."""
 
 import itertools
+import math
 import os
 import re
 import subprocess
@@ -9,6 +10,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,11 +29,14 @@ from kleintwist.twistcalc import (GenerationReport, SignedMatrix,
                                   klein_normalizer_so3, matrices_to_subgroup,
                                   phi_embedding, rho, rho_image,
                                   verify_twisted_presentation)
-from kleintwist.twistcalc import (_O2_MISSED, _qpow, _subst_mono_o2,
-                                  _subst_mono_so3)
-from oracles import twisted_product
+from kleintwist.twistcalc import _grid, _point_matrices
+from oracles import (O2_MISSED, is_zero_term_by_term, o2_numerator, twisted_product,
+                     value_at)
 
 S4 = symmetric_group(4)
+# the determinant of the 2x2 model as a commutative polynomial: +1 on the
+# rotations, -1 on the reflections
+DET_O2 = TwistedElement("o2minus", {Bidegree(3, 3): {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1}})
 
 
 class TestSignedMatrix:
@@ -351,51 +356,6 @@ def _assert_matches_reference(kind, gens):
     return True
 
 
-def _eval_mono(mono, matrix, n):
-    val = 1
-    for v, e in enumerate(mono):
-        if e:
-            i, j = divmod(v, n)
-            val *= matrix[i][j] ** e
-    return val
-
-
-def _uni_add_product(acc, terms, factor, scale):
-    for e1, c1 in terms:
-        for e2, c2 in factor:
-            acc[e1 + e2] = acc.get(e1 + e2, 0) + scale * c1 * c2
-
-
-def _is_zero_term_by_term(x):
-    """Oracle for is_zero: each element on its own, term by term through
-    the same substitutions (SO(3) sphere normal form; O(2) both circle
-    branches over the element's own largest degree, then the two missed
-    points)."""
-    total = {}
-    for p in x.components.values():
-        for mono, c in p.items():
-            total[mono] = total.get(mono, 0) + c
-    total = {m: c for m, c in total.items() if c}
-    if not total:
-        return True
-    if x.algebra == "so3minus":
-        acc = {}
-        for mono, c in total.items():
-            for m4, k in _subst_mono_so3(mono):
-                acc[m4] = acc.get(m4, 0) + c * k
-        return not any(acc.values())
-    for branch in (0, 1):
-        parts = [(*_subst_mono_o2(branch, mono), c) for mono, c in total.items()]
-        dmax = max(deg for _, deg, _ in parts)
-        acc = {}
-        for terms, deg, c in parts:
-            _uni_add_product(acc, terms, _qpow(dmax - deg), c)
-        if any(acc.values()):
-            return False
-    return not any(sum(c * _eval_mono(mono, point, 2) for mono, c in total.items())
-                   for point in _O2_MISSED)
-
-
 def _relations_one_by_one(kind, gens):
     """Reference for verify_twisted_presentation: every relation built
     from its own products, taken bidegree by bidegree by the oracle
@@ -407,7 +367,7 @@ def _relations_one_by_one(kind, gens):
     checked = []
 
     def demand(rel_id, element):
-        if not _is_zero_term_by_term(element):
+        if not is_zero_term_by_term(element):
             raise RelationFailure(f"relation {rel_id} does not vanish")
         checked.append(rel_id)
 
@@ -451,7 +411,32 @@ class TestZeroTestOracle:
                         - (one if i == j else TwistedElement.zero(kind)))
             x = x * relation if shape == 1 else x + _random_element(kind, b_bits) * relation
         for y in (x, x.scale(scale), x.scale(scale) + x):
-            assert is_zero(y) == _is_zero_term_by_term(y)
+            assert is_zero(y) == is_zero_term_by_term(y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1), st.integers(0, 3),
+           st.sampled_from([0, 1, -1]), st.integers(-3, 3))
+    def test_vanishing_on_a_branch_reaches_its_missed_point(self, a_bits, b_bits, which,
+                                                            det, c):
+        """The continuity step of the point-set zero test: an o2minus
+        polynomial whose numerator vanishes on a circle branch also
+        vanishes at the matrix that branch misses, its limit as t grows.
+        The elements lie in the ideal of an orthogonality relation, plus
+        c (det - 1), which vanishes on the rotations only, or c (det + 1),
+        on the reflections only."""
+        g = _gens("o2minus")
+        one, zero = TwistedElement.one("o2minus"), TwistedElement.zero("o2minus")
+        i, j = divmod(which, 2)
+        relation = g[i][0] * g[j][0] + g[i][1] * g[j][1] - (one if i == j else zero)
+        x = (_random_element("o2minus", a_bits) * relation
+             + relation * _random_element("o2minus", b_bits))
+        if det:
+            x = x + (DET_O2 - one.scale(det)).scale(c)
+        for branch, point in enumerate(O2_MISSED):
+            vanishes = not x.terms or not o2_numerator(x.terms, branch)
+            # by construction: branch 0 holds the rotations, det = 1
+            assert vanishes == (not det or not c or (branch == 0) == (det == 1))
+            assert (value_at(x.terms, point) == 0) == vanishes
 
     @pytest.mark.parametrize("kind", ["o2minus", "so3minus"])
     @pytest.mark.parametrize("power", [1, 40, 70, 200])     # float64, int64, object tiers
@@ -466,16 +451,91 @@ class TestZeroTestOracle:
                         (big + g[1][1].scale(-1) * g[1][1] + g[1][1] * g[1][1], True),
                         (big + (g[1][0] * g[1][0]).scale(3), False)):
             assert is_zero(x) is zero
-            assert _is_zero_term_by_term(x) is zero
+            assert is_zero_term_by_term(x) is zero
 
     def test_oracle_sees_zero_and_nonzero(self):
         g = _gens("so3minus")
         one = TwistedElement.one("so3minus")
         row = g[0][0] * g[0][0] + g[0][1] * g[0][1] + g[0][2] * g[0][2] - one
-        assert _is_zero_term_by_term(row) and is_zero(row)
-        assert not _is_zero_term_by_term(row + one.scale(Fraction(1, 3)))
+        assert is_zero_term_by_term(row) and is_zero(row)
+        assert not is_zero_term_by_term(row + one.scale(Fraction(1, 3)))
         assert not is_zero(row + one.scale(Fraction(1, 3)))
         assert is_zero(row.scale(Fraction(2, 3)))
+
+
+def _coordinates(p):
+    """A grid point as a tuple: (t,) for O(2), (b, c, d) for SO(3)."""
+    return p if isinstance(p, tuple) else (p,)
+
+
+def _free_monomials(alg, top):
+    """Exponents of every monomial of total degree at most top in the free
+    grid coordinates: t for O(2), (b, c, d) for SO(3)."""
+    if alg == "o2minus":
+        return [(e,) for e in range(top + 1)]
+    return [e for e in itertools.product(range(top + 1), repeat=3) if sum(e) <= top]
+
+
+def _rank_mod(rows, p=2 ** 31 - 1):
+    """Rank of an integer matrix modulo the prime p, a lower bound on its
+    rank over Q: a minor that is nonzero modulo p is nonzero."""
+    A = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
+    rank = 0
+    for col in range(A.shape[1]):
+        hits = np.flatnonzero(A[rank:, col])
+        if not hits.size:
+            continue
+        A[[rank, rank + hits[0]]] = A[[rank + hits[0], rank]]
+        A[rank] = A[rank] * pow(int(A[rank, col]), -1, p) % p
+        others = np.flatnonzero(A[:, col])
+        others = others[others != rank]
+        A[others] = (A[others] - A[others, col:col + 1] * A[rank]) % p
+        rank += 1
+        if rank == len(A):
+            break
+    return rank
+
+
+class TestPointSet:
+    """The zero test is exact only if its points determine every
+    polynomial of degree 2D in the grid coordinates; these controls show
+    that the grid does and that one size smaller does not."""
+
+    @pytest.mark.parametrize("alg", ["o2minus", "so3minus"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_grid_determines_degree_2d(self, alg, degree):
+        points = _grid(alg, 2 * degree)
+        monomials = _free_monomials(alg, 2 * degree)
+        V = [[math.prod(x ** e for x, e in zip(_coordinates(p), mono))
+              for mono in monomials] for p in points]
+        assert len(points) == len(monomials) == _rank_mod(V)
+
+    @pytest.mark.parametrize("alg", ["o2minus", "so3minus"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_smaller_grid_misses_a_degree_2d_polynomial(self, alg, degree):
+        top = 2 * degree
+        assert len(_grid(alg, top - 1)) < len(_free_monomials(alg, top))
+        # prod over k < 2D of (s - k), s = t or b + c + d: degree 2D, zero on
+        # the smaller grid and not on the grid itself
+        def witness(p):
+            return math.prod(sum(_coordinates(p)) - k for k in range(top))
+        assert not any(map(witness, _grid(alg, top - 1)))
+        assert any(map(witness, _grid(alg, top)))
+
+    @pytest.mark.parametrize("alg", ["o2minus", "so3minus"])
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    def test_points_lie_on_the_group(self, alg, degree):
+        n = 2 if alg == "o2minus" else 3
+        points = _point_matrices(alg, degree)
+        assert len(points) == (2 if n == 2 else 1) * len(_grid(alg, 2 * degree))
+        dets = set()
+        for norm, X in points:
+            X = SignedMatrix(X)
+            eye = tuple(tuple(norm * norm * (i == j) for j in range(n)) for i in range(n))
+            assert (X * X.transpose()).rows == eye
+            dets.add(X.det() // norm ** n)
+            assert X.det() % norm ** n == 0
+        assert dets == ({1, -1} if n == 2 else {1})
 
 
 class TestGatedCosts:
@@ -493,7 +553,8 @@ class TestGatedCosts:
                               env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         caches = eval(proc.stdout)
-        assert {"_mono_mul", "_mono_factors", "_zero_map_row"} <= {k for k, _ in caches}
+        assert {"_mono_mul", "_mono_factors", "_point_matrices",
+                "_zero_map_row"} <= {k for k, _ in caches}
         assert all(size == 0 for _, size in caches), caches
 
     def test_automorphism_actions_peak_memory(self):
