@@ -3,9 +3,10 @@ completion of a sequence to a permutation.
 
 The completion is implemented twice on purpose: complete_diagram follows
 the combinatorial procedure (connect leftover columns to leftover rows
-in order), complete_formula evaluates an explicit generator formula
-entry by entry.  Agreement of the two routes is the correctness oracle,
-so neither implementation may call the other.
+in order), complete_formula evaluates an explicit generator formula, its
+telescoping sums read off the prefix counts of each column.  Agreement
+of the two routes is the correctness oracle, so neither implementation
+may call the other.
 """
 
 from __future__ import annotations
@@ -101,28 +102,27 @@ def complete_diagram(s: IncreasingSequence) -> Permutation:
 def _formula_matrix(s: IncreasingSequence, p00: int = 1) -> list[list[int]]:
     """Raw n-by-n matrix of formula values, column j holding the images
     of point j.  p00 is the value assigned to the corner symbol p_{0,0};
-    the formula needs it to be 1, and tests poke it to show why."""
-    A = matrix_rep(s)
+    the formula needs it to be 1, and tests poke it to show why.
+
+    The symbols p(t, c) are read column by column from the matrix
+    representation, with p_{0,0} heading an extra column 0 and every
+    other out-of-range symbol 0.  pre[c][r] is the sum of p(t, c) over
+    t < r, so each telescoping sum over t < m + pp is the difference of
+    two prefix values."""
+    A = matrix_rep(s).entries
     k, n = s.k, s.n
+    columns = [[p00] + [0] * n]
+    columns += [[0] + [row[c] for row in A] for c in range(k)]
+    columns.append([0] * (n + 1))
+    pre = [list(itertools.accumulate(col, initial=0)) for col in columns]
 
-    def p(i: int, j: int) -> int:
-        if i == 0 and j == 0:
-            return p00
-        if 1 <= i <= n and 1 <= j <= k:
-            return A[i, j]
-        return 0
-
-    U = [[0] * n for _ in range(n)]
-    for j in range(1, k + 1):
-        for i in range(1, n + 1):
-            U[i - 1][j - 1] = p(i, j)
+    U = [list(row) + [0] * (n - k) for row in A]
     for m in range(1, n - k + 1):
-        for i in range(1, n + 1):
-            if i < m or i > m + k:
-                continue
-            pp = i - m
-            U[i - 1][k + m - 1] = sum(p(t, pp) - p(t + 1, pp + 1)
-                                      for t in range(m + pp))
+        for pp in range(k + 1):
+            # sum over t < i of p(t, pp) - p(t + 1, pp + 1), i = m + pp;
+            # p(0, pp + 1) = 0, so the second part is pre[pp + 1][i + 1]
+            i = m + pp
+            U[i - 1][k + m - 1] = pre[pp][i] - pre[pp + 1][i + 1]
     return U
 
 
@@ -139,22 +139,25 @@ def complete_formula(s: IncreasingSequence) -> Permutation:
     """
     U = _formula_matrix(s)
     n = s.n
-    for i in range(n):
-        for j in range(n):
-            if U[i][j] not in (0, 1):
-                raise EvaluationNotPermutation(
-                    f"entry ({i + 1},{j + 1}) = {U[i][j]} for {s.values}")
-    for i in range(n):
-        if sum(U[i]) != 1:
-            raise EvaluationNotPermutation(f"row {i + 1} sum != 1 for {s.values}")
-    for j in range(n):
-        if sum(U[i][j] for i in range(n)) != 1:
-            raise EvaluationNotPermutation(f"column {j + 1} sum != 1 for {s.values}")
+    # one pass; a bad entry anywhere outranks a bad row sum
+    bad_row = None
+    col_sums = [0] * n
     images = [0] * n
-    for j in range(n):
-        for i in range(n):
-            if U[i][j]:
+    for i, row in enumerate(U):
+        for j, v in enumerate(row):
+            if v not in (0, 1):
+                raise EvaluationNotPermutation(
+                    f"entry ({i + 1},{j + 1}) = {v} for {s.values}")
+            if v:
+                col_sums[j] += 1
                 images[j] = i + 1
+        if bad_row is None and sum(row) != 1:
+            bad_row = i + 1
+    if bad_row is not None:
+        raise EvaluationNotPermutation(f"row {bad_row} sum != 1 for {s.values}")
+    for j, total in enumerate(col_sums):
+        if total != 1:
+            raise EvaluationNotPermutation(f"column {j + 1} sum != 1 for {s.values}")
     return Permutation(images)
 
 

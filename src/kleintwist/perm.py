@@ -451,7 +451,10 @@ def as_subgroup(parent: PermGroup, elements: Iterable[Permutation]) -> PermGroup
 def all_subgroups(G: PermGroup) -> list[PermGroup]:
     """Every subgroup of G, found by repeatedly extending known subgroups
     by one extra generator.  Restricted to |G| <= 48 to keep the closure
-    workload trivial."""
+    workload trivial.
+
+    <H, g> = <H, a g b> for every a, b in H, so each H is extended by one
+    g per double coset H g H outside H, the first in image order."""
     if G.order > 48:
         raise ValueError(f"subgroup enumeration restricted to order <= 48, got {G.order}")
     ident = tuple(range(1, G.degree + 1))
@@ -462,9 +465,16 @@ def all_subgroups(G: PermGroup) -> list[PermGroup]:
     while layer:
         fresh = []
         for H in layer:
+            # x -> x b for each b in H, as itemgetters; below degree 2 no g
+            # lies outside H, and a getter would not return a tuple
+            right = [itemgetter(*[j - 1 for j in b]) for b in H] if G.degree > 1 else []
+            covered = set(H)
             for g in elems:
-                if g in H:
+                if g in covered:
                     continue
+                # a g for a in H, then every right multiple: the double coset
+                left = [_compose_images(a, g) for a in H]
+                covered.update(step(x) for step in right for x in left)
                 K = _closure(G.degree, list(H) + [g])
                 if K not in found:
                     found.add(K)

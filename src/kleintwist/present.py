@@ -231,6 +231,9 @@ def solve_characters(p: PresentationSpec) -> list:
             # at most one nonzero per row and per column, in every kind
             if v != 0 and (row_nz[r] == 1 or col_nz[c] == 1):
                 continue
+            # incseq supports increase, so column c - 1 takes its 1 first
+            if v != 0 and p.kind == "incseq" and c and not col_nz[c - 1]:
+                continue
             grid[r][c] = v
             nz = 1 if v else 0
             row_nz[r] += nz
@@ -259,32 +262,53 @@ def solve_characters(p: PresentationSpec) -> list:
     return out
 
 
+# Rows of character products formed at a time: at 120 solutions of size 5
+# a block is 8 * 120 * 25 int64 entries, 192 kB, where all products at
+# once would take 2.9 MB.
+_PRODUCT_ROWS = 8
+
+
+def _codes(mats: np.ndarray) -> np.ndarray:
+    """Base-3 code of each square matrix over the last two axes: distinct
+    matrices with entries in {-1, 0, 1} get distinct codes, and n <= 5
+    keeps them below 3^25 < 2^63.  Any other entry raises ClosureFailure."""
+    n = mats.shape[-1]
+    flat = mats.reshape(*mats.shape[:-2], n * n)
+    if np.abs(flat).max() > 1:
+        raise ClosureFailure("character product has an entry outside {-1, 0, 1}")
+    return (flat + 1) @ 3 ** np.arange(n * n, dtype=np.int64)
+
+
 def character_group_of(p: PresentationSpec) -> PermGroup:
     """Group of characters under the convolution product, which on these
     presentations is plain matrix multiplication of the value matrices;
     returned via the left regular action on the sorted solution list.
 
-    All products come from one int64 contraction (entries are -1, 0, 1
-    and n <= 5, so nothing can overflow) and are matched by their bytes.
-    """
+    Products are formed by np.matmul a block of rows at a time (entries
+    are -1, 0, 1 and n <= 5, so nothing can overflow), coded by _codes,
+    and looked up by code in a dict of the solutions' codes.  A sorted
+    lookup (argsort, searchsorted) would be as exact, but it pages in
+    numpy's sorting code, about 0.4 MB of resident memory that nothing
+    else in a verify run touches."""
     if p.kind == "incseq":
         raise ValueError("rectangular presentations carry no character group")
     sols = solve_characters(p)
     n = p.rows
     mats = np.array([s.matrix for s in sols], dtype=np.int64).reshape(len(sols), n, n)
-    index = {m.tobytes(): i for i, m in enumerate(mats)}
-    if np.eye(n, dtype=np.int64).tobytes() not in index:
+    if not (mats == np.eye(n, dtype=np.int64)).all(axis=(1, 2)).any():
         raise ClosureFailure("identity matrix is not a character")
-    prods = np.einsum("aij,bjk->abik", mats, mats)
+    # the identity is a character, so every solution is a product
+    index = dict(zip(_codes(mats).tolist(), range(1, len(mats) + 1)))
+    inverse_found = [c in index for c in _codes(mats.transpose(0, 2, 1)).tolist()]
     perms = set()
-    for m, row in zip(mats, prods):
-        images = []
-        for prod in row:
-            pos = index.get(prod.tobytes())
-            if pos is None:
+    for start in range(0, len(mats), _PRODUCT_ROWS):
+        stop = start + _PRODUCT_ROWS
+        block = _codes(np.matmul(mats[start:stop, None], mats)).tolist()
+        for row, inv in zip(block, inverse_found[start:stop]):
+            images = [index.get(c, 0) for c in row]
+            if 0 in images:
                 raise ClosureFailure("character product escapes the solution set")
-            images.append(pos + 1)
-        if m.T.tobytes() not in index:
-            raise ClosureFailure("character inverse escapes the solution set")
-        perms.add(Permutation(images))
+            if not inv:
+                raise ClosureFailure("character inverse escapes the solution set")
+            perms.add(Permutation(images))
     return PermGroup(len(mats), perms)

@@ -2,8 +2,11 @@
 contractions and its twisted monomial product with, the symbolic zero
 test of the twisted models that its point-set zero test is compared
 with, the dict-form builders of Q[G] and C(G) that its array builders
-are compared with, and the linear algebra of the recursive character
-splitter; nothing in the package calls them."""
+are compared with, the linear algebra of the recursive character
+splitter, and the brute-force combinatorics (the term-by-term completion
+formula, the every-g subgroup search, the byte-matched character group)
+that the package's shortcuts are compared with; nothing in the package
+calls them."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -13,7 +16,10 @@ import numpy as np
 
 from kleintwist.cocycle import Cocycle2, klein_bicharacter
 from kleintwist.hopf import Character, FDHopf, HopfMap, _q
-from kleintwist.perm import PermGroup, Permutation
+from kleintwist.errors import ClosureFailure
+from kleintwist.incseq import IncreasingSequence, matrix_rep
+from kleintwist.perm import PermGroup, Permutation, _closure
+from kleintwist.present import PresentationSpec, solve_characters
 from kleintwist.ratlinalg import (RowSpace, _dot, _fit, _primitive, _rescale, _sub,
                                   first_relation)
 from kleintwist.twistcalc import TwistedElement
@@ -316,3 +322,79 @@ def generalized_eigenspace(A, lam: int, k: int) -> np.ndarray:
     space = RowSpace(len(A))
     space.extend(P.T)          # x P = 0 exactly when x is orthogonal to P's columns
     return kernel(space)
+
+
+def formula_matrix_term_by_term(s: IncreasingSequence, p00: int = 1) -> list[list[int]]:
+    """Reference for incseq._formula_matrix: every telescoping sum
+    evaluated term by term through the symbol p."""
+    A = matrix_rep(s)
+    k, n = s.k, s.n
+
+    def p(i: int, j: int) -> int:
+        if i == 0 and j == 0:
+            return p00
+        if 1 <= i <= n and 1 <= j <= k:
+            return A[i, j]
+        return 0
+
+    U = [[0] * n for _ in range(n)]
+    for j in range(1, k + 1):
+        for i in range(1, n + 1):
+            U[i - 1][j - 1] = p(i, j)
+    for m in range(1, n - k + 1):
+        for i in range(1, n + 1):
+            if i < m or i > m + k:
+                continue
+            pp = i - m
+            U[i - 1][k + m - 1] = sum(p(t, pp) - p(t + 1, pp + 1)
+                                      for t in range(m + pp))
+    return U
+
+
+def all_subgroups_every_g(G: PermGroup) -> list[PermGroup]:
+    """Reference for perm.all_subgroups: every known subgroup H extended
+    by every g outside it."""
+    if G.order > 48:
+        raise ValueError(f"subgroup enumeration restricted to order <= 48, got {G.order}")
+    ident = tuple(range(1, G.degree + 1))
+    elems = sorted(G.images)
+    trivial = frozenset({ident})
+    found = {trivial}
+    layer = [trivial]
+    while layer:
+        fresh = []
+        for H in layer:
+            for g in elems:
+                if g in H:
+                    continue
+                K = _closure(G.degree, list(H) + [g])
+                if K not in found:
+                    found.add(K)
+                    fresh.append(K)
+        layer = fresh
+    ordered = sorted(found, key=lambda S: (len(S), sorted(S)))
+    return [PermGroup._from_images(G.degree, S) for S in ordered]
+
+
+def character_group_by_bytes(p: PresentationSpec) -> PermGroup:
+    """Reference for present.character_group_of: all products from one
+    int64 contraction, each matched by its bytes in a dict."""
+    sols = solve_characters(p)
+    n = p.rows
+    mats = np.array([s.matrix for s in sols], dtype=np.int64).reshape(len(sols), n, n)
+    index = {m.tobytes(): i for i, m in enumerate(mats)}
+    if np.eye(n, dtype=np.int64).tobytes() not in index:
+        raise ClosureFailure("identity matrix is not a character")
+    prods = np.einsum("aij,bjk->abik", mats, mats)
+    perms = set()
+    for m, row in zip(mats, prods):
+        images = []
+        for prod in row:
+            pos = index.get(prod.tobytes())
+            if pos is None:
+                raise ClosureFailure("character product escapes the solution set")
+            images.append(pos + 1)
+        if m.T.tobytes() not in index:
+            raise ClosureFailure("character inverse escapes the solution set")
+        perms.add(Permutation(images))
+    return PermGroup(len(mats), perms)

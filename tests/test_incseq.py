@@ -9,11 +9,15 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from kleintwist import incseq
 from kleintwist.errors import EvaluationNotPermutation
 from kleintwist.incseq import (BinaryRectMatrix, IncreasingSequence,
                                _formula_matrix, all_sequences,
                                complete_diagram, complete_formula,
                                generated_completion_group, matrix_rep)
+from oracles import formula_matrix_term_by_term
+
+UP_TO_8 = [s for n in range(1, 9) for k in range(n + 1) for s in all_sequences(k, n)]
 
 
 class TestSequences:
@@ -56,6 +60,30 @@ class TestCompletionOracle:
         p = complete_diagram(s)
         assert [p(i) for i in range(1, 5)] == [2, 4, 1, 3]
 
+    @pytest.mark.parametrize("p00", [1, 0])
+    def test_formula_matrix_matches_term_by_term(self, p00):
+        # prefix counts against the telescoping sums summed symbol by symbol
+        assert len(UP_TO_8) == 510
+        for s in UP_TO_8:
+            assert _formula_matrix(s, p00=p00) == formula_matrix_term_by_term(s, p00=p00), s
+
+    def test_formula_reads_the_matrix_representation_only(self, monkeypatch):
+        expected = {s: complete_diagram(s) for s in UP_TO_8}
+        reads = []
+
+        def no_diagram(s):
+            raise AssertionError("complete_formula called complete_diagram")
+
+        def counted_rep(s):
+            reads.append(s)
+            return matrix_rep(s)
+
+        monkeypatch.setattr(incseq, "complete_diagram", no_diagram)
+        monkeypatch.setattr(incseq, "matrix_rep", counted_rep)
+        for s in UP_TO_8:
+            assert complete_formula(s) == expected[s]
+        assert reads == UP_TO_8
+
     @given(st.integers(2, 6).flatmap(
         lambda n: st.integers(0, n).flatmap(
             lambda k: st.sampled_from(all_sequences(k, n)))))
@@ -82,13 +110,31 @@ class TestBoundaryFault:
                         broken += 1
         assert broken > 0
 
-    def test_error_type(self):
-        # poking the corner through the private hook keeps the public
-        # route intact; the public route raises only on genuine breakage
-        s = IncreasingSequence(1, 2, (2,))
-        assert complete_formula(s) == complete_diagram(s)
-        with pytest.raises(EvaluationNotPermutation):
-            raise EvaluationNotPermutation("x")
+    def test_error_type(self, monkeypatch):
+        # every refusal of the audit, reached through the public route
+        s = IncreasingSequence(1, 3, (2,))
+        for U, message in [
+            ([[1, 0, 0], [0, 2, 0], [0, 0, 1]], r"entry \(2,2\) = 2"),
+            ([[1, 0, 0], [0, 0, -1], [0, 1, 1]], r"entry \(2,3\) = -1"),
+            ([[1, 1, 0], [0, 0, 0], [0, 0, 1]], "row 1 sum != 1"),
+            ([[1, 0, 0], [1, 0, 0], [0, 0, 1]], "column 1 sum != 1"),
+            # a bad entry outranks an earlier bad row sum
+            ([[0, 0, 0], [0, 1, 0], [1, 0, 2]], r"entry \(3,3\) = 2"),
+        ]:
+            monkeypatch.setattr(incseq, "_formula_matrix", lambda s, U=U: [list(r) for r in U])
+            with pytest.raises(EvaluationNotPermutation, match=message):
+                complete_formula(s)
+
+    def test_corner_zero_is_refused_by_the_public_route(self, monkeypatch):
+        monkeypatch.setattr(incseq, "_formula_matrix",
+                            lambda s: _formula_matrix(s, p00=0))
+        refused = 0
+        for s in UP_TO_8:
+            try:
+                assert complete_formula(s) == complete_diagram(s), s
+            except EvaluationNotPermutation:
+                refused += 1
+        assert refused > 0
 
 
 class TestGeneration:

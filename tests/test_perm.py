@@ -13,6 +13,7 @@ from kleintwist.perm import (GroupType, PermGroup, Permutation, _closure, _schre
                              easy_klein, generate, is_characteristic_under_inner,
                              isomorphism_type, klein_group, normalizer,
                              subgroups_of_type, symmetric_group)
+from oracles import all_subgroups_every_g
 
 S4 = symmetric_group(4)
 S4_ELEMS = S4.sorted_elements()
@@ -317,7 +318,46 @@ class TestGroupRefusals:
             generate(4, [Permutation.from_cycles(5, [(4, 5)])])
 
 
+def _degree_6(*cycles):
+    return Permutation.from_cycles(6, cycles)
+
+
+SEARCHED_GROUPS = {
+    "S3": symmetric_group(3),
+    "D4": generate(4, [cyc((1, 2, 3, 4)), cyc((1, 3))]),
+    "A4": generate(4, [cyc((1, 2, 3)), cyc((1, 2), (3, 4))]),
+    "S4": S4,
+    # the signed permutations of three pairs {1,2}, {3,4}, {5,6}: order 48
+    "C2wrS3": generate(6, [_degree_6((1, 2)), _degree_6((1, 3), (2, 4)),
+                           _degree_6((1, 3, 5), (2, 4, 6))]),
+}
+
+
 class TestSubgroupCensus:
+    @pytest.mark.parametrize("name", SEARCHED_GROUPS)
+    def test_double_cosets_match_every_g_reference(self, name):
+        G = SEARCHED_GROUPS[name]
+        assert [H.images for H in all_subgroups(G)] == \
+            [H.images for H in all_subgroups_every_g(G)]
+
+    def test_wreath_product_census(self):
+        # C2 wr S3 is C2 x S4, which has 98 subgroups
+        G = SEARCHED_GROUPS["C2wrS3"]
+        assert G.order == 48
+        assert len(all_subgroups(G)) == 98
+
+    def test_s4_search_takes_one_closure_per_double_coset(self, monkeypatch):
+        calls = []
+        real = perm._closure
+
+        def counted(degree, seed):
+            calls.append(1)
+            return real(degree, seed)
+
+        monkeypatch.setattr(perm, "_closure", counted)
+        assert len(all_subgroups(S4)) == 30
+        assert len(calls) <= 117
+
     def test_s4_census(self):
         subs = all_subgroups(S4)
         assert len(subs) == 30

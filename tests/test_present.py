@@ -9,6 +9,7 @@ from kleintwist import present
 from kleintwist.cocycle import Cocycle2, klein_bicharacter
 from kleintwist.errors import (ClosureFailure, InfiniteCharacterSpace,
                                PatternMismatch, SignMismatch)
+from kleintwist.incseq import all_sequences, matrix_rep
 from kleintwist.perm import Permutation, isomorphism_type
 from kleintwist.present import (KLEIN_PRODUCT, Bidegree, IncSeq, O2, O2Minus,
                                 SO3, SO3Minus, SnPlus, character_group_of,
@@ -16,6 +17,7 @@ from kleintwist.present import (KLEIN_PRODUCT, Bidegree, IncSeq, O2, O2Minus,
                                 determinant_to_permanent_signs,
                                 parse_presentation, relation_sign_table,
                                 solve_characters)
+from oracles import character_group_by_bytes
 
 
 class TestBidegree:
@@ -159,19 +161,37 @@ class TestSolutions:
         expected = {Permutation([index[matmul(a, b)] + 1 for b in mats]) for a in mats}
         assert character_group_of(spec).elements == expected
 
+    def test_incseq_solutions_are_the_matrix_representations(self):
+        # an independent route: the sequences themselves, not the search
+        for n in range(6):
+            for k in range(n + 1):
+                got = {sol.matrix for sol in solve_characters(IncSeq(k, n))}
+                assert got == {matrix_rep(s).entries for s in all_sequences(k, n)}, (k, n)
+
+    @pytest.mark.parametrize("spec", [O2Minus(), SO3Minus(), SnPlus(3), SnPlus(4), SnPlus(5)],
+                             ids=lambda p: p.name)
+    def test_character_group_matches_byte_lookup(self, spec):
+        assert character_group_of(spec).elements == character_group_by_bytes(spec).elements
+
     def test_character_group_refuses_open_sets(self, monkeypatch):
         sols = solve_characters(O2Minus())
-        ident = ((1, 0), (0, 1))
-        no_identity = [s for s in sols if s.matrix != ident]
-        monkeypatch.setattr(present, "solve_characters", lambda p: no_identity)
-        with pytest.raises(ClosureFailure, match="identity matrix is not a character"):
-            character_group_of(O2Minus())
-        # a group with one element dropped is no longer product-closed
-        missing_one = [s for s in sols if s.matrix != ((0, 1), (1, 0))]
-        assert len(missing_one) == len(sols) - 1
-        monkeypatch.setattr(present, "solve_characters", lambda p: missing_one)
-        with pytest.raises(ClosureFailure, match="character product escapes"):
-            character_group_of(O2Minus())
+        # M = [[0, -1], [1, -1]] has order 3: {1, M, M^2} is a group whose
+        # transposes are dropped
+        cyclic = [present.CharacterSolution(O2Minus(), m)
+                  for m in (((1, 0), (0, 1)), ((0, -1), (1, -1)), ((-1, 1), (-1, 0)))]
+        # J J = 2 J; put first, so its block is coded before any lookup fails
+        doubling = [present.CharacterSolution(O2Minus(), ((1, 1), (1, 1)))] + sols
+        for edited, message in [
+            ([s for s in sols if s.matrix != ((1, 0), (0, 1))],
+             "identity matrix is not a character"),
+            # a group with one element dropped is no longer product-closed
+            ([s for s in sols if s.matrix != ((0, 1), (1, 0))], "character product escapes"),
+            (cyclic, "character inverse escapes"),
+            (doubling, r"character product has an entry outside \{-1, 0, 1\}"),
+        ]:
+            monkeypatch.setattr(present, "solve_characters", lambda p, e=edited: e)
+            with pytest.raises(ClosureFailure, match=message):
+                character_group_of(O2Minus())
 
     def test_continuous_presentations_refused(self):
         with pytest.raises(InfiniteCharacterSpace):

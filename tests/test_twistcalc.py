@@ -29,7 +29,8 @@ from kleintwist.twistcalc import (GenerationReport, SignedMatrix,
                                   klein_normalizer_so3, matrices_to_subgroup,
                                   phi_embedding, rho, rho_image,
                                   verify_twisted_presentation)
-from kleintwist.twistcalc import _grid, _point_matrices
+from kleintwist import twistcalc
+from kleintwist.twistcalc import _first_nonzero, _grid, _point_matrices
 from oracles import (O2_MISSED, is_zero_term_by_term, o2_numerator, twisted_product,
                      value_at)
 
@@ -536,6 +537,132 @@ class TestPointSet:
             dets.add(X.det() // norm ** n)
             assert X.det() % norm ** n == 0
         assert dets == ({1, -1} if n == 2 else {1})
+
+
+# 4 times each quadratic monomial in the quaternion (a, b, c, d), as a
+# linear form in the norm N (key None) and the entries (i, j) of the
+# rotation matrix X of _point_matrices
+_QUATERNION_PRODUCTS = {
+    "aa": {None: 1, (0, 0): 1, (1, 1): 1, (2, 2): 1},
+    "bb": {None: 1, (0, 0): 1, (1, 1): -1, (2, 2): -1},
+    "cc": {None: 1, (0, 0): -1, (1, 1): 1, (2, 2): -1},
+    "dd": {None: 1, (0, 0): -1, (1, 1): -1, (2, 2): 1},
+    "bc": {(0, 1): 1, (1, 0): 1}, "bd": {(0, 2): 1, (2, 0): 1}, "cd": {(1, 2): 1, (2, 1): 1},
+    "ab": {(2, 1): 1, (1, 2): -1}, "ac": {(0, 2): 1, (2, 0): -1}, "ad": {(1, 0): 1, (0, 1): -1},
+}
+
+
+def _linear_form(alg, coefficients):
+    """{monomial: coefficient} of sum c * (1 if key is None else x_key)."""
+    n = 2 if alg == "o2minus" else 3
+    out = {}
+    for key, c in coefficients.items():
+        mono = [0] * (n * n)
+        if key is not None:
+            mono[key[0] * n + key[1]] = 1
+        out[tuple(mono)] = out.get(tuple(mono), 0) + c
+    return out
+
+
+def _planted(alg, degree):
+    """A polynomial f of the given degree D in the entries whose
+    homogenised form N^D f(X / N) at the grid point t, or (b, c, d) with
+    s = b + c + d, is a nonzero multiple of prod over k < 2D of (t - k), or
+    of (s - k): it vanishes on _grid(alg, 2D - 1) and not on _grid(alg, 2D),
+    so it is not zero on the group.  Each pair (k, k') of roots is one
+    linear form in N and X: on the circle points 2 (t - k)(t - k') is
+    (1 + k k') N + (k k' - 1) X11 - (k + k') X21 on both branches; on the
+    quaternion rotations 4 (s - k a)(s - k' a) is read off
+    _QUATERNION_PRODUCTS."""
+    terms = {(0,) * (4 if alg == "o2minus" else 9): 1}
+    for k, k2 in zip(range(0, 2 * degree, 2), range(1, 2 * degree, 2)):
+        if alg == "o2minus":
+            form = {None: 1 + k * k2, (0, 0): k * k2 - 1, (1, 0): -(k + k2)}
+        else:
+            weights = {"bb": 1, "cc": 1, "dd": 1, "bc": 2, "bd": 2, "cd": 2,
+                       "ab": -(k + k2), "ac": -(k + k2), "ad": -(k + k2), "aa": k * k2}
+            form = {}
+            for name, w in weights.items():
+                for key, c in _QUATERNION_PRODUCTS[name].items():
+                    form[key] = form.get(key, 0) + w * c
+        factor = _linear_form(alg, form)
+        product = {}
+        for m1, c1 in terms.items():
+            for m2, c2 in factor.items():
+                m = tuple(map(sum, zip(m1, m2)))
+                product[m] = product.get(m, 0) + c1 * c2
+        terms = {m: c for m, c in product.items() if c}
+    return TwistedElement._make(alg, terms)
+
+
+def _orthogonality_rows(alg):
+    """The rows sum_k x_ik x_jk - delta_ij of the canonical generators,
+    which vanish on the group."""
+    g = _gens(alg)
+    n = len(g)
+    one, zero = TwistedElement.one(alg), TwistedElement.zero(alg)
+    return [(sum((g[i][k] * g[j][k] for k in range(n)), zero) - (one if i == j else zero)).terms
+            for i in range(n) for j in range(n)]
+
+
+def _assert_zero_test_matches_oracle(alg, degree):
+    """End to end against the term-by-term oracle: is_zero on the planted
+    polynomial, and _first_nonzero on the orthogonality system with the
+    planted degree-2 row last."""
+    x = _planted(alg, degree)
+    assert is_zero(x) == is_zero_term_by_term(x) is False
+    rows = _orthogonality_rows(alg) + [_planted(alg, 2).terms]
+    expected = next(r for r, row in enumerate(rows)
+                    if not is_zero_term_by_term(TwistedElement._make(alg, row)))
+    assert _first_nonzero(alg, rows) == expected == len(rows) - 1
+
+
+@pytest.fixture
+def fresh_zero_map():
+    """Empty the zero-map caches before and after the test, so a patched
+    grid neither reads nor leaves cached points."""
+    caches = (twistcalc._point_matrices, twistcalc._zero_map_row)
+    for c in caches:
+        c.cache_clear()
+    yield
+    for c in caches:
+        c.cache_clear()
+
+
+class TestPlantedRelation:
+    @pytest.mark.parametrize("alg", ["o2minus", "so3minus"])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_planted_relation_is_the_product_of_its_roots(self, alg, degree):
+        # at every point of the grid, N^D f(X / N) = c prod over k < 2D of
+        # (s - k), the witness of test_smaller_grid_misses_a_degree_2d_polynomial
+        x = _planted(alg, degree)
+        assert max(map(sum, x.terms)) == degree
+        n = 2 if alg == "o2minus" else 3
+        coords = [p for p in _grid(alg, 2 * degree) for _ in range(4 - n)]
+        points = _point_matrices(alg, degree)
+        assert len(coords) == len(points)
+        scale = (2 if alg == "o2minus" else 4) ** degree
+        for p, (norm, X) in zip(coords, points):
+            value = sum(c * norm ** (degree - sum(m))
+                        * math.prod(X[v // n][v % n] ** e for v, e in enumerate(m))
+                        for m, c in x.terms.items())
+            assert value == scale * math.prod(sum(_coordinates(p)) - k
+                                              for k in range(2 * degree))
+
+    @pytest.mark.parametrize("alg", ["o2minus", "so3minus"])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_zero_test_finds_the_planted_relation(self, alg, degree):
+        _assert_zero_test_matches_oracle(alg, degree)
+
+    @pytest.mark.parametrize("alg", ["o2minus", "so3minus"])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_grid_one_size_too_small_fails_the_comparison(self, monkeypatch, alg, degree,
+                                                          fresh_zero_map):
+        monkeypatch.setattr(twistcalc, "_grid", lambda a, top: _grid(a, top - 1))
+        with pytest.raises(AssertionError):
+            _assert_zero_test_matches_oracle(alg, degree)
+        assert is_zero(_planted(alg, degree))
+        assert _first_nonzero(alg, _orthogonality_rows(alg) + [_planted(alg, 2).terms]) is None
 
 
 class TestGatedCosts:
