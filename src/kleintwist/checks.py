@@ -246,7 +246,7 @@ def _character_check(check_id, spec, expected_count, expected_type):
     labels = {}
     ok = len(sols) == expected_count
     if expected_type is not None:
-        g = character_group_of(spec)
+        g = character_group_of(spec, sols)
         tname = isomorphism_type(g).name
         m["group_order"] = g.order
         labels["group_type"] = tname

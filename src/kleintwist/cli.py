@@ -140,7 +140,7 @@ def _cmd_characters(args) -> int:
         return 1
     print(f"{spec.name}: {len(sols)} character matrices")
     try:
-        g = character_group_of(spec)
+        g = character_group_of(spec, sols)
         label = isomorphism_type(g).name if g.order <= 24 else "(order above 24)"
         print(f"character group: order {g.order}, type {label}")
     except ValueError:

@@ -126,7 +126,7 @@ def _grouplike_corrector(carrier: FDHopf, table) -> tuple:
 def trivial_cocycle(H: FDHopf) -> Cocycle2:
     """sigma = counit x counit; twisting by it changes nothing."""
     E = H._pairs[3]
-    ee = _contract("i,j->ij", E, E)
+    ee = _stored(*_contract("i,j->ij", E, E), owned=True)
     return Cocycle2._from_tensors(H, ee, ee, E)
 
 
@@ -171,8 +171,8 @@ def pullback(sigma: Cocycle2, pi: HopfMap) -> Cocycle2:
         raise KleintwistError(f"pullback needs a Hopf map, failed at: {pi.failure}")
     P = (pi.P, pi.d)
     Sg, Sv, L = sigma._pairs
-    out = Cocycle2._from_tensors(pi.source, _contract("ia,jb,ab->ij", P, P, Sg),
-                                 _contract("ia,jb,ab->ij", P, P, Sv), _contract("ia,a->i", P, L))
+    out = Cocycle2._from_tensors(pi.source, *(_stored(*_contract(*c), owned=True) for c in (
+        ("ia,jb,ab->ij", P, P, Sg), ("ia,jb,ab->ij", P, P, Sv), ("ia,a->i", P, L))))
     if not verify_cocycle(out):
         raise KleintwistError("pulled-back table fails the cocycle identities")
     return out
@@ -216,6 +216,7 @@ def twist(H: FDHopf, sigma: Cocycle2, verify: bool = True) -> FDHopf:
     # star_sigma(x) = L(x1) star(x2) L(x3)
     star = _contract("ixc,xab,a,bt,c->it", C, C, L, T, L)
 
+    mult, antipode, star = (_stored(A, d, owned=True) for A, d in (mult, antipode, star))
     out = FDHopf._from_tensors(H.basis_labels, U, mult, C, E, antipode, star)
     if verify:
         rep = verify_hopf_axioms(out)

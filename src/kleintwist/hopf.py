@@ -30,33 +30,50 @@ Klein subgroup cost in proportion to their support rather than to n^k,
 and takes the bound over the cut sizes.  Planning reads of an operand
 only its profile, the positions of its nonzero slices and its largest
 entry; each array an FDHopf, a HopfMap or a Cocycle2 stores is profiled
-once when it is stored, and copied first if the caller still holds it,
-so no caller can write under its profile.  The float tier is exact
+once when it is stored, and copied first if the caller still holds it
+(an array the package's own builder made is frozen in place), so no
+caller can write under its profile.  The float tier is exact
 because every operand entry, product and partial sum is then an integer
 of magnitude below 2^53, which float64 represents exactly, so no
 operation rounds, whatever order BLAS or einsum sums in; callers only
-ever see int64 or object arrays.  Every step of the
-contraction path is planned pairwise: a step of more than two operands,
-which numpy would run as one nested loop, joins its fixed operands first,
+ever see int64 or object arrays.  Every step of the contraction path,
+the one numpy's greedy rule picks (_greedy_path reimplements that rule),
+is planned pairwise: a step of more than two operands, which numpy would
+run as one nested loop, joins its fixed operands first,
 then each slab operand in turn.  Planning runs once every step that does
 not reach the slab index, and forms each such fixed factor directly in
 the layout of the matmul that reads it; each slab runs only the steps
 that carry it, so no step on a slab forms an n^4 array whole.
 
-Delta(xy) = Delta(x) Delta(y), the one identity of n^6 terms, is decided
-on generators.  Given associativity, the unit identities and
-Delta(1) = 1 (x) 1, it holds as soon as Delta(g y) = Delta(g) Delta(y)
-for every basis y and every g of a set that generates H as an algebra:
-induction on the length of a monomial in the g carries it to every
-monomial, and the monomials span H.  The generators are two, else three,
-fixed generic elements, and their generation of H is certified modulo
-one word-size prime that does not divide the product's scale: the span
-of 1 closed under left multiplication by them reaches dimension n there,
-and rows independent modulo a prime are independent over Q.  That leaves
-one contraction of k n^5 terms for k generators, whose n^4 fixed factor
-is formed once.  When associativity fails, or generation is not
-certified, the full identity runs, so each suite's verdict keeps its
-meaning.
+Associativity, coassociativity and Delta(xy) = Delta(x) Delta(y), the
+identities of n^5, n^5 and n^6 terms, are decided on generators.  Given
+the left unit identity, (x y) z = x (y z) holds as soon as
+(g y) z = g (y z) for every basis y, z and every g of a set that
+generates H as an algebra; coassociativity is associativity of the dual
+algebra (unit the counit, product the transposed coproduct), decided the
+same way once the left counit identity holds.  Given associativity, the
+unit identities and Delta(1) = 1 (x) 1, Delta(xy) = Delta(x) Delta(y)
+holds as soon as Delta(g y) = Delta(g) Delta(y) for every basis y and
+every such g.  Induction on the length of a monomial in the g carries
+each to every monomial, and the monomials span H.  The generators are
+two, else three, fixed generic elements, and their generation is
+certified modulo one word-size prime that does not divide the product's
+scale: the span of 1 closed under left multiplication by them reaches
+dimension n there, and rows independent modulo a prime are independent
+over Q.  That leaves k n^4 products per side for (co)associativity and
+one contraction of k n^5 terms for the bialgebra identity, whose n^4
+fixed factor is formed once.  When the (co)unit identity an identity
+needs fails, or generation is not certified, the full identity runs, so
+each suite's verdict keeps its meaning.
+
+An identity's verdict depends only on its subscripts, the scales and the
+content of its operands, and so does a generation certificate.  Each is
+kept in one table (_decided), keyed by those and by a digest of each
+stored operand, taken when it is stored; a hit is confirmed with
+np.array_equal against the arrays the entry holds weakly, and dies with
+them.  So a twist, which keeps its base's coalgebra, decides the shared
+coalgebra identities once, and an algebra built twice is verified once
+while the first is alive.
 
 Every axiom, of an algebra, a Hopf map or a cocycle, and every clause of
 the character audit, is an identity X = Y between two such contractions,
@@ -97,11 +114,13 @@ coproduct and the antipode gives their group.
 from __future__ import annotations
 
 import weakref
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import accumulate
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate, combinations
 from math import gcd, isqrt, lcm, prod
+from operator import or_
 from typing import Iterable, Optional
 
 import numpy as np
@@ -109,9 +128,9 @@ import numpy as np
 from .errors import (ClosureFailure, EvaluationNotPermutation, KleintwistError,
                      NonSplitQuotient, NotASubgroup)
 from .perm import PermGroup, Permutation, klein_group, symmetric_group
-from .ratlinalg import (_INT64_LIMIT, RowSpace, _cleared, _dot, _fit, _int_dtype, _inverse,
-                        _is_prime, _max_abs, _primitive, _rescale, _sub, closure_dim_mod,
-                        deflate, first_relation, integer_roots)
+from .ratlinalg import (_INT64_LIMIT, ClosureMod, RowSpace, _cleared, _dot, _fit, _int_dtype,
+                        _inverse, _is_prime, _max_abs, _primitive, _rescale, _sub, deflate,
+                        first_relation, integer_roots)
 
 
 def _q(v: int, d: int):
@@ -166,30 +185,86 @@ def _nonzero_slices(arr: np.ndarray) -> tuple:
     return tuple(arr.any(axis=tuple(b for b in axes if b != a)) for a in axes)
 
 
+def _digest(arr: np.ndarray) -> Optional[tuple]:
+    """A digest of an integer array's content: its shape, dtype and the
+    CRC-32 of its bytes; None for an object array, whose bytes are
+    pointers.  Equal arrays have equal digests; the converse is never
+    trusted (_decided)."""
+    if arr.dtype == object:
+        return None
+    return arr.shape, arr.dtype.str, zlib.crc32(np.ascontiguousarray(arr))
+
+
 def _profiled(arr: np.ndarray) -> Optional[tuple]:
     """The profile stored with arr (_stored), or None for any other array:
-    (its _nonzero_slices, its largest |entry|), all that planning a
-    contraction reads of an operand."""
+    (its _nonzero_slices, its largest |entry|, its _digest), all that
+    planning a contraction and the table of decided identities read of an
+    operand.  A stored array never changes, so its profile holds while it
+    lives."""
     entry = _PROFILES.get(id(arr))
     return entry[1] if entry is not None and entry[0]() is arr else None
 
 
-def _stored(values, scale: int) -> tuple:
+def _stored(values, scale: int, owned: bool = False) -> tuple:
     """values / scale as an FDHopf, a HopfMap or a Cocycle2 stores it: in
-    canonical cleared form (ratlinalg._cleared), read-only and profiled
-    once.  An array of the caller's that _cleared hands back as is is
-    copied first, so the caller's array is neither frozen nor shared, and
-    nothing can write under a profile; an array already stored is shared."""
+    canonical cleared form (ratlinalg._cleared), immutable and profiled
+    once.  The stored array reads the cleared one through a read-only
+    memoryview, so numpy refuses to make it, or any view of it, writeable
+    again: nothing can write under a profile or a digest.  An array of the
+    caller's that _cleared hands back as is is copied first, so the
+    caller's array stays writeable and unshared; an array already stored
+    is shared.  owned says that the package's own builder made values and
+    keeps no reference to it, so it is stored with no copy."""
     A, d = _cleared(values, scale)
     if _profiled(A) is None:
-        if A is values:
+        if A is values and not owned:
             A = A.copy()
-        A.flags.writeable = False
+        A = np.asarray(memoryview(A).toreadonly())
         key = id(A)
         # pop bound now: the callback may run while the module is torn down
         _PROFILES[key] = (weakref.ref(A, lambda _, pop=_PROFILES.pop: pop(key, None)),
-                          (_nonzero_slices(A), _max_abs(A)))
+                          (_nonzero_slices(A), _max_abs(A), _digest(A)))
     return A, d
+
+
+_ONE = _stored(np.ones((), dtype=np.int64), 1, owned=True)
+
+# Identities decided and generation certified, keyed by content: a tag
+# (the subscripts and scales of an identity) and the digest of each
+# operand.  An entry holds its operands only weakly, and its verdict; it
+# dies with the first of its operands to die.
+_DECIDED: dict = {}
+
+
+def _decided(tag: tuple, arrays, decide):
+    """decide(), computed once per content.  When every array is stored
+    (_profiled), its value is kept under tag and the arrays' digests, and a
+    later call with arrays of the same digests takes it, once np.array_equal
+    has confirmed each array against the one the value was computed on (a
+    stored array is immutable, so the same array needs no comparison).  A
+    value is never taken on its digests alone."""
+    profiles = [_profiled(A) for A in arrays]
+    if any(pr is None or pr[2] is None for pr in profiles):
+        return decide()
+    key = (tag, tuple(pr[2] for pr in profiles))
+    entry = _DECIDED.get(key)
+    if entry is not None:
+        refs, value = entry
+        if all((B := ref()) is A or (B is not None and np.array_equal(A, B))
+               for ref, A in zip(refs, arrays)):
+            return value
+    value = decide()
+    _DECIDED[key] = (tuple(weakref.KeyedRef(A, _forget, key) for A in arrays), value)
+    return value
+
+
+def _forget(ref, table=_DECIDED) -> None:
+    """Drops the entry of _DECIDED that ref, one of its weak references,
+    belongs to: the array ref held has died.  table is bound now, as in
+    _stored."""
+    entry = table.get(ref.key)
+    if entry is not None and any(r is ref for r in entry[0]):
+        del table[ref.key]
 
 
 class FDHopf:
@@ -239,7 +314,9 @@ class FDHopf:
     @classmethod
     def _from_tensors(cls, basis_labels, *tensors) -> "FDHopf":
         """The algebra of six (integer array, scale) pairs, in the order
-        U, M, C, E, S, T, brought to canonical form without a Fraction."""
+        U, M, C, E, S, T, brought to canonical form without a Fraction.
+        A pair already stored is shared; a builder stores the arrays it
+        owns itself (_stored), so they are not copied."""
         H = cls.__new__(cls)
         H._store(tuple(basis_labels), tensors)
         return H
@@ -344,10 +421,11 @@ def group_algebra(G: PermGroup) -> FDHopf:
     """Q[G]: basis the group elements (sorted), group-like coproduct."""
     elems, product, inverse = _group_table(G)
     n, i = len(elems), np.arange(len(elems))
-    antipode = _indicator((n, n), i, inverse)
-    return FDHopf._from_tensors([g.cycle_string() for g in elems], *((A, 1) for A in (
-        _indicator(n, 0), _indicator((n, n, n), i[:, None], i, product),
-        _indicator((n, n, n), i, i, i), np.ones(n, dtype=np.int64), antipode, antipode)))
+    antipode = _stored(_indicator((n, n), i, inverse), 1, owned=True)   # as S and as T
+    return FDHopf._from_tensors([g.cycle_string() for g in elems], *(
+        _stored(A, 1, owned=True) for A in (
+            _indicator(n, 0), _indicator((n, n, n), i[:, None], i, product),
+            _indicator((n, n, n), i, i, i), np.ones(n, dtype=np.int64))), antipode, antipode)
 
 
 def function_algebra(G: PermGroup) -> FDHopf:
@@ -355,10 +433,11 @@ def function_algebra(G: PermGroup) -> FDHopf:
     coproduct dual to group multiplication."""
     elems, product, inverse = _group_table(G)
     n, i = len(elems), np.arange(len(elems))
-    return FDHopf._from_tensors(["d_" + g.cycle_string() for g in elems], *((A, 1) for A in (
-        np.ones(n, dtype=np.int64), _indicator((n, n, n), i, i, i),
-        _indicator((n, n, n), product, i[:, None], i), _indicator(n, 0),
-        _indicator((n, n), i, inverse), np.eye(n, dtype=np.int64))))
+    return FDHopf._from_tensors(["d_" + g.cycle_string() for g in elems], *(
+        _stored(A, 1, owned=True) for A in (
+            np.ones(n, dtype=np.int64), _indicator((n, n, n), i, i, i),
+            _indicator((n, n, n), product, i[:, None], i), _indicator(n, 0),
+            _indicator((n, n), i, inverse), np.eye(n, dtype=np.int64))))
 
 
 # -- exhaustive axiom verification ------------------------------------
@@ -384,9 +463,82 @@ def _tier(bound: int):
 
 @lru_cache(maxsize=1024)
 def _greedy_path(subscripts: str, shapes: tuple) -> list:
-    """einsum's greedy pairwise path, which depends on the shapes only."""
-    dummies = [np.broadcast_to(np.float64(0), shape) for shape in shapes]
-    return np.einsum_path(subscripts, *dummies, optimize="greedy")[0][1:]
+    """einsum's greedy pairwise path, which depends on the shapes only, by
+    numpy's rule (np.einsum_path with optimize="greedy"): each round
+    joins the pair of operands that removes the most entries, the sum of
+    their sizes less the size of their result, the fewer products first
+    among equals and the earliest found among those.  Pairs that share no
+    index are tried only when no other pair is left; a pair whose result
+    is larger than every operand and the output, or that would take the
+    path past the product count of one nested loop over every index, is
+    never joined.  A step is a tuple of positions in the list of operands
+    left, and its result goes to the end of that list."""
+    lhs, rhs = subscripts.split("->")
+    terms = lhs.split(",")
+    sizes: dict = {}
+    for term, shape in zip(terms, shapes):
+        for ch, n in zip(term, shape):
+            sizes[ch] = n if sizes.get(ch, 1) == 1 else sizes[ch]
+    # an index set is a bit mask over the letters, its size memoized
+    bit = {ch: 1 << k for k, ch in enumerate(sizes)}
+    known_sizes: dict = {}
+
+    def size(indices: int) -> int:
+        if indices not in known_sizes:
+            known_sizes[indices] = prod(n for ch, n in sizes.items() if indices & bit[ch])
+        return known_sizes[indices]
+
+    def products(joined: int, removed: int, count: int) -> int:
+        # numpy's flop count: one product per term past the first, one
+        # more when the step sums an index
+        return size(joined) * (max(1, count - 1) + bool(removed))
+
+    out = sum(bit[ch] for ch in set(rhs))
+    sets = [sum(bit[ch] for ch in set(term)) for term in terms]
+    everything = reduce(or_, sets)
+    if len(sets) < 3 or everything == out:
+        return [tuple(range(len(sets)))]
+    limit = max(size(s) for s in sets + [out])
+    budget = products(everything, everything & ~out, len(sets))
+
+    def join(pair, sets, spent):
+        """(rank, pair, the operand sets after the step), or None."""
+        a, b = pair
+        rest = [s for k, s in enumerate(sets) if k != a and k != b]
+        joined = sets[a] | sets[b]
+        result = joined & reduce(or_, rest, out)
+        if size(result) > limit:
+            return None
+        cost = products(joined, joined & ~result, 2)
+        if spent + cost > budget:
+            return None
+        return [(size(result) - size(sets[a]) - size(sets[b]), cost), pair, rest + [result]]
+
+    path, spent = [], 0
+    known: list = []
+    pairs = combinations(range(len(sets)), 2)
+    for _ in range(len(sets) - 1):
+        known += [found for a, b in pairs if sets[a] & sets[b]
+                  if (found := join((a, b), sets, spent)) is not None]
+        if not known:
+            known = [found for pair in combinations(range(len(sets)), 2)
+                     if (found := join(pair, sets, spent)) is not None]
+            if not known:
+                path.append(tuple(range(len(sets))))
+                break
+        best = min(known, key=lambda found: found[0])
+        (a, b), result = best[1], best[2][-1]
+        # the pairs found before that the step leaves alone, renumbered
+        known = [(rank, (x - (x > a) - (x > b), y - (y > a) - (y > b)),
+                  [s for k, s in enumerate(after[:-1])
+                   if k not in (b - (b > x) - (b > y), a - (a > x) - (a > y))]
+                  + [result, after[-1]])
+                 for rank, (x, y), after in known if not {x, y} & {a, b}]
+        sets = best[2]
+        pairs = ((k, len(sets) - 1) for k in range(len(sets) - 1))
+        path.append(best[1])
+        spent += best[0][1]
+    return path
 
 
 def _slab_height(widest: int) -> int:
@@ -577,7 +729,7 @@ class _Contraction:
             path = _greedy_path(",".join(self.terms) + "->" + self.rhs,
                                 tuple(a.shape for a in ops))
         # node ids: the operands, then one per pairwise step (a, b), which
-        # forms node len(ops) + its place in steps; live keeps einsum_path's order
+        # forms node len(ops) + its place in steps; live keeps the path's order
         live, self.steps = list(range(len(ops))), []
         for step in path:
             ids = sorted((live.pop(k) for k in sorted(step, reverse=True)),
@@ -694,6 +846,15 @@ def _first_difference(x: tuple, y: tuple) -> Optional[tuple]:
     and Y / dy differ, or None when they agree.  Each side is (subscripts,
     *pairs), every operand an (integer array, scale) pair and dx, dy the
     products of a side's scales; the two outputs line up axis by axis.
+    The answer depends on nothing else, so it is kept per content
+    (_decided) when every operand is stored (_difference computes it)."""
+    (xs, *xp), (ys, *yp) = x, y
+    return _decided(("=", xs, ys, tuple(d for _, d in xp), tuple(d for _, d in yp)),
+                    [A for A, _ in xp + yp], lambda: _difference(x, y))
+
+
+def _difference(x: tuple, y: tuple) -> Optional[tuple]:
+    """_first_difference, computed.
 
     The sides are cross-multiplied by their scales, X * (dy/g) = Y * (dx/g)
     with g = gcd(dx, dy), so only integers are compared, and both take the
@@ -749,45 +910,104 @@ def _first_difference(x: tuple, y: tuple) -> Optional[tuple]:
     return None
 
 
+@lru_cache(maxsize=64)
 def _generic(n: int, k: int) -> np.ndarray:
-    """k generic elements of an n-dimensional algebra as the rows of an
-    integer matrix: g_1 = sum_j (j+1) e_j, then g_t = sum_j ((j+1)^t mod 97 + 1) e_j."""
-    return np.array([[j + 1 if t == 1 else pow(j + 1, t, 97) + 1 for j in range(n)]
-                     for t in range(1, k + 1)], dtype=np.int64)
+    """k generic elements of an n-dimensional algebra as the rows of a
+    stored integer matrix: g_1 = sum_j (j+1) e_j, then
+    g_t = sum_j ((j+1)^t mod 97 + 1) e_j."""
+    return _stored(np.array([[j + 1 if t == 1 else pow(j + 1, t, 97) + 1 for j in range(n)]
+                             for t in range(1, k + 1)], dtype=np.int64), 1, owned=True)[0]
 
 
-def _generates(H: FDHopf, G: np.ndarray) -> bool:
-    """Whether the elements in the rows of G generate H as an algebra with
-    unit, certified modulo one prime p: the span of 1 closed under left
-    multiplication by them (ratlinalg.closure_dim_mod) has dimension n.
+@lru_cache(maxsize=64)
+def _eye(n: int) -> tuple:
+    """The stored identity matrix of size n, as an (array, scale) pair."""
+    return _stored(np.eye(n, dtype=np.int64), 1, owned=True)
 
-    The rows that closure forms are residues of integer multiples of the
-    coordinates of monomials in the g_i: U times products of the integer
-    operators G M.  n of them independent modulo p are independent over Q,
-    so the monomials span H.  p is the largest prime below 2^28, and below
-    sqrt(2^62 / n) so that no sum of products leaves int64, that does not
-    divide dM: then M / dM reduces modulo p, and the closure is that of
-    H's own product over F_p.  A prime dividing dM is never used."""
-    n = H.dim
+
+# The product x y = sum_p c_p e_p has the coefficients M[x, y, p] in an
+# algebra and C[p, x, y] in its dual, whose unit is the counit.  Keyed by
+# dual: the left multiplication operators g -> (y -> g y) of generators g,
+# and the two sides (g y) z and g (y z) of associativity on generators.
+_LEFT_MULTIPLICATION = {False: "gi,iyw->gyw", True: "gi,wiy->gyw"}
+_GENERATED_ASSOCIATIVITY = {False: ("gi,iyw,wzp->gyzp", "gi,iwp,yzw->gyzp"),
+                            True: ("gi,wiy,pwz->gyzp", "gi,piw,wyz->gyzp")}
+
+
+@lru_cache(maxsize=256)
+def _certificate_prime(n: int, scale: int) -> int:
+    """The largest prime below 2^28, and below sqrt(2^62 / n), that does
+    not divide scale (_generates)."""
     top = min(2 ** 28, isqrt(_INT64_LIMIT // n))
-    p = next(q for q in range((top - 2) | 1, 8, -2) if _is_prime(q) and H.dM % q)
-    ops = np.einsum("gi,iyw->gyw", G % p, np.asarray(H.M % p, dtype=np.int64)) % p
-    return closure_dim_mod(H.U % p, ops, p) == n
+    return next(q for q in range((top - 2) | 1, 8, -2) if _is_prime(q) and scale % q)
 
 
-def _multiplicativity(H: FDHopf, associative: bool) -> tuple:
+def _generates(unit: tuple, product: tuple, dual: bool = False) -> Optional[tuple]:
+    """The first two, else three, generic elements (_generic) as an (array,
+    scale) pair, when they generate the algebra of the stored pairs unit
+    and product (or, when dual, the dual algebra: unit the counit, product
+    the transposed coproduct) as an algebra with unit; None when neither
+    set is certified.  One certificate per content (_decided).
+
+    Generation is certified modulo one prime p: the span of 1 closed under
+    left multiplication by the g_i (ratlinalg.ClosureMod) has dimension n.
+    The rows that closure forms are residues of integer multiples of the
+    coordinates of monomials in the g_i: the unit times products of the
+    integer operators G M.  n of them independent modulo p are
+    independent over Q, so the monomials span the algebra.  p is the
+    largest prime below 2^28, and below sqrt(2^62 / n) so that no sum of
+    products leaves int64, that does not divide the product's scale: then
+    the product reduces modulo p, and the closure is that of the algebra's
+    own product over F_p.  A prime dividing the scale is never used.  The
+    third element continues the closure the first two reached."""
+    (U, _), (M, dM) = unit, product
+    n = len(U)
+    two, three = _generic(n, 2), _generic(n, 3)
+
+    def certify():
+        p = _certificate_prime(n, dM)
+        ops = np.einsum(_LEFT_MULTIPLICATION[dual], three % p,
+                        np.asarray(M % p, dtype=np.int64)) % p
+        closure = ClosureMod(U % p, p)
+        if closure.close(ops[:len(two)]) == n:
+            return 2
+        return 3 if closure.close(ops[len(two):]) == n else None
+
+    k = _decided(("generates", dual, dM), [U, M, two, three], certify)
+    return None if k is None else ((two, three)[k - 2], 1)
+
+
+def _associator(generators, product: tuple, full: tuple, dual: bool = False) -> tuple:
+    """The identity that decides associativity of the algebra of product,
+    or, when dual, of its dual algebra, which is coassociativity of the
+    coproduct product; as the two sides _first_difference takes.  The
+    caller has checked the left unit identity 1 y = y; generators is
+    _generates' answer for the algebra, or False when it was not asked.
+
+    It holds as soon as (g y) z = g (y z) for every basis y, z and every g
+    of a set that generates the algebra: the x with (x y) z = x (y z) for
+    all y, z form a subspace that holds 1, by 1 y = y, and g x for each
+    of its x, as ((g x) y) z = (g (x y)) z = g ((x y) z) = g (x (y z))
+    = (g x) (y z); so it holds every monomial in the g, and they span the
+    algebra.  For k certified generic elements (_generates) that is
+    k n^4 products on each side where the full identity, full, forms n^5;
+    when generation is not certified, full is the identity."""
+    if not generators:
+        return full
+    left, right = _GENERATED_ASSOCIATIVITY[dual]
+    return (left, generators, product, product), (right, generators, product, product)
+
+
+def _multiplicativity(H: FDHopf, generators) -> tuple:
     """The identity Delta(xy) = Delta(x) Delta(y), as the two sides that
-    _first_difference takes.  When H is associative with unit, x runs over
-    the first two, else three, generic elements (_generic) whose generation
-    of H is certified (_generates), and y over the basis; otherwise x and
-    y both run over the basis."""
+    _first_difference takes.  When generators holds the generic elements
+    whose generation of H is certified (_generates), H being associative
+    with unit, x runs over them and y over the basis; otherwise (None or
+    False) x and y both run over the basis."""
     M, C = H._pairs[1:3]
-    if associative:
-        for k in (2, 3):
-            G = (_generic(H.dim, k), 1)
-            if _generates(H, G[0]):
-                return (("gi,iab,acp,ycd,bdq->gypq", G, C, M, C, M),
-                        ("gi,iyw,wpq->gypq", G, M, C))
+    if generators:
+        return (("gi,iab,acp,ycd,bdq->gypq", generators, C, M, C, M),
+                ("gi,iyw,wpq->gypq", generators, M, C))
     return ("iab,jcd,acp,bdq->ijpq", C, C, M, M), ("ijw,wpq->ijpq", M, C)
 
 
@@ -796,42 +1016,60 @@ def verify_hopf_axioms(H: FDHopf) -> dict:
     associativity/coassociativity/counit/bialgebra/antipode/star.
     Failures are reported, never thrown.
 
-    Delta(xy) = Delta(x) Delta(y) is the one identity of n^6 terms.  When
-    associativity, the unit identities 1 x = x = x 1 and Delta(1) = 1 (x) 1
-    hold, it is decided on generators: if Delta(g y) = Delta(g) Delta(y)
-    for every basis y and every g of a set that generates H, then by
-    induction on the length of a monomial w in the g,
+    Associativity is decided on generators (_associator): once the unit
+    identities 1 x = x = x 1 hold, (x y) z = x (y z) holds as soon as
+    (g y) z = g (y z) for every g of a set that generates H.
+    Coassociativity is associativity of the dual algebra, whose unit is
+    the counit and whose product is the transposed coproduct, and is
+    decided by the same routine once the left counit identity holds.
+    Delta(xy) = Delta(x) Delta(y), the one identity of n^6 terms, is
+    decided on generators too: when associativity, the unit identities
+    and Delta(1) = 1 (x) 1 hold, it holds as soon as
+    Delta(g y) = Delta(g) Delta(y) for every basis y and every g of a set
+    that generates H, by induction on the length of a monomial w in the g,
     Delta(g w y) = Delta(g) Delta(w y) = Delta(g) Delta(w) Delta(y)
     = Delta(g w) Delta(y), and the monomials span H.  For k generic
     elements whose generation of H is certified modulo a prime
     (_generates), that is one contraction of k n^5 terms, whose n^4 fixed
-    factor ycd,bdq is formed once (_multiplicativity).  When associativity
-    fails, or generation is not certified, the full identity runs, so each
-    suite's verdict keeps its meaning."""
+    factor ycd,bdq is formed once (_multiplicativity).  Each of the three
+    falls back to its full identity when the (co)unit identity it needs
+    fails or generation is not certified, so each suite's verdict keeps
+    its meaning.  Generation of H is certified once per call, once the
+    unit identities hold, and serves associativity and the bialgebra
+    identity alike.  Each certificate and each identity's verdict is kept
+    per content (_decided): a twist, which keeps its base's coalgebra, and
+    an algebra built twice decide their shared identities once."""
     U, M, C, E, S, T = H._pairs
-    eye = ("ij->ij", (np.eye(H.dim, dtype=np.int64), 1))
-    one = ("->", (np.ones((), dtype=np.int64), 1))
-    suites = {
-        "associativity": [(("ijw,wkp->ijkp", M, M), ("jkw,iwp->ijkp", M, M)),
-                          (("i,ijp->jp", U, M), eye), (("j,ijp->ip", U, M), eye)],
-        "coassociativity": [(("iab,axy->ixyb", C, C), ("iab,bxy->iaxy", C, C))],
-        "counit": [(("iab,a->ib", C, E), eye), (("iab,b->ia", C, E), eye)],
+    eye, one = ("ij->ij", _eye(H.dim)), ("->", _ONE)
+
+    def holds(*identities) -> bool:
+        return all(_first_difference(x, y) is None for x, y in identities)
+
+    counit = holds((("iab,a->ib", C, E), eye))
+    unital = holds((("i,ijp->jp", U, M), eye), (("j,ijp->ip", U, M), eye))
+    generators = unital and _generates(U, M)
+    associative = unital and holds(_associator(generators, M, (("ijw,wkp->ijkp", M, M),
+                                                               ("jkw,iwp->ijkp", M, M))))
+    report = {
+        "associativity": associative,
+        "coassociativity": holds(_associator(counit and _generates(E, C, True), C,
+                                             (("iab,axy->ixyb", C, C), ("iab,bxy->iaxy", C, C)),
+                                             dual=True)),
+        "counit": counit and holds((("iab,b->ia", C, E), eye)),
         # Delta(1) = 1 (x) 1 among these; Delta(xy) = Delta(x) Delta(y) is decided below
-        "bialgebra": [(("i,ipq->pq", U, C), ("i,j->ij", U, U)),
-                      (("ijw,w->ij", M, E), ("i,j->ij", E, E)),
-                      (("i,i->", U, E), one)],
-        "antipode": [(("iab,aw,wbp->ip", C, S, M), ("i,j->ij", E, U)),
-                     (("iab,bw,awp->ip", C, S, M), ("i,j->ij", E, U))],
-        "star": [(("ij,jk->ik", T, T), eye),
-                 (("ijw,wp->ijp", M, T), ("jb,ia,bap->ijp", T, T, M)),
-                 (("iw,wab->iab", T, C), ("iab,ax,by->ixy", C, T, T)),
-                 (("i,ij->j", U, T), ("i->i", U)),
-                 (("ij,j->i", T, E), ("i->i", E))],
+        "bialgebra": holds((("i,ipq->pq", U, C), ("i,j->ij", U, U)),
+                           (("ijw,w->ij", M, E), ("i,j->ij", E, E)),
+                           (("i,i->", U, E), one)),
+        "antipode": holds((("iab,aw,wbp->ip", C, S, M), ("i,j->ij", E, U)),
+                          (("iab,bw,awp->ip", C, S, M), ("i,j->ij", E, U))),
+        "star": holds((("ij,jk->ik", T, T), eye),
+                      (("ijw,wp->ijp", M, T), ("jb,ia,bap->ijp", T, T, M)),
+                      (("iw,wab->iab", T, C), ("iab,ax,by->ixy", C, T, T)),
+                      (("i,ij->j", U, T), ("i->i", U)),
+                      (("ij,j->i", T, E), ("i->i", E))),
     }
-    report = {name: all(_first_difference(x, y) is None for x, y in identities)
-              for name, identities in suites.items()}
-    report["bialgebra"] = report["bialgebra"] and _first_difference(
-        *_multiplicativity(H, report["associativity"])) is None
+    report["bialgebra"] = report["bialgebra"] and holds(
+        _multiplicativity(H, associative and generators))
     return report
 
 
@@ -891,14 +1129,14 @@ class HopfMap:
         """This map followed by other, whose source must be this map's target."""
         if not other.source.structure_equal(self.target):
             raise ValueError("the second map's source is not the first map's target")
-        return HopfMap(self.source, other.target,
-                       *_contract("ia,ap->ip", (self.P, self.d), (other.P, other.d)))
+        P, d = _contract("ia,ap->ip", (self.P, self.d), (other.P, other.d))
+        return HopfMap(self.source, other.target, *_stored(P, d, owned=True))
 
     def inverse(self) -> "HopfMap":
         if self.source.dim != self.target.dim:
             raise ValueError("only square maps can be inverted")
         B, e = _inverse(self.P)       # (P / d)^-1 = d B / e
-        return HopfMap(self.target, self.source, _rescale(B, self.d), e)
+        return HopfMap(self.target, self.source, *_stored(_rescale(B, self.d), e, owned=True))
 
 
 def restriction_surjection(G: PermGroup, V: PermGroup) -> HopfMap:
@@ -908,7 +1146,7 @@ def restriction_surjection(G: PermGroup, V: PermGroup) -> HopfMap:
     # V's elements keep their sorted order among G's
     kept = [i for i, t in enumerate(sorted(G.images)) if t in V.images]
     out = HopfMap(function_algebra(G), function_algebra(V),
-                  _indicator((G.order, V.order), kept, np.arange(V.order)), 1)
+                  *_stored(_indicator((G.order, V.order), kept, np.arange(V.order)), 1, owned=True))
     if not out.verify():
         raise KleintwistError(f"restriction failed to intertwine: {out.failure}")
     return out

@@ -13,6 +13,7 @@ enumerates exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -279,10 +280,12 @@ def _codes(mats: np.ndarray) -> np.ndarray:
     return (flat + 1) @ 3 ** np.arange(n * n, dtype=np.int64)
 
 
-def character_group_of(p: PresentationSpec) -> PermGroup:
+def character_group_of(p: PresentationSpec, sols: Optional[list] = None) -> PermGroup:
     """Group of characters under the convolution product, which on these
     presentations is plain matrix multiplication of the value matrices;
     returned via the left regular action on the sorted solution list.
+    sols is solve_characters(p) when the caller has it already; without
+    it the presentation is solved here.
 
     Products are formed by np.matmul a block of rows at a time (entries
     are -1, 0, 1 and n <= 5, so nothing can overflow), coded by _codes,
@@ -292,7 +295,8 @@ def character_group_of(p: PresentationSpec) -> PermGroup:
     else in a verify run touches."""
     if p.kind == "incseq":
         raise ValueError("rectangular presentations carry no character group")
-    sols = solve_characters(p)
+    if sols is None:
+        sols = solve_characters(p)
     n = p.rows
     mats = np.array([s.matrix for s in sols], dtype=np.int64).reshape(len(sols), n, n)
     if not (mats == np.eye(n, dtype=np.int64)).all(axis=(1, 2)).any():

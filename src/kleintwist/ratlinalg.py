@@ -16,8 +16,8 @@ one scale in canonical form.  first_relation finds the least monic
 relation among integer rows, such as a minimal polynomial at one vector,
 modulo word-size primes and returns it only once one exact product
 certifies it; integer_roots (with deflate) finds the integer roots of such
-a polynomial.  closure_dim_mod closes a row under a set of matrices modulo
-one word-size prime, in int64.
+a polynomial.  ClosureMod closes a row under a set of matrices modulo one
+word-size prime, in int64, and can go on to more matrices.
 """
 
 from __future__ import annotations
@@ -259,30 +259,46 @@ def _relations_mod(K, primes) -> list:
     return out
 
 
-def closure_dim_mod(u, ops, p: int) -> int:
-    """The dimension over F_p of the least subspace that holds the row u and
-    is mapped into itself by v -> v A for every matrix A of ops.  Entries
-    are residues below p, and n p^2 < 2^62 for rows of width n, so no sum
-    of n products leaves int64.  The space is kept in reduced echelon form
-    modulo p, and each round maps only the rows that grew it the round
-    before."""
-    B, pivots = np.zeros((0, len(u)), dtype=np.int64), []
-    new = np.asarray(u, dtype=np.int64)[None] % p
-    while len(new):
-        if pivots:
-            new = (new - new[:, pivots] @ B) % p
-        grown = []
-        while (live := np.flatnonzero(new.any(axis=1))).size:
-            row = new[live[0]]
-            col = int(np.flatnonzero(row)[0])
+class ClosureMod:
+    """The least subspace over F_p that holds the row u and is mapped into
+    itself by v -> v A for every matrix A it was closed under (close).
+    Entries are residues below p, and n p^2 < 2^62 for rows of width n, so
+    no sum of n products leaves int64.  The space is kept in reduced
+    echelon form modulo p, and each round maps only the rows that grew it
+    the round before.  Closing under more matrices continues from the
+    space reached: only its rows times the new matrices are new."""
+
+    def __init__(self, u, p: int):
+        self.p, self.ops, self.pivots = p, [], []
+        self.B = np.zeros((0, len(u)), dtype=np.int64)
+        self._grow(np.asarray(u, dtype=np.int64)[None] % p)
+
+    def _grow(self, new: np.ndarray) -> list:
+        """Adds the rows new to the space; the rows that grew it."""
+        p = self.p
+        if self.pivots:
+            new = (new - new[:, self.pivots] @ self.B) % p
+        new, grown = new[new.any(axis=1)], []
+        while len(new):
+            row, new = new[0], new[1:]
+            col = int(row.nonzero()[0][0])
             row = row * pow(int(row[col]), -1, p) % p
-            # clears col in every other row, and zeroes the row itself
+            # clears col in every other row
             new = (new - new[:, [col]] * row) % p
-            B = np.vstack([(B - B[:, [col]] * row) % p, row])
-            pivots.append(col)
+            new = new[new.any(axis=1)]
+            self.B = np.vstack([(self.B - self.B[:, [col]] * row) % p, row])
+            self.pivots.append(col)
             grown.append(row)
-        new = np.concatenate([np.array(grown) @ A % p for A in ops]) if grown else grown
-    return len(pivots)
+        return grown
+
+    def close(self, ops) -> int:
+        """The dimension of the space once closed under ops as well."""
+        ops = list(ops)
+        rows, self.ops = self.B, self.ops + ops
+        while len(rows) and ops:
+            grown = self._grow(np.concatenate([rows @ A % self.p for A in ops]))
+            rows, ops = np.array(grown), self.ops
+        return len(self.pivots)
 
 
 def first_relation(K) -> list[int]:

@@ -1,0 +1,19 @@
+import pytest
+
+from kleintwist import hopf
+
+
+@pytest.fixture
+def fresh():
+    """No identity decided and no generation certified before the test, so
+    that spies on the contractions see each one run."""
+    hopf._DECIDED.clear()
+
+
+@pytest.fixture
+def undecided(monkeypatch):
+    """No verdict and no certificate taken from the table: every identity
+    is computed, so a test that patches how identities are computed (slab
+    heights, planning, spies on the steps) sees each one computed that
+    way, whatever earlier builds of the same algebras decided."""
+    monkeypatch.setattr(hopf, "_decided", lambda tag, arrays, decide: decide())

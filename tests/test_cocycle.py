@@ -350,7 +350,7 @@ def test_twist_matches_term_by_term_oracle():
     assert twisted.antipode == antipode
 
 
-def test_twist_peak_memory_stays_under_the_axiom_check():
+def test_twist_peak_memory_stays_under_the_axiom_check(undecided):
     """The product's intermediates stay below the axiom check's and are
     freed before that check runs inside twist(verify=True); both evaluate
     slab by slab, so neither holds a whole n^4 array but the one

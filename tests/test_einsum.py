@@ -20,7 +20,7 @@ from kleintwist import checks, hopf
 from kleintwist.cocycle import build_s4tau, double_twist
 from kleintwist.hopf import (_first_difference, _safe_einsum, characters, function_algebra,
                              restriction_surjection, verify_hopf_axioms)
-from kleintwist.perm import easy_klein, symmetric_group
+from kleintwist.perm import easy_klein, subgroups_of_type, symmetric_group
 from kleintwist.ratlinalg import _INT64_LIMIT
 
 # Every subscript string written in the package source.
@@ -225,7 +225,7 @@ def _pairwise(plan) -> bool:
     return len(plan.steps) == len(plan.terms) - 1
 
 
-def test_no_planned_step_takes_more_than_two_operands(monkeypatch):
+def test_no_planned_step_takes_more_than_two_operands(monkeypatch, undecided):
     plans = _spied_plans(monkeypatch)
     for cached in (checks._s4tau, checks._s4tau_characters, checks._cs4, checks._qs4):
         cached.cache_clear()
@@ -256,6 +256,54 @@ def test_greedy_three_operand_step_is_split():
                                                   np.einsum("ab,acp->bcp", *ops[:2]), ops[2]),
                      ops[3])
     assert np.array_equal(plan.evaluate(), want)
+
+
+def numpy_greedy_path(subscripts, shapes):
+    """np.einsum_path's greedy path, the reference of hopf._greedy_path."""
+    dummies = [np.broadcast_to(np.float64(0), shape) for shape in shapes]
+    return [tuple(step) for step in np.einsum_path(subscripts, *dummies, optimize="greedy")[0][1:]]
+
+
+def test_planner_matches_numpy_on_every_planned_contraction(monkeypatch, undecided):
+    seen = set()
+    real = hopf._greedy_path
+    monkeypatch.setattr(hopf, "_greedy_path",
+                        lambda subscripts, shapes: seen.add((subscripts, shapes))
+                        or real(subscripts, shapes))
+    for cached in (checks._s4tau, checks._s4tau_characters, checks._cs4, checks._qs4):
+        cached.cache_clear()
+    assert all(result.status == "pass" for result in checks.run(checks.RunConfig()))
+    for V in subgroups_of_type(symmetric_group(4), "Klein"):
+        t = build_s4tau(V=V)
+        assert double_twist(t).structure_equal(t.base)
+        assert characters(t.algebra)
+    assert len({subscripts for subscripts, _ in seen}) >= 10
+    for subscripts, shapes in seen:
+        assert real(subscripts, shapes) == numpy_greedy_path(subscripts, shapes), subscripts
+
+
+@pytest.mark.parametrize("subscripts", [s for s in SUBSCRIPTS if s.count(",") >= 2])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_planner_matches_numpy_on_package_subscripts(subscripts, data):
+    lhs = subscripts.split("->")[0]
+    sizes = {ch: data.draw(st.integers(1, 30)) for ch in sorted(set(lhs) - {","})}
+    shapes = tuple(tuple(sizes[ch] for ch in term) for term in lhs.split(","))
+    assert hopf._greedy_path(subscripts, shapes) == numpy_greedy_path(subscripts, shapes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_planner_matches_numpy_on_drawn_subscripts(data):
+    letters = "abcdefgh"
+    terms = data.draw(st.lists(st.text(letters, min_size=0, max_size=4).map(
+        lambda t: "".join(dict.fromkeys(t))), min_size=1, max_size=7))
+    used = sorted(set("".join(terms)))
+    out = "".join(data.draw(st.permutations(used))[:data.draw(st.integers(0, len(used)))])
+    sizes = {ch: data.draw(st.sampled_from([1, 2, 3, 4, 7, 24])) for ch in used}
+    subscripts = ",".join(terms) + "->" + out
+    shapes = tuple(tuple(sizes[ch] for ch in term) for term in terms)
+    assert hopf._greedy_path(subscripts, shapes) == numpy_greedy_path(subscripts, shapes)
 
 
 # Every route: all planned (every step a matmul), the default, all whole
@@ -323,7 +371,7 @@ def test_planned_and_whole_routes_agree(data):
 
 @pytest.mark.parametrize("height", [1, 5, 24])
 @pytest.mark.parametrize("plant", [None, ("E", 0), ("E", 7), ("E", 23), ("U", 0), ("U", 13)])
-def test_one_whole_side_against_a_planned_side(monkeypatch, height, plant):
+def test_one_whole_side_against_a_planned_side(monkeypatch, undecided, height, plant):
     # S(x1) x2 = e(x) 1: 24^5 products on the left, 24^2 on the right
     H = build_s4tau(verify=False).algebra
     U, M, C, E, S, _ = H._pairs
@@ -346,6 +394,7 @@ def test_one_whole_side_against_a_planned_side(monkeypatch, height, plant):
 
 def test_only_contractions_of_blas_work_products_are_planned(monkeypatch):
     t = build_s4tau()
+    hopf._DECIDED.clear()                   # build_s4tau decided them all
     sides = []
     real = hopf._first_difference
     monkeypatch.setattr(hopf, "_first_difference",

@@ -1,5 +1,6 @@
 """Hopf structure tensors, axiom verification, maps, and characters."""
 
+import gc
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kleintwist import checks, hopf
-from kleintwist.cocycle import Cocycle2, build_s4tau, double_twist
+from kleintwist.cocycle import (Cocycle2, build_s4tau, double_twist, klein_bicharacter,
+                                pullback, twist)
 from kleintwist.errors import NonSplitQuotient, NotASubgroup
 from kleintwist.hopf import (FDHopf, HopfMap, _first_difference, _safe_einsum, all_axioms_pass,
                              character_group,
@@ -24,6 +26,10 @@ from oracles import convolution, convolution_inverse, evaluate, hopf_map
 S3 = symmetric_group(3)
 S4 = symmetric_group(4)
 REDUCED_BIALGEBRA = "gi,iab,acp,ycd,bdq->gypq"
+GENERATED_ASSOCIATIVITY = "gi,iyw,wzp->gyzp"
+GENERATED_COASSOCIATIVITY = "gi,wiy,pwz->gyzp"
+# each decided only when generation is not certified
+FULL = {"ijw,wkp->ijkp", "iab,axy->ixyb", "iab,jcd,acp,bdq->ijpq"}
 Z3 = generate(3, [Permutation.from_cycles(3, [(1, 2, 3)])])
 
 
@@ -68,20 +74,21 @@ class TestAxioms:
         assert not verify_hopf_axioms(broken)["star"]
 
     @pytest.mark.parametrize("suite,subscripts", [
-        ("associativity", "ijw,wkp->ijkp"), ("coassociativity", "iab,axy->ixyb"),
+        ("associativity", "ijw,wkp->ijkp"), ("associativity", GENERATED_ASSOCIATIVITY),
+        ("coassociativity", "iab,axy->ixyb"), ("coassociativity", GENERATED_COASSOCIATIVITY),
         ("bialgebra", "iab,jcd,acp,bdq->ijpq"), ("bialgebra", REDUCED_BIALGEBRA)])
     @pytest.mark.parametrize("height,row", [(4, 0), (4, 23), (5, 17), (5, 23)])
-    def test_one_entry_in_any_slab_flips_only_its_suite(self, monkeypatch, suite,
+    def test_one_entry_in_any_slab_flips_only_its_suite(self, monkeypatch, undecided, suite,
                                                         subscripts, height, row):
         # of 24 rows: the first and the last of six 4-row slabs, then the last
-        # full 5-row slab and the 4-row remainder slab after it.  The reduced
-        # bialgebra identity slabs over its two generators, so there the row
-        # is one of the 24 of its coproduct operand iab.
+        # full 5-row slab and the 4-row remainder slab after it.  The
+        # identities on generators slab over their two generators, so there
+        # the row is one of the 24 of their first 3-axis operand.
         H = _s4tau()
         real = hopf._first_difference
-        if subscripts == "iab,jcd,acp,bdq->ijpq":
+        if subscripts in FULL:
             # the full identity runs only when generation is not certified
-            monkeypatch.setattr(hopf, "_generates", lambda H, G: False)
+            monkeypatch.setattr(hopf, "_generates", lambda *args: False)
 
         def perturbed(x, y):
             if x[0] == subscripts:              # one entry of the first 3-axis operand
@@ -118,7 +125,7 @@ class TestAxioms:
         report = verify_hopf_axioms(FDHopf._from_tensors(H.basis_labels, *pairs))
         assert {name for name, ok in report.items() if not ok} == failing
 
-    def test_bialgebra_contracts_its_j_side_factor_once(self, monkeypatch):
+    def test_bialgebra_contracts_its_j_side_factor_once(self, monkeypatch, undecided):
         # {1} generates no more than Q 1, so the full identity runs
         H = _s4tau()
         steps = []
@@ -136,7 +143,7 @@ class TestAxioms:
         assert steps.count(frozenset({"iab", "acp"})) == 5      # one per slab
 
     def test_reduced_bialgebra_forms_its_fixed_factor_once_in_its_readers_layout(
-            self, monkeypatch):
+            self, monkeypatch, undecided):
         H = _s4tau()
         steps = []
         real = hopf._Contraction._step
@@ -408,21 +415,27 @@ class TestReducedBialgebra:
         pairs = list(H._pairs)
         pairs[2] = (C, dC)
         broken = FDHopf._from_tensors(H.basis_labels, *pairs)
-        reduced = hopf._multiplicativity(broken, True)
+        reduced = hopf._multiplicativity(broken, hopf._generates(*broken._pairs[:2]))
         assert reduced[0][0] == REDUCED_BIALGEBRA
-        full = hopf._multiplicativity(broken, False)
+        full = hopf._multiplicativity(broken, None)
         assert full[0][0] == "iab,jcd,acp,bdq->ijpq"
         assert (_first_difference(*reduced) is None) == (_first_difference(*full) is None)
-        with patch.object(hopf, "_generates", lambda H, G: False):
+        with patch.object(hopf, "_generates", lambda *args: False):
             full_report = verify_hopf_axioms(broken)
         assert verify_hopf_axioms(broken) == full_report
 
-    def test_qs4_needs_a_third_generator(self, monkeypatch):
+    def test_qs4_needs_a_third_generator(self, monkeypatch, fresh):
         H = group_algebra(S4)
         assert _exact_closure(H, hopf._generic(24, 2)) == [1, 3, 7, 14, 20, 22, 22]
         assert _exact_closure(H, hopf._generic(24, 3))[-1] == 24
-        assert not hopf._generates(H, hopf._generic(24, 2))
-        assert hopf._generates(H, hopf._generic(24, 3))
+        dims = []
+        real_close = hopf.ClosureMod.close
+        monkeypatch.setattr(hopf.ClosureMod, "close",
+                            lambda self, ops: dims.append(real_close(self, ops)) or dims[-1])
+        G, d = hopf._generates(*H._pairs[:2])
+        # the third element continues the closure the first two reached
+        assert G is hopf._generic(24, 3) and d == 1 and dims == [22, 24]
+        assert hopf._generates(*H._pairs[:2])[0] is G and dims == [22, 24]  # certified once
         sides = []
         real = hopf._first_difference
 
@@ -435,14 +448,17 @@ class TestReducedBialgebra:
         assert (REDUCED_BIALGEBRA, (3, 24)) in sides
         # with the third element refused too, the full identity decides
         sides.clear()
-        monkeypatch.setattr(hopf, "_generates", lambda H, G: False)
+        monkeypatch.setattr(hopf, "_generates", lambda *args: False)
         assert all_axioms_pass(verify_hopf_axioms(H))
         assert [s for s, _ in sides if "bdq" in s] == ["iab,jcd,acp,bdq->ijpq"]
 
     @pytest.mark.parametrize("build", [_s4tau, lambda: group_algebra(S3)], ids=["s4tau", "qs3"])
-    def test_unit_alone_generates_nothing(self, build):
+    def test_unit_alone_generates_nothing(self, monkeypatch, build):
         H = build()
-        assert not hopf._generates(H, H.U[None])
+        monkeypatch.setattr(hopf, "_generic", lambda n, k: H.U[None])
+        assert hopf._generates(*H._pairs[:2]) is None
+        monkeypatch.setattr(hopf, "_generic", lambda n, k: H.E[None])
+        assert hopf._generates(H._pairs[3], H._pairs[2], dual=True) is None
 
     def test_unit_alone_is_never_trusted(self, monkeypatch):
         # Q[S3] with one coproduct entry off outside the unit's row e_0:
@@ -462,23 +478,232 @@ class TestReducedBialgebra:
         report = verify_hopf_axioms(broken)
         assert report["associativity"] and not report["bialgebra"]
 
-    def test_a_prime_dividing_the_product_scale_is_never_used(self, monkeypatch):
+    def test_a_prime_dividing_the_product_scale_is_never_used(self, monkeypatch, fresh):
         primes = []
-        real = hopf.closure_dim_mod
+        real = hopf.ClosureMod.__init__
 
-        def spy(u, ops, p):
+        def spy(self, u, p):
             primes.append(p)
-            return real(u, ops, p)
+            real(self, u, p)
 
-        monkeypatch.setattr(hopf, "closure_dim_mod", spy)
+        monkeypatch.setattr(hopf.ClosureMod, "__init__", spy)
         plain = group_algebra(S3)
         assert all_axioms_pass(verify_hopf_axioms(plain))
-        assert primes == [TOP_PRIME]
+        assert primes == [TOP_PRIME, TOP_PRIME]         # the algebra and its dual
         primes.clear()
         H = _rescaled(plain, 1, TOP_PRIME)
         assert H.dM % TOP_PRIME == 0
         assert all_axioms_pass(verify_hopf_axioms(H))
         assert primes and TOP_PRIME not in primes
+
+
+def _with_entry(H, k, at, delta):
+    """H with one entry of its k-th stored tensor changed by delta."""
+    pairs = list(H._pairs)
+    A, d = pairs[k]
+    A = A.copy()
+    A[at] += delta
+    pairs[k] = (A, d)
+    return FDHopf._from_tensors(H.basis_labels, *pairs)
+
+
+class TestGeneratedAssociativity:
+    """(x y) z = x (y z), of the algebra and of its dual, decided on
+    certified generators."""
+
+    # Q[G]'s unit is e_0 and C(G)'s counit is e_0's: an entry off row and
+    # column 0 keeps the (co)unit identities, so the generator route runs.
+    @pytest.mark.parametrize("build", [lambda: group_algebra(S3), lambda: group_algebra(S4)],
+                             ids=["qs3", "qs4"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_one_entry_of_m_gets_the_same_verdict_on_both_routes(self, build, data):
+        H = build()
+        n = H.dim
+        at = (data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, n - 1)),
+              data.draw(st.integers(0, n - 1)))
+        broken = _with_entry(H, 1, at, data.draw(st.sampled_from([1, -1, 2, -3])))
+        U, M = broken._pairs[:2]
+        full = (("ijw,wkp->ijkp", M, M), ("jkw,iwp->ijkp", M, M))
+        eye = ("ij->ij", (np.eye(n, dtype=np.int64), 1))
+        assert _first_difference(("i,ijp->jp", U, M), eye) is None
+        generated = hopf._associator(hopf._generates(U, M), M, full)
+        if generated is not full:
+            assert generated[0][0] == GENERATED_ASSOCIATIVITY
+            assert (_first_difference(*generated) is None) == (_first_difference(*full) is None)
+        with patch.object(hopf, "_generates", lambda *args: False):
+            full_report = verify_hopf_axioms(broken)
+        assert verify_hopf_axioms(broken) == full_report
+
+    @pytest.mark.parametrize("build", [_s4tau, lambda: function_algebra(S3)],
+                             ids=["s4tau", "cs3"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_one_entry_of_c_gets_the_same_verdict_on_both_routes(self, build, data):
+        H = build()
+        n = H.dim
+        at = (data.draw(st.integers(0, n - 1)), data.draw(st.integers(1, n - 1)),
+              data.draw(st.integers(1, n - 1)))
+        broken = _with_entry(H, 2, at, data.draw(st.sampled_from([1, -1, 2, -3])))
+        C, E = broken._pairs[2:4]
+        full = (("iab,axy->ixyb", C, C), ("iab,bxy->iaxy", C, C))
+        eye = ("ij->ij", (np.eye(n, dtype=np.int64), 1))
+        assert _first_difference(("iab,a->ib", C, E), eye) is None
+        generated = hopf._associator(hopf._generates(E, C, dual=True), C, full, dual=True)
+        if generated is not full:
+            assert generated[0][0] == GENERATED_COASSOCIATIVITY
+            assert (_first_difference(*generated) is None) == (_first_difference(*full) is None)
+        with patch.object(hopf, "_generates", lambda *args: False):
+            full_report = verify_hopf_axioms(broken)
+        assert verify_hopf_axioms(broken) == full_report
+
+    def test_cs4_coalgebra_needs_a_third_generator(self, fresh):
+        # its dual is Q[S4], whose first two generic elements stall
+        H = function_algebra(S4)
+        G, _ = hopf._generates(H._pairs[3], H._pairs[2], dual=True)
+        assert G is hopf._generic(24, 3)
+        assert hopf._generates(*H._pairs[:2])[0] is hopf._generic(24, 2)
+
+
+class TestDecidedOnce:
+    """Each identity's verdict and each generation certificate is kept per
+    content: subscripts, scales and the digests of stored operands."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """The (tag, digests) of every value _decided computes."""
+        computed = []
+        real = hopf._decided
+
+        def spy(tag, arrays, decide):
+            return real(tag, arrays, lambda: computed.append(
+                (tag, tuple(hopf._digest(A) for A in arrays))) or decide())
+
+        monkeypatch.setattr(hopf, "_decided", spy)
+        return computed
+
+    def test_a_round_trip_decides_its_coalgebra_once(self, monkeypatch, fresh):
+        computed = self._spy(monkeypatch)
+        t = build_s4tau()
+        assert double_twist(t).structure_equal(t.base)
+        coassociativity = [tag for tag, _ in computed if tag[0] == "=" and tag[1] in
+                           (GENERATED_COASSOCIATIVITY, "iab,axy->ixyb")]
+        assert len(coassociativity) == 1
+        certified = [(tag, digests) for tag, digests in computed if tag[0] == "generates"]
+        # the twist's (U, M) and its dual, then the double twist's (U, M)
+        assert len(certified) == len(set(certified)) == 3
+
+    def test_one_certificate_per_call_without_the_table(self, monkeypatch, undecided):
+        # associativity and the bialgebra identity share one certificate of
+        # (U, M) within the call, whatever the table keeps
+        H, calls = _s4tau(), []
+        real = hopf._generates
+        monkeypatch.setattr(hopf, "_generates",
+                            lambda *args: calls.append(args[2:]) or real(*args))
+        assert all_axioms_pass(verify_hopf_axioms(H))
+        assert sorted(calls) == [(), (True,)]
+
+    def test_a_twist_with_its_coalgebra_changed_still_fails(self):
+        t = build_s4tau()
+        assert all_axioms_pass(verify_hopf_axioms(t.algebra))
+        # row 1, off the counit's row and column: the counit identities hold
+        broken = _with_entry(t.algebra, 2, (1, 2, 3), 1)
+        report = verify_hopf_axioms(broken)
+        assert report["counit"] and not report["coassociativity"]
+
+    def test_a_stored_array_cannot_be_written_again(self, fresh):
+        # a change and a re-freeze between two lookups would leave a stale
+        # profile and verdict: numpy refuses the first step, on the stored
+        # array and on every view of it
+        H = function_algebra(S3)
+        assert all_axioms_pass(verify_hopf_axioms(H))
+        C = H.C
+        profile = hopf._profiled(C)
+        assert profile is not None and hopf._DECIDED
+        for A in (C, C[1:], C.T, C.reshape(-1), C.view()):
+            with pytest.raises(ValueError):
+                A.flags.writeable = True
+            with pytest.raises(ValueError):
+                A[(1,) * A.ndim] += 1
+        assert hopf._profiled(C) is profile and hopf._digest(C) == profile[2]
+        assert not (C - function_algebra(S3).C).any()
+        # a caller's array is copied and stays writeable; a builder's is not copied
+        mine = np.arange(6, dtype=np.int64).reshape(2, 3)
+        B, _ = hopf._stored(mine, 1)
+        assert not np.shares_memory(B, mine) and mine.flags.writeable
+        B, _ = hopf._stored(mine, 1, owned=True)
+        assert np.shares_memory(B, mine) and not B.flags.writeable
+        assert hopf._stored(B, 1)[0] is B
+
+    def test_group_algebra_stores_its_antipode_once(self):
+        H = group_algebra(S3)
+        assert H.S is H.T and not H.S.flags.writeable
+
+    def test_an_equal_array_built_again_takes_the_verdict(self, monkeypatch, fresh):
+        first = function_algebra(S4)
+        assert all_axioms_pass(verify_hopf_axioms(first))
+        computed = self._spy(monkeypatch)
+        again = function_algebra(S4)
+        assert again.C is not first.C
+        assert all_axioms_pass(verify_hopf_axioms(again))
+        assert computed == []
+
+    def test_a_digest_alone_is_never_trusted(self, monkeypatch, fresh):
+        # every digest equal: the verdict of Q[S3] is found under C(S3)'s
+        # key, and np.array_equal refuses it
+        monkeypatch.setattr(hopf, "_digest", lambda arr: ())
+        for build in (group_algebra, function_algebra):
+            H = build(S3)
+            assert all_axioms_pass(verify_hopf_axioms(H))
+        broken = _with_entry(function_algebra(S3), 2, (1, 2, 3), 1)
+        assert not verify_hopf_axioms(broken)["coassociativity"]
+
+    def test_entries_die_with_their_arrays(self, fresh):
+        H = function_algebra(S3)
+        assert all_axioms_pass(verify_hopf_axioms(H))
+        assert hopf._DECIDED
+        del H
+        gc.collect()
+        assert not hopf._DECIDED
+
+
+A5 = generate(5, [Permutation.from_cycles(5, [(1, 2, 3)]),
+                  Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])])
+
+
+class TestScale:
+    def test_a5_twist_passes_on_both_routes_and_forms_no_n4_array(self, monkeypatch, fresh):
+        V = generate(5, [Permutation.from_cycles(5, [(1, 2), (3, 4)]),
+                         Permutation.from_cycles(5, [(1, 3), (2, 4)])])
+        assert A5.order == 60 and V.is_subgroup_of(A5)
+        pi = restriction_surjection(A5, V).then(fourier_iso(V))
+        sigma = pullback(klein_bicharacter(), pi)
+        H = twist(sigma.carrier, sigma, verify=False)
+        n = H.dim
+        assert n == 60 and not H.is_commutative()
+        current, widest = [None], {}
+        real_difference, real_step = hopf._difference, hopf._Contraction._step
+
+        def difference(x, y):
+            current[0] = x[0]
+            return real_difference(x, y)
+
+        def step(self, parts, out):
+            value = real_step(self, parts, out)
+            widest[current[0]] = max(widest.get(current[0], 0), value.size)
+            return value
+
+        monkeypatch.setattr(hopf, "_difference", difference)
+        monkeypatch.setattr(hopf._Contraction, "_step", step)
+        assert all_axioms_pass(verify_hopf_axioms(H))
+        for subscripts in (GENERATED_ASSOCIATIVITY, GENERATED_COASSOCIATIVITY):
+            assert 0 < widest[subscripts] <= 3 * n ** 3
+        # the full identities, with every other verdict kept from above
+        widest.clear()
+        monkeypatch.setattr(hopf, "_associator",
+                            lambda generators, product, full, dual=False: full)
+        assert all_axioms_pass(verify_hopf_axioms(H))
+        assert set(widest) == {"ijw,wkp->ijkp", "iab,axy->ixyb"}
 
 
 class TestMaps:

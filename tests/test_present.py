@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from kleintwist import present
+from kleintwist import checks, present
 from kleintwist.cocycle import Cocycle2, klein_bicharacter
 from kleintwist.errors import (ClosureFailure, InfiniteCharacterSpace,
                                PatternMismatch, SignMismatch)
@@ -160,6 +160,20 @@ class TestSolutions:
 
         expected = {Permutation([index[matmul(a, b)] + 1 for b in mats]) for a in mats}
         assert character_group_of(spec).elements == expected
+
+    @pytest.mark.parametrize("check,spec", [("check_characters_o2minus", O2Minus()),
+                                            ("check_characters_so3minus", SO3Minus())],
+                             ids=["o2minus", "so3minus"])
+    def test_a_character_check_solves_its_presentation_once(self, monkeypatch, check, spec):
+        solved = []
+        monkeypatch.setattr(present, "solve_characters",
+                            lambda p, real=present.solve_characters: solved.append(p.name)
+                            or real(p))
+        monkeypatch.setattr(checks, "solve_characters", present.solve_characters)
+        assert getattr(checks, check)(checks.RunConfig()).status == "pass"
+        assert solved == [spec.name]
+        sols = solve_characters(spec)
+        assert character_group_of(spec, sols).elements == character_group_of(spec).elements
 
     def test_incseq_solutions_are_the_matrix_representations(self):
         # an independent route: the sequences themselves, not the search

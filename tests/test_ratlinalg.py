@@ -13,8 +13,8 @@ from hypothesis.extra.numpy import arrays
 
 from kleintwist import ratlinalg
 from kleintwist.errors import NonSplitQuotient
-from kleintwist.ratlinalg import (RowSpace, _cleared, _dot, _fit, _inverse, _relations_mod,
-                                  closure_dim_mod, deflate, first_relation, integer_roots)
+from kleintwist.ratlinalg import (ClosureMod, RowSpace, _cleared, _dot, _fit, _inverse,
+                                  _relations_mod, deflate, first_relation, integer_roots)
 from oracles import generalized_eigenspace, kernel, minimal_polynomial
 
 SMALL = st.integers(-3, 3)
@@ -449,7 +449,24 @@ def test_closure_modulo_a_prime_matches_the_exact_closure(data):
     ops = [data.draw(arrays(np.int64, (n, n), elements=SMALL))
            for _ in range(data.draw(st.integers(1, 2)))]
     p = CLOSURE_PRIME
-    assert closure_dim_mod(u, [A % p for A in ops], p) == exact_closure_dim(u, ops)
+    assert ClosureMod(u, p).close([A % p for A in ops]) == exact_closure_dim(u, ops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_closure_continued_matches_the_closure_under_all(data):
+    n = data.draw(st.integers(1, 5))
+    u = data.draw(arrays(np.int64, (n,), elements=SMALL))
+    ops = [data.draw(arrays(np.int64, (n, n), elements=SMALL)) % CLOSURE_PRIME
+           for _ in range(data.draw(st.integers(2, 3)))]
+    k = data.draw(st.integers(1, len(ops) - 1))
+    continued = ClosureMod(u, CLOSURE_PRIME)
+    dims = [continued.close(ops[:k]), continued.close(ops[k:])]
+    whole = ClosureMod(u, CLOSURE_PRIME)
+    assert dims[1] == whole.close(ops) and dims[0] <= dims[1]
+    assert dims[0] == ClosureMod(u, CLOSURE_PRIME).close(ops[:k])
+    # both in reduced echelon form modulo p, so equal spaces hold equal rows
+    assert sorted(map(tuple, continued.B.tolist())) == sorted(map(tuple, whole.B.tolist()))
 
 
 def test_closure_modulo_a_prime_only_ever_undercounts():
@@ -457,7 +474,7 @@ def test_closure_modulo_a_prime_only_ever_undercounts():
     p = CLOSURE_PRIME
     u, A = np.array([1, 0]), np.array([[0, p], [0, 0]])
     assert exact_closure_dim(u, [A]) == 2
-    assert closure_dim_mod(u, [A % p], p) == 1
+    assert ClosureMod(u, p).close([A % p]) == 1
 
 
 def test_is_prime_matches_trial_division_below_2_28():
