@@ -67,6 +67,17 @@ class BinaryRectMatrix:
         if any(a >= b for a, b in zip(support, support[1:])):
             raise ValueError("column supports must increase left to right")
 
+    @classmethod
+    def _make(cls, rows: int, cols: int, entries: tuple) -> "BinaryRectMatrix":
+        """Constructor for matrices built from a validated
+        IncreasingSequence, which have the shape and support by
+        construction: no re-check."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        return self
+
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.entries[i - 1][j - 1]
@@ -86,7 +97,7 @@ def matrix_rep(s: IncreasingSequence) -> BinaryRectMatrix:
     rows = [[0] * s.k for _ in range(s.n)]
     for col, val in enumerate(s.values):
         rows[val - 1][col] = 1
-    return BinaryRectMatrix(s.n, s.k, tuple(tuple(r) for r in rows))
+    return BinaryRectMatrix._make(s.n, s.k, tuple(map(tuple, rows)))
 
 
 def complete_diagram(s: IncreasingSequence) -> Permutation:

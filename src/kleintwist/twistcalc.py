@@ -9,16 +9,28 @@ exponent sum with the bicharacter sign of the two bidegrees.
 
 An element is zero exactly when its underlying polynomial vanishes on
 every real point of the classical group, which both models decide by one
-rule: every monomial, brought to the system's largest degree D by a power
+rule: a polynomial of degree at most D, brought to degree D by a power
 of the norm, is evaluated at a fixed set of integer points, enough to
-determine a polynomial of the degree that results (O(2): t = 0..2D on the
-rotation and the reflection branch of the circle parametrization; SO(3):
-the quaternions (1, b, c, d) with b + c + d <= 2D).  The test is linear
-in the coefficients, so it runs over a whole system at once: every
-relation of a presentation is a sparse integer row over its monomials,
-each monomial gets its row of point values (the zero map), and one exact
-matrix product shows the first relation that does not vanish.  is_zero
-is the one-row case.
+determine a polynomial of the degree 2D that results in the point
+coordinates (O(2): t = 0..2D on the rotation and the reflection branch
+of the circle parametrization; SO(3): the quaternions (1, b, c, d) with
+b + c + d <= 2D).  is_zero and _first_nonzero apply it to rows over the
+monomials: each monomial gets its row of point values (the zero map),
+and one exact matrix product shows the first row that does not vanish.
+
+A presentation is checked from point values (verify_twisted_presentation).
+Each generator entry is split by Klein bidegree, and each piece is
+evaluated once at the grid, homogenised to the largest degree e of the
+entries.  Evaluation at a point is a ring map on the commutative
+polynomials, and the twisted product of two pieces is their commutative
+product times the bicharacter sign of their two bidegrees, so the values
+of a product of entries are sums of signed products of the pieces'
+values: exactly the values of that product, homogenised to 2e (3e for a
+triple).  Every relation is a fixed integer combination of such
+products, and the grid of its own degree determines it, so it holds
+exactly when its values there are zero.  Characters are evaluated the
+same way, through a (monomial x character) table of signed products of
+the value matrix's entries.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm
 from operator import add, mul
 
 import numpy as np
@@ -119,6 +131,7 @@ def all_signed_permutations(n: int) -> list:
 _SIGN_VECTORS = ((1, -1, -1, 1), (1, -1, 1, -1), (1, 1, -1, -1))
 
 
+@lru_cache(maxsize=None)
 def rho(x: Permutation) -> SignedMatrix:
     """Matrix of the coordinate-permutation action on the span of the
     three even sign vectors; a group homomorphism from S4 onto the
@@ -180,6 +193,7 @@ def _pair_sign(left1: int, right1: int, left2: int, right2: int) -> int:
     return _SIGMA[left1][left2] * _SIGMA[right1][right2]
 
 
+@lru_cache(maxsize=None)
 def _mono_bidegree(alg: str, mono: tuple) -> tuple:
     n = _SIZES[alg]
     left = right = 0
@@ -256,8 +270,9 @@ class TwistedElement:
         n = _SIZES[algebra]
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError("generator indices out of range")
-        mono = tuple(1 if v == (i - 1) * n + (j - 1) else 0 for v in range(n * n))
-        return TwistedElement(algebra, {Bidegree(i, j): {mono: 1}})
+        mono = [0] * (n * n)
+        mono[(i - 1) * n + (j - 1)] = 1
+        return TwistedElement._make(algebra, {tuple(mono): 1})    # of bidegree (i, j)
 
     def _plus(self, other: "TwistedElement", scale) -> "TwistedElement":
         if self.algebra != other.algebra:
@@ -322,10 +337,10 @@ def _signed_positions(R: SignedMatrix) -> list:
     return [next((k, v) for k, v in enumerate(row) if v) for row in R.rows]
 
 
-def _conjugated(where: list, block: tuple, scale) -> tuple:
-    """R block R^T for R given by _signed_positions: entry (i, j) is
-    R[i][k] R[j][l] block[k][l], scaled by scale(entry, sign)."""
-    return tuple(tuple(scale(block[k][l], u * v) for l, v in where) for k, u in where)
+def _conjugated(where: list, block: tuple) -> tuple:
+    """R block R^T for R given by _signed_positions, over a block of model
+    elements: entry (i, j) is R[i][k] R[j][l] block[k][l]."""
+    return tuple(tuple(block[k][l].scale(u * v) for l, v in where) for k, u in where)
 
 
 # -- exact zero test on the classical group -----------------------------
@@ -389,14 +404,15 @@ def _point_matrices(alg: str, degree: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _zero_map_row(alg: str, mono: tuple, degree: int) -> tuple:
+def _zero_map_row(alg: str, mono: tuple, degree: int, top: int = None) -> tuple:
     """Row of the zero map for one generator monomial of a system of the
     given degree, and its largest |entry|: the monomial homogenised to
     that degree by a power of the norm, N^(degree - deg) X^mono, at every
-    point of _point_matrices, in the narrowest integer dtype."""
+    point of _point_matrices(alg, top) (default: the degree), in the
+    narrowest integer dtype."""
     factors = _mono_factors(alg, mono)[1]
     row = _fit([norm ** (degree - sum(mono)) * _eval_factors(factors, X)
-                for norm, X in _point_matrices(alg, degree)])
+                for norm, X in _point_matrices(alg, degree if top is None else top)])
     row.flags.writeable = False                 # shared through the cache
     return row, _max_abs(row)
 
@@ -461,6 +477,154 @@ def is_zero(x: TwistedElement) -> bool:
 
 # -- presentations in the model ------------------------------------------
 
+# Bidegrees (left, right) coded as 4 left + right: the sign sigma(g, h) of
+# the twisted product of a piece of bidegree g and one of bidegree h, and
+# the bidegree g h of that product.
+_CODE_SIGN = np.array([[_pair_sign(g >> 2, g & 3, h >> 2, h & 3) for h in range(16)]
+                       for g in range(16)], dtype=np.int64)
+_CODE_PRODUCT = np.array([[4 * KLEIN_PRODUCT[g >> 2][h >> 2] + KLEIN_PRODUCT[g & 3][h & 3]
+                           for h in range(16)] for g in range(16)], dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _relation_table(kind: str) -> tuple:
+    """The defining relations of a presentation, in order: (ids, then for
+    the quadratic ones the product indices, the coefficients and the rows
+    with constant 1, then the det triples).  A quadratic relation is a
+    fixed sparse integer combination of the n^4 entry products, entry a
+    times entry b at index a n^2 + b (entries numbered row by row), minus
+    its constant, 0 or 1; row r of the index and coefficient arrays holds
+    its n terms, padded with coefficient 0.  det, the last id of
+    so3minus, is the sum of the triple products (entries[t1],
+    entries[n + t2], entries[2n + t3]) over the permutations t, minus 1."""
+    n = _SIZES[kind]
+    nn = n * n
+    ids, index, coefficient, constant = [], [], [], []
+
+    def relation(rel_id: str, terms, delta: int = 0):
+        terms += [(0, 0)] * (n - len(terms))
+        ids.append(rel_id)
+        constant.append(delta)
+        coefficient.append([c for c, _ in terms])
+        index.append([p for _, p in terms])
+
+    for i in range(n):
+        for j in range(n):
+            relation(f"orth-row-{i + 1}{j + 1}",
+                     [(1, (i * n + k) * nn + j * n + k) for k in range(n)], int(i == j))
+            relation(f"orth-col-{i + 1}{j + 1}",
+                     [(1, (k * n + i) * nn + k * n + j) for k in range(n)], int(i == j))
+    bidegrees = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    for a, (i, j) in enumerate(bidegrees):
+        for b, (k, l) in enumerate(bidegrees):
+            s = _pair_sign(i, j, k, l) * _pair_sign(k, l, i, j)
+            relation(f"comm-{i}{j}-{k}{l}", [(1, a * nn + b), (-s, b * nn + a)])
+    triples = ()
+    if kind == "so3minus":
+        ids.append("det")
+        triples = tuple((t1, n + t2, 2 * n + t3)
+                        for t1, t2, t3 in itertools.permutations(range(n)))
+    return tuple(ids), np.array(index), np.array(coefficient), np.flatnonzero(constant), triples
+
+
+@lru_cache(maxsize=None)
+def _grid_table(alg: str, monos: tuple, degree: int, top: int) -> np.ndarray:
+    """The zero-map rows of the monomials, homogenised to the degree, then
+    the row of N^top, all at the points of _point_matrices(alg, top)."""
+    rows = [_zero_map_row(alg, m, degree, top)[0] for m in monos]
+    rows.append(_zero_map_row(alg, (0,) * (_SIZES[alg] ** 2), top, top)[0])
+    table = np.stack(rows)
+    table.flags.writeable = False               # shared through the cache
+    return table
+
+
+def _presentation_values(kind: str, alg: str, entries: list) -> list:
+    """Every relation of the presentation on the generator entries, one
+    row each in _relation_table order: its value, homogenised, at every
+    point of a grid of the model alg that determines it.  The rows come
+    as blocks that share a grid: the quadratic relations, then det.
+
+    Each entry is split by Klein bidegree, and every piece is evaluated
+    homogenised to the largest degree e of any entry's monomial.  The
+    twisted product of pieces of bidegrees g and h is sigma(g, h) times
+    their commutative product, and evaluation at a point is a ring map on
+    commutative polynomials, so the values of entry a times entry b are
+    sum sigma(g, h) V_ag V_bh over their pieces: the value of the product
+    homogenised to 2e.  A quadratic relation's value is its fixed
+    combination of these minus its constant times N^2e, a polynomial of
+    degree 4e in the grid coordinates, so it is taken at the points of
+    _point_matrices(alg, 2e), which determine such a polynomial (see
+    _first_nonzero).  The det triples take sigma(g, h) sigma(gh, k) and
+    the constant N^3e at the points of _point_matrices(alg, 3e).
+    Fraction coefficients are first cleared by one common denominator L,
+    the constants scaled by L^2 and L^3 to match.  Every value and
+    partial sum is at most (n! + 1) max(L, |entry|)^k Nmax^ke, k = 3 with
+    det and 2 without, where |entry| is the largest sum of an entry's
+    cleared absolute coefficients and Nmax the largest norm of the larger
+    grid (|X_ij| <= N on the group): a relation has at most n! terms and
+    a constant.  That bound picks the dtype, as in hopf._safe_einsum."""
+    ids, index, coefficient, unit_rows, triples = _relation_table(kind)
+    n = _SIZES[kind]
+    nn = n * n
+    pieces, monos, first = {}, {}, []      # pieces are numbered entry by entry
+    rows, cols, values = [], [], []
+    e = size = 0
+    for a, x in enumerate(entries):
+        if x.terms:
+            first.append(len(pieces))
+        for m, c in x.terms.items():
+            left, right = _mono_bidegree(alg, m)
+            rows.append(pieces.setdefault((a, 4 * left + right), len(pieces)))
+            cols.append(monos.setdefault(m, len(monos)))
+            values.append(c)
+            e = max(e, sum(m))
+        size = max(size, sum(map(abs, x.terms.values())))
+    L = 1
+    if not all(type(c) is int for c in values):
+        L = lcm(*(Fraction(c).denominator for c in values))
+        values = [int(Fraction(c) * L) for c in values]
+    k = 3 if triples else 2
+    unit = (0,) * (_SIZES[alg] ** 2)
+    nmax = _zero_map_row(alg, unit, 1, k * e)[1]
+    dtype = _tier((factorial(n) + 1) * max(L, int(size * L)) ** k * nmax ** (k * e))
+    C = np.zeros((len(pieces), len(monos)), dtype=dtype)
+    C[rows, cols] = values
+    code = np.array([g for _, g in pieces], dtype=np.intp)
+    monos = tuple(monos)
+
+    def at_grid(top: int) -> tuple:
+        """The pieces' values and N^top at the points of _point_matrices(alg, top)."""
+        T = _grid_table(alg, monos, e, top).astype(dtype, copy=False)
+        return C @ T[:-1], T[-1]
+
+    V, norm = at_grid(2 * e)
+    # the pair products piece by piece, summed over the pieces of each entry
+    signed = np.einsum("ip,jp,ij->ijp", V, V, _CODE_SIGN[code[:, None], code].astype(dtype))
+    single = len(first) == len(pieces) == nn     # one piece per entry
+    if single:
+        products = signed
+    else:
+        if len(first) < len(pieces):
+            signed = np.add.reduceat(np.add.reduceat(signed, first, axis=0), first, axis=1)
+        present = np.array([a for a, x in enumerate(entries) if x.terms], dtype=np.intp)
+        products = np.zeros((nn, nn, len(norm)), dtype=dtype)
+        products[present[:, None], present] = signed
+    out = np.einsum("rtp,rt->rp", products.reshape(nn * nn, -1)[index], coefficient.astype(dtype))
+    out[unit_rows] -= L ** 2 * norm
+    if not triples:
+        return [out]
+    V, norm = at_grid(3 * e)
+    picks = triples
+    if not single:
+        of_entry: dict = {}
+        for (a, _), p in pieces.items():
+            of_entry.setdefault(a, []).append(p)
+        picks = [q for t in triples for q in itertools.product(*(of_entry.get(a, ()) for a in t))]
+    i, j, l = np.array(picks, dtype=np.intp).reshape(-1, 3).T
+    sign = _CODE_SIGN[code[i], code[j]] * _CODE_SIGN[_CODE_PRODUCT[code[i], code[j]], code[l]]
+    det = (sign.astype(dtype)[:, None] * V[i] * V[j] * V[l]).sum(axis=0) - L ** 3 * norm
+    return [out, det[None, :]]
+
 
 def verify_twisted_presentation(kind: str, gens: tuple = None) -> list:
     """Check every defining relation of the named presentation against a
@@ -468,9 +632,10 @@ def verify_twisted_presentation(kind: str, gens: tuple = None) -> list:
     Raises RelationFailure naming the first violated relation; returns
     the list of relation ids.
 
-    Every relation is read from one table of the n^4 products of two
-    generator entries and assembled as a sparse row over the monomials;
-    the whole system is zero-tested at once."""
+    The relations are read from the generators' values at the points of
+    the model's grid (_presentation_values), all at once: a relation
+    holds exactly when its homogenised value vanishes at every point,
+    which the grid decides as in _first_nonzero."""
     if kind not in _SIZES:
         raise ValueError(f"unknown presentation kind {kind!r}")
     n = _SIZES[kind]
@@ -480,54 +645,32 @@ def verify_twisted_presentation(kind: str, gens: tuple = None) -> list:
     alg = entries[0].algebra
     if any(e.algebra != alg for e in entries):
         raise ValueError("mixed algebras")
-    # entries are numbered row by row; product[a * n^2 + b] = entries[a] entries[b]
-    product = [p * q for p in entries for q in entries]
-    unit = (0,) * (_SIZES[alg] ** 2)
-    ids, rows = [], []
+    ids = _relation_table(kind)[0]
+    values = _presentation_values(kind, alg, entries)
+    bad = np.flatnonzero(np.concatenate([v.any(axis=1) for v in values]))
+    if bad.size:
+        raise RelationFailure(f"relation {ids[bad[0]]} does not vanish")
+    return list(ids)
 
-    def relation(rel_id: str, summands, constant: int = 0):
-        row = {unit: -constant} if constant else {}
-        for s, x in summands:
-            for m, c in x.terms.items():
-                row[m] = row.get(m, 0) + s * c
-        ids.append(rel_id)
-        rows.append(row)
 
-    nn = n * n
-    for i in range(n):
-        for j in range(n):
-            relation(f"orth-row-{i + 1}{j + 1}",
-                     [(1, product[(i * n + k) * nn + j * n + k]) for k in range(n)], i == j)
-            relation(f"orth-col-{i + 1}{j + 1}",
-                     [(1, product[(k * n + i) * nn + k * n + j]) for k in range(n)], i == j)
-
-    bidegrees = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    for a, (i, j) in enumerate(bidegrees):
-        for b, (k, l) in enumerate(bidegrees):
-            s = _pair_sign(i, j, k, l) * _pair_sign(k, l, i, j)
-            relation(f"comm-{i}{j}-{k}{l}",
-                     [(1, product[a * nn + b]), (-s, product[b * nn + a])])
-
-    if kind == "so3minus":
-        relation("det", [(1, product[t1 * nn + n + t2] * entries[2 * n + t3])
-                         for t1, t2, t3 in itertools.permutations(range(n))], 1)
-
-    bad = _first_nonzero(alg, rows)
-    if bad is not None:
-        raise RelationFailure(f"relation {ids[bad]} does not vanish")
-    return ids
+def _character_table(alg: str, monos: tuple, matrices: tuple) -> np.ndarray:
+    """T[k, s], the value of the monomial monos[k] at the character with
+    value matrix matrices[s].  A commutative monomial stands for the sign
+    times the star-ordered monomial, so the value is that sign times the
+    product of the entry values (_mono_factors); narrowest integer
+    dtype."""
+    return _fit(np.array([[sign * _eval_factors(factors, m) for m in matrices]
+                          for sign, factors in (_mono_factors(alg, mono) for mono in monos)],
+                         dtype=object).reshape(len(monos), len(matrices)))
 
 
 def character_value(x: TwistedElement, matrix: tuple):
     """Evaluate a character, given by its value matrix on the generators,
-    on a model element.  A commutative monomial stands for the sign
-    times the star-ordered monomial, so evaluation multiplies the entry
-    values by the reordering sign.  Summed in Python ints unless a
-    coefficient is a Fraction; an integer value is returned as an int."""
-    total = 0
-    for mono, c in x.terms.items():
-        sign, factors = _mono_factors(x.algebra, mono)
-        total += sign * c * _eval_factors(factors, matrix)
+    on a model element: the one-character case of _character_table,
+    summed in Python ints unless a coefficient is a Fraction; an integer
+    value is returned as an int."""
+    row = _character_table(x.algebra, tuple(x.terms), (matrix,))[:, 0].tolist()
+    total = sum(map(mul, x.terms.values(), row))
     return int(total) if total.denominator == 1 else total
 
 
@@ -544,33 +687,57 @@ def _o2_solution_matrices() -> tuple:
     return tuple(s.matrix for s in solve_characters(O2Minus()))
 
 
+@lru_cache(maxsize=None)
+def _so3_solution_lookup() -> tuple:
+    """The 24 so3minus character matrices as one read-only int64 array,
+    and the index of each by its bytes."""
+    mats = np.array(_so3_solution_matrices(), dtype=np.int64)
+    mats.flags.writeable = False
+    return mats, {m.tobytes(): i for i, m in enumerate(mats)}
+
+
+@lru_cache(maxsize=None)
+def _so3_character_table(monos: tuple) -> np.ndarray:
+    """_character_table of the monomials at the 24 so3minus characters,
+    shared read-only."""
+    table = _character_table("so3minus", monos, _so3_solution_matrices())
+    table.flags.writeable = False
+    return table
+
+
 def automorphism_check(x: Permutation) -> Permutation:
     """Substitute b_ij = sum_kl rho(x)_ki rho(x)_lj a_kl, check that the
     b generators satisfy every defining relation, and return the induced
     permutation of the 24 character matrices (M -> rho(x)^T M rho(x)).
     CharacterActionMismatch when the action fails to permute the
-    character set or disagrees with direct evaluation."""
+    character set or disagrees with direct evaluation, which is one
+    integer product: the b entries' coefficients over their monomials
+    times the (monomial x character) table."""
     where = _signed_positions(rho(x).transpose())
-    B = _conjugated(where, generator_matrix("so3minus"), TwistedElement.scale)
+    B = _conjugated(where, generator_matrix("so3minus"))
     verify_twisted_presentation("so3minus", B)
 
-    sols = _so3_solution_matrices()
-    index = {m: i for i, m in enumerate(sols)}
-    images = []
-    for m in sols:
-        img = _conjugated(where, m, mul)
-        pos = index.get(img)
-        if pos is None:
-            raise CharacterActionMismatch(
-                "conjugated character matrix leaves the solution set")
-        for i in range(3):
-            for j in range(3):
-                if character_value(B[i][j], m) != img[i][j]:
-                    raise CharacterActionMismatch(
-                        f"direct evaluation disagrees at entry ({i + 1},{j + 1})")
-        images.append(pos + 1)
+    sols, index = _so3_solution_lookup()
+    perm, signs = zip(*where)
+    images = sols[:, perm][:, :, perm] * np.multiply.outer(signs, signs)
+    positions = [index.get(img.tobytes()) for img in images]
+    if None in positions:
+        raise CharacterActionMismatch("conjugated character matrix leaves the solution set")
+    entries = [B[i][j].terms for i in range(3) for j in range(3)]
+    monos = tuple(sorted({m for t in entries for m in t}))
+    column = {m: c for c, m in enumerate(monos)}
+    rows, cols, coefficients = zip(*((r, column[m], c) for r, t in enumerate(entries)
+                                     for m, c in t.items()))
+    table = _so3_character_table(monos)
+    dtype = _tier(max(map(abs, coefficients)) * _max_abs(table) * len(monos))
+    C = np.zeros((9, len(monos)), dtype=dtype)
+    C[rows, cols] = coefficients
+    wrong = np.flatnonzero((C @ table.astype(dtype, copy=False)).T != images.reshape(-1, 9))
+    if wrong.size:
+        i, j = divmod(int(wrong[0]) % 9, 3)
+        raise CharacterActionMismatch(f"direct evaluation disagrees at entry ({i + 1},{j + 1})")
     try:
-        return Permutation(images)
+        return Permutation([pos + 1 for pos in positions])
     except ValueError as exc:
         raise CharacterActionMismatch(f"action is not a bijection: {exc}") from exc
 
@@ -602,7 +769,7 @@ def phi_embedding(x: Permutation) -> tuple:
         (g[1][0], g[1][1], zero),
         (zero, zero, corner),
     )
-    E = _conjugated(_signed_positions(rho(x)), block, TwistedElement.scale)
+    E = _conjugated(_signed_positions(rho(x)), block)
     verify_twisted_presentation("so3minus", E)
     return E
 
@@ -613,35 +780,32 @@ def embedding_character_images() -> list:
     3x3 character matrices; the distinct subsets are returned sorted.
     NotASubgroup if a value matrix escapes the solution set or a subset
     is not closed under the character product."""
-    sols24 = set(_so3_solution_matrices())
-    images = {}
+    sols, index = _so3_solution_lookup()
+    blocks = np.array([((m[0][0], m[0][1], 0),
+                        (m[1][0], m[1][1], 0),
+                        (0, 0, m[0][0] * m[1][1] + m[0][1] * m[1][0]))
+                       for m in _o2_solution_matrices()], dtype=np.int64)
+    found = set()
     for x in symmetric_group(4).sorted_elements():
-        where = _signed_positions(rho(x))
-        mats = set()
-        for m in _o2_solution_matrices():
-            corner = m[0][0] * m[1][1] + m[0][1] * m[1][0]
-            bhat = ((m[0][0], m[0][1], 0),
-                    (m[1][0], m[1][1], 0),
-                    (0, 0, corner))
-            img = _conjugated(where, bhat, mul)
-            if img not in sols24:
-                raise NotASubgroup("embedded character leaves the solution set")
-            mats.add(img)
-        images[x] = frozenset(mats)
-    distinct = sorted(set(images.values()), key=lambda s: sorted(s))
-    for S in distinct:
-        for a in S:
-            for b in S:
-                prod = (SignedMatrix(a) * SignedMatrix(b)).rows
-                if prod not in S:
-                    raise NotASubgroup("embedded image set is not closed")
-    return distinct
+        perm, signs = zip(*_signed_positions(rho(x)))
+        images = blocks[:, perm][:, :, perm] * np.multiply.outer(signs, signs)
+        positions = frozenset(index.get(m.tobytes()) for m in images)
+        if None in positions:
+            raise NotASubgroup("embedded character leaves the solution set")
+        found.add(positions)
+    for S in found:
+        mats = sols[sorted(S)]
+        products = (mats[:, None] @ mats[None]).reshape(-1, 3, 3)
+        if any(index.get(m.tobytes()) not in S for m in products):
+            raise NotASubgroup("embedded image set is not closed")
+    rows = _so3_solution_matrices()
+    return sorted((frozenset(rows[i] for i in S) for S in found), key=sorted)
 
 
 def matrices_to_subgroup(mats) -> PermGroup:
     """Pull a set of rho-image matrices back to the subgroup of S4 they
     come from (rho is injective on S4)."""
-    inverse = {rho(x).rows: x for x in symmetric_group(4).sorted_elements()}
+    inverse = _rho_inverse()
     elems = []
     for m in mats:
         rows = m.rows if isinstance(m, SignedMatrix) else m
@@ -649,6 +813,12 @@ def matrices_to_subgroup(mats) -> PermGroup:
             raise ValueError("matrix is not in the image of rho")
         elems.append(inverse[rows])
     return as_subgroup(symmetric_group(4), elems)
+
+
+@lru_cache(maxsize=None)
+def _rho_inverse() -> dict:
+    """The permutation x behind each matrix rho(x), keyed by its rows."""
+    return {rho(x).rows: x for x in symmetric_group(4).sorted_elements()}
 
 
 # -- the generation counterexample ----------------------------------------

@@ -46,6 +46,22 @@ class TestSequences:
         with pytest.raises(ValueError):
             BinaryRectMatrix(3, 2, ((0, 1), (1, 0), (0, 0)))   # support order
 
+    def test_matrix_rep_builds_without_the_public_checks(self, monkeypatch):
+        # the same matrices as the public constructor, which checks each one
+        expected = {s: BinaryRectMatrix(s.n, s.k, matrix_rep(s).entries) for s in UP_TO_8}
+        checked = []
+        real = BinaryRectMatrix.__post_init__
+        monkeypatch.setattr(BinaryRectMatrix, "__post_init__",
+                            lambda self: checked.append(self) or real(self))
+        for s in UP_TO_8:
+            A = matrix_rep(s)
+            assert A == expected[s] and hash(A) == hash(expected[s])
+            assert (A.rows, A.cols) == (s.n, s.k)
+        assert not checked
+        with pytest.raises(ValueError):
+            BinaryRectMatrix(2, 1, ((1,), (1,)))
+        assert len(checked) == 1                         # the spy is live
+
 
 class TestCompletionOracle:
     def test_routes_agree_everywhere(self):

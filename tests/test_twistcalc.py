@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import kleintwist
 from kleintwist.cocycle import klein_bicharacter
-from kleintwist.errors import RelationFailure
+from kleintwist.errors import CharacterActionMismatch, RelationFailure
 from kleintwist.perm import (Permutation, generate, isomorphism_type,
                              klein_group, symmetric_group)
 from kleintwist.present import Bidegree, commutation_sign
@@ -335,12 +335,15 @@ def _relation_source(source):
     x = Permutation.from_cycles(4, [tuple(int(ch) for ch in cycle.strip("()"))])
     if name == "phi":
         return "so3minus", phi_embedding(x)
-    # b_ij = sum_kl rho(x)_ki rho(x)_lj a_kl, built term by term
+    return "so3minus", _substituted(x)
+
+
+def _substituted(x):
+    """b_ij = sum_kl rho(x)_ki rho(x)_lj a_kl, built term by term."""
     R, a = rho(x).rows, _gens("so3minus")
     zero = TwistedElement.zero("so3minus")
-    return "so3minus", tuple(
-        tuple(sum((a[k][l].scale(R[k][i] * R[l][j]) for k in range(3) for l in range(3)),
-                  zero) for j in range(3)) for i in range(3))
+    return tuple(tuple(sum((a[k][l].scale(R[k][i] * R[l][j]) for k in range(3) for l in range(3)),
+                           zero) for j in range(3)) for i in range(3))
 
 
 def _assert_matches_reference(kind, gens):
@@ -362,16 +365,20 @@ def _relations_one_by_one(kind, gens):
     from its own products, taken bidegree by bidegree by the oracle
     twisted_product, and zero-tested on its own by the term-by-term
     oracle, in the same order and with the same ids."""
-    n = len(gens)
-    alg = gens[0][0].algebra
-    one, zero = TwistedElement.one(alg), TwistedElement.zero(alg)
     checked = []
-
-    def demand(rel_id, element):
+    for rel_id, element in _relation_elements(kind, gens):
         if not is_zero_term_by_term(element):
             raise RelationFailure(f"relation {rel_id} does not vanish")
         checked.append(rel_id)
+    return checked
 
+
+def _relation_elements(kind, gens):
+    """(id, element) of every relation of the presentation on gens, in
+    order, each element built from twisted_product."""
+    n = len(gens)
+    alg = gens[0][0].algebra
+    one, zero = TwistedElement.one(alg), TwistedElement.zero(alg)
     for i in range(n):
         for j in range(n):
             target = one if i == j else zero
@@ -379,20 +386,194 @@ def _relations_one_by_one(kind, gens):
             for k in range(n):
                 row = row + twisted_product(gens[i][k], gens[j][k])
                 col = col + twisted_product(gens[k][i], gens[k][j])
-            demand(f"orth-row-{i + 1}{j + 1}", row - target)
-            demand(f"orth-col-{i + 1}{j + 1}", col - target)
+            yield f"orth-row-{i + 1}{j + 1}", row - target
+            yield f"orth-col-{i + 1}{j + 1}", col - target
     sigma = klein_bicharacter()
     for i, j, k, l in itertools.product(range(1, n + 1), repeat=4):
         s = commutation_sign(sigma, Bidegree(i, j), Bidegree(k, l))
         a, b = gens[i - 1][j - 1], gens[k - 1][l - 1]
-        demand(f"comm-{i}{j}-{k}{l}", twisted_product(a, b) - twisted_product(b, a).scale(s))
+        yield f"comm-{i}{j}-{k}{l}", twisted_product(a, b) - twisted_product(b, a).scale(s)
     if kind == "so3minus":
         det = zero
         for tau in symmetric_group(3).sorted_elements():
             det = det + twisted_product(twisted_product(gens[0][tau(1) - 1], gens[1][tau(2) - 1]),
                                         gens[2][tau(3) - 1])
-        demand("det", det - one)
-    return checked
+        yield "det", det - one
+
+
+def _vanishing(alg, bits):
+    """An element that vanishes on the group and mixes bidegrees and
+    total degrees: an orthogonality relation times 1 + g_kl, the
+    relation and the generator picked by bits."""
+    g = _gens(alg)
+    n = len(g)
+    one, zero = TwistedElement.one(alg), TwistedElement.zero(alg)
+    i, j = divmod(bits % (n * n), n)
+    k, l = divmod((bits >> 4) % (n * n), n)
+    relation = sum((g[i][m] * g[j][m] for m in range(n)), zero) - (one if i == j else zero)
+    return relation * (one + g[k][l])
+
+
+def _edited(gens, edits):
+    """The generator matrix with each (position, change, factor, bits)
+    applied to the entry at that position, numbered row by row: replaced
+    by zero, scaled by the factor, or plus the factor times a vanishing
+    element or times a random multi-term element."""
+    alg = gens[0][0].algebra
+    n = len(gens)
+    g = [list(row) for row in gens]
+    for position, change, factor, bits in edits:
+        i, j = divmod(position % (n * n), n)
+        if change == "zero":
+            g[i][j] = TwistedElement.zero(alg)
+        elif change == "scale":
+            g[i][j] = g[i][j].scale(factor)
+        elif change == "vanishing":
+            g[i][j] = g[i][j] + _vanishing(alg, bits).scale(factor)
+        else:
+            g[i][j] = g[i][j] + _random_element(alg, bits).scale(factor)
+    return tuple(map(tuple, g))
+
+
+_EDITS = st.lists(st.tuples(st.integers(0, 8),
+                            st.sampled_from(["zero", "scale", "vanishing", "add"]),
+                            st.sampled_from([1, -2, Fraction(1, 3), Fraction(-5, 2),
+                                             2 ** 40, 2 ** 70, 2 ** 200]),
+                            st.integers(0, 2 ** 12 - 1)), max_size=2)
+
+
+@pytest.fixture
+def fresh_twistcalc():
+    """Empty every cache of the module before and after the test, so that
+    a patched table is what the code under test reads, and no value
+    computed under the patch is left behind."""
+    caches = [f for f in vars(twistcalc).values() if hasattr(f, "cache_clear")]
+    for c in caches:
+        c.cache_clear()
+    yield
+    for c in caches:
+        c.cache_clear()
+
+
+class TestValueRoute:
+    """verify_twisted_presentation reads every relation from the
+    generators' values at the grid; these compare it with the relation by
+    relation reference and break it on purpose."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["o2minus", "so3minus", "phi-(12)", "phi-(1234)",
+                            "automorphism-(1324)"]), _EDITS)
+    def test_matches_relation_by_relation_reference(self, source, edits):
+        kind, gens = _relation_source(source)
+        _assert_matches_reference(kind, _edited(gens, edits))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["o2minus", "so3minus", "phi-(12)", "automorphism-(1324)"]), _EDITS)
+    def test_values_are_the_relations_at_the_grid(self, source, edits):
+        """Each row of _presentation_values is L^k times its relation
+        element, built from twisted_product, evaluated at the grid of its
+        own degree ke and homogenised to ke (k = 2, or 3 for det), where e
+        is the largest degree of the entries and L their common
+        denominator: the values themselves, not only the verdicts."""
+        kind, gens = _relation_source(source)
+        gens = _edited(gens, edits)
+        alg = gens[0][0].algebra
+        entries = [x for row in gens for x in row]
+        e = max((sum(m) for x in entries for m in x.terms), default=0)
+        L = math.lcm(*(Fraction(c).denominator for x in entries for c in x.terms.values()))
+        rows = [r for block in twistcalc._presentation_values(kind, alg, entries)
+                for r in block.tolist()]
+        ids = [rel_id for rel_id, _ in _relation_elements(kind, gens)]
+        assert len(rows) == len(ids)
+        for (rel_id, element), row in zip(_relation_elements(kind, gens), rows):
+            k = 3 if rel_id == "det" else 2
+            expected = [L ** k * sum(c * norm ** (k * e - sum(m))
+                                     * math.prod(X[v // len(X)][v % len(X)] ** p
+                                                 for v, p in enumerate(m))
+                                     for m, c in element.terms.items())
+                        for norm, X in _point_matrices(alg, k * e)]
+            assert row == expected, rel_id
+
+    @pytest.mark.parametrize("source, edits, dtype", [
+        ("so3minus", [], np.float64),
+        ("so3minus", [(4, "scale", 2 ** 13, 0)], np.int64),
+        ("so3minus", [(4, "scale", 2 ** 40, 0)], object),
+        ("o2minus", [(3, "scale", 2 ** 24, 0)], np.int64),
+        ("o2minus", [(0, "vanishing", 2 ** 70, 5)], object),
+        ("phi-(123)", [(0, "scale", 16, 0)], np.int64),
+        ("phi-(123)", [(8, "vanishing", 2 ** 200, 77), (2, "zero", 1, 0)], object),
+        ("automorphism-(1324)", [(1, "vanishing", Fraction(-5, 3), 300)], object),
+    ])
+    def test_each_tier_matches_reference(self, monkeypatch, source, edits, dtype):
+        """The bound picks the tier the comparison runs in."""
+        kind, gens = _relation_source(source)
+        tiers = []
+        real = twistcalc._tier
+        monkeypatch.setattr(twistcalc, "_tier",
+                            lambda bound: tiers.append(real(bound)) or tiers[-1])
+        _assert_matches_reference(kind, _edited(gens, edits))
+        assert tiers == [dtype]
+
+    def test_flipped_value_product_sign_breaks_a_relation(self, monkeypatch, fresh_twistcalc):
+        verify_twisted_presentation("so3minus")
+        sign = twistcalc._CODE_SIGN.copy()
+        sign[4 * 1 + 1, 4 * 1 + 2] *= -1            # bidegrees (1, 1) and (1, 2)
+        monkeypatch.setattr(twistcalc, "_CODE_SIGN", sign)
+        with pytest.raises(RelationFailure):
+            verify_twisted_presentation("so3minus")
+
+    def test_corrupted_character_table_breaks_the_action(self, monkeypatch, fresh_twistcalc):
+        x = Permutation.from_cycles(4, [(1, 2)])
+        automorphism_check(x)
+        real = twistcalc._so3_character_table
+
+        def corrupted(monos):
+            table = real(monos).copy()
+            table[tuple(np.argwhere(table)[0])] *= -1       # its first nonzero entry
+            return table
+
+        monkeypatch.setattr(twistcalc, "_so3_character_table", corrupted)
+        with pytest.raises(CharacterActionMismatch, match="^direct evaluation disagrees"):
+            automorphism_check(x)
+
+    def test_presentations_make_no_twisted_products(self, monkeypatch):
+        systems = [("o2minus", _gens("o2minus")), ("so3minus", _gens("so3minus"))]
+        systems += [_relation_source(s) for s in ("phi-(12)", "automorphism-(1324)")]
+        systems.append(("so3minus", _edited(_gens("so3minus"), [(2, "vanishing", 3, 77)])))
+        calls = []
+        real = twistcalc.twisted_mul
+        monkeypatch.setattr(twistcalc, "twisted_mul", lambda x, y: calls.append(1) or real(x, y))
+        for kind, gens in systems:
+            verify_twisted_presentation(kind, gens)
+        assert not calls
+        _gens("o2minus")[0][0] * _gens("o2minus")[0][1]
+        assert calls                                        # the spy is live
+
+    def test_action_matches_entrywise_evaluation(self):
+        """automorphism_check's table product against character_value on
+        each substituted generator, and its permutation against the
+        conjugated character matrices."""
+        from kleintwist.twistcalc import _so3_solution_matrices
+        sols = _so3_solution_matrices()
+        for x in S4:
+            B = _substituted(x)
+            R = rho(x)
+            images = [(R.transpose() * SignedMatrix(m) * R).rows for m in sols]
+            for m, img in zip(sols, images):
+                assert all(character_value(B[i][j], m) == img[i][j]
+                           for i in range(3) for j in range(3))
+            assert automorphism_check(x) == Permutation([sols.index(img) + 1 for img in images])
+
+    def test_rho_is_computed_once_per_permutation(self, fresh_twistcalc):
+        all_automorphism_actions()
+        for x in S4:
+            phi_embedding(x)
+        embedding_character_images()
+        generation_counterexample()
+        rho_image()
+        assert matrices_to_subgroup(klein_diag_matrices()) == klein_group()
+        assert rho.cache_info().misses == 24
+        assert twistcalc._rho_inverse.cache_info().misses == 1
 
 
 class TestZeroTestOracle:
@@ -680,8 +861,10 @@ class TestGatedCosts:
                               env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         caches = eval(proc.stdout)
-        assert {"_mono_mul", "_mono_factors", "_point_matrices",
-                "_zero_map_row"} <= {k for k, _ in caches}
+        assert {"_mono_mul", "_mono_factors", "_point_matrices", "_zero_map_row",
+                "_mono_bidegree", "_relation_table", "_grid_table",
+                "_so3_solution_lookup", "_so3_character_table", "rho",
+                "_rho_inverse"} <= {k for k, _ in caches}
         assert all(size == 0 for _, size in caches), caches
 
     def test_automorphism_actions_peak_memory(self):
