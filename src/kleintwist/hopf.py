@@ -89,26 +89,46 @@ differs; the first differing index is located in that slab only, and
 says where a Hopf-map suite or a character fails.  No axiom
 check, and neither twist nor pullback, writes out a product of scales.
 
-Character enumeration runs on the same integer arrays.  It quotients by
-the commutator ideal, built in batched rounds of contractions, and splits
-the commutative quotient with one generic element a_t = sum_k (k+1)^t e_fk
-(primitive-element splitting, after Friedl and Ronyai, STOC 1985), trying
-t = 1, 2, ... until a_t generates the quotient.  Its minimal polynomial
-f is the least relation among the Krylov rows u, u a_t, ... of the unit u
-(ratlinalg.first_relation: modulo word-size primes, one exact
-certificate), and integer_roots finds its roots or raises NonSplitQuotient,
-naming a basis element whose own operator does not split.  The quotient
-of a Hopf algebra is itself a commutative Hopf algebra, reduced over Q
-(Cartier's theorem), so a unit that does not act as a nonzero scalar, or
-an f with a repeated root, is refused: H is then no Hopf algebra.  A
-squarefree f of lower degree than the quotient's moves on to the next t.
-Once deg f is the quotient's dimension, the quotient is Q[y]/(f), one
-line per root r, spanned by v_r = u (f / (y - r))(a_t), on which every
-element acts by its value at r's character: one product puts every basis
-operator on every v_r, and one exact residual certifies those scalars.
-Three identities on the cleared value matrix, decided by
-_first_difference, audit the characters; one contraction with the
-coproduct and the antipode gives their group.
+Character enumeration runs on the same integer arrays, by one of two
+routes.  The word-size route runs first (_characters_mod): modulo one
+prime p with n p^2 < 2^62, p not dividing dM and p > 2B,
+B = max_ij sum_k |M[i, j, k]|, it closes the rows of M - M^T under right
+multiplication by the basis (ratlinalg.ClosureMod), to dimension d_p,
+splits the quotient with the first of five small generic elements whose
+least Krylov relation has degree m = n - d_p, searches that relation's
+roots among small integers under a fixed budget, and reads dM chi(e_i)
+modulo p for every basis vector off one eigen-row per root.  Lifted to
+the symmetric range these are exact for true characters, since
+dM chi(e_i) is a rational eigenvalue of the integer matrix M[i], so an
+integer of absolute value at most B.  The list is kept only when the
+character audit passes on it, its rows are distinct and there are m of
+them; then it is complete, as distinct characters are independent and
+vanish on the commutator ideal I, and m >= n - dim I because the closure
+modulo p lies in the reduction of I's integer lattice.  It never raises.
+
+Whenever that certificate cannot be given (a product beyond word size,
+no generating element, roots past the budget, a failed audit) the exact
+route decides, and it raises every refusal (_characters_exact).  It
+quotients by the commutator ideal, built in batched rounds of
+contractions, and splits the commutative quotient with one generic
+element a_t = sum_k (k+1)^t e_fk (primitive-element splitting, after
+Friedl and Ronyai, STOC 1985), trying t = 1, 2, ... until a_t generates
+the quotient.  Its minimal polynomial f is the least relation among the
+Krylov rows u, u a_t, ... of the unit u (ratlinalg.first_relation: modulo
+word-size primes, one exact certificate), and integer_roots finds its
+roots or raises NonSplitQuotient, naming a basis element whose own
+operator does not split.  The quotient of a Hopf algebra is itself a
+commutative Hopf algebra, reduced over Q (Cartier's theorem), so a unit
+that does not act as a nonzero scalar, or an f with a repeated root, is
+refused: H is then no Hopf algebra.  A squarefree f of lower degree than
+the quotient's moves on to the next t.  Once deg f is the quotient's
+dimension, the quotient is Q[y]/(f), one line per root r, spanned by
+v_r = u (f / (y - r))(a_t), on which every element acts by its value at
+r's character: one product puts every basis operator on every v_r, and
+one exact residual certifies those scalars.  Both routes end in the same
+audit, three identities on the cleared value matrix decided by
+_first_difference; one contraction with the coproduct and the antipode
+gives the characters' group.
 """
 
 from __future__ import annotations
@@ -129,8 +149,8 @@ from .errors import (ClosureFailure, EvaluationNotPermutation, KleintwistError,
                      NonSplitQuotient, NotASubgroup)
 from .perm import PermGroup, Permutation, klein_group, symmetric_group
 from .ratlinalg import (_INT64_LIMIT, ClosureMod, RowSpace, _cleared, _dot, _fit, _int_dtype,
-                        _inverse, _is_prime, _max_abs, _primitive, _rescale, _sub, deflate,
-                        first_relation, integer_roots)
+                        _inverse, _is_prime, _max_abs, _primitive, _relations_mod, _rescale,
+                        _sub, deflate, first_relation, integer_roots)
 
 
 def _q(v: int, d: int):
@@ -911,11 +931,11 @@ def _difference(x: tuple, y: tuple) -> Optional[tuple]:
 
 
 @lru_cache(maxsize=64)
-def _generic(n: int, k: int) -> np.ndarray:
+def _generic(n: int, k: int, q: int = 97) -> np.ndarray:
     """k generic elements of an n-dimensional algebra as the rows of a
     stored integer matrix: g_1 = sum_j (j+1) e_j, then
-    g_t = sum_j ((j+1)^t mod 97 + 1) e_j."""
-    return _stored(np.array([[j + 1 if t == 1 else pow(j + 1, t, 97) + 1 for j in range(n)]
+    g_t = sum_j ((j+1)^t mod q + 1) e_j."""
+    return _stored(np.array([[j + 1 if t == 1 else pow(j + 1, t, q) + 1 for j in range(n)]
                              for t in range(1, k + 1)], dtype=np.int64), 1, owned=True)[0]
 
 
@@ -1204,7 +1224,159 @@ class Character:
 
 
 def characters(H: FDHopf) -> list:
-    """All characters of H, exactly, from the algebra's integer tensors.
+    """All characters of H, exactly, sorted by their values: the
+    word-size route's certified list (_characters_mod), else the exact
+    route's (_characters_exact), which raises every refusal."""
+    found = _characters_mod(H)
+    return _characters_exact(H) if found is None else found
+
+
+def _audit_failure(H: FDHopf, P: tuple) -> Optional[str]:
+    """The audit of the value matrix P = (X, dX), row f holding
+    dX chi_f(e_i): the message of the first of chi(1) = 1,
+    chi(e_i e_j) = chi(e_i) chi(e_j) over all pairs and chi(e_i*) = chi(e_i)
+    that some row fails, as three identities; None when all hold."""
+    U, M, _, _, _, T = H._pairs
+    audit = (
+        ("character fails chi(1) = 1", ("i,fi->f", U, P),
+         ("f->f", (np.ones(len(P[0]), dtype=np.int64), 1))),
+        # format() skips the character index f
+        ("character not multiplicative at ({1},{2})", ("ijp,fp->fij", M, P),
+         ("fi,fj->fij", P, P)),
+        ("character not star-compatible at {1}", ("ip,fp->fi", T, P), ("fi->fi", P)),
+    )
+    for failure, x, y in audit:
+        at = _first_difference(x, y)
+        if at is not None:
+            return failure.format(*at)
+    return None
+
+
+def _listed(H: FDHopf, X: np.ndarray, dX: int) -> list:
+    """The characters whose values over dX are the rows of X, sorted."""
+    rows = sorted(tuple(int(x) for x in row) for row in X)
+    return [Character(H, tuple(_q(x, dX) for x in row)) for row in rows]
+
+
+# The word-size route tries the first _MOD_ELEMENTS generic elements of the
+# quotient, _generic(m, _MOD_ELEMENTS, 257), and the root search of the one
+# that generates it (_roots_mod) evaluates at most _ROOT_BUDGET candidates,
+# in windows that widen eightfold from 2^7.  Coefficients below 258 keep
+# the roots small.  Modulo 97 rather than 257, five elements separate the
+# diagonal twist's 24 characters in only 16 of 30 census relabellings.
+_MOD_ELEMENTS = 5
+_ROOT_BUDGET = 2 ** 13
+
+
+def _deflate_mod(f, xs: np.ndarray, p: int) -> tuple:
+    """ratlinalg.deflate modulo p at every x of xs at once: (D, v), row k
+    of D the quotient of f (ascending residues, degree >= 1) by y - x_k
+    and v[k] = f(x_k), all residues below p."""
+    xs = xs % p
+    D = np.empty((len(xs), len(f) - 1), dtype=np.int64)
+    acc = np.full(len(xs), f[-1] % p, dtype=np.int64)
+    for k in range(len(f) - 2, -1, -1):
+        D[:, k] = acc
+        acc = (acc * xs + f[k]) % p
+    return D, acc
+
+
+def _roots_mod(f, p: int) -> Optional[list]:
+    """deg f integers r with f(r) = 0 modulo p, the first found among
+    0, 1, -1, 2, -2, ...; None when _ROOT_BUDGET candidates do not hold
+    that many.  Candidates stay below p / 2 in absolute value, so distinct
+    ones are distinct modulo p."""
+    found, lo, hi = [], 0, 2 ** 7
+    while lo < hi:
+        k = np.arange(lo, hi)
+        xs = (k + 1) // 2 * np.where(k % 2, 1, -1)
+        found += xs[_deflate_mod(f, xs, p)[1] == 0].tolist()
+        if len(found) == len(f) - 1:
+            return found
+        lo, hi = hi, min(8 * hi, _ROOT_BUDGET)
+    return None
+
+
+def _characters_mod(H: FDHopf) -> Optional[list]:
+    """The characters of H, found modulo one prime p in int64 and
+    certified exactly; None whenever that certificate cannot be given.
+
+    p is _certificate_prime's prime, so n p^2 < 2^62 and p does not divide
+    dM, and it must exceed 2B, B = max_ij sum_k |M[i, j, k]|.  The ideal is
+    the closure modulo p (ratlinalg.ClosureMod) of the rows of M - M^T
+    under right multiplication by every basis vector, of dimension d_p:
+    the right ideal the commutators generate is two-sided, as
+    x [a, b] = [x a, b] - [x, b] a.  The quotient's product and the
+    generic elements' Krylov rows follow modulo p, as in the exact route,
+    and each element's least relation f comes from _relations_mod with the
+    one prime.  An element
+    whose f has degree m = n - d_p with m integer roots (_roots_mod)
+    gives one eigen-row of the quotient per root, every basis operator's
+    value on it, and so a candidate value dM chi(e_i) modulo p for every
+    basis vector of H, lifted to the symmetric range.  That lift is exact
+    for a true character: M[i] c = dM chi(e_i) c for the nonzero vector
+    c = (chi(e_j))_j, so dM chi(e_i) is a rational eigenvalue of the
+    integer matrix M[i], an integer of absolute value at most B < p / 2.
+
+    The list is returned only when the character audit passes on it, its
+    rows are distinct, and there are m of them.  Then it holds every
+    character: distinct characters are linearly independent and vanish
+    on I, the least subspace that holds the commutators and is closed
+    under right multiplication (the commutator ideal), so there are at
+    most n - dim I of them, and n - dim I <= m, as the closure modulo p
+    lies in the reduction of the lattice of I's integer vectors, of rank
+    dim I."""
+    n, (M, dM) = H.dim, H._pairs[1]
+    p = _certificate_prime(n, dM)
+    # the stored entry bound first, so the row sums cannot leave int64
+    if 2 * _profiled(M)[1] >= p or 2 * int(np.abs(M).sum(axis=2).max()) >= p:
+        return None
+    Mp = np.asarray(M % p, dtype=np.int64)
+    # e_j multiplies row vectors from the right by Mp[:, j]
+    ideal = ClosureMod((Mp - Mp.transpose(1, 0, 2)).reshape(-1, n), p)
+    ideal.close(Mp.transpose(1, 0, 2))
+    free = ideal.free
+    m = len(free)
+    if m == 0:
+        return None
+    # proj[i] = coordinates of e_i in the quotient basis e_f, f free; Q[j]
+    # the operator of multiplication by e_fj, times dM
+    proj = ideal.reduce(np.eye(n, dtype=np.int64))[:, free]
+    Q = Mp[np.ix_(free, free)] @ proj % p
+    K = np.empty((m + 1, m), dtype=np.int64)
+    K[0] = np.asarray(H.U % p, dtype=np.int64) @ proj % p
+    for g in _generic(m, _MOD_ELEMENTS, 257):
+        A = np.tensordot(g, Q, 1) % p
+        for t in range(m):
+            K[t + 1] = K[t] @ A % p
+        d, f = _relations_mod(K, [p])[0]
+        if d == m:
+            break
+    else:
+        return None
+    roots = _roots_mod(f, p)
+    if roots is None:
+        return None
+    # v_r = u (f / (y - r))(A), one row per root, nonzero as K[:m] is
+    # independent modulo p; Q[j] acts on v_r by dM chi_r(e_fj), read at
+    # v_r's pivot
+    V = _deflate_mod(f, np.array(roots, dtype=np.int64), p)[0] @ K[:m] % p
+    pivot = (V != 0).argmax(axis=1)
+    lead = V[np.arange(m), pivot]
+    inverse = np.array([pow(int(x), -1, p) for x in lead], dtype=np.int64)
+    value = np.einsum("rk,jkr->rj", V, Q[:, :, pivot]) % p * inverse[:, None] % p
+    X = value @ proj.T % p
+    X = np.where(2 * X > p, X - p, X)
+    if (_audit_failure(H, (X, dM)) is not None
+            or len({tuple(row) for row in X.tolist()}) != m):
+        return None
+    return _listed(H, X, dM)
+
+
+def _characters_exact(H: FDHopf) -> list:
+    """characters(H) over the rationals, the route that decides whenever
+    the word-size one cannot certify its list, and that raises every
+    refusal.
 
     Quotients by the two-sided commutator ideal and splits the commutative
     quotient with one generic element, one socle row per root of its
@@ -1214,8 +1386,6 @@ def characters(H: FDHopf) -> list:
     minimal polynomial does not split over the rationals raises
     NonSplitQuotient."""
     n = H.dim
-    if n > 64:
-        raise ValueError(f"character enumeration restricted to dim <= 64, got {n}")
     M = H.M
 
     # The ideal is spanned by the commutators e_i e_j - e_j e_i and closed
@@ -1299,26 +1469,11 @@ def characters(H: FDHopf) -> list:
     R = _fit(np.stack([_rescale(y, dX // den) for den, y in zip(dens, value.T)]))
     X = _safe_einsum("iq,fq->fi", proj, R)
 
-    # The certificate: chi(1) = 1, chi(e_i e_j) = chi(e_i) chi(e_j) over all
-    # pairs, chi(e_i*) = chi(e_i), as three identities on (X, dX).
-    U, Mp, _, _, _, T = H._pairs
-    P = (X, dX)
-    audit = (
-        ("character fails chi(1) = 1", ("i,fi->f", U, P),
-         ("f->f", (np.ones(len(X), dtype=np.int64), 1))),
-        # format() skips the character index f
-        ("character not multiplicative at ({1},{2})", ("ijp,fp->fij", Mp, P),
-         ("fi,fj->fij", P, P)),
-        ("character not star-compatible at {1}", ("ip,fp->fi", T, P), ("fi->fi", P)),
-    )
-    for failure, x, y in audit:
-        at = _first_difference(x, y)
-        if at is not None:
-            raise KleintwistError(failure.format(*at))
-
+    failure = _audit_failure(H, (X, dX))
+    if failure is not None:
+        raise KleintwistError(failure)
     # no two rows agree: chi_r(a_t) is r times a factor that all r share
-    rows = sorted(tuple(int(x) for x in row) for row in X)
-    return [Character(H, tuple(_q(x, dX) for x in row)) for row in rows]
+    return _listed(H, X, dX)
 
 
 def convolution_identity(H: FDHopf) -> Character:

@@ -1,5 +1,5 @@
 """Exact linear algebra over the rationals on integer arrays, sized for the
-small dimensions (<= 64) this package works at.
+small dimensions (up to a few hundred) this package works at.
 
 A subspace is kept fraction-free (RowSpace): integer rows, each primitive
 (divided by the gcd of its entries), with a positive pivot at its leftmost
@@ -16,8 +16,8 @@ one scale in canonical form.  first_relation finds the least monic
 relation among integer rows, such as a minimal polynomial at one vector,
 modulo word-size primes and returns it only once one exact product
 certifies it; integer_roots (with deflate) finds the integer roots of such
-a polynomial.  ClosureMod closes a row under a set of matrices modulo one
-word-size prime, in int64, and can go on to more matrices.
+a polynomial.  ClosureMod closes a set of rows under a set of matrices
+modulo one word-size prime, in int64, and can go on to more matrices.
 """
 
 from __future__ import annotations
@@ -260,45 +260,73 @@ def _relations_mod(K, primes) -> list:
 
 
 class ClosureMod:
-    """The least subspace over F_p that holds the row u and is mapped into
-    itself by v -> v A for every matrix A it was closed under (close).
+    """The least subspace over F_p that holds the given rows and is mapped
+    into itself by v -> v A for every matrix A it was closed under (close).
     Entries are residues below p, and n p^2 < 2^62 for rows of width n, so
     no sum of n products leaves int64.  The space is kept in reduced
-    echelon form modulo p, and each round maps only the rows that grew it
-    the round before.  Closing under more matrices continues from the
-    space reached: only its rows times the new matrices are new."""
+    echelon form modulo p, its rows B grown into one preallocated n x n
+    array, and each round maps only the rows that grew it the round
+    before, by all matrices in one product.  Closing under more matrices
+    continues from the space reached: only its rows times the new
+    matrices are new."""
 
-    def __init__(self, u, p: int):
-        self.p, self.ops, self.pivots = p, [], []
-        self.B = np.zeros((0, len(u)), dtype=np.int64)
-        self._grow(np.asarray(u, dtype=np.int64)[None] % p)
+    def __init__(self, rows, p: int):
+        rows = np.atleast_2d(np.asarray(rows, dtype=np.int64)) % p
+        n = rows.shape[1]
+        self.p, self.pivots, self.dim = p, [], 0
+        self.ops = np.zeros((0, n, n), dtype=np.int64)
+        self._B = np.zeros((n, n), dtype=np.int64)
+        self._grow(rows)
 
-    def _grow(self, new: np.ndarray) -> list:
-        """Adds the rows new to the space; the rows that grew it."""
-        p = self.p
-        if self.pivots:
-            new = (new - new[:, self.pivots] @ self.B) % p
-        new, grown = new[new.any(axis=1)], []
+    @property
+    def B(self) -> np.ndarray:
+        """The reduced echelon basis, one row per dimension."""
+        return self._B[:self.dim]
+
+    @property
+    def free(self) -> list[int]:
+        """The columns that hold no pivot."""
+        pivots = set(self.pivots)
+        return [c for c in range(self._B.shape[1]) if c not in pivots]
+
+    def reduce(self, V: np.ndarray) -> np.ndarray:
+        """The residues of the rows of V (entries below p) modulo the
+        space: every pivot coordinate cleared."""
+        return (V - V[:, self.pivots] @ self.B) % self.p
+
+    def _grow(self, new: np.ndarray) -> np.ndarray:
+        """Adds the rows new to the space; rows spanning what grew it.
+        Pivots come from a chunk of n rows at a time, eliminated row by
+        row; one product then reduces the rest modulo the space."""
+        p, start = self.p, self.dim
         while len(new):
-            row, new = new[0], new[1:]
-            col = int(row.nonzero()[0][0])
-            row = row * pow(int(row[col]), -1, p) % p
-            # clears col in every other row
-            new = (new - new[:, [col]] * row) % p
+            new = self.reduce(new)
             new = new[new.any(axis=1)]
-            self.B = np.vstack([(self.B - self.B[:, [col]] * row) % p, row])
-            self.pivots.append(col)
-            grown.append(row)
-        return grown
+            chunk, new = new[:len(self._B)], new[len(self._B):]
+            while len(chunk):
+                row, chunk = chunk[0], chunk[1:]
+                col = int((row != 0).argmax())
+                row = row * pow(int(row[col]), -1, p) % p
+                # clears col in every other row
+                chunk = (chunk - chunk[:, [col]] * row) % p
+                chunk = chunk[chunk.any(axis=1)]
+                B = self.B
+                B -= B[:, [col]] * row
+                B %= p
+                self._B[self.dim] = row
+                self.pivots.append(col)
+                self.dim += 1
+        return self._B[start:self.dim].copy()
 
     def close(self, ops) -> int:
-        """The dimension of the space once closed under ops as well."""
-        ops = list(ops)
-        rows, self.ops = self.B, self.ops + ops
-        while len(rows) and ops:
-            grown = self._grow(np.concatenate([rows @ A % self.p for A in ops]))
-            rows, ops = np.array(grown), self.ops
-        return len(self.pivots)
+        """The dimension of the space once closed under the matrices ops
+        (a sequence of n x n residue matrices) as well."""
+        n = self._B.shape[1]
+        ops = np.asarray(ops, dtype=np.int64).reshape(-1, n, n)
+        rows, self.ops = self.B, np.concatenate([self.ops, ops])
+        while len(rows) and len(ops):
+            rows, ops = self._grow((rows @ ops % self.p).reshape(-1, n)), self.ops
+        return self.dim
 
 
 def first_relation(K) -> list[int]:

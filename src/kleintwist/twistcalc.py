@@ -329,16 +329,19 @@ def generator_matrix(algebra: str) -> tuple:
                        for j in range(1, n + 1)) for i in range(1, n + 1))
 
 
-def _signed_positions(R: SignedMatrix) -> list:
-    """(k, R[i][k]) for the one nonzero entry of each row i of a signed
-    permutation matrix R."""
+@lru_cache(maxsize=None)
+def _rho_positions(x: Permutation, transposed: bool = False) -> tuple:
+    """(k, R[i][k]) for the one nonzero entry of each row i of the signed
+    permutation matrix R = rho(x), or its transpose; found once per
+    permutation, like rho(x) itself."""
+    R = rho(x).transpose() if transposed else rho(x)
     if not R.is_signed_permutation():
         raise ValueError("substitution matrix must be a signed permutation")
-    return [next((k, v) for k, v in enumerate(row) if v) for row in R.rows]
+    return tuple(next((k, v) for k, v in enumerate(row) if v) for row in R.rows)
 
 
-def _conjugated(where: list, block: tuple) -> tuple:
-    """R block R^T for R given by _signed_positions, over a block of model
+def _conjugated(where: tuple, block: tuple) -> tuple:
+    """R block R^T for R given by _rho_positions, over a block of model
     elements: entry (i, j) is R[i][k] R[j][l] block[k][l]."""
     return tuple(tuple(block[k][l].scale(u * v) for l, v in where) for k, u in where)
 
@@ -713,7 +716,7 @@ def automorphism_check(x: Permutation) -> Permutation:
     character set or disagrees with direct evaluation, which is one
     integer product: the b entries' coefficients over their monomials
     times the (monomial x character) table."""
-    where = _signed_positions(rho(x).transpose())
+    where = _rho_positions(x, transposed=True)
     B = _conjugated(where, generator_matrix("so3minus"))
     verify_twisted_presentation("so3minus", B)
 
@@ -769,7 +772,7 @@ def phi_embedding(x: Permutation) -> tuple:
         (g[1][0], g[1][1], zero),
         (zero, zero, corner),
     )
-    E = _conjugated(_signed_positions(rho(x)), block)
+    E = _conjugated(_rho_positions(x), block)
     verify_twisted_presentation("so3minus", E)
     return E
 
@@ -787,7 +790,7 @@ def embedding_character_images() -> list:
                        for m in _o2_solution_matrices()], dtype=np.int64)
     found = set()
     for x in symmetric_group(4).sorted_elements():
-        perm, signs = zip(*_signed_positions(rho(x)))
+        perm, signs = zip(*_rho_positions(x))
         images = blocks[:, perm][:, :, perm] * np.multiply.outer(signs, signs)
         positions = frozenset(index.get(m.tobytes()) for m in images)
         if None in positions:

@@ -19,8 +19,8 @@ from kleintwist.cocycle import (Cocycle2, build_s4tau, klein_bicharacter, pullba
 from kleintwist.errors import ClosureFailure, KleintwistError, NonSplitQuotient
 from kleintwist.hopf import (Character, FDHopf, _q, _safe_einsum,
                              all_axioms_pass, character_group, characters,
-                             convolution_identity, function_algebra, group_algebra,
-                             verify_hopf_axioms)
+                             convolution_identity, fourier_iso, function_algebra,
+                             group_algebra, restriction_surjection, verify_hopf_axioms)
 from kleintwist.perm import (PermGroup, Permutation, generate, isomorphism_type,
                              klein_group, symmetric_group)
 from kleintwist.ratlinalg import RowSpace, _cleared, _inverse, _rescale, _sub, integer_roots
@@ -309,22 +309,32 @@ def test_characters_match_recursive_splitter(name, height, seed):
 
 
 @pytest.mark.parametrize("name,degrees", [
-    ("square_zero", [3]), ("unseparated", [2]), ("non_monogenic", [3]),
-    ("diagtwist_1_0", [18, 24])])
+    ("square_zero", ([3], [3])), ("unseparated", ([2, 3], [2])),
+    ("non_monogenic", ([3] * 5, [3])), ("diagtwist_1_0", ([18, 24], []))])
 def test_generic_element_routes(monkeypatch, name, degrees):
-    """The degree of a_t's minimal polynomial at each t tried.  On the
-    relabelled diagonal twist, a_1's is squarefree of degree 18 < 24, so
-    the search moves on, and a_2 generates the quotient.  The other three
-    algebras are no Hopf algebras: their quotients hold a nonzero element
-    whose square is zero, a_1's polynomial has a repeated root, and the
-    quotient is refused at once, with no second t."""
-    seen = []
+    """The degree of the minimal polynomial of each generic element tried,
+    by the word-size route, then by the exact route.  On the relabelled
+    diagonal twist, a_1's is squarefree of degree 18 < 24, so the
+    word-size route moves on, its second element generates the quotient,
+    and its list is certified: the exact route never runs.  The other
+    three algebras are no Hopf algebras: their quotients hold a nonzero
+    element whose square is zero, so no element the word-size route tries
+    has as many roots as the quotient's dimension, and in the exact route
+    a_1's polynomial has a repeated root and the quotient is refused at
+    once, with no second t."""
+    mod, exact = [], []
+
+    def relations_mod(K, primes):
+        found = ratlinalg._relations_mod(K, primes)
+        mod.append(found[0][0])
+        return found
 
     def first_relation(K):
         f = ratlinalg.first_relation(K)
-        seen.append(len(f) - 1)
+        exact.append(len(f) - 1)
         return f
 
+    monkeypatch.setattr(hopf, "_relations_mod", relations_mod)
     monkeypatch.setattr(hopf, "first_relation", first_relation)
     H = oracle_case(name, 1, 0)
     if name == "diagtwist_1_0":
@@ -334,23 +344,148 @@ def test_generic_element_routes(monkeypatch, name, degrees):
                 "the commutative quotient is not reduced: a_t has a repeated root "
                 "at t = 1, so H is not a Hopf algebra")):
             characters(H)
-    assert seen == degrees
+    assert (mod, exact) == degrees
 
 
 def test_characters_cost_guard(monkeypatch):
-    """Counts that read no clock.  characters(C(S4)) inserts rows into one
-    RowSpace, the commutator ideal (per-block echelon bases made 26
-    insertions, the recursive splitter 186), and decides the Krylov relation
-    of a_1, whose entries reach 24^24 < 2^111, modulo one batch of four
-    primes: 24! < 2^80 needs three."""
-    widths, drawn = [], []
-    extend, primes = RowSpace.extend, ratlinalg._primes
+    """Counts that read no clock.  characters(C(S4)) takes the word-size
+    route: no row is inserted into a RowSpace and first_relation is never
+    called (the exact route inserts the commutator ideal's rows and
+    decides a_1's Krylov relation modulo a batch of four primes)."""
+    calls = []
+    extend, first_relation = RowSpace.extend, ratlinalg.first_relation
     monkeypatch.setattr(RowSpace, "extend",
-                        lambda self, v: widths.append(self.width) or extend(self, v))
-    monkeypatch.setattr(ratlinalg, "_primes", lambda: (drawn.append(p) or p for p in primes()))
+                        lambda self, v: calls.append("extend") or extend(self, v))
+    monkeypatch.setattr(hopf, "first_relation",
+                        lambda K: calls.append("first_relation") or first_relation(K))
     assert len(characters(function_algebra(S4))) == 24
-    assert widths == [24]
-    assert len(drawn) == 4
+    assert calls == []
+
+
+CENSUS = ["cs4", "qs4", "cs3", "qs3", "cd4", "s4tau", "diagtwist"]
+
+
+def sparse_basis_change(n: int, height: int, seed: int):
+    """P = (I + N) D: N holds n // 4 entries below the diagonal and D is
+    diagonal, all entries p/q with 1 <= |p|, q <= height.  Unitriangular
+    times diagonal, so invertible, and sparse enough that transport stays
+    cheap at dimension 24."""
+    rng = random.Random(seed)
+
+    def entry():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, height), rng.randint(1, height))
+
+    P = [[Fraction(int(i == a)) for a in range(n)] for i in range(n)]
+    for _ in range(n // 4):
+        i, a = rng.sample(range(n), 2)
+        P[max(i, a)][min(i, a)] = entry()
+    for a in range(n):
+        d = entry()
+        for row in P:
+            row[a] *= d
+    return P
+
+
+@pytest.mark.parametrize("name", CENSUS)
+def test_routes_agree_on_census_algebras(name):
+    """The word-size route certifies every census algebra relabelled,
+    and under a basis change of height 2 to 50 it either hands over or
+    returns the exact route's list, values and order."""
+    H = _build(name)
+    perm = list(range(H.dim))
+    random.Random(7).shuffle(perm)
+    relabel = relabelled(H, perm)
+    assert hopf._characters_mod(relabel) == hopf._characters_exact(relabel)
+    for height in (2, 3, 50):
+        K = transport(H, sparse_basis_change(H.dim, height, 1))
+        found = hopf._characters_mod(K)
+        assert found is None or found == hopf._characters_exact(K)
+
+
+@pytest.mark.parametrize("name", ["cs4", "s4tau"])
+def test_a_planted_wrong_residue_is_refused(monkeypatch, name):
+    """Negative control: one lifted value of the word-size route off by
+    one.  The audit refuses it, the exact route runs, and the list is
+    still the exact one."""
+    verdicts, exact = [], []
+    audit, exact_route = hopf._audit_failure, hopf._characters_exact
+
+    def planted(H, P):
+        X, dX = P
+        if not verdicts:
+            X = X.copy()
+            X[1, 2] += 1
+        verdicts.append(audit(H, (X, dX)))
+        return verdicts[-1]
+
+    monkeypatch.setattr(hopf, "_audit_failure", planted)
+    monkeypatch.setattr(hopf, "_characters_exact", lambda H: exact.append(H) or exact_route(H))
+    H = _build(name)
+    chars = characters(H)
+    assert verdicts[0] is not None and verdicts[1:] == [None]
+    assert exact == [H]
+    assert values_digest(chars) == EXPECTED[name][2]
+
+
+def _spied_exact(monkeypatch) -> list:
+    ran, exact_route = [], hopf._characters_exact
+    monkeypatch.setattr(hopf, "_characters_exact", lambda H: ran.append(H) or exact_route(H))
+    return ran
+
+
+def test_a_prime_dividing_the_product_scale_hands_over(monkeypatch):
+    """C(S3) on the basis e_i / q has dM = q.  Forced to work modulo q,
+    where the unit's coordinates vanish, the word-size route certifies
+    nothing, and the exact route gives the list."""
+    q = 10007
+    H = function_algebra(S3)
+    K = transport(H, [[Fraction(int(i == a), q) for a in range(6)] for i in range(6)])
+    assert K.dM == q
+    ran = _spied_exact(monkeypatch)
+    monkeypatch.setattr(hopf, "_certificate_prime", lambda n, scale: q)
+    chars = characters(K)
+    assert ran == [K]
+    assert [[v * q for v in ch.values] for ch in chars] == [list(ch.values)
+                                                            for ch in characters(H)]
+
+
+def test_beyond_word_size_hands_over(monkeypatch):
+    """A height-10^4 basis change puts the product past int64, beyond any
+    prime the word-size route may take."""
+    H = transport(function_algebra(S3), random_basis_change(6, 10 ** 4, 1))
+    assert H.M.dtype == object
+    ran = _spied_exact(monkeypatch)
+    assert len(characters(H)) == 6 and ran == [H]
+
+
+def test_root_search_stops_within_its_budget(monkeypatch):
+    """Counts that read no clock.  C(S3) on the basis c e_i, c = 10^6:
+    the product's entries are c < p / 2, so the word-size route runs, but
+    a_1 takes the values c (k + 1) at the characters, past every window.
+    The search evaluates at most _ROOT_BUDGET candidates, and the exact
+    route gives the list."""
+    c = 10 ** 6
+    K = transport(function_algebra(S3), [[Fraction(c * (i == a)) for a in range(6)]
+                                         for i in range(6)])
+    evaluated, deflate = [], hopf._deflate_mod
+    monkeypatch.setattr(hopf, "_deflate_mod",
+                        lambda f, xs, p: evaluated.append(len(xs)) or deflate(f, xs, p))
+    ran = _spied_exact(monkeypatch)
+    assert len(characters(K)) == 6 and ran == [K]
+    assert sum(evaluated) == hopf._ROOT_BUDGET
+
+
+def test_s5_twist_characters():
+    """S5^tau: C(S5) twisted along <(12), (34)>, dimension 120, has 8
+    characters and their group is D4."""
+    S5 = symmetric_group(5)
+    a, b = Permutation.from_cycles(5, [(1, 2)]), Permutation.from_cycles(5, [(3, 4)])
+    V = generate(5, [a, b])
+    sigma = pullback(klein_bicharacter(), restriction_surjection(S5, V).then(fourier_iso(V, (a, b))))
+    H = twist(sigma.carrier, sigma, verify=False)
+    chars = characters(H)
+    assert H.dim == 120 and len(chars) == 8
+    assert isomorphism_type(character_group(H, chars)).name == "D4"
 
 
 def test_nonsplit_quotient_names_a_basis_element():

@@ -431,8 +431,11 @@ def test_primes_are_the_primes_below_2_30():
 
 
 def exact_closure_dim(u, ops) -> int:
-    space = RowSpace(len(u))
-    grown = space.extend(u[None])
+    """The dimension of the closure of the row u, or of the rows of the
+    matrix u, under v -> v A for the matrices A of ops, over Q."""
+    u = np.atleast_2d(u)
+    space = RowSpace(u.shape[1])
+    grown = space.extend(u)
     while len(grown):
         grown = space.extend(np.concatenate([_dot(grown, A) for A in ops]))
     return space.dim
@@ -467,6 +470,23 @@ def test_closure_continued_matches_the_closure_under_all(data):
     assert dims[0] == ClosureMod(u, CLOSURE_PRIME).close(ops[:k])
     # both in reduced echelon form modulo p, so equal spaces hold equal rows
     assert sorted(map(tuple, continued.B.tolist())) == sorted(map(tuple, whole.B.tolist()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_closure_from_several_rows_matches_the_exact_closure(data):
+    """Started from several rows at once: the same closure as over Q,
+    with every starting row in the space."""
+    n = data.draw(st.integers(1, 5))
+    rows = data.draw(arrays(np.int64, (data.draw(st.integers(1, 12)), n), elements=SMALL))
+    ops = [data.draw(arrays(np.int64, (n, n), elements=SMALL))
+           for _ in range(data.draw(st.integers(1, 2)))]
+    closure = ClosureMod(rows, CLOSURE_PRIME)
+    assert closure.close([A % CLOSURE_PRIME for A in ops]) == exact_closure_dim(rows, ops)
+    assert closure.B.shape == (closure.dim, n) and sorted(closure.free) == sorted(
+        set(range(n)) - set(closure.pivots))
+    # the space spans every row: each reduces to zero modulo it
+    assert not closure.reduce(rows % CLOSURE_PRIME).any()
 
 
 def test_closure_modulo_a_prime_only_ever_undercounts():

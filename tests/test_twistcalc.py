@@ -864,7 +864,7 @@ class TestGatedCosts:
         assert {"_mono_mul", "_mono_factors", "_point_matrices", "_zero_map_row",
                 "_mono_bidegree", "_relation_table", "_grid_table",
                 "_so3_solution_lookup", "_so3_character_table", "rho",
-                "_rho_inverse"} <= {k for k, _ in caches}
+                "_rho_inverse", "_rho_positions"} <= {k for k, _ in caches}
         assert all(size == 0 for _, size in caches), caches
 
     def test_automorphism_actions_peak_memory(self):
