@@ -202,10 +202,13 @@ def twist(H: FDHopf, sigma: Cocycle2, verify: bool = True) -> FDHopf:
 
     # x *_sigma y: Delta2(x) = a b c and Delta2(y) = p q r, dressed by
     # sigma(a, p) sigma^-1(c, r) around the product b q.  One contraction
-    # along einsum's greedy path, slab by slab over x's index i: y's legs
-    # jyr,ypq and M joined once into one rbpjs array, its r and p cut to
-    # the cocycles' support (4 of 24 positions for the Klein twist of S4),
-    # then per slab x's legs with the cocycles, and that array.
+    # along einsum's greedy path, with r and p cut to the cocycles' support
+    # (4 of 24 positions for the Klein twist of S4): x's legs with the
+    # cocycles joined once, y's legs jyr,ypq once, then slab by slab over
+    # the product's index s, M against x's side and the result against
+    # y's.  y's legs joined with M would be one rbpjs array of 16 n^3
+    # entries, past the planner's limit, so it is never formed
+    # (hopf._Contraction).
     mult = _contract("ixc,xab,ap,cr,jyr,ypq,bqs->ijs", C, C, Sg, Sv, C, C, M)
 
     # S_sigma(x) = f(x1) S(x2) g(x3), f(x) = sigma(x1, S x2), g(x) = sigma^-1(S x1, x2).

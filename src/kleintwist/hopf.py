@@ -22,8 +22,8 @@ index sizes, is below _BLAS_WORK runs whole, as one plain einsum of its
 uncut operands, unless its bound takes the object tier: that nested loop
 forms no more products than the count, so it costs less than a plan.
 Any other contraction is planned once from its whole operands, then
-evaluated one slab of its first output index at a time (loop tiling,
-after Wolf and Lam, PLDI 1991).  Planning cuts each index to the
+evaluated one slab of one output index at a time (loop tiling, after
+Wolf and Lam, PLDI 1991).  Planning cuts each index to the
 positions where all operands carrying it have a nonzero slice, which
 drops only zero terms, so sparse operands such as a cocycle living on a
 Klein subgroup cost in proportion to their support rather than to n^k,
@@ -39,11 +39,24 @@ operation rounds, whatever order BLAS or einsum sums in; callers only
 ever see int64 or object arrays.  Every step of the contraction path,
 the one numpy's greedy rule picks (_greedy_path reimplements that rule),
 is planned pairwise: a step of more than two operands, which numpy would
-run as one nested loop, joins its fixed operands first,
-then each slab operand in turn.  Planning runs once every step that does
-not reach the slab index, and forms each such fixed factor directly in
-the layout of the matmul that reads it; each slab runs only the steps
-that carry it, so no step on a slab forms an n^4 array whole.
+run as one nested loop, joins its fixed operands first, then each slab
+operand in turn.  Planning runs once every step that does not reach the
+slab index, and forms each such fixed factor directly in the layout of
+the matmul that reads it; each slab runs only the steps that carry it.
+
+The working set is bounded.  No array a contraction keeps, forms on a
+step or copies into a matmul's layout holds more entries than its limit,
+the larger of _SLAB_ENTRIES, its largest operand and its output, the
+line numpy's greedy path keeps its own intermediates under.  A fixed
+factor that would pass it is never formed: its step joins a slab operand
+first, and the slab index is an output index whose plan keeps every
+array under the limit, so such a factor is formed slab by slab over an
+output index it carries, and the other side's factor is the one kept
+whole.  Each factor is still formed once, so the multiply-adds do not
+change with the slab index, and of the indices that keep under the
+limit the one whose slabs run the fewest steps is taken.  At dimension
+24 every array then stays within _SLAB_ENTRIES, so a run touches few
+fresh pages.
 
 Associativity, coassociativity and Delta(xy) = Delta(x) Delta(y), the
 identities of n^5, n^5 and n^6 terms, are decided on generators.  Given
@@ -61,10 +74,10 @@ certified modulo one word-size prime that does not divide the product's
 scale: the span of 1 closed under left multiplication by them reaches
 dimension n there, and rows independent modulo a prime are independent
 over Q.  That leaves k n^4 products per side for (co)associativity and
-one contraction of k n^5 terms for the bialgebra identity, whose n^4
-fixed factor is formed once.  When the (co)unit identity an identity
-needs fails, or generation is not certified, the full identity runs, so
-each suite's verdict keeps its meaning.
+one contraction of k n^5 terms for the bialgebra identity, slabbed over
+an index of its y side so that its fixed factor is the k n^3 one.  When the (co)unit
+identity an identity needs fails, or generation is not certified, the
+full identity runs, so each suite's verdict keeps its meaning.
 
 An identity's verdict depends only on its subscripts, the scales and the
 content of its operands, and so does a generation certificate.  Each is
@@ -464,8 +477,10 @@ def function_algebra(G: PermGroup) -> FDHopf:
 
 
 _FLOAT64_LIMIT = 2 ** 53
-# Entries of the largest array one slab may form: 512 KB in float64, so a
-# slab stays in cache and no step on a slab allocates an n^4 array.
+# Entries of the largest array one slab may form, 512 KB in float64, and
+# the floor of every contraction's limit on the arrays it forms
+# (_Contraction): below the limit of a contraction with larger operands or
+# output, a slab stays in cache and a run reuses the same few pages.
 _SLAB_ENTRIES = 2 ** 16
 # A step forming fewer products than this runs as a plain einsum loop,
 # which costs less than the reshapes of the matmul route (_matmul); so
@@ -564,7 +579,7 @@ def _greedy_path(subscripts: str, shapes: tuple) -> list:
 def _slab_height(widest: int) -> int:
     """Rows of the slab index per slab, when one row of the widest array a
     slab forms holds widest entries."""
-    return max(1, _SLAB_ENTRIES // widest)
+    return max(1, _SLAB_ENTRIES // max(1, widest))
 
 
 def _sizes(terms, arrays) -> dict:
@@ -650,48 +665,219 @@ def _gemm_size(out: str, x: str, y: str, size) -> int:
     return prod(size(ch) for ch in rows + cols)
 
 
-def _matmul(a_term: str, a: np.ndarray, b_term: str, b: np.ndarray, out: str) -> np.ndarray:
-    """The contraction a_term,b_term->out as one broadcast matmul whose
-    result is C-contiguous in the order of out (_sides; the operands are
-    swapped when that gives larger matrix products).  A batch axis that
-    one operand lacks is broadcast over, and an index that only one
-    operand carries and out drops is summed first."""
-    sizes = dict(zip(a_term + b_term, a.shape + b.shape))
-    if _gemm_size(out, b_term, a_term, sizes.get) > _gemm_size(out, a_term, b_term, sizes.get):
-        a_term, a, b_term, b = b_term, b, a_term, a
+def _laid_out(term: str, arr: np.ndarray, order: str, shape) -> np.ndarray:
+    """arr, whose axes are term, as an array of the given shape over its
+    axes in order: a view when arr's axes in that order are C-contiguous,
+    as when arr is and order == term, else a copy."""
+    return (arr if term == order else np.einsum(f"{term}->{order}", arr)).reshape(shape)
+
+
+@lru_cache(maxsize=1024)
+def _matmul_plan(a_term: str, a_shape: tuple, b_term: str, b_shape: tuple, out: str) -> tuple:
+    """How _matmul runs a_term,b_term->out on operands of these shapes:
+    whether it swaps them, the (order, shape) each is read in, and the
+    shape of the result.  The operands are swapped when that gives larger
+    matrix products (_sides)."""
+    sizes = dict(zip(a_term + b_term, a_shape + b_shape))
+    size = sizes.__getitem__
+    swapped = _gemm_size(out, b_term, a_term, size) > _gemm_size(out, a_term, b_term, size)
+    if swapped:
+        a_term, b_term = b_term, a_term
     batch, rows, cols = _sides(out, a_term, b_term)
     summed = "".join(ch for ch in a_term if ch in b_term and ch not in out)
 
-    def laid_out(term, arr, first, last):
+    def read(term, first, last):
         kept = "".join(ch for ch in batch if ch in term)
         shape = [sizes[ch] if ch in term else 1 for ch in batch]
         shape += [prod(sizes[ch] for ch in first), prod(sizes[ch] for ch in last)]
-        return np.einsum(f"{term}->{kept}{first}{last}", arr).reshape(shape)
+        return kept + first + last, tuple(shape)
 
-    product = np.matmul(laid_out(a_term, a, rows, summed), laid_out(b_term, b, summed, cols))
-    return product.reshape([sizes[ch] for ch in out])
+    return (swapped, read(a_term, rows, summed), read(b_term, summed, cols),
+            tuple(sizes[ch] for ch in out))
 
 
-def _read_layout(a_term: str, term: str, keep, x: str, y: str, size) -> str:
-    """The order of a fixed intermediate's indices, term, in which the
-    step that reads it against the slab operand a_term finds it ready for
-    its matmul: the indices both carry and keep, then those both carry
-    and sum, in a's order, then its own.  Its own come grouped by the
-    operand, x or y, of the step that forms it, in whichever order lets
-    that step run the larger matrix products."""
-    shared = [ch for ch in a_term if ch in term]
-    head = "".join([ch for ch in shared if ch in keep] + [ch for ch in shared if ch not in keep])
-    own = [ch for ch in term if ch not in a_term]
-    from_x = "".join(ch for ch in own if ch in x)
-    from_y = "".join(ch for ch in own if ch not in x)
-    return max((head + from_x + from_y, head + from_y + from_x),
-               key=lambda out: max(_gemm_size(out, x, y, size), _gemm_size(out, y, x, size)))
+def _matmul(a_term: str, a: np.ndarray, b_term: str, b: np.ndarray, out: str) -> np.ndarray:
+    """The contraction a_term,b_term->out as one broadcast matmul whose
+    result is C-contiguous in the order of out (_matmul_plan).  A batch
+    axis that one operand lacks is broadcast over, and an index that only
+    one operand carries and out drops is summed first."""
+    swapped, x, y, shape = _matmul_plan(a_term, a.shape, b_term, b.shape, out)
+    if swapped:
+        a_term, a, b_term, b = b_term, b, a_term, a
+    return np.matmul(_laid_out(a_term, a, *x), _laid_out(b_term, b, *y)).reshape(shape)
+
+
+def _orientations(s: str, f: str, keep, owns, wide: bool) -> list:
+    """The (layout of f, output, whether s is read as laid out) triples for
+    the step s,f->output that reads the slab array s, laid out as it is,
+    against the fixed array f, which can be laid out at will.  s is read
+    either as the rows of the matmul, its kept indices then the ones it
+    sums (_matmul keeps that orientation), or, when it ends in indices
+    that only it carries and keeps, as the columns, with those last;
+    _matmul swaps the operands into that orientation only when f's own
+    indices, wide, span more than one entry.  owns holds the orders of
+    f's own indices to try."""
+    summed = "".join([ch for ch in s if ch in f and ch not in keep])
+    shared = "".join([ch for ch in s if ch in f and ch in keep])
+    kept = "".join([ch for ch in s if ch in keep])
+    k = len(s)
+    while k and s[k - 1] in keep and s[k - 1] not in f:
+        k -= 1
+    head = "".join([ch for ch in s[:k] if ch in keep])
+    out = []
+    for own in owns:
+        out.append((shared + summed + own, kept + own, s == kept + summed))
+        if k < len(s):
+            out.append(("".join([ch for ch in head if ch in f]) + own + summed,
+                        head + own + s[k:], wide and s[:k] == head + summed))
+    return out
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """A contraction's plan for one slab index: the term of every node
+    (operands as ready() lays them out, then one per pairwise step), the
+    steps, which nodes carry the slab index, and the widest row, slab
+    index left out, of any array a slab forms."""
+
+    terms: tuple
+    steps: tuple
+    slabbed: tuple
+    widest: int
+
+
+@lru_cache(maxsize=1024)
+def _pairs(terms: tuple, rhs: str, sizes: tuple, slab: str, limit: int) -> tuple:
+    """The pairwise steps of terms->rhs over indices of the given (index,
+    size) pairs, slabbed over the output index slab ('' for none), along
+    einsum's greedy path: (node terms, steps, the indices each step
+    keeps, which nodes carry the slab index, the widest slab row, the
+    largest array kept).  It depends on nothing else, so it is planned
+    once per shape.
+
+    A path step of more than two operands, which numpy would run as one
+    nested loop, joins its fixed operands first, once, then each slab
+    operand in turn; but when two fixed operands would join into an
+    array of more than limit entries, a slab operand joins first, with
+    the fixed operand that leaves it the narrowest row.  A slab operand
+    is taken with the slab index first, so that each slab of it is one
+    block."""
+    size = dict(sizes).__getitem__
+
+    def entries(term, drop=""):
+        return prod(map(size, term.replace(drop, "")))
+
+    n = len(terms)
+    path = [tuple(range(n))]
+    if n > 2:
+        path = _greedy_path(",".join(terms) + "->" + rhs, tuple(tuple(map(size, t)) for t in terms))
+    terms = [slab + t.replace(slab, "") if slab and slab in t else t for t in terms]
+    slabbed = [bool(slab) and slab in term for term in terms]
+    # node ids: the operands, then one per pairwise step (a, b), which
+    # forms node n + its place in steps; live keeps the path's order
+    live, steps, keeps, peak, widest = list(range(n)), [], [], 0, entries(rhs, slab)
+    for step in path:
+        ids = sorted((live.pop(k) for k in sorted(step, reverse=True)),
+                     key=slabbed.__getitem__)           # fixed operands first
+        while len(ids) > 1:
+            def kept(a, b):
+                keep = set(rhs).union(*(terms[i] for i in live + ids if i != a and i != b))
+                return keep, "".join(dict.fromkeys(ch for ch in terms[a] + terms[b] if ch in keep))
+
+            a, b = ids[:2]
+            keep, out = kept(a, b)
+            if slabbed[b]:
+                a, b = b, a                             # a slab operand on the left
+            elif slabbed[ids[-1]] and entries(out) > limit:
+                a = next(i for i in ids if slabbed[i])
+                b = min((i for i in ids if not slabbed[i]),
+                        key=lambda f: entries(kept(a, f)[1], slab))
+                keep, out = kept(a, b)
+            terms.append(out)
+            slabbed.append(slabbed[a])
+            steps.append((a, b))
+            keeps.append("".join(sorted(keep)))
+            if slabbed[a]:
+                widest = max(widest, entries(out, slab))
+            else:
+                peak = max(peak, entries(out))
+            ids = [len(terms) - 1] + [i for i in ids if i != a and i != b]
+        live += ids
+    return tuple(terms), tuple(steps), tuple(keeps), tuple(slabbed), widest, max(peak, widest)
+
+
+@lru_cache(maxsize=1024)
+def _layout(terms: tuple, rhs: str, sizes: tuple, slab: str, limit: int) -> _Layout:
+    """The plan of _pairs with the order of every index chosen, step by
+    step.  A step that reads a slab array against a fixed one takes the
+    first orientation (_orientations) whose matmuls copy nothing per slab,
+    else the one that copies the fewest entries per slab row: the slab
+    array it reads, when its layout does not suit, and its own result,
+    when the step reading that next cannot take it as laid out.  The fixed
+    array is laid out once in the order the step needs, and so is a slab
+    operand, so neither is copied per slab.  The orders of the fixed
+    array's own indices are tried grouped by the operand of the step that
+    formed it, so that step runs larger matrix products."""
+    size = dict(sizes).__getitem__
+
+    def entries(term, drop=""):
+        return prod(map(size, term.replace(drop, "")))
+
+    terms, steps, keeps, slabbed, widest, _ = _pairs(terms, rhs, sizes, slab, limit)
+    terms, n = list(terms), len(terms) - len(steps)
+    reader = {node: t for t, step in enumerate(steps) for node in step}
+
+    def readable(node, term):
+        """Whether the step reading node can take it laid out as term."""
+        if node not in reader:
+            return True
+        a, b = steps[reader[node]]
+        other = b if a == node else a
+        if slabbed[other]:
+            return True
+        own = "".join(ch for ch in terms[other] if ch not in term)
+        return any(fits for _, _, fits in _orientations(term, terms[other], keeps[reader[node]],
+                                                         [own], entries(own) > 1))
+
+    for t, ((a, b), keep) in enumerate(zip(steps, keeps)):
+        node = n + t
+        if not (slabbed[a] and not slabbed[b]):
+            terms[node] = "".join(dict.fromkeys(ch for ch in terms[a] + terms[b] if ch in keep))
+            continue
+        s = terms[a]
+        own = "".join(ch for ch in terms[b] if ch not in s)
+        owns = [own, own[::-1]]
+        if b >= n:                                      # formed by a step of its own
+            x = terms[steps[b - n][0]]
+            owns = ["".join(sorted(own, key=lambda ch: ch not in x)),
+                    "".join(sorted(own, key=lambda ch: ch in x))]
+        orders = [s]
+        if a < n:                                       # a slab operand: any order after slab
+            kept = "".join(ch for ch in s[1:] if ch in keep)
+            summed = "".join(ch for ch in s[1:] if ch not in keep)
+            orders += [s[0] + kept + summed, s[0] + summed + kept]
+
+        def copied(candidate):
+            order, _, out, fits = candidate
+            return ((not fits) * entries(order, slab)
+                    + (not readable(node, out)) * entries(out, slab))
+
+        candidates = [(order, *oriented) for order in dict.fromkeys(orders)
+                      for oriented in _orientations(order, terms[b], keep, dict.fromkeys(owns),
+                                                    entries(own) > 1)]
+        costs = {}
+        for c in candidates:
+            costs[c] = copied(c)
+            if not costs[c]:
+                break
+        terms[a], terms[b], terms[node], _ = min(costs, key=costs.get)
+    return _Layout(tuple(terms), tuple(steps), tuple(slabbed), widest)
 
 
 class _Contraction:
     """One exact integer contraction times an integer scale, planned once
-    from its whole operands and evaluated slab by slab over its first
-    output index, the slab index.
+    from its whole operands and evaluated slab by slab over one of its
+    output indices, the slab index.
 
     Every index is cut to its live positions (_support; the caller may
     widen an output index's): any other position multiplies a zero, so the
@@ -701,7 +887,19 @@ class _Contraction:
     the operands, folds the scale into the smallest one, and runs once
     every step of the pairwise path that no slab operand reaches; slab()
     runs the remaining steps on rows of the slab index only.  Results stay
-    in the tier's dtype."""
+    in the tier's dtype.
+
+    The working set is bounded: no array the plan keeps, forms on a slab
+    or copies into a matmul's layout holds more than limit entries, the
+    larger of _SLAB_ENTRIES, the largest cut operand and the cut output,
+    the line einsum's greedy path keeps its own intermediates under.
+    Within it, a fixed factor that would pass the limit is not formed:
+    its step joins a slab operand first, and the slab index is an output
+    index whose plan keeps every array under the limit (_slab_axis), so
+    such a factor is formed slab by slab over an output index it carries,
+    and the other side's factor is kept whole instead.  The multiply-adds
+    are the same on every slab index: each factor is formed once, whole
+    or in slabs."""
 
     def __init__(self, subscripts: str, arrays, scale: int = 1, live: Optional[dict] = None):
         lhs, self.rhs = subscripts.split("->")
@@ -709,12 +907,15 @@ class _Contraction:
         self.sizes = _sizes(self.terms, arrays)
         live = _support(self.terms, arrays) if live is None else live
         self.cut = {ch: np.flatnonzero(hit) for ch, hit in live.items() if not hit.all()}
+        self.slab_index = ""
         self.ops = [arr[self.positions(term)] if self.cut.keys() & set(term) else arr
                     for term, arr in zip(self.terms, arrays)]
         self.scale = scale
-        self.bound = _bound(self.terms, self.rhs, self.ops,
-                            {ch: self.size(ch) for ch in self.sizes}, scale)
-        self.length = self.size(self.rhs[0]) if self.rhs else 1
+        sizes = {ch: self.size(ch) for ch in self.sizes}
+        self.bound = _bound(self.terms, self.rhs, self.ops, sizes, scale)
+        self.limit = max(_SLAB_ENTRIES, prod(sizes[ch] for ch in self.rhs),
+                         *(op.size for op in self.ops))
+        self.shape = tuple(self.terms), self.rhs, tuple(sizes.items())
 
     def size(self, ch: str) -> int:
         return len(self.cut[ch]) if ch in self.cut else self.sizes[ch]
@@ -723,66 +924,40 @@ class _Contraction:
         """The index of the cut positions of term, rows of the slab index
         taken among them."""
         return np.ix_(*[(self.cut[ch] if ch in self.cut else np.arange(self.sizes[ch]))
-                        [rows if ch == self.rhs[:1] else slice(None)] for ch in term])
+                        [rows if ch == self.slab_index else slice(None)] for ch in term])
 
-    def ready(self, dtype) -> "_Contraction":
-        """Cast to dtype and contract what no slab needs, along einsum's
-        greedy path.
+    def key(self, slab: str) -> tuple:
+        """What the plan slabbed over the output index slab ('' for none)
+        depends on, as _pairs and _layout take it."""
+        return (*self.shape, slab, self.limit)
 
-        Every step is planned pairwise.  A path step of more than two
-        operands, which numpy would run as one nested loop, joins its fixed
-        operands first, once, then each slab operand in turn.  A fixed
-        intermediate that a slab step reads is formed directly in the
-        layout that step's matmul reads it in (_read_layout), so no slab
-        copies it."""
+    def ready(self, dtype, axis: Optional[int] = None) -> "_Contraction":
+        """Cast to dtype, lay the operands out and contract what no slab
+        needs, on the layout of the output index at axis (by default the
+        one _slab_axis picks)."""
+        if axis is None:
+            axis = _slab_axis([self], [self.rhs])
         self.dtype = dtype
+        self.slab_index = slab = self.rhs[axis] if self.rhs else ""
+        plan = _layout(*self.key(slab))
         ops = list(self.ops)
         if self.scale != 1:
             k = min(range(len(ops)), key=lambda j: ops[j].size)
             ops[k] = _rescale(ops[k], self.scale)
         ops = [np.asarray(a, dtype=dtype) for a in ops]     # a 0-d product may be an int
-        slab = self.rhs[:1]
-        terms = list(self.terms)
-        slabbed = [bool(slab) and slab in term for term in terms]
-        path = [tuple(range(len(ops)))]
-        if len(ops) > 2:
-            path = _greedy_path(",".join(self.terms) + "->" + self.rhs,
-                                tuple(a.shape for a in ops))
-        # node ids: the operands, then one per pairwise step (a, b), which
-        # forms node len(ops) + its place in steps; live keeps the path's order
-        live, self.steps = list(range(len(ops))), []
-        for step in path:
-            ids = sorted((live.pop(k) for k in sorted(step, reverse=True)),
-                         key=slabbed.__getitem__)           # fixed operands first
-            while len(ids) > 1:
-                a, b, *rest = ids
-                if slabbed[b]:
-                    a, b = b, a                             # a slab operand on the left
-                keep = set(self.rhs).union(*(terms[i] for i in live + rest))
-                if slabbed[a] and not slabbed[b] and b >= len(ops):
-                    x, y = self.steps[b - len(ops)]
-                    terms[b] = _read_layout(terms[a], terms[b], keep, terms[x], terms[y],
-                                            self.size)
-                terms.append("".join(dict.fromkeys(ch for ch in terms[a] + terms[b]
-                                                   if ch in keep)))
-                slabbed.append(slabbed[a])
-                self.steps.append((a, b))
-                ids = [len(terms) - 1, *rest]
-            live += ids
-        nodes = list(zip(terms, ops, slabbed))
-        widest = 1
-        for a, b in self.steps:
-            out, parts = terms[len(nodes)], [nodes[a], nodes[b]]
+        # each operand laid out once, in the order its reader takes it in
+        ops = [a if term == laid else np.ascontiguousarray(np.einsum(f"{term}->{laid}", a))
+               for term, laid, a in zip(self.terms, plan.terms, ops)]
+        self.steps = plan.steps
+        nodes = list(zip(plan.terms, ops, plan.slabbed))
+        for a, b in plan.steps:
+            out, parts = plan.terms[len(nodes)], [nodes[a], nodes[b]]
             nodes[a] = nodes[b] = None              # a fixed array lives on in its reader only
-            if parts[0][2]:
-                nodes.append((out, parts, True))
-                widest = max(widest, prod(self.size(ch) for ch in out if ch != slab))
-            else:
-                nodes.append((out, self._step(parts, out), False))
-        (root,) = live
-        self.root = nodes[root]
-        widest = max(widest, prod(self.size(ch) for ch in self.rhs[1:]))
-        self.height = _slab_height(widest)
+            nodes.append((out, parts, True) if parts[0][2]
+                         else (out, self._step(parts, out), False))
+        self.root = nodes[-1]
+        self.height = _slab_height(plan.widest)
+        self.length = self.size(slab) if slab else 1
         return self
 
     def _step(self, parts, out: str) -> np.ndarray:
@@ -802,7 +977,7 @@ class _Contraction:
             return value
         if isinstance(value, np.ndarray):
             index = [slice(None)] * value.ndim
-            index[term.index(self.rhs[0])] = rows
+            index[term.index(self.slab_index)] = rows
             return value[tuple(index)]
         return self._step([(part[0], self._eval(part, rows), False) for part in value], term)
 
@@ -829,8 +1004,49 @@ class _Contraction:
                         dtype=object if self.dtype is object else np.int64)
         cut = bool(self.cut.keys() & set(self.rhs))
         for rows, part in self.slabs():
-            full[self.positions(self.rhs, rows) if cut else rows] = part
+            full[self.positions(self.rhs, rows) if cut else
+                 tuple(rows if ch == self.slab_index else slice(None) for ch in self.rhs)] = part
         return full
+
+
+@lru_cache(maxsize=1024)
+def _slab_steps(terms: tuple, rhs: str, sizes: tuple) -> tuple:
+    """Per output index, the pairwise steps of einsum's greedy path whose
+    result carries it: the steps that run once per slab when it is the
+    slab index.  A path step of m operands counts as m - 1 steps."""
+    size = dict(sizes).__getitem__
+    path = [tuple(range(len(terms)))]
+    if len(terms) > 2:
+        path = _greedy_path(",".join(terms) + "->" + rhs,
+                            tuple(tuple(map(size, t)) for t in terms))
+    sets, count = [set(t) for t in terms], dict.fromkeys(rhs, 0)
+    for step in path:
+        rest = [s for k, s in enumerate(sets) if k not in step]
+        result = set().union(*(sets[k] for k in step)) & set(rhs).union(*rest)
+        for ch in result & set(rhs):
+            count[ch] += len(step) - 1
+        sets = rest + [result]
+    return tuple(count[ch] for ch in rhs)
+
+
+def _slab_axis(plans, outs) -> int:
+    """The output axis that the planned contractions among plans (None
+    for a side that runs whole), with outputs outs that line up axis by
+    axis, are slabbed over.  Of the axes at which every one's layout keeps
+    under its limit, the one with the fewest steps run per slab over all
+    of them (_slab_steps; the earliest among equals), since the
+    multiply-adds are the same on every axis but each slab costs a call
+    per step; when none keeps under, the one at which they pass their
+    limits by the fewest entries."""
+    def excess(k):
+        return sum(max(0, _pairs(*plan.key(out[k]))[-1] - plan.limit)
+                   for plan, out in zip(plans, outs) if plan is not None)
+
+    planned = [plan for plan in plans if plan is not None]
+    steps = [sum(_slab_steps(*plan.shape)[k] for plan in planned) for k in range(len(outs[0]))]
+    axes = sorted(range(len(outs[0])), key=steps.__getitem__)
+    fits = next((k for k in axes if not excess(k)), None)
+    return min(axes, key=excess, default=0) if fits is None else fits
 
 
 def _safe_einsum(subscripts: str, *arrays: np.ndarray) -> np.ndarray:
@@ -883,9 +1099,13 @@ def _difference(x: tuple, y: tuple) -> Optional[tuple]:
     compared.  Otherwise each output axis is cut to the positions live on
     either side, so the two cut results line up; a side that runs whole is
     cut to them once, the other is planned once (in the object tier both
-    are), and the two are compared one slab of the first output axis at a
-    time.  The index is located only in the first slab that differs, and a
-    planned side never exists whole."""
+    are).  Both are slabbed over one output axis, one at which every
+    planned side keeps its arrays under its limit (_slab_axis), and
+    compared one slab of that axis at a time, each planned side run in
+    chunks of its own height (_slabs).  On the first axis the index is
+    located in the first slab that differs; on another, the least index
+    over the slabs that differ is the first in row-major order.  No array
+    of a planned side passes its limit (_Contraction)."""
     (xs, *xp), (ys, *yp) = x, y
     dx, dy = prod(d for _, d in xp), prod(d for _, d in yp)
     g = gcd(dx, dy)
@@ -908,26 +1128,51 @@ def _difference(x: tuple, y: tuple) -> Optional[tuple]:
              for (sub, ops, scale), live, bound in zip(sides, lives, whole)]
     dtype = _tier(max(bound if plan is None else plan.bound
                       for bound, plan in zip(whole, plans)))
-    slabs, heights = [], []
+    axis = _slab_axis(plans, outs)
+    values = []
     for (sub, ops, scale), out, live, plan in zip(sides, outs, lives, plans):
         if plan is None and dtype is not object:
             value = _run_whole(sub, ops, dtype, scale)
             if out:
                 value = value[np.ix_(*(np.flatnonzero(live[ch]) for ch in out))]
-            slabs.append(lambda lo, hi, value=value, out=out: value[lo:hi] if out else value)
+            values.append(value)
         else:
-            plan = (plan or _Contraction(sub, ops, scale, live)).ready(dtype)
-            slabs.append(plan.slab)
-            heights.append(plan.height)
+            values.append((plan or _Contraction(sub, ops, scale, live)).ready(dtype, axis))
+    height = min(plan.height for plan in values if isinstance(plan, _Contraction))
+    slabs = [_slabs(value, height, axis) for value in values]
     positions = [np.flatnonzero(lives[0][ch]) for ch in outs[0]]
-    height = min(heights)
-    for lo in range(0, len(positions[0]) if positions else 1, height):
+    first = None
+    for lo in range(0, len(positions[axis]) if positions else 1, height):
         a, b = (slab(lo, lo + height) for slab in slabs)
         if not np.array_equal(a, b):
-            at = np.argwhere(a != b)[0]
-            return tuple(int(ix[k + (lo if axis == 0 else 0)])
-                         for axis, (ix, k) in enumerate(zip(positions, at)))
-    return None
+            at = tuple(int(ix[k + (lo if i == axis else 0)])
+                       for i, (ix, k) in enumerate(zip(positions, np.argwhere(a != b)[0])))
+            if axis == 0:
+                return at
+            first = at if first is None else min(first, at)
+    return first
+
+
+def _slabs(value, height: int, axis: int):
+    """The function (lo, hi) -> rows lo:hi along the output axis axis of
+    value, at most height of them and lo a multiple of height; the whole
+    value when it is a scalar.  value is a whole result, sliced, or a
+    ready _Contraction, run in chunks of its own height cut down to a
+    multiple of height, so that a side whose slabs may be wider runs
+    fewer of them."""
+    rows = (slice(None),) * axis
+    if not isinstance(value, _Contraction):
+        return lambda lo, hi: value[rows + (slice(lo, hi),)] if np.ndim(value) else value
+    if not value.rhs:
+        return value.slab
+    chunk = value.height // height * height
+    held = [0, 0, None]
+
+    def slab(lo, hi):
+        if not held[0] <= lo < held[1]:
+            held[:] = lo, lo + chunk, value.slab(lo, lo + chunk)
+        return held[2][rows + (slice(lo - held[0], hi - held[0]),)]
+    return slab
 
 
 @lru_cache(maxsize=64)
@@ -1050,8 +1295,10 @@ def verify_hopf_axioms(H: FDHopf) -> dict:
     Delta(g w y) = Delta(g) Delta(w y) = Delta(g) Delta(w) Delta(y)
     = Delta(g w) Delta(y), and the monomials span H.  For k generic
     elements whose generation of H is certified modulo a prime
-    (_generates), that is one contraction of k n^5 terms, whose n^4 fixed
-    factor ycd,bdq is formed once (_multiplicativity).  Each of the three
+    (_generates), that is one contraction of k n^5 terms (_multiplicativity),
+    slabbed over q, an index of its y-side factor ycd,bdq, so that this
+    factor of n^4 entries is formed slab by slab and only the k n^3
+    g-side factor is whole.  Each of the three
     falls back to its full identity when the (co)unit identity it needs
     fails or generation is not certified, so each suite's verdict keeps
     its meaning.  Generation of H is certified once per call, once the
@@ -1268,15 +1515,18 @@ _MOD_ELEMENTS = 5
 _ROOT_BUDGET = 2 ** 13
 
 
-def _deflate_mod(f, xs: np.ndarray, p: int) -> tuple:
+def _deflate_mod(f, xs: np.ndarray, p: int, quotients: bool = True) -> tuple:
     """ratlinalg.deflate modulo p at every x of xs at once: (D, v), row k
     of D the quotient of f (ascending residues, degree >= 1) by y - x_k
-    and v[k] = f(x_k), all residues below p."""
+    and v[k] = f(x_k), all residues below p.  D is None unless quotients:
+    the root search wants the values only, and its D would hold thousands
+    of rows."""
     xs = xs % p
-    D = np.empty((len(xs), len(f) - 1), dtype=np.int64)
+    D = np.empty((len(xs), len(f) - 1), dtype=np.int64) if quotients else None
     acc = np.full(len(xs), f[-1] % p, dtype=np.int64)
     for k in range(len(f) - 2, -1, -1):
-        D[:, k] = acc
+        if quotients:
+            D[:, k] = acc
         acc = (acc * xs + f[k]) % p
     return D, acc
 
@@ -1290,7 +1540,7 @@ def _roots_mod(f, p: int) -> Optional[list]:
     while lo < hi:
         k = np.arange(lo, hi)
         xs = (k + 1) // 2 * np.where(k % 2, 1, -1)
-        found += xs[_deflate_mod(f, xs, p)[1] == 0].tolist()
+        found += xs[_deflate_mod(f, xs, p, quotients=False)[1] == 0].tolist()
         if len(found) == len(f) - 1:
             return found
         lo, hi = hi, min(8 * hi, _ROOT_BUDGET)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm, prod
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional
@@ -448,13 +449,16 @@ def as_subgroup(parent: PermGroup, elements: Iterable[Permutation]) -> PermGroup
     return PermGroup(parent.degree, elems)
 
 
-def all_subgroups(G: PermGroup) -> list[PermGroup]:
+@lru_cache(maxsize=16)
+def all_subgroups(G: PermGroup) -> tuple[PermGroup, ...]:
     """Every subgroup of G, found by repeatedly extending known subgroups
-    by one extra generator.  Restricted to |G| <= 48 to keep the closure
-    workload trivial.
+    by one extra generator, ordered by order, then by sorted elements.
+    Restricted to |G| <= 48 to keep the closure workload trivial.
 
     <H, g> = <H, a g b> for every a, b in H, so each H is extended by one
-    g per double coset H g H outside H, the first in image order."""
+    g per double coset H g H outside H, the first in image order.  A
+    group is immutable and hashed by its elements, so the answer is kept
+    per group, as a tuple: equal groups share one enumeration."""
     if G.order > 48:
         raise ValueError(f"subgroup enumeration restricted to order <= 48, got {G.order}")
     ident = tuple(range(1, G.degree + 1))
@@ -481,14 +485,21 @@ def all_subgroups(G: PermGroup) -> list[PermGroup]:
                     fresh.append(K)
         layer = fresh
     ordered = sorted(found, key=lambda S: (len(S), sorted(S)))
-    return [PermGroup._from_images(G.degree, S) for S in ordered]
+    return tuple(PermGroup._from_images(G.degree, S) for S in ordered)
 
 
 def subgroups_of_type(G: PermGroup, t: "GroupType | str") -> list[PermGroup]:
     """All subgroups of G with the given isomorphism type (a GroupType or
     its tag name)."""
     name = t if isinstance(t, str) else t.name
-    return [H for H in all_subgroups(G) if isomorphism_type(H).name == name]
+    return [H for H, found in _typed_subgroups(G) if found == name]
+
+
+@lru_cache(maxsize=16)
+def _typed_subgroups(G: PermGroup) -> tuple:
+    """(H, the tag name of H's isomorphism type) for every subgroup H of G,
+    in all_subgroups' order, kept per group like all_subgroups."""
+    return tuple((H, isomorphism_type(H).name) for H in all_subgroups(G))
 
 
 def is_characteristic_under_inner(G: PermGroup, H: PermGroup) -> bool:

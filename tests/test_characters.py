@@ -469,7 +469,7 @@ def test_root_search_stops_within_its_budget(monkeypatch):
                                          for i in range(6)])
     evaluated, deflate = [], hopf._deflate_mod
     monkeypatch.setattr(hopf, "_deflate_mod",
-                        lambda f, xs, p: evaluated.append(len(xs)) or deflate(f, xs, p))
+                        lambda f, xs, p, **kw: evaluated.append(len(xs)) or deflate(f, xs, p, **kw))
     ran = _spied_exact(monkeypatch)
     assert len(characters(K)) == 6 and ran == [K]
     assert sum(evaluated) == hopf._ROOT_BUDGET

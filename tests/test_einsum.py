@@ -177,13 +177,34 @@ def test_identity_matches_plain_einsum(subscripts, data):
     kx = s * ky if data.draw(st.integers(0, 3)) else s * ky + 1
     # slabs of 1-4 rows of an index of at most 3: short remainder slabs too
     height = data.draw(st.integers(1, 4))
+    # planned (at 0 every side is) and slabbed over any output axis: the
+    # first differing index is still the first in row-major order
+    blas_work = data.draw(st.sampled_from([hopf._BLAS_WORK, 0]))
+    axis = data.draw(st.integers(0, 3))
     # X * kx = Y * ky is X / ky = Y / kx: the factors ride on operand scales
     x = (subscripts, *[(a, 1) for a in ops[:-1]], (ops[-1], ky))
     y = (renamed(subscripts), (other[0], kx), *[(a, 1) for a in other[1:]])
-    with patch.object(hopf, "_slab_height", lambda widest: height):
+    with patch.object(hopf, "_slab_height", lambda widest: height), \
+            patch.object(hopf, "_BLAS_WORK", blas_work), \
+            patch.object(hopf, "_slab_axis", lambda plans, outs: min(axis, len(outs[0]) - 1)):
         got = _first_difference(x, y)
     differ = np.argwhere(reference(subscripts, ops) * kx != reference(subscripts, other) * ky)
     assert got == (tuple(differ[0].tolist()) if len(differ) else None)
+
+
+@pytest.mark.parametrize("height", [1, 2])
+def test_difference_on_a_later_axis_is_the_first_in_row_major_order(monkeypatch, height):
+    # sides differing at (0, 2) and (1, 0), slabbed over the second axis:
+    # the slab of column 0 differs first, but (0, 2) comes first
+    eye, b = np.eye(3, dtype=np.int64), np.arange(1, 10, dtype=np.int64).reshape(3, 3)
+    other = b.copy()
+    other[0, 2] += 1
+    other[1, 0] -= 1
+    monkeypatch.setattr(hopf, "_BLAS_WORK", 0)
+    monkeypatch.setattr(hopf, "_slab_height", lambda widest: height)
+    monkeypatch.setattr(hopf, "_slab_axis", lambda plans, outs: 1)
+    assert _first_difference(("ij,jk->ik", (eye, 1), (b, 1)),
+                             ("ij,jk->ik", (eye, 1), (other, 1))) == (0, 2)
 
 
 def test_scales_past_float64_take_the_int64_tier():
@@ -206,8 +227,8 @@ def _spied_plans(monkeypatch):
     plans = []
     real = hopf._Contraction.ready
 
-    def spy(self, dtype):
-        plans.append((",".join(self.terms) + "->" + self.rhs, real(self, dtype)))
+    def spy(self, *args):
+        plans.append((",".join(self.terms) + "->" + self.rhs, real(self, *args)))
         return plans[-1][1]
 
     monkeypatch.setattr(hopf._Contraction, "ready", spy)

@@ -1,6 +1,7 @@
 """Hopf structure tensors, axiom verification, maps, and characters."""
 
 import gc
+import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from kleintwist import checks, hopf
 from kleintwist.cocycle import (Cocycle2, build_s4tau, double_twist, klein_bicharacter,
-                                pullback, twist)
+                                pullback, twist, verify_cocycle)
 from kleintwist.errors import NonSplitQuotient, NotASubgroup
 from kleintwist.hopf import (FDHopf, HopfMap, _first_difference, _safe_einsum, all_axioms_pass,
                              character_group,
@@ -132,35 +133,51 @@ class TestAxioms:
         real = hopf._Contraction._step
 
         def spy(self, parts, out):
-            steps.append(frozenset(term for term, _, _ in parts))
+            # each operand by its indices: the plan may lay it out in any order
+            steps.append(frozenset("".join(sorted(term)) for term, _, _ in parts))
             return real(self, parts, out)
 
         monkeypatch.setattr(hopf, "_generic", lambda n, k: H.U[None])
         monkeypatch.setattr(hopf, "_slab_height", lambda widest: 5)
         monkeypatch.setattr(hopf._Contraction, "_step", spy)
         assert all_axioms_pass(verify_hopf_axioms(H))
-        assert steps.count(frozenset({"jcd", "bdq"})) == 1
-        assert steps.count(frozenset({"iab", "acp"})) == 5      # one per slab
+        assert steps.count(frozenset({"cdj", "bdq"})) == 1
+        assert steps.count(frozenset({"abi", "acp"})) == 5      # one per slab
 
     def test_reduced_bialgebra_forms_its_fixed_factor_once_in_its_readers_layout(
             self, monkeypatch, undecided):
+        # the y side's factor ycd,bdq would be one n^4 array, past the
+        # limit, so the identity is slabbed over an index it carries: the
+        # g side's factor gbcp (k n^3 entries) is the fixed one, formed once
         H = _s4tau()
-        steps = []
-        real = hopf._Contraction._step
+        steps, reads = [], []
+        real_step, real_laid_out = hopf._Contraction._step, hopf._laid_out
 
         def spy(self, parts, out):
-            value = real(self, parts, out)
-            steps.append((frozenset(term for term, _, _ in parts), out, value))
+            value = real_step(self, parts, out)
+            steps.append((frozenset("".join(sorted(term)) for term, _, _ in parts), out, value))
+            return value
+
+        def laid_out(term, arr, order, shape):
+            value = real_laid_out(term, arr, order, shape)
+            reads.append((term, np.shares_memory(value, arr)))
             return value
 
         monkeypatch.setattr(hopf._Contraction, "_step", spy)
+        monkeypatch.setattr(hopf, "_laid_out", laid_out)
         assert all_axioms_pass(verify_hopf_axioms(H))
-        fixed = [(out, value) for terms, out, value in steps if terms == {"ycd", "bdq"}]
-        assert [out for out, _ in fixed] == ["bcyq"]
-        assert fixed[0][1].flags.c_contiguous
-        # the big step reads it as is: one (k n) x n^2 x n^2 matrix product
-        assert [terms for terms, _, _ in steps].count(frozenset({"gbcp", "bcyq"})) == 1
-        assert not any("jcd" in terms for terms, _, _ in steps)
+        fixed = [(out, value) for terms, out, value in steps if terms == {"abg", "acp"}]
+        assert len(fixed) == 1
+        out, value = fixed[0]
+        assert sorted(out) == sorted("gbcp") and value.flags.c_contiguous
+        # the y side's factor is formed slab by slab, every slab under the limit
+        y_side = [value for terms, _, value in steps if terms == {"cdy", "bdq"}]
+        assert sum(len(value) for value in y_side) == H.dim and len(y_side) > 1
+        assert max(value.size for value in y_side) <= hopf._SLAB_ENTRIES
+        # and the step that reads it against the fixed factor copies neither
+        readers = [out for terms, out, _ in steps if terms == {"bcqy", "bcgp"}]
+        assert len(readers) == len(y_side)
+        assert all(view for term, view in reads if sorted(term) in (sorted("ycbq"), sorted(out)))
 
 
 class TestAlgebras:
@@ -671,16 +688,32 @@ A5 = generate(5, [Permutation.from_cycles(5, [(1, 2, 3)]),
                   Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])])
 
 
+def _a5tau():
+    """C(A5) twisted along its Klein subgroup <(12)(34), (13)(24)>, unverified,
+    with the cocycle and the map it was pulled back along."""
+    V = generate(5, [Permutation.from_cycles(5, [(1, 2), (3, 4)]),
+                     Permutation.from_cycles(5, [(1, 3), (2, 4)])])
+    assert A5.order == 60 and V.is_subgroup_of(A5)
+    pi = restriction_surjection(A5, V).then(fourier_iso(V))
+    sigma = pullback(klein_bicharacter(), pi)
+    return twist(sigma.carrier, sigma, verify=False), sigma, pi
+
+
 class TestScale:
     def test_a5_twist_passes_on_both_routes_and_forms_no_n4_array(self, monkeypatch, fresh):
-        V = generate(5, [Permutation.from_cycles(5, [(1, 2), (3, 4)]),
-                         Permutation.from_cycles(5, [(1, 3), (2, 4)])])
-        assert A5.order == 60 and V.is_subgroup_of(A5)
-        pi = restriction_surjection(A5, V).then(fourier_iso(V))
-        sigma = pullback(klein_bicharacter(), pi)
-        H = twist(sigma.carrier, sigma, verify=False)
+        H, _, _ = _a5tau()
         n = H.dim
         assert n == 60 and not H.is_commutative()
+        # the reduced bialgebra identity's n^4 fixed factor made the peak
+        # 112 MiB; each factor past the limit is now formed slab by slab
+        tracemalloc.start()
+        try:
+            assert all_axioms_pass(verify_hopf_axioms(H))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2 ** 20
+        hopf._DECIDED.clear()
         current, widest = [None], {}
         real_difference, real_step = hopf._difference, hopf._Contraction._step
 
@@ -704,6 +737,66 @@ class TestScale:
                             lambda generators, product, full, dual=False: full)
         assert all_axioms_pass(verify_hopf_axioms(H))
         assert set(widest) == {"ijw,wkp->ijkp", "iab,axy->ixyb"}
+
+
+    def test_no_array_of_the_engine_passes_its_limit(self, monkeypatch, undecided):
+        """Every array a contraction keeps (ready), forms on a step or in a
+        matmul, or copies into a matmul's layout, holds at most the plan's
+        limit: the larger of _SLAB_ENTRIES, its largest operand and its
+        output."""
+        over, counted, current = [], [], []
+        real_ready, real_step = hopf._Contraction.ready, hopf._Contraction._step
+        real_matmul, real_laid_out = hopf._matmul, hopf._laid_out
+
+        def formed(plan, value):
+            counted.append(1)
+            if np.asarray(value).size > plan.limit:
+                over.append((",".join(plan.terms) + "->" + plan.rhs, np.shape(value), plan.limit))
+
+        def ready(self, *args):
+            plan = real_ready(self, *args)
+            nodes = [plan.root]
+            while nodes:
+                _, value, _ = nodes.pop()
+                if isinstance(value, np.ndarray):
+                    formed(plan, value)
+                else:
+                    nodes += value
+            return plan
+
+        def step(self, parts, out):
+            current.append(self)
+            try:
+                value = real_step(self, parts, out)
+            finally:
+                current.pop()
+            formed(self, value)
+            return value
+
+        def matmul(*args):
+            value = real_matmul(*args)
+            formed(current[-1], value)
+            return value
+
+        def laid_out(term, arr, order, shape):
+            value = real_laid_out(term, arr, order, shape)
+            formed(current[-1], value)
+            return value
+
+        monkeypatch.setattr(hopf._Contraction, "ready", ready)
+        monkeypatch.setattr(hopf._Contraction, "_step", step)
+        monkeypatch.setattr(hopf, "_matmul", matmul)
+        monkeypatch.setattr(hopf, "_laid_out", laid_out)
+        twists = [build_s4tau(verify=False), build_s4tau(V=klein_group(), verify=False)]
+        a5tau = _a5tau()
+        for H in (function_algebra(S4), group_algebra(S4), *(t.algebra for t in twists),
+                  a5tau[0]):
+            assert all_axioms_pass(verify_hopf_axioms(H))
+        for H, sigma, pi in [(t.algebra, t.cocycle, t.restriction.then(t.fourier))
+                             for t in twists] + [a5tau]:
+            assert verify_cocycle(sigma) and pi.verify()
+            assert twist(sigma.carrier, sigma, verify=False).structure_equal(H)
+        assert len(counted) > 1000 and not over
 
 
 class TestMaps:

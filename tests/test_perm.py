@@ -355,8 +355,26 @@ class TestSubgroupCensus:
             return real(degree, seed)
 
         monkeypatch.setattr(perm, "_closure", counted)
+        perm.all_subgroups.cache_clear()        # an earlier test may have enumerated S4
         assert len(all_subgroups(S4)) == 30
         assert len(calls) <= 117
+
+    def test_subgroups_are_enumerated_once_per_group(self, monkeypatch):
+        calls = []
+        real = perm._closure
+        monkeypatch.setattr(perm, "_closure", lambda degree, seed: calls.append(1)
+                            or real(degree, seed))
+        perm.all_subgroups.cache_clear()
+        perm._typed_subgroups.cache_clear()
+        subgroups = all_subgroups(S4)
+        assert isinstance(subgroups, tuple) and calls
+        # an equal group built another way takes the same enumeration
+        same = generate(4, S4.generators or S4.sorted_elements())
+        assert same == S4
+        del calls[:]
+        assert all_subgroups(same) is subgroups
+        assert len(subgroups_of_type(S4, "Klein")) == 4 and len(subgroups_of_type(S4, "D4")) == 3
+        assert not calls
 
     def test_s4_census(self):
         subs = all_subgroups(S4)
