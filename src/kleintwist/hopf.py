@@ -18,10 +18,12 @@ Every contraction proves a bound, scales included, on the absolute value
 of every partial sum it can form, and the bound picks one of three tiers:
 below 2^53 float64 arrays through BLAS, below 2^62 int64, otherwise
 Python ints.  One whose naive product count, the product of all its
-index sizes, is below _BLAS_WORK runs whole, as one plain einsum of its
-uncut operands, unless its bound takes the object tier: that nested loop
-forms no more products than the count, so it costs less than a plan.
-Any other contraction is planned once from its whole operands, then
+index sizes, is below _BLAS_WORK runs whole, as one nested einsum loop
+over its uncut operands with no plan, unless its bound takes the object
+tier or it has three or more operands whose loop would form far more
+products than their pairwise steps (_whole_bound).  Any other
+contraction is planned once per shape from its whole operands and
+formed at once when one slab would hold every array it forms, else
 evaluated one slab of one output index at a time (loop tiling, after
 Wolf and Lam, PLDI 1991).  Planning cuts each index to the
 positions where all operands carrying it have a nonzero slice, which
@@ -38,22 +40,25 @@ of magnitude below 2^53, which float64 represents exactly, so no
 operation rounds, whatever order BLAS or einsum sums in; callers only
 ever see int64 or object arrays.  Every step of the contraction path,
 the one numpy's greedy rule picks (_greedy_path reimplements that rule),
-is planned pairwise: a step of more than two operands, which numpy would
-run as one nested loop, joins its fixed operands first, then each slab
-operand in turn.  Planning runs once every step that does not reach the
-slab index, and forms each such fixed factor directly in the layout of
-the matmul that reads it; each slab runs only the steps that carry it.
+is planned pairwise, and every step runs as one broadcast matmul: a
+step of more than two operands, which numpy would run as one nested
+loop, joins its fixed operands first, then each slab operand in turn.
+Planning runs once every step that does not reach the slab index, and
+forms each such fixed factor directly in the layout of the matmul that
+reads it; each slab runs only the steps that carry it.
 
 The working set is bounded.  No array a contraction keeps, forms on a
 step or copies into a matmul's layout holds more entries than its limit,
 the larger of _SLAB_ENTRIES, its largest operand and its output, the
-line numpy's greedy path keeps its own intermediates under.  A fixed
-factor that would pass it is never formed: its step joins a slab operand
-first, and the slab index is an output index whose plan keeps every
-array under the limit, so such a factor is formed slab by slab over an
-output index it carries, and the other side's factor is the one kept
-whole.  Each factor is still formed once, so the multiply-adds do not
-change with the slab index, and of the indices that keep under the
+line numpy's greedy path keeps its own intermediates under.  A
+contraction whose unslabbed plan forms no array past _SLAB_ENTRIES
+needs no slab index, and only one that passes it is slabbed.  A fixed
+factor that would pass the limit is never formed: its step joins a slab
+operand first, and the slab index is an output index whose plan keeps
+every array under the limit, so such a factor is formed slab by slab
+over an output index it carries, and the other side's factor is the one
+kept whole.  Each factor is still formed once, so the multiply-adds do
+not change with the slab index, and of the indices that keep under the
 limit the one whose slabs run the fewest steps is taken.  At dimension
 24 every array then stays within _SLAB_ENTRIES, so a run touches few
 fresh pages.
@@ -97,9 +102,10 @@ that side stands for X / dx, dx the product of its scales.  The two sides
 are cross-multiplied by their scales, X * (dy/g) = Y * (dx/g) with
 g = gcd(dx, dy), and share one tier.  Two sides that both run whole are
 compared whole; otherwise their outputs are cut alike, so that they line
-up, and compared slab against slab, stopping at the first slab that
-differs; the first differing index is located in that slab only, and
-says where a Hopf-map suite or a character fails.  No axiom
+up, and compared at once when no side needs a slab, else slab against
+slab, stopping at the first slab that differs; the first differing
+index is located in that slab only, and says where a Hopf-map suite or
+a character fails.  No axiom
 check, and neither twist nor pullback, writes out a product of scales.
 
 Character enumeration runs on the same integer arrays, by one of two
@@ -482,10 +488,9 @@ _FLOAT64_LIMIT = 2 ** 53
 # (_Contraction): below the limit of a contraction with larger operands or
 # output, a slab stays in cache and a run reuses the same few pages.
 _SLAB_ENTRIES = 2 ** 16
-# A step forming fewer products than this runs as a plain einsum loop,
-# which costs less than the reshapes of the matmul route (_matmul); so
-# does a whole contraction (_whole_bound), which then costs less than
-# planning it.
+# A contraction of fewer naive products than this runs whole, on its
+# uncut operands and with no plan (_whole_bound), which then mostly costs
+# less than planning it.
 _BLAS_WORK = 2 ** 16
 
 
@@ -507,72 +512,83 @@ def _greedy_path(subscripts: str, shapes: tuple) -> list:
     is larger than every operand and the output, or that would take the
     path past the product count of one nested loop over every index, is
     never joined.  A step is a tuple of positions in the list of operands
-    left, and its result goes to the end of that list."""
+    left, and its result goes to the end of that list.
+
+    As in numpy, each round ranks only the pairs with the operand formed
+    last; a pair ranked earlier keeps its rank and its result, so the
+    operands left when it is joined are those of the list less the pair,
+    then its result."""
     lhs, rhs = subscripts.split("->")
     terms = lhs.split(",")
     sizes: dict = {}
     for term, shape in zip(terms, shapes):
         for ch, n in zip(term, shape):
-            sizes[ch] = n if sizes.get(ch, 1) == 1 else sizes[ch]
+            if sizes.get(ch, 1) == 1:
+                sizes[ch] = n
     # an index set is a bit mask over the letters, its size memoized
     bit = {ch: 1 << k for k, ch in enumerate(sizes)}
-    known_sizes: dict = {}
+    known_sizes = {bit[ch]: n for ch, n in sizes.items()}
+    known_sizes[0] = 1
 
     def size(indices: int) -> int:
-        if indices not in known_sizes:
-            known_sizes[indices] = prod(n for ch, n in sizes.items() if indices & bit[ch])
-        return known_sizes[indices]
+        n = known_sizes.get(indices)
+        if n is None:
+            low = indices & -indices
+            n = known_sizes[indices] = known_sizes[low] * size(indices ^ low)
+        return n
 
-    def products(joined: int, removed: int, count: int) -> int:
-        # numpy's flop count: one product per term past the first, one
-        # more when the step sums an index
-        return size(joined) * (max(1, count - 1) + bool(removed))
-
-    out = sum(bit[ch] for ch in set(rhs))
-    sets = [sum(bit[ch] for ch in set(term)) for term in terms]
+    out = 0
+    for ch in rhs:
+        out |= bit[ch]
+    sets = []
+    for term in terms:
+        mask = 0
+        for ch in term:
+            mask |= bit[ch]
+        sets.append(mask)
     everything = reduce(or_, sets)
     if len(sets) < 3 or everything == out:
         return [tuple(range(len(sets)))]
     limit = max(size(s) for s in sets + [out])
-    budget = products(everything, everything & ~out, len(sets))
+    # numpy's flop count: one product per term past the first, one more
+    # when the step sums an index
+    budget = size(everything) * (len(sets) - 1 + bool(everything & ~out))
 
-    def join(pair, sets, spent):
-        """(rank, pair, the operand sets after the step), or None."""
-        a, b = pair
-        rest = [s for k, s in enumerate(sets) if k != a and k != b]
+    def join(a, b, spent):
+        """(rank, a, b, result) for the pair at positions a < b, or None."""
+        keep = out
+        for k, s in enumerate(sets):
+            if k != a and k != b:
+                keep |= s
         joined = sets[a] | sets[b]
-        result = joined & reduce(or_, rest, out)
+        result = joined & keep
         if size(result) > limit:
             return None
-        cost = products(joined, joined & ~result, 2)
+        cost = size(joined) * (1 + (joined != result))
         if spent + cost > budget:
             return None
-        return [(size(result) - size(sets[a]) - size(sets[b]), cost), pair, rest + [result]]
+        return (size(result) - size(sets[a]) - size(sets[b]), cost), a, b, result
 
-    path, spent = [], 0
-    known: list = []
+    path, spent, known = [], 0, []
     pairs = combinations(range(len(sets)), 2)
     for _ in range(len(sets) - 1):
         known += [found for a, b in pairs if sets[a] & sets[b]
-                  if (found := join((a, b), sets, spent)) is not None]
+                  if (found := join(a, b, spent)) is not None]
         if not known:
-            known = [found for pair in combinations(range(len(sets)), 2)
-                     if (found := join(pair, sets, spent)) is not None]
+            known = [found for a, b in combinations(range(len(sets)), 2)
+                     if (found := join(a, b, spent)) is not None]
             if not known:
                 path.append(tuple(range(len(sets))))
                 break
         best = min(known, key=lambda found: found[0])
-        (a, b), result = best[1], best[2][-1]
+        rank, a, b, result = best
+        sets = [s for k, s in enumerate(sets) if k != a and k != b] + [result]
         # the pairs found before that the step leaves alone, renumbered
-        known = [(rank, (x - (x > a) - (x > b), y - (y > a) - (y > b)),
-                  [s for k, s in enumerate(after[:-1])
-                   if k not in (b - (b > x) - (b > y), a - (a > x) - (a > y))]
-                  + [result, after[-1]])
-                 for rank, (x, y), after in known if not {x, y} & {a, b}]
-        sets = best[2]
+        known = [(r, x - (x > a) - (x > b), y - (y > a) - (y > b), res)
+                 for r, x, y, res in known if x != a and x != b and y != a and y != b]
         pairs = ((k, len(sets) - 1) for k in range(len(sets) - 1))
-        path.append(best[1])
-        spent += best[0][1]
+        path.append((a, b))
+        spent += rank[1]
     return path
 
 
@@ -618,30 +634,58 @@ def _bound(terms, rhs: str, arrays, sizes: dict, scale: int) -> int:
     return bound
 
 
-def _whole_bound(subscripts: str, arrays, scale: int = 1) -> Optional[int]:
-    """The proven bound (_bound) of the contraction run whole, as one plain
-    einsum of its uncut operands, or None when it is to be planned and
-    slabbed (_Contraction) instead: when its naive product count, the
-    product of all its index sizes, reaches _BLAS_WORK, or its bound takes
-    the object tier.  That count bounds the nested loop einsum runs, on
-    any number of operands, so a whole contraction costs less than its
-    plan would."""
-    lhs, rhs = subscripts.split("->")
-    terms = lhs.split(",")
-    sizes = _sizes(terms, arrays)
-    if prod(sizes.values()) >= _BLAS_WORK:
+def _whole_bound(terms, rhs: str, arrays, sizes: dict, scale: int = 1) -> Optional[int]:
+    """The proven bound (_bound) of the contraction run whole, as one
+    nested einsum loop over its uncut operands with no plan (_run_whole),
+    or None when it is to be planned (_Contraction) instead: when its
+    naive product count, the product of all its index sizes, reaches
+    _BLAS_WORK, or its bound takes the object tier, or its loop forms
+    more than _PLAN_COST products beyond its pairwise steps
+    (_pairwise_saving).  Below that count the operands are small, so
+    cutting them and planning their layout costs more than it saves,
+    unless three or more operands make the loop form far more products
+    than a pairwise path.  sizes holds every index's size (_sizes)."""
+    loop = prod(sizes.values())
+    if loop >= _BLAS_WORK or _pairwise_saving(terms, rhs, sizes, loop) > _PLAN_COST:
         return None
     bound = _bound(terms, rhs, arrays, sizes, scale)
     return bound if bound < _INT64_LIMIT else None
 
 
-def _run_whole(subscripts: str, arrays, dtype, scale: int = 1):
-    """The contraction times scale as one plain einsum in dtype, float64 or
-    int64 by the bound of _whole_bound, which covers the scale.  einsum
-    casts the operands chunk by chunk as it reads them, so no cast copy of
-    a whole operand forms; every entry is below the bound, so no cast
-    rounds or wraps, and "unsafe" only lets object operands through."""
-    out = np.einsum(subscripts, *arrays, dtype=dtype, casting="unsafe")
+# What a planned contraction costs beyond its products, in products of a
+# nested einsum loop: on the whole contractions of a round trip and of
+# `kleintwist verify`, a plan costs 20-35 us more than the loop, which
+# forms a product in 0.5-3 ns.
+_PLAN_COST = 2 ** 15
+
+
+def _pairwise_saving(terms, rhs: str, sizes: dict, loop: int) -> int:
+    """How many fewer products the pairwise steps of einsum's greedy path
+    form than one nested loop over the loop points, every point of the
+    index space: the loop forms m - 1 per point for m operands, and so
+    does a path step of m operands per point of the indices it joins.  It
+    depends on the shapes only; 0 for one or two operands, or when the
+    saving cannot pass _PLAN_COST."""
+    if len(terms) < 3 or loop * (len(terms) - 1) <= _PLAN_COST:
+        return 0
+    path = _greedy_path(",".join(terms) + "->" + rhs,
+                        tuple(tuple(sizes[ch] for ch in term) for term in terms))
+    sets, steps = [set(term) for term in terms], 0
+    for step in path:
+        rest = [s for k, s in enumerate(sets) if k not in step]
+        joined = set().union(*(sets[k] for k in step))
+        steps += prod(sizes[ch] for ch in joined) * (len(step) - 1)
+        sets = rest + [joined & set(rhs).union(*rest)]
+    return loop * (len(terms) - 1) - steps
+
+
+def _run_whole(subscripts: str, arrays, scale: int = 1):
+    """The contraction times scale as one nested einsum loop in int64,
+    exact by the bound of _whole_bound, which covers the scale and every
+    partial sum and is below 2^62.  The loop runs no BLAS, so float64
+    would buy nothing; it reads the operands as they are, with no cast
+    copy ("unsafe" only lets object operands through)."""
+    out = np.einsum(subscripts, *arrays, dtype=np.int64, casting="unsafe")
     return out * scale if scale != 1 else out
 
 
@@ -659,12 +703,6 @@ def _sides(out: str, x: str, y: str) -> tuple:
     return out[:j], out[j:k], out[k:]
 
 
-def _gemm_size(out: str, x: str, y: str, size) -> int:
-    """Entries of each matrix product when x,y->out runs as one matmul."""
-    _, rows, cols = _sides(out, x, y)
-    return prod(size(ch) for ch in rows + cols)
-
-
 def _laid_out(term: str, arr: np.ndarray, order: str, shape) -> np.ndarray:
     """arr, whose axes are term, as an array of the given shape over its
     axes in order: a view when arr's axes in that order are C-contiguous,
@@ -679,11 +717,12 @@ def _matmul_plan(a_term: str, a_shape: tuple, b_term: str, b_shape: tuple, out: 
     shape of the result.  The operands are swapped when that gives larger
     matrix products (_sides)."""
     sizes = dict(zip(a_term + b_term, a_shape + b_shape))
-    size = sizes.__getitem__
-    swapped = _gemm_size(out, b_term, a_term, size) > _gemm_size(out, a_term, b_term, size)
+    sides, other = _sides(out, a_term, b_term), _sides(out, b_term, a_term)
+    swapped = (prod(sizes[ch] for ch in other[1] + other[2])
+               > prod(sizes[ch] for ch in sides[1] + sides[2]))
     if swapped:
-        a_term, b_term = b_term, a_term
-    batch, rows, cols = _sides(out, a_term, b_term)
+        a_term, b_term, sides = b_term, a_term, other
+    batch, rows, cols = sides
     summed = "".join(ch for ch in a_term if ch in b_term and ch not in out)
 
     def read(term, first, last):
@@ -735,15 +774,17 @@ def _orientations(s: str, f: str, keep, owns, wide: bool) -> list:
 
 @dataclass(frozen=True)
 class _Layout:
-    """A contraction's plan for one slab index: the term of every node
-    (operands as ready() lays them out, then one per pairwise step), the
-    steps, which nodes carry the slab index, and the widest row, slab
-    index left out, of any array a slab forms."""
+    """A contraction's plan for one slab index, or for none: the term of
+    every node (operands as ready() lays them out, then one per pairwise
+    step), the steps, which nodes carry the slab index, the widest row,
+    slab index left out, of any array a slab forms, and the largest array
+    the plan keeps or forms."""
 
     terms: tuple
     steps: tuple
     slabbed: tuple
     widest: int
+    peak: int
 
 
 @lru_cache(maxsize=1024)
@@ -817,13 +858,17 @@ def _layout(terms: tuple, rhs: str, sizes: tuple, slab: str, limit: int) -> _Lay
     array is laid out once in the order the step needs, and so is a slab
     operand, so neither is copied per slab.  The orders of the fixed
     array's own indices are tried grouped by the operand of the step that
-    formed it, so that step runs larger matrix products."""
+    formed it, so that step runs larger matrix products.  With no slab
+    index every step is fixed, and each result keeps the order _pairs
+    gives it."""
+    terms, steps, keeps, slabbed, widest, peak = _pairs(terms, rhs, sizes, slab, limit)
+    if not slab:
+        return _Layout(terms, steps, slabbed, widest, peak)
     size = dict(sizes).__getitem__
 
     def entries(term, drop=""):
         return prod(map(size, term.replace(drop, "")))
 
-    terms, steps, keeps, slabbed, widest, _ = _pairs(terms, rhs, sizes, slab, limit)
     terms, n = list(terms), len(terms) - len(steps)
     reader = {node: t for t, step in enumerate(steps) for node in step}
 
@@ -871,13 +916,24 @@ def _layout(terms: tuple, rhs: str, sizes: tuple, slab: str, limit: int) -> _Lay
             if not costs[c]:
                 break
         terms[a], terms[b], terms[node], _ = min(costs, key=costs.get)
-    return _Layout(tuple(terms), tuple(steps), tuple(slabbed), widest)
+    return _Layout(tuple(terms), tuple(steps), tuple(slabbed), widest, peak)
+
+
+def _taken(arr: np.ndarray, term: str, cut: dict) -> np.ndarray:
+    """arr, whose axes are term, at the positions cut keeps of each index
+    it cuts: one take per cut axis, each on what the last one left."""
+    for axis, ch in enumerate(term):
+        if ch in cut:
+            arr = arr.take(cut[ch], axis=axis)
+    return arr
 
 
 class _Contraction:
     """One exact integer contraction times an integer scale, planned once
-    from its whole operands and evaluated slab by slab over one of its
-    output indices, the slab index.
+    per shape from its whole operands: formed at once when one slab would
+    hold every array its unslabbed plan (_layout with no slab index) forms
+    (fits), else evaluated slab by slab over one of its output indices,
+    the slab index.
 
     Every index is cut to its live positions (_support; the caller may
     widen an output index's): any other position multiplies a zero, so the
@@ -885,9 +941,10 @@ class _Contraction:
     the cut operands and sizes, a stored operand that no cut reaches read
     from its profile, and _tier picks the dtype from it.  ready() casts
     the operands, folds the scale into the smallest one, and runs once
-    every step of the pairwise path that no slab operand reaches; slab()
-    runs the remaining steps on rows of the slab index only.  Results stay
-    in the tier's dtype.
+    every step of the pairwise path that no slab operand reaches, which
+    for a contraction that fits is every step; slab() runs the remaining
+    steps on rows of the slab index only.  Results stay in the tier's
+    dtype.
 
     The working set is bounded: no array the plan keeps, forms on a slab
     or copies into a matmul's layout holds more than limit entries, the
@@ -908,14 +965,15 @@ class _Contraction:
         live = _support(self.terms, arrays) if live is None else live
         self.cut = {ch: np.flatnonzero(hit) for ch, hit in live.items() if not hit.all()}
         self.slab_index = ""
-        self.ops = [arr[self.positions(term)] if self.cut.keys() & set(term) else arr
-                    for term, arr in zip(self.terms, arrays)]
+        self.ops = [_taken(arr, term, self.cut) for term, arr in zip(self.terms, arrays)]
         self.scale = scale
         sizes = {ch: self.size(ch) for ch in self.sizes}
         self.bound = _bound(self.terms, self.rhs, self.ops, sizes, scale)
         self.limit = max(_SLAB_ENTRIES, prod(sizes[ch] for ch in self.rhs),
                          *(op.size for op in self.ops))
         self.shape = tuple(self.terms), self.rhs, tuple(sizes.items())
+        self.plan = _layout(*self.shape, "", 0)    # no slab index: reads no limit
+        self.fits = self.plan.peak <= _SLAB_ENTRIES or not self.rhs
 
     def size(self, ch: str) -> int:
         return len(self.cut[ch]) if ch in self.cut else self.sizes[ch]
@@ -927,27 +985,32 @@ class _Contraction:
                         [rows if ch == self.slab_index else slice(None)] for ch in term])
 
     def key(self, slab: str) -> tuple:
-        """What the plan slabbed over the output index slab ('' for none)
-        depends on, as _pairs and _layout take it."""
+        """What the plan slabbed over the output index slab depends on, as
+        _pairs and _layout take it."""
         return (*self.shape, slab, self.limit)
 
     def ready(self, dtype, axis: Optional[int] = None) -> "_Contraction":
         """Cast to dtype, lay the operands out and contract what no slab
-        needs, on the layout of the output index at axis (by default the
-        one _slab_axis picks)."""
-        if axis is None:
-            axis = _slab_axis([self], [self.rhs])
+        needs: everything when the contraction fits, else what the layout
+        of the output index at axis leaves (by default the one _slab_axis
+        picks)."""
         self.dtype = dtype
-        self.slab_index = slab = self.rhs[axis] if self.rhs else ""
-        plan = _layout(*self.key(slab))
-        ops = list(self.ops)
+        if self.fits:
+            slab, plan = "", self.plan
+        else:
+            if axis is None:
+                axis = _slab_axis([self], [self.rhs])
+            slab = self.rhs[axis]
+            plan = _layout(*self.key(slab))
+        self.slab_index = slab
+        # each operand cast and laid out once, in the order its reader takes
+        # it in; the bound covers the scale, so the product stays in dtype
+        ops = [np.asarray(a, dtype=dtype) if term == laid else
+               np.ascontiguousarray(np.einsum(f"{term}->{laid}", a), dtype=dtype)
+               for term, laid, a in zip(self.terms, plan.terms, self.ops)]
         if self.scale != 1:
             k = min(range(len(ops)), key=lambda j: ops[j].size)
-            ops[k] = _rescale(ops[k], self.scale)
-        ops = [np.asarray(a, dtype=dtype) for a in ops]     # a 0-d product may be an int
-        # each operand laid out once, in the order its reader takes it in
-        ops = [a if term == laid else np.ascontiguousarray(np.einsum(f"{term}->{laid}", a))
-               for term, laid, a in zip(self.terms, plan.terms, ops)]
+            ops[k] = np.asarray(ops[k] * self.scale, dtype=dtype)
         self.steps = plan.steps
         nodes = list(zip(plan.terms, ops, plan.slabbed))
         for a, b in plan.steps:
@@ -962,13 +1025,10 @@ class _Contraction:
 
     def _step(self, parts, out: str) -> np.ndarray:
         (a_term, a, _), (b_term, b, _) = parts
-        sub = f"{a_term},{b_term}->{out}"
         if self.dtype is object:
             # plain einsum: numpy's optimize route turns an object operand that
             # a step sums to a scalar into int64 (numpy 2.4), which can wrap
-            return np.asarray(np.einsum(sub, a, b), dtype=object)
-        if prod(dict(zip(a_term + b_term, a.shape + b.shape)).values()) < _BLAS_WORK:
-            return np.einsum(sub, a, b)
+            return np.asarray(np.einsum(f"{a_term},{b_term}->{out}", a, b), dtype=object)
         return _matmul(a_term, a, b_term, b, out)
 
     def _eval(self, node, rows: slice):
@@ -982,7 +1042,8 @@ class _Contraction:
         return self._step([(part[0], self._eval(part, rows), False) for part in value], term)
 
     def slab(self, lo: int, hi: int):
-        """Rows lo:hi of the slab index (cut positions) of the result."""
+        """Rows lo:hi of the slab index (cut positions) of the result; the
+        whole cut result when the contraction fits."""
         term = self.root[0]
         out = self._eval(self.root, slice(lo, hi))
         if term == self.rhs and self.dtype is not object:
@@ -997,12 +1058,12 @@ class _Contraction:
 
     def evaluate(self):
         """The whole result, int64 or object, scattered back to full shape."""
-        if not self.rhs:
+        cut = bool(self.cut.keys() & set(self.rhs))
+        if self.fits and not cut:                   # a scalar always fits
             out = self.slab(0, 1)
             return out if self.dtype is object else out.astype(np.int64)
         full = np.zeros([self.sizes[ch] for ch in self.rhs],
                         dtype=object if self.dtype is object else np.int64)
-        cut = bool(self.cut.keys() & set(self.rhs))
         for rows, part in self.slabs():
             full[self.positions(self.rhs, rows) if cut else
                  tuple(rows if ch == self.slab_index else slice(None) for ch in self.rhs)] = part
@@ -1032,18 +1093,25 @@ def _slab_steps(terms: tuple, rhs: str, sizes: tuple) -> tuple:
 def _slab_axis(plans, outs) -> int:
     """The output axis that the planned contractions among plans (None
     for a side that runs whole), with outputs outs that line up axis by
-    axis, are slabbed over.  Of the axes at which every one's layout keeps
-    under its limit, the one with the fewest steps run per slab over all
-    of them (_slab_steps; the earliest among equals), since the
-    multiply-adds are the same on every axis but each slab costs a call
-    per step; when none keeps under, the one at which they pass their
-    limits by the fewest entries."""
-    def excess(k):
-        return sum(max(0, _pairs(*plan.key(out[k]))[-1] - plan.limit)
-                   for plan, out in zip(plans, outs) if plan is not None)
+    axis, are slabbed over when one of them does not fit.  Of the axes at
+    which the layout of every one that does not fit keeps under its limit
+    (a side that fits is formed once and sliced, so it keeps under it on
+    any axis and is never planned for one), the one with the fewest steps
+    per slab over all the planned sides, as if each were slabbed
+    (_slab_steps; the earliest among equals), since the multiply-adds are
+    the same on every axis but each slab costs a call per step; when none
+    keeps under, the one at which they pass their limits by the fewest
+    entries.  The choice is joint, so a side that fits still breaks ties:
+    at dimension 24 it slabs the reduced bialgebra identity over q, whose
+    run leaves fewer pages resident than one over y."""
+    slabbed = [(plan, out) for plan, out in zip(plans, outs)
+               if plan is not None and not plan.fits]
 
-    planned = [plan for plan in plans if plan is not None]
-    steps = [sum(_slab_steps(*plan.shape)[k] for plan in planned) for k in range(len(outs[0]))]
+    def excess(k):
+        return sum(max(0, _pairs(*plan.key(out[k]))[-1] - plan.limit) for plan, out in slabbed)
+
+    steps = [sum(_slab_steps(*plan.shape)[k] for plan in plans if plan is not None)
+             for k in range(len(outs[0]))]
     axes = sorted(range(len(outs[0])), key=steps.__getitem__)
     fits = next((k for k in axes if not excess(k)), None)
     return min(axes, key=excess, default=0) if fits is None else fits
@@ -1059,13 +1127,16 @@ def _safe_einsum(subscripts: str, *arrays: np.ndarray) -> np.ndarray:
     - otherwise: exact Python ints in object arrays.
 
     A contraction of fewer than _BLAS_WORK naive products outside the object
-    tier runs whole, as one einsum of the uncut operands (_whole_bound);
-    any other is planned and run slab by slab, an output index that was
-    cut scattered back into a zero array of full shape, and a scalar
-    result of the object tier is a Python int."""
-    bound = _whole_bound(subscripts, arrays)
+    tier runs whole, as one einsum loop over the uncut operands, unless its
+    pairwise steps cost far less (_whole_bound, _run_whole); any other is
+    planned and formed at once or slab by slab,
+    an output index that was cut scattered back into a zero array of full
+    shape, and a scalar result of the object tier is a Python int."""
+    lhs, rhs = subscripts.split("->")
+    terms = lhs.split(",")
+    bound = _whole_bound(terms, rhs, arrays, _sizes(terms, arrays))
     if bound is not None:
-        return _run_whole(subscripts, arrays, _tier(bound)).astype(np.int64)
+        return _run_whole(subscripts, arrays)
     plan = _Contraction(subscripts, arrays)
     return plan.ready(_tier(plan.bound)).evaluate()
 
@@ -1093,34 +1164,35 @@ def _difference(x: tuple, y: tuple) -> Optional[tuple]:
     """_first_difference, computed.
 
     The sides are cross-multiplied by their scales, X * (dy/g) = Y * (dx/g)
-    with g = gcd(dx, dy), so only integers are compared, and both take the
-    tier of the larger proven bound, scales included: one _tier decision.
-    When both sides run whole (_whole_bound), the two whole results are
-    compared.  Otherwise each output axis is cut to the positions live on
-    either side, so the two cut results line up; a side that runs whole is
-    cut to them once, the other is planned once (in the object tier both
-    are).  Both are slabbed over one output axis, one at which every
-    planned side keeps its arrays under its limit (_slab_axis), and
-    compared one slab of that axis at a time, each planned side run in
-    chunks of its own height (_slabs).  On the first axis the index is
-    located in the first slab that differs; on another, the least index
-    over the slabs that differ is the first in row-major order.  No array
-    of a planned side passes its limit (_Contraction)."""
+    with g = gcd(dx, dy), so only integers are compared.  When both sides
+    run whole (_whole_bound), the two whole results, int64, are compared.
+    Otherwise both take the tier of the larger proven bound, scales
+    included (one _tier decision), and each output axis is cut to the
+    positions live on either side, so the two cut results line up; a side
+    that runs whole is cut to them once, the other is planned once (in the
+    object tier both are).  When every planned side fits (_Contraction),
+    each side is formed once, and the two are compared with one
+    np.array_equal and the first difference located with one np.argwhere.
+    Otherwise the sides that do not fit are slabbed over one output axis,
+    one at which each keeps its arrays under its limit (_slab_axis), and
+    compared one slab of that axis at a time, each run in chunks of its
+    own height and a side that fits formed once and sliced (_slabs).  On
+    the first axis the index is located in the first slab that differs;
+    on another, the least index over the slabs that differ is the first in
+    row-major order.  No array of a planned side passes its limit."""
     (xs, *xp), (ys, *yp) = x, y
     dx, dy = prod(d for _, d in xp), prod(d for _, d in yp)
     g = gcd(dx, dy)
     sides = [(xs, [A for A, _ in xp], dy // g), (ys, [A for A, _ in yp], dx // g)]
     terms = [sub.split("->")[0].split(",") for sub, _, _ in sides]
     outs = [sub.split("->")[1] for sub, _, _ in sides]
-    shapes = [[_sizes(t, ops)[ch] for ch in out]
-              for t, (_, ops, _), out in zip(terms, sides, outs)]
-    if shapes[0] != shapes[1]:
+    sizes = [_sizes(t, ops) for t, (_, ops, _) in zip(terms, sides)]
+    if [sizes[0][ch] for ch in outs[0]] != [sizes[1][ch] for ch in outs[1]]:
         raise ValueError(f"{xs} and {ys} have outputs of different shapes")
-    whole = [_whole_bound(sub, ops, scale) for sub, ops, scale in sides]
+    whole = [_whole_bound(t, out, ops, size, scale)
+             for t, out, (_, ops, scale), size in zip(terms, outs, sides, sizes)]
     if None not in whole:
-        dtype = _tier(max(whole))
-        X, Y = (_run_whole(sub, ops, dtype, scale) for sub, ops, scale in sides)
-        return None if np.array_equal(X, Y) else tuple(int(k) for k in np.argwhere(X != Y)[0])
+        return _located(*(_run_whole(sub, ops, scale) for sub, ops, scale in sides))
     lives = [_support(t, ops) for t, (_, ops, _) in zip(terms, sides)]
     for a, b in zip(*outs):
         lives[0][a] = lives[1][b] = lives[0][a] | lives[1][b]
@@ -1128,29 +1200,45 @@ def _difference(x: tuple, y: tuple) -> Optional[tuple]:
              for (sub, ops, scale), live, bound in zip(sides, lives, whole)]
     dtype = _tier(max(bound if plan is None else plan.bound
                       for bound, plan in zip(whole, plans)))
-    axis = _slab_axis(plans, outs)
     values = []
     for (sub, ops, scale), out, live, plan in zip(sides, outs, lives, plans):
         if plan is None and dtype is not object:
-            value = _run_whole(sub, ops, dtype, scale)
+            value = _run_whole(sub, ops, scale)
             if out:
                 value = value[np.ix_(*(np.flatnonzero(live[ch]) for ch in out))]
-            values.append(value)
         else:
-            values.append((plan or _Contraction(sub, ops, scale, live)).ready(dtype, axis))
-    height = min(plan.height for plan in values if isinstance(plan, _Contraction))
-    slabs = [_slabs(value, height, axis) for value in values]
+            value = plan or _Contraction(sub, ops, scale, live)
+            if value.fits:
+                value = value.ready(dtype).slab(0, 1)
+        values.append(value)
     positions = [np.flatnonzero(lives[0][ch]) for ch in outs[0]]
+    slabbed = [value for value in values if isinstance(value, _Contraction)]
+    if not slabbed:
+        return _located(*values, positions)
+    axis = _slab_axis(plans, outs)
+    height = min(plan.ready(dtype, axis).height for plan in slabbed)
+    slabs = [_slabs(value, height, axis) for value in values]
     first = None
-    for lo in range(0, len(positions[axis]) if positions else 1, height):
-        a, b = (slab(lo, lo + height) for slab in slabs)
-        if not np.array_equal(a, b):
-            at = tuple(int(ix[k + (lo if i == axis else 0)])
-                       for i, (ix, k) in enumerate(zip(positions, np.argwhere(a != b)[0])))
+    for lo in range(0, len(positions[axis]), height):
+        at = _located(*(slab(lo, lo + height) for slab in slabs), positions, axis, lo)
+        if at is not None:
             if axis == 0:
                 return at
             first = at if first is None else min(first, at)
     return first
+
+
+def _located(X, Y, positions=None, axis: int = 0, lo: int = 0) -> Optional[tuple]:
+    """The first index at which the arrays X and Y differ, in row-major
+    order, or None: mapped through positions, the cut positions of each
+    axis, when given, the row of axis counted from lo."""
+    if np.array_equal(X, Y):
+        return None
+    at = np.argwhere(X != Y)[0]
+    if positions is None:
+        return tuple(int(k) for k in at)
+    return tuple(int(ix[k + (lo if i == axis else 0)])
+                 for i, (ix, k) in enumerate(zip(positions, at)))
 
 
 def _slabs(value, height: int, axis: int):
@@ -1199,12 +1287,28 @@ _GENERATED_ASSOCIATIVITY = {False: ("gi,iyw,wzp->gyzp", "gi,iwp,yzw->gyzp"),
                             True: ("gi,wiy,pwz->gyzp", "gi,piw,wyz->gyzp")}
 
 
+# Per top, the primes below it found so far, from the largest down: the
+# primes of every scan that _certificate_prime has run.
+_PRIMES_BELOW: dict = {}
+
+
 @lru_cache(maxsize=256)
 def _certificate_prime(n: int, scale: int) -> int:
     """The largest prime below 2^28, and below sqrt(2^62 / n), that does
-    not divide scale (_generates)."""
+    not divide scale (_generates).  Every n <= 64 has the same top, so the
+    primes below a top are scanned for once per process and kept
+    (_PRIMES_BELOW); a later scale reads them and scans on only past the
+    last one kept."""
     top = min(2 ** 28, isqrt(_INT64_LIMIT // n))
-    return next(q for q in range((top - 2) | 1, 8, -2) if _is_prime(q) and scale % q)
+    found = _PRIMES_BELOW.setdefault(top, [])
+    for q in found:
+        if scale % q:
+            return q
+    for q in range((found[-1] if found else top) - 2 | 1, 8, -2):
+        if _is_prime(q):
+            found.append(q)
+            if scale % q:
+                return q
 
 
 def _generates(unit: tuple, product: tuple, dual: bool = False) -> Optional[tuple]:

@@ -244,17 +244,26 @@ def _relations_mod(K, primes) -> list:
     T = (K.T[None] % P).astype(np.int64)
     out, at = [None] * len(P), np.arange(len(P))
     for j in range(T.shape[2]):
-        # columns 0 .. j-1 are reduced to the unit vectors of rows 0 .. j-1
-        nz = T[:, j:, j] != 0
-        for b in np.flatnonzero(~nz.any(axis=1)):
-            out[b] = out[b] or (j, [int(x) for x in -T[b, :j, j] % P[b, 0]] + [1])
-        if all(out):
-            break
-        k = j + nz.argmax(axis=1)
-        T[at, j], T[at, k] = T[at, k], T[at, j].copy()
-        inv = [pow(int(v), -1, int(p)) if v else 0 for v, p in zip(T[:, j, j], P.flat)]
-        row = T[:, j, j:] * np.array(inv)[:, None] % P[:, 0]
-        T[:, :, j:] = (T[:, :, j:] - T[:, :, j:j + 1] * row[:, None]) % P
+        # columns 0 .. j-1 are reduced to the unit vectors of rows 0 .. j-1;
+        # each prime's pivot is its first nonzero at or below row j, and a
+        # prime with none has its relation at j.  Per column this is a fixed
+        # number of array operations, however many primes there are
+        if j < T.shape[1]:
+            k = j + (T[:, j:, j] != 0).argmax(axis=1)
+            pivots = T[at, k, j]
+        else:                       # no row left: every relation is at j
+            pivots = np.zeros(len(P), dtype=np.int64)
+        if not pivots.all():
+            for b in np.flatnonzero(pivots == 0):
+                out[b] = out[b] or (j, [int(x) for x in -T[b, :j, j] % P[b, 0]] + [1])
+            if all(out):
+                break
+        if (k != j).any():
+            T[at, j], T[at, k] = T[at, k], T[at, j].copy()
+        inv = np.array([pow(v, -1, p) if v else 0 for v, p in zip(pivots.tolist(), primes)])
+        row = T[:, j, j:] * inv[:, None] % P[:, 0]
+        T[:, :, j:] -= T[:, :, j:j + 1] * row[:, None]
+        T[:, :, j:] %= P
         T[:, j, j:] = row
     return out
 

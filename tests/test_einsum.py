@@ -5,6 +5,7 @@ einsum on Python integers."""
 import gc
 import re
 import weakref
+from functools import lru_cache
 from math import gcd, prod
 from pathlib import Path
 from unittest.mock import patch
@@ -30,6 +31,7 @@ SUBSCRIPTS = sorted({m for path in Path(kleintwist.__file__).parent.glob("*.py")
 
 # The ones with n^4 outputs, which identities are evaluated slab by slab.
 N4_SUBSCRIPTS = [s for s in SUBSCRIPTS if len(s.split("->")[1]) == 4]
+REDUCED_BIALGEBRA = "gi,iab,acp,ycd,bdq->gypq"
 
 SMALL = st.integers(-3, 3)
 # Two such factors already pass 2^53, where float64 would round an odd sum.
@@ -177,15 +179,25 @@ def test_identity_matches_plain_einsum(subscripts, data):
     kx = s * ky if data.draw(st.integers(0, 3)) else s * ky + 1
     # slabs of 1-4 rows of an index of at most 3: short remainder slabs too
     height = data.draw(st.integers(1, 4))
-    # planned (at 0 every side is) and slabbed over any output axis: the
-    # first differing index is still the first in row-major order
-    blas_work = data.draw(st.sampled_from([hopf._BLAS_WORK, 0]))
+    # every side planned (at 0) and slabbed over any output axis (no array
+    # fits a slab of 0 entries): the first differing index is still the
+    # first in row-major order; or planned and formed once; or every side
+    # whole (up to the object tier) as one nested loop; or every side whose
+    # loop forms more products than its pairwise steps, three or more
+    # operands, planned and formed pairwise, the others whole
+    route = data.draw(st.sampled_from(["slabbed", "unslabbed", "nested", "pairwise"]))
+    blas_work = {"slabbed": 0, "nested": 2 ** 40, "pairwise": 2 ** 40}.get(
+        route, data.draw(st.sampled_from([hopf._BLAS_WORK, 0])))
+    slab_entries = {"slabbed": 0, "unslabbed": 2 ** 62}.get(route, hopf._SLAB_ENTRIES)
+    plan_cost = {"nested": 2 ** 62, "pairwise": 0}.get(route, hopf._PLAN_COST)
     axis = data.draw(st.integers(0, 3))
     # X * kx = Y * ky is X / ky = Y / kx: the factors ride on operand scales
     x = (subscripts, *[(a, 1) for a in ops[:-1]], (ops[-1], ky))
     y = (renamed(subscripts), (other[0], kx), *[(a, 1) for a in other[1:]])
     with patch.object(hopf, "_slab_height", lambda widest: height), \
             patch.object(hopf, "_BLAS_WORK", blas_work), \
+            patch.object(hopf, "_SLAB_ENTRIES", slab_entries), \
+            patch.object(hopf, "_PLAN_COST", plan_cost), \
             patch.object(hopf, "_slab_axis", lambda plans, outs: min(axis, len(outs[0]) - 1)):
         got = _first_difference(x, y)
     differ = np.argwhere(reference(subscripts, ops) * kx != reference(subscripts, other) * ky)
@@ -201,25 +213,51 @@ def test_difference_on_a_later_axis_is_the_first_in_row_major_order(monkeypatch,
     other[0, 2] += 1
     other[1, 0] -= 1
     monkeypatch.setattr(hopf, "_BLAS_WORK", 0)
+    monkeypatch.setattr(hopf, "_SLAB_ENTRIES", 0)           # both sides slabbed
     monkeypatch.setattr(hopf, "_slab_height", lambda widest: height)
     monkeypatch.setattr(hopf, "_slab_axis", lambda plans, outs: 1)
     assert _first_difference(("ij,jk->ik", (eye, 1), (b, 1)),
                              ("ij,jk->ik", (eye, 1), (other, 1))) == (0, 2)
 
 
+def test_whole_contractions_run_pairwise_only_where_the_loop_costs_far_more():
+    def whole(subscripts, *shapes):
+        lhs, rhs = subscripts.split("->")
+        ops = [np.ones(shape, dtype=np.int64) for shape in shapes]
+        terms = lhs.split(",")
+        return hopf._whole_bound(terms, rhs, ops, hopf._sizes(terms, ops)) is not None
+
+    # HopfMap's mult identity for C(S4) -> C(V): 2 x 36,864 products in one
+    # nested loop of three operands, 10,752 in two pairwise steps
+    assert not whole("ia,jb,abp->ijp", (24, 4), (24, 4), (4, 4, 4))
+    # one or two operands, and loops that save less, stay whole
+    assert whole("ijw,wp->ijp", (24, 24, 24), (24, 4))
+    assert whole("ia,jb,ab->ij", (24, 4), (24, 4), (4, 4))
+    assert whole("iab,aw,wbp->ip", (4, 4, 4), (4, 4), (4, 4, 4))
+    # a path step of m operands forms m - 1 products per point: 2 x 4^6
+    # here, besides 4^4 in the first step
+    saving = 3 * 4 ** 7 - 4 ** 4 - 2 * 4 ** 6
+    assert hopf._pairwise_saving(["iab", "jde", "ad", "bek"], "ijk",
+                                 dict(zip("iabjdek", [4] * 7)), 4 ** 7) == saving
+
+
 def test_scales_past_float64_take_the_int64_tier():
     one = np.ones((1, 1), dtype=np.int64)
     k = 2 ** 53 + 1                     # float64 rounds it to 2^53
-    tiers = []
     real = hopf._tier
-    with patch.object(hopf, "_tier", lambda bound: tiers.append(real(bound)) or tiers[-1]):
-        # cross-multiplied: 1 * k against 1 * (k - 1), one value once rounded to float64
-        assert _first_difference(("ij,jk->ik", (one, k - 1), (one, 1)),
-                                 ("ij,jk->ik", (one, k), (one, 1))) == (0, 0)
-        # cross-multiplied: 1 * k against k * 1, equal
-        assert _first_difference(("ij,jk->ik", (one, 1), (one, 1)),
-                                 ("ij,jk->ik", (k * one, k), (one, 1))) is None
-    assert tiers == [np.int64, np.int64]
+    for blas_work in (hopf._BLAS_WORK, 0):
+        tiers = []
+        with patch.object(hopf, "_tier", lambda bound: tiers.append(real(bound)) or tiers[-1]), \
+                patch.object(hopf, "_BLAS_WORK", blas_work):
+            # cross-multiplied: 1 * k against 1 * (k - 1), one value once rounded to float64
+            assert _first_difference(("ij,jk->ik", (one, k - 1), (one, 1)),
+                                     ("ij,jk->ik", (one, k), (one, 1))) == (0, 0)
+            # cross-multiplied: 1 * k against k * 1, equal
+            assert _first_difference(("ij,jk->ik", (one, 1), (one, 1)),
+                                     ("ij,jk->ik", (k * one, k), (one, 1))) is None
+        # planned (at 0), each identity takes one tier; whole, its nested
+        # loop runs in int64 whatever the bound, and no tier is taken
+        assert tiers == ([np.int64, np.int64] if blas_work == 0 else [])
 
 
 def _spied_plans(monkeypatch):
@@ -244,6 +282,47 @@ def _pairwise(plan) -> bool:
             return False
         formed += 1
     return len(plan.steps) == len(plan.terms) - 1
+
+
+def test_each_shape_is_planned_once_and_only_a_plan_past_one_slab_is_slabbed(monkeypatch,
+                                                                             fresh):
+    """One round trip, planners' caches empty: every contraction shape is
+    planned once, by _layout with no slab index; a shape whose unslabbed
+    plan fits one slab is never planned for a slab index (_layout or
+    _pairs with one); the twisted product and the reduced bialgebra
+    identity still slab, over s and over q.  The choice of slab index is
+    joint, so the steps of the identity's other side, which fits, are
+    counted (_slab_steps) and break the tie between y and q."""
+    calls = {name: [] for name in ("_pairs", "_layout", "_slab_steps", "_greedy_path")}
+    for name, seen in calls.items():
+        real = getattr(hopf, name).__wrapped__
+        monkeypatch.setattr(hopf, name, lru_cache(maxsize=1024)(
+            lambda *key, real=real, seen=seen: seen.append(key) or real(*key)))
+    contractions = []
+    real_ready = hopf._Contraction.ready
+
+    def ready(self, *args):
+        contractions.append(self)
+        return real_ready(self, *args)
+
+    monkeypatch.setattr(hopf._Contraction, "ready", ready)
+    t = build_s4tau()
+    assert double_twist(t).structure_equal(t.base)
+    shapes = {c.shape for c in contractions}
+    assert sorted(key[:3] for key in calls["_layout"] if not key[3]) == sorted(shapes)
+    assert len(set(calls["_greedy_path"])) == len(calls["_greedy_path"])
+    slabbed = {",".join(c.terms) + "->" + c.rhs: c.slab_index for c in contractions
+               if not c.fits}
+    assert slabbed == {"ixc,xab,ap,cr,jyr,ypq,bqs->ijs": "s", REDUCED_BIALGEBRA: "q"}
+    searched = {c.shape for c in contractions if not c.fits}
+    assert all(c.slab_index == "" for c in contractions if c.fits)
+    assert {key[:3] for key in calls["_layout"] if key[3]} == searched
+    counted = {key[:3] for key in calls["_slab_steps"]}
+    assert {",".join(shape[0]) + "->" + shape[1] for shape in counted - searched} == {
+        "gi,iyw,wpq->gypq"}
+    assert searched < counted
+    assert {key[:3] for key in calls["_pairs"] if key[3]} == searched
+    assert sorted(key[:3] for key in calls["_pairs"] if not key[3]) == sorted(shapes)
 
 
 def test_no_planned_step_takes_more_than_two_operands(monkeypatch, undecided):
@@ -327,18 +406,20 @@ def test_planner_matches_numpy_on_drawn_subscripts(data):
     assert hopf._greedy_path(subscripts, shapes) == numpy_greedy_path(subscripts, shapes)
 
 
-# Every route: all planned (every step a matmul), the default, all whole
-# but for the object tier.
-ROUTE_WORK = [0, hopf._BLAS_WORK, 2 ** 40]
+# Every route, as (_BLAS_WORK, _PLAN_COST): all planned (every step a
+# matmul), the default, all whole but for the object tier.
+ROUTE_WORK = [(0, hopf._PLAN_COST), (hopf._BLAS_WORK, hopf._PLAN_COST), (2 ** 40, 2 ** 62)]
 
 
-def _routed(monkeypatch, blas_work, run):
-    """run() with hopf._BLAS_WORK at blas_work; with it whether any
-    contraction was planned, whether any ran whole, and the tiers chosen."""
+def _routed(monkeypatch, route, run):
+    """run() with hopf._BLAS_WORK and hopf._PLAN_COST at route; with it
+    whether any contraction was planned, whether any ran whole, and the
+    tiers chosen."""
     planned, whole, tiers = [], [], []
     real_ready, real_whole, real_tier = hopf._Contraction.ready, hopf._run_whole, hopf._tier
     with monkeypatch.context() as m:
-        m.setattr(hopf, "_BLAS_WORK", blas_work)
+        m.setattr(hopf, "_BLAS_WORK", route[0])
+        m.setattr(hopf, "_PLAN_COST", route[1])
         m.setattr(hopf._Contraction, "ready",
                   lambda self, *a, **k: planned.append(1) or real_ready(self, *a, **k))
         m.setattr(hopf, "_run_whole", lambda *a, **k: whole.append(1) or real_whole(*a, **k))
@@ -371,20 +452,25 @@ def test_planned_and_whole_routes_agree(data):
     whole_bounds = (proven_bound(subscripts, ops, sizes) * (dy // g),
                     proven_bound(subscripts, other, sizes) * (dx // g))
     naive = prod(sizes.values())
+    lhs, rhs = subscripts.split("->")
+    saving = hopf._pairwise_saving(lhs.split(","), rhs, sizes, naive)
     with pytest.MonkeyPatch.context() as mp:
-        for blas_work in ROUTE_WORK:
-            got, planned, whole, tiers = _routed(mp, blas_work,
+        for route in ROUTE_WORK:
+            got, planned, whole, tiers = _routed(mp, route,
                                                  lambda: _safe_einsum(subscripts, *ops))
             assert np.array_equal(np.asarray(got, dtype=object),
                                   np.asarray(reference(subscripts, ops), dtype=object))
             object_tier = proven_bound(subscripts, ops, sizes) >= _INT64_LIMIT
-            assert whole == (naive < blas_work and not object_tier) != planned
-            assert len(tiers) == 1 and not (whole and tiers[0] is object)
+            small = naive < route[0] and saving <= route[1]
+            assert whole == (small and not object_tier) != planned
+            # a whole run takes no tier: its nested loop runs in int64
+            assert len(tiers) == (not whole)
 
-            got, planned, whole, tiers = _routed(mp, blas_work, lambda: _first_difference(x, y))
+            got, planned, whole, tiers = _routed(mp, route, lambda: _first_difference(x, y))
             assert got == want
-            assert len(tiers) == 1 and not (whole and tiers[0] is object)
-            if naive >= blas_work:
+            # one tier for both sides unless both run whole
+            assert len(tiers) == planned and not (whole and object in tiers)
+            if not small:
                 assert planned and not whole
             elif max(whole_bounds) < _INT64_LIMIT:
                 assert whole and not planned
@@ -407,7 +493,7 @@ def test_one_whole_side_against_a_planned_side(monkeypatch, undecided, height, p
     differ = np.argwhere(left * (E[1] * U[1]) != right * (C[1] * S[1] * M[1]))
     want = tuple(differ[0].tolist()) if len(differ) else None
     monkeypatch.setattr(hopf, "_slab_height", lambda widest: height)
-    got, planned, whole, tiers = _routed(monkeypatch, hopf._BLAS_WORK, lambda: _first_difference(
+    got, planned, whole, tiers = _routed(monkeypatch, ROUTE_WORK[1], lambda: _first_difference(
         ("iab,aw,wbp->ip", C, S, M), ("i,j->ij", E, U)))
     assert got == want and planned and whole and len(tiers) == 1
     assert (want is None) == (plant is None)

@@ -513,6 +513,27 @@ class TestReducedBialgebra:
         assert all_axioms_pass(verify_hopf_axioms(H))
         assert primes and TOP_PRIME not in primes
 
+    def test_primes_below_the_top_are_scanned_once(self, monkeypatch):
+        """Two scales miss the cache of certificate primes: the first scans
+        down from 2^28, the second reads the primes kept and scans on only
+        past them, and each answer is the plain scan's."""
+        def plain(scale):
+            return next(q for q in range(2 ** 28 - 1, 8, -2) if _is_prime(q) and scale % q)
+
+        second = 3 * TOP_PRIME * plain(TOP_PRIME)
+        wanted = [plain(1), plain(second), plain(TOP_PRIME)]
+        tested = []
+        monkeypatch.setattr(hopf, "_PRIMES_BELOW", {})
+        monkeypatch.setattr(hopf, "_is_prime", lambda q: tested.append(q) or _is_prime(q))
+        prime = hopf._certificate_prime.__wrapped__
+        assert prime(24, 1) == wanted[0] == TOP_PRIME
+        scanned = len(tested)
+        assert prime(60, second) == wanted[1]
+        # the prime kept divides it: the scan goes on below that prime only
+        assert min(tested[scanned:]) == wanted[1] and max(tested[scanned:]) < TOP_PRIME
+        scanned = len(tested)
+        assert prime(8, TOP_PRIME) == wanted[2] and len(tested) == scanned
+
 
 def _with_entry(H, k, at, delta):
     """H with one entry of its k-th stored tensor changed by delta."""

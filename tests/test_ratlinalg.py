@@ -551,3 +551,42 @@ def test_cleared_refuses_inexact_input(values, named):
     with pytest.raises(TypeError) as refused:
         _cleared(values)
     assert named in str(refused.value)
+
+
+def relation_mod(K, p):
+    """The first row of K in the span of the rows before it modulo p, with
+    its relation's residues (the last one 1), by elimination on Python ints
+    row by row; None when the rows are independent modulo p."""
+    basis = []                                  # (pivot, row, combination)
+    for d, row in enumerate(K.tolist()):
+        v, c = [x % p for x in row], [0] * d + [1]
+        for pivot, b, comb in basis:
+            f = v[pivot]
+            v = [(x - f * y) % p for x, y in zip(v, b)]
+            c = [(x - f * y) % p for x, y in zip(c, comb + [0] * (len(c) - len(comb)))]
+        nonzero = [k for k, x in enumerate(v) if x]
+        if not nonzero:
+            return d, c
+        inv = pow(v[nonzero[0]], -1, p)
+        basis.append((nonzero[0], [x * inv % p for x in v], [x * inv % p for x in c]))
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_relations_mod_of_one_prime_and_of_a_batch_agree(data):
+    """A batch of primes finds, per prime, what that prime alone finds, and
+    both what elimination on Python ints finds: on rows with a planted
+    dependency, with more rows than columns, and with primes that divide
+    entries."""
+    rows, width = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 6))
+    K = np.array(data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=width,
+                                             max_size=width), min_size=rows, max_size=rows)),
+                 dtype=np.int64)
+    if rows > 2 and data.draw(st.booleans()):
+        K[-1] = K[0] * data.draw(st.integers(-3, 3)) + K[1]
+    primes = data.draw(st.lists(st.sampled_from([2, 3, 5, 97, 1_000_003, 268_435_399]),
+                                min_size=1, max_size=4, unique=True))
+    want = [relation_mod(K, p) for p in primes]
+    assert _relations_mod(K, primes) == want
+    assert [_relations_mod(K, [p])[0] for p in primes] == want
