@@ -541,3 +541,42 @@ def test_profile_dies_with_its_array():
     del H
     gc.collect()
     assert M() is None and key not in hopf._PROFILES
+
+
+@st.composite
+def block_diagonal(draw, n: int, axes: int):
+    """A stored integer array of the given number of axes of length n whose
+    nonzero entries lie in the blocks of a drawn partition of the shuffled
+    positions: singletons, mixed sizes or one block."""
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1)))
+    A = np.zeros((n,) * axes, dtype=np.int64)
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        block = np.array(order[lo:hi])
+        values = draw(arrays(np.int64, (hi - lo,) * axes, elements=st.integers(-3, 3)))
+        A[np.ix_(*[block] * axes)] = values
+    return hopf._stored(A, 1)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_contractions_cut_by_blocks_match_plain_einsum(data):
+    """Every contraction cut by its operands' blocks (planned and cut at
+    any size) equals the plain object einsum, and an identity whose sides carry
+    different partitions gives the first differing index in row-major
+    order."""
+    n = data.draw(st.integers(2, 5))
+    M, N, P = (data.draw(block_diagonal(n, axes)) for axes in (3, 3, 2))
+    C = hopf._stored(data.draw(arrays(np.int64, (n, n, n), elements=st.integers(-3, 3))), 1)[0]
+    with patch.object(hopf, "_CUT_WORK", 0), patch.object(hopf, "_PART_COST", 0), \
+            patch.object(hopf, "_BLAS_WORK", 0):
+        for subscripts, ops in (("iab,acp,bdq->ipdq", (C, M, N)), ("ijw,wp->ijp", (M, P)),
+                                ("iab,acp->ibcp", (C, M))):
+            want = np.einsum(subscripts, *(op.astype(object) for op in ops))
+            assert np.array_equal(_safe_einsum(subscripts, *ops), want)
+        x, y = ("ijw,wp->ijp", (M, 1), (P, 1)), ("ia,jb,abp->ijp", (P, 1), (P, 1), (N, 1))
+        X = np.einsum(x[0], M.astype(object), P.astype(object))
+        Y = np.einsum(y[0], P.astype(object), P.astype(object), N.astype(object))
+        at = np.argwhere(X != Y)
+        want = tuple(int(k) for k in at[0]) if len(at) else None
+        assert hopf._difference(x, y) == want
