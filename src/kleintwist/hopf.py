@@ -175,7 +175,6 @@ from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, combinations, product
 from math import gcd, isqrt, lcm, prod
 from operator import or_
-from string import ascii_letters
 from typing import Iterable, Optional
 
 import numpy as np
@@ -823,7 +822,8 @@ def _parts(terms, rhs: str, arrays, sizes: dict, full: dict, scale: int) -> tupl
                                 for t, k in tied if k) for base, tied in joins)
     if cost >= uncut:
         return ()
-    fresh = [ch for ch in ascii_letters if ch not in full][:len(kept)]
+    fresh = [ch for ch in map(chr, [*range(97, 123), *range(65, 91)])
+             if ch not in full][:len(kept)]           # einsum's letters a-z, A-Z
     # a class of one-position blocks is read through its first output index, else its first
     named = [next((ch for ch in rhs if ch in letters), letters[0]) for letters, _ in kept]
     parts = []
