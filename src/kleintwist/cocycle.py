@@ -208,9 +208,9 @@ def twist(H: FDHopf, sigma: Cocycle2, verify: bool = True) -> FDHopf:
     # the product's index s, M against x's side and the result against
     # y's.  y's legs joined with M would be one rbpjs array of 16 n^3
     # entries, past the planner's limit, so it is never formed
-    # (hopf._Contraction).  At dimension 120 the products are many enough
-    # that it is cut by the blocks of M's support instead (hopf._parts):
-    # C(S5)'s M is diagonal, so b, q and s collapse to one index.
+    # (hopf._Contraction).  When M is diagonal, as C(G)'s is, b, q and s
+    # collapse to one index first (hopf._collapsed): M is read as a
+    # vector and x's and y's sides meet once per s, with no slab.
     mult = _contract("ixc,xab,ap,cr,jyr,ypq,bqs->ijs", C, C, Sg, Sv, C, C, M)
 
     # S_sigma(x) = f(x1) S(x2) g(x3), f(x) = sigma(x1, S x2), g(x) = sigma^-1(S x1, x2).

@@ -47,20 +47,22 @@ Planning runs once every step that does not reach the slab index, and
 forms each such fixed factor directly in the layout of the matmul that
 reads it; each slab runs only the steps that carry it.
 
-A planned contraction whose uncut plan forms at least _CUT_WORK products
-is cut by the blocks of its operands' support (_parts).  The blocks of a
-stored square array, the connected components of its support across its
-axes (_blocks), are found on first use by closing the adjacency of its
-positions under repeated squaring, and kept in its profile.  Indices an
-operand with blocks carries are tied: a term is zero unless they lie in
-one of its blocks.  Each block size of every class of tied indices runs
-as one batched part, blocks of one position collapse their class to one
-index, and the parts add into the output, onto the diagonal of two output
-indices of one class.  Each part proves its own bound, and the sum of
-those is never above the uncut bound, so the tier only gets cheaper.  At
-dimension 120 this cuts S5^tau's verification about fivefold; at
-dimension 24 no contraction reaches _CUT_WORK, since there finding blocks
-and running parts cost more in a fresh process than they save.
+A contraction that is to be planned is first cut by the blocks of its
+operands' support where every block is one position (_collapsed): a
+stored array of two or more axes of one length whose nonzero entries all
+lie where its indices agree (_diagonal, read once from the array and
+kept in its profile) ties the indices it carries, so each class of tied
+indices collapses to one, the diagonal operand to a vector, and output
+indices of one class to the diagonal of the output (_on_diagonal).  Only
+zero terms are dropped, and the bound, over fewer summed indices, is
+never higher, so the tier only gets cheaper.  The collapsed contraction
+is planned by the same planner, and the uncut one is the case with no
+diagonal operand.  The rule is _whole_bound's: a contraction that runs
+whole is not collapsed, one that is planned always is, since the collapse
+replaces the plan of one shape by the plan of a smaller one.  C(G)'s
+product, Q[G]'s coproduct, the unit matrix and C(G)'s star are
+diagonal; a product with blocks wider than one position (the twists')
+is not cut.
 
 The working set is bounded.  No array a contraction keeps, forms on a
 step or copies into a matmul's layout holds more entries than its limit,
@@ -172,7 +174,7 @@ import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations
 from math import gcd, isqrt, lcm, prod
 from operator import or_
 from typing import Iterable, Optional
@@ -251,68 +253,28 @@ def _digest(arr: np.ndarray) -> Optional[tuple]:
 
 def _profiled(arr: np.ndarray) -> Optional[list]:
     """The profile stored with arr (_stored), or None for any other array:
-    [its _nonzero_slices, its largest |entry|, its _digest, its _blocks or
-    None until first asked for], all that planning a contraction and the
-    table of decided identities read of an operand.  A stored array never
-    changes, so its profile holds while it lives."""
+    [its _nonzero_slices, its largest |entry|, its _digest, whether it is
+    _diagonal or None until first asked], all that planning a contraction
+    and the table of decided identities read of an operand.  A stored
+    array never changes, so its profile holds while it lives."""
     entry = _PROFILES.get(id(arr))
     return entry[1] if entry is not None and entry[0]() is arr else None
 
 
-def _components(adjacency: np.ndarray) -> np.ndarray:
-    """Per node of the boolean adjacency matrix, the least node of its
-    connected component: the symmetric, reflexive closure squared until it
-    stops growing, at most log2(n) + 1 products, read off by one argmax."""
-    reach = adjacency | adjacency.T | np.eye(len(adjacency), dtype=bool)
-    while True:
-        step = reach.astype(np.float64)
-        grown = step @ step > 0
-        if np.array_equal(grown, reach):
-            return reach.argmax(axis=1)
-        reach = grown
-
-
-def _blocks(arr: np.ndarray):
-    """The blocks of a stored array whose two or more axes share one
-    length: a block is a connected component of the support across the
-    axes, positions joined whenever one nonzero entry carries both, so
-    every nonzero entry lies in one block.  As (per position the least
-    position of its block, -1 where no nonzero entry lies; the blocks by
-    size, _grouped); None for an array of one block, or one that is not
-    stored or not square.  Computed on first use and kept in the array's
-    profile."""
+def _diagonal(arr: np.ndarray) -> bool:
+    """Whether arr is a stored array of two or more axes of one length
+    whose every nonzero entry lies where all its indices agree: its support
+    splits into blocks of one position each.  Read off the stride of the
+    diagonal in the flat array, on first use, and kept in its profile."""
     profile = _profiled(arr)
-    if profile is None or arr.ndim < 2 or arr.shape.count(arr.shape[0]) < arr.ndim:
-        return None
+    if (profile is None or arr.ndim < 2 or arr.shape[0] < 2
+            or arr.shape.count(arr.shape[0]) < arr.ndim):
+        return False
     if profile[3] is None:
-        covered = reduce(or_, profile[0])
         flat = arr.reshape(-1)
-        diagonal = flat[::max(1, (flat.size - 1) // max(1, len(arr) - 1))]
-        if np.count_nonzero(diagonal) == np.count_nonzero(flat):
-            # every nonzero entry where all indices agree: blocks of one position
-            least = np.where(covered, np.arange(len(arr)), -1)
-        else:
-            # joined to the first axis, an entry joins all its positions
-            hit = arr != 0
-            axes = range(1, arr.ndim)
-            adjacency = reduce(or_, (hit.any(axis=tuple(b for b in axes if b != a)) for a in axes))
-            least = np.where(covered, _components(adjacency), -1)
-        labels = least[covered]
-        profile[3] = ((least, _grouped(least)) if labels.size and (labels != labels[0]).any()
-                      else False)
-    return profile[3] or None
-
-
-def _grouped(least: np.ndarray) -> tuple:
-    """The blocks of a partition, given per position as the least position
-    of its block, -1 for none, by size: per size w, smallest first, the
-    (b, w) array of the positions of its b blocks, a block per row, each
-    row and the rows in increasing order."""
-    sizes = np.bincount(least[least >= 0], minlength=len(least))
-    roots = np.flatnonzero(sizes)
-    widths = sizes[roots]
-    return tuple(np.nonzero(least == roots[widths == w, None])[1].reshape(-1, w)
-                 for w in np.flatnonzero(np.bincount(widths)))
+        profile[3] = bool(np.count_nonzero(flat[::(flat.size - 1) // (arr.shape[0] - 1)])
+                          == np.count_nonzero(flat))
+    return profile[3]
 
 
 def _stored(values, scale: int, owned: bool = False) -> tuple:
@@ -750,131 +712,6 @@ def _pairwise_saving(terms, rhs: str, sizes: dict, loop: int) -> int:
     return loop * (len(terms) - 1) - steps
 
 
-# What each part of a contraction cut by blocks (_parts) beyond the first
-# costs, in products of pairwise steps: gathering its operands, planning
-# and running its own contraction and adding it into the output.
-_PART_COST = 2 ** 22
-# The fewest products of its uncut plan's steps at which a contraction is
-# looked at for blocks at all: in a fresh process, finding an operand's
-# blocks, gathering and planning the parts cost more than they save on
-# every contraction at dimension 24 (at most 2^28 products, the full
-# bialgebra identity), and far less on those of dimension 120 (2^28 to
-# 2^37).
-_CUT_WORK = 2 ** 28
-
-
-def _parts(terms, rhs: str, arrays, sizes: dict, full: dict, scale: int) -> tuple:
-    """The contraction terms->rhs of arrays cut by the blocks of its
-    operands (_blocks), as its parts (subscripts, its operands or its
-    planned _Contraction, its proven bound, where it adds into the output
-    or None where it adds as it is); () when no operand has blocks or the
-    cut does not pay.  sizes holds each index's size cut to its support,
-    full its size.
-
-    An operand with blocks ties the indices it carries: a term is zero
-    unless all of them lie in one of its blocks.  Indices tied by several
-    such operands form one class, whose blocks are those their blocks join
-    into.  A part takes one block size in every class and runs all the
-    blocks of that size at once: the class's indices read each block
-    through one batch index and each runs within the block, or, for
-    blocks of one position, the class's indices collapse to that batch
-    index, and a class with two output indices writes the part onto their
-    diagonal.  Each part cuts its own operands to their support and proves
-    its own bound, and every term the parts leave out multiplies a zero.
-
-    Whether the cut pays is decided from the shapes alone: the products of
-    the steps of the uncut plan (_pairs) against those steps taken over
-    each part's sizes, plus _PART_COST for every part beyond the first."""
-    nodes, steps = _pairs(tuple(terms), rhs, tuple(sizes.items()), "", 0)[:2]
-    joined = [set(nodes[a] + nodes[b]) for a, b in steps]
-    uncut = sum(prod(sizes[ch] for ch in letters) for letters in joined)
-    if uncut < _CUT_WORK:
-        return ()
-    classes: list = []
-    for term, arr in zip(terms, arrays):
-        found = _blocks(arr)
-        if found is not None:
-            met = [c for c in classes if c[0] & set(term)]
-            classes = [c for c in classes if not c[0] & set(term)]
-            classes.append((set(term).union(*(c[0] for c in met)),
-                            [found] + [f for c in met for f in c[1]]))
-    kept = []
-    for letters, found in classes:
-        groups = found[0][1]
-        if any(f is not found[0] and not np.array_equal(f[0], found[0][0]) for f in found):
-            # the blocks several operands join into
-            least = reduce(np.maximum, (f[0] for f in found))
-            same = reduce(or_, ((f[0][:, None] == f[0]) & (f[0] >= 0) for f in found))
-            groups = _grouped(np.where(least >= 0, _components(same), -1))
-        if len(groups) > 1 or len(groups[0]) > 1:
-            kept.append(("".join(ch for ch in dict.fromkeys("".join(terms)) if ch in letters),
-                         groups))
-    if not kept:
-        return ()
-    of = {ch: t for t, (letters, _) in enumerate(kept) for ch in letters}
-    joins = [(prod(sizes[ch] for ch in letters if ch not in of),
-              [(t, sum(of.get(ch) == t for ch in letters)) for t in range(len(kept))])
-             for letters in joined]
-    choices = list(product(*(groups for _, groups in kept)))
-    cost = (len(choices) - 1) * _PART_COST
-    for choice in choices:
-        cost += sum(base * prod(choice[t].size * choice[t].shape[1] ** (k - 1)
-                                for t, k in tied if k) for base, tied in joins)
-    if cost >= uncut:
-        return ()
-    fresh = [ch for ch in map(chr, [*range(97, 123), *range(65, 91)])
-             if ch not in full][:len(kept)]           # einsum's letters a-z, A-Z
-    # a class of one-position blocks is read through its first output index, else its first
-    named = [next((ch for ch in rhs if ch in letters), letters[0]) for letters, _ in kept]
-    parts = []
-    for choice in choices:
-        batch = [named[t] if choice[t].shape[1] == 1 else fresh[t] for t in range(len(kept))]
-
-        def read(term):
-            """The part's term for the axes term, and the index that reads
-            it off an array with those axes, None for the array as it is.
-            The axis of a class whose blocks of one position are every
-            position, which the class has in term only, is read whole;
-            any other axis of a class is read by an index array, shaped
-            over the batch and block indices of the classes read so."""
-            index = [slice(None) if of.get(ch) is None or choice[of[ch]].size == full[ch]
-                     and choice[of[ch]].shape[1] == 1
-                     and sum(of.get(c) == of[ch] for c in term) == 1 else ch for ch in term]
-            kept_axes = [batch[of[ch]] if ch in of else ch
-                         for ch, at in zip(term, index) if at == slice(None)]
-            axes = [k for k, at in enumerate(index) if at != slice(None)]
-            if not axes:
-                return "".join(kept_axes), None
-            read_as = "".join(dict.fromkeys("".join(
-                batch[of[term[k]]] + term[k] * (choice[of[term[k]]].shape[1] > 1)
-                for k in axes)))
-            for k in axes:
-                ch, t = term[k], of[term[k]]
-                shape = [1] * len(read_as)
-                shape[read_as.index(batch[t])] = len(choice[t])
-                if choice[t].shape[1] > 1:
-                    shape[read_as.index(ch)] = choice[t].shape[1]
-                index[k] = choice[t].reshape(shape)
-            # numpy puts the axes of index arrays in place when they are
-            # adjacent, else first
-            at = axes[0] if axes == list(range(axes[0], axes[-1] + 1)) else 0
-            return "".join(kept_axes[:at]) + read_as + "".join(kept_axes[at:]), tuple(index)
-
-        news, ops = [], []
-        for term, arr in zip(terms, arrays):
-            new, index = read(term)
-            news.append(new)
-            ops.append(arr if index is None else arr[index])
-        out, placed = read(rhs)
-        subscripts = ",".join(news) + "->" + out
-        bound = _whole_bound(news, out, ops, _sizes(news, ops), scale)
-        if bound is None:
-            ops = _Contraction(subscripts, ops, scale)
-            bound = ops.bound
-        parts.append((subscripts, ops, bound, placed))
-    return tuple(parts)
-
-
 def _run_whole(subscripts: str, arrays, scale: int = 1):
     """The contraction times scale as one nested einsum loop in int64,
     exact by the bound of _whole_bound, which covers the scale and every
@@ -1161,20 +998,13 @@ class _Contraction:
         live = _support(self.terms, arrays) if live is None else live
         self.cut = {ch: np.flatnonzero(hit) for ch, hit in live.items() if not hit.all()}
         self.slab_index = ""
+        self.ops = [_taken(arr, term, self.cut) for term, arr in zip(self.terms, arrays)]
         self.scale = scale
         sizes = {ch: self.size(ch) for ch in self.sizes}
-        self.shape = tuple(self.terms), self.rhs, tuple(sizes.items())
-        self.parts = _parts(self.terms, self.rhs, arrays, sizes, self.sizes, scale)
-        if self.parts:
-            self.bound = sum(bound for _, _, bound, _ in self.parts)
-            self.fits, self.steps = True, ()
-            self.limit = max(_SLAB_ENTRIES, prod(self.sizes[ch] for ch in self.rhs),
-                             *(arr.size for arr in arrays))
-            return
-        self.ops = [_taken(arr, term, self.cut) for term, arr in zip(self.terms, arrays)]
         self.bound = _bound(self.terms, self.rhs, self.ops, sizes, scale)
         self.limit = max(_SLAB_ENTRIES, prod(sizes[ch] for ch in self.rhs),
                          *(op.size for op in self.ops))
+        self.shape = tuple(self.terms), self.rhs, tuple(sizes.items())
         self.plan = _layout(*self.shape, "", 0)    # no slab index: reads no limit
         self.fits = self.plan.peak <= _SLAB_ENTRIES or not self.rhs
 
@@ -1198,9 +1028,6 @@ class _Contraction:
         of the output index at axis leaves (by default the one _slab_axis
         picks)."""
         self.dtype = dtype
-        if self.parts:
-            self.root = (self.rhs, self._assembled(), False)
-            return self
         if self.fits:
             slab, plan = "", self.plan
         else:
@@ -1229,30 +1056,6 @@ class _Contraction:
         self.length = self.size(slab) if slab else 1
         return self
 
-    def _assembled(self):
-        """The whole result of a contraction cut by blocks: every part run
-        in the tier of its own bound and added into its entries of the
-        output, int64 unless the sum of the parts' bounds takes the object
-        tier; a scalar of the object tier is a Python int."""
-        dtype = object if _tier(self.bound) is object else np.int64
-        out = None
-        for subscripts, value, _, placed in self.parts:
-            if isinstance(value, _Contraction):
-                value = value.ready(_tier(value.bound)).evaluate()
-            else:
-                value = _run_whole(subscripts, value, self.scale)
-            value = np.asarray(value, dtype=dtype)
-            if placed is None and out is None:
-                out = value
-                continue
-            if out is None:
-                out = np.zeros([self.sizes[ch] for ch in self.rhs], dtype=dtype)
-            if placed is None:
-                out += value
-            else:
-                out[placed] += value
-        return out[()] if dtype is object and not self.rhs else out
-
     def _step(self, parts, out: str) -> np.ndarray:
         (a_term, a, _), (b_term, b, _) = parts
         if self.dtype is object:
@@ -1274,9 +1077,6 @@ class _Contraction:
     def slab(self, lo: int, hi: int):
         """Rows lo:hi of the slab index (cut positions) of the result; the
         whole cut result when the contraction fits."""
-        if self.parts:
-            cut = self.cut.keys() & set(self.rhs)
-            return self.root[1][self.positions(self.rhs)] if cut else self.root[1]
         term = self.root[0]
         out = self._eval(self.root, slice(lo, hi))
         if term == self.rhs and self.dtype is not object:
@@ -1291,8 +1091,6 @@ class _Contraction:
 
     def evaluate(self):
         """The whole result, int64 or object, scattered back to full shape."""
-        if self.parts:
-            return self.root[1]
         cut = bool(self.cut.keys() & set(self.rhs))
         if self.fits and not cut:                   # a scalar always fits
             out = self.slab(0, 1)
@@ -1345,8 +1143,7 @@ def _slab_axis(plans, outs) -> int:
     def excess(k):
         return sum(max(0, _pairs(*plan.key(out[k]))[-1] - plan.limit) for plan, out in slabbed)
 
-    steps = [sum(_slab_steps(*plan.shape)[k] for plan in plans
-                 if plan is not None and not plan.parts)
+    steps = [sum(_slab_steps(*plan.shape)[k] for plan in plans if plan is not None)
              for k in range(len(outs[0]))]
     axes = sorted(range(len(outs[0])), key=steps.__getitem__)
     fits = next((k for k in axes if not excess(k)), None)
@@ -1365,16 +1162,68 @@ def _safe_einsum(subscripts: str, *arrays: np.ndarray) -> np.ndarray:
     A contraction of fewer than _BLAS_WORK naive products outside the object
     tier runs whole, as one einsum loop over the uncut operands, unless its
     pairwise steps cost far less (_whole_bound, _run_whole); any other is
-    planned and formed at once or slab by slab,
+    first collapsed by its diagonal operands (_collapsed), then planned
+    and formed at once or slab by slab,
     an output index that was cut scattered back into a zero array of full
-    shape, and a scalar result of the object tier is a Python int."""
+    shape, output axes a collapse ties put back on their diagonal
+    (_on_diagonal), and a scalar result of the object tier is a Python
+    int."""
     lhs, rhs = subscripts.split("->")
     terms = lhs.split(",")
-    bound = _whole_bound(terms, rhs, arrays, _sizes(terms, arrays))
+    sizes = _sizes(terms, arrays)
+    bound = _whole_bound(terms, rhs, arrays, sizes)
     if bound is not None:
         return _run_whole(subscripts, arrays)
+    collapsed = _collapsed(terms, rhs, arrays)
+    if collapsed is not None:
+        subscripts, ops, axes = collapsed
+        return _on_diagonal(_safe_einsum(subscripts, *ops), axes, [sizes[ch] for ch in rhs])
     plan = _Contraction(subscripts, arrays)
     return plan.ready(_tier(plan.bound)).evaluate()
+
+
+def _collapsed(terms, rhs: str, arrays) -> Optional[tuple]:
+    """The contraction terms->rhs of arrays with the indices of each
+    _diagonal operand collapsed to one, as (its subscripts, its operands,
+    per output axis the axis of the collapsed output it lies on); None
+    when no operand is diagonal.
+
+    A diagonal operand ties the indices it carries: every term in which
+    they differ multiplies a zero.  Indices tied through operands that
+    share one form a class, named by its least letter.  Every operand is
+    read over the names of its indices, its diagonal taken (a view) where
+    two of them fall in one class, so a diagonal operand becomes a vector;
+    the output keeps one axis per class, in the order of their first
+    output axes, and is zero off the diagonal of the output axes a class
+    ties.  This is the cut of a contraction by the blocks of its operands'
+    support where every block is one position: it drops only zero terms,
+    and its bound, over fewer summed indices, is never the higher."""
+    tied = [set(term) for term, arr in zip(terms, arrays) if len(term) > 1 and _diagonal(arr)]
+    if not tied:
+        return None
+    classes: list = []
+    for letters in tied:
+        met = [c for c in classes if c & letters]
+        classes = [c for c in classes if not c & letters] + [letters.union(*met)]
+    name = {ch: min(c) for c in classes for ch in c}
+    reads = ["".join(name.get(ch, ch) for ch in term) for term in terms]
+    news = ["".join(dict.fromkeys(read)) for read in reads]
+    out = "".join(dict.fromkeys(name.get(ch, ch) for ch in rhs))
+    ops = [arr if new == read else np.einsum(f"{read}->{new}", arr)
+           for read, new, arr in zip(reads, news, arrays)]
+    return ",".join(news) + "->" + out, ops, tuple(out.index(name.get(ch, ch)) for ch in rhs)
+
+
+def _on_diagonal(value, axes: tuple, shape: list):
+    """The result value of a collapsed contraction (_collapsed) at the
+    output's full shape: zero off the diagonal of the output axes that lie
+    on one of its axes; value itself when no two do."""
+    if len(set(axes)) == len(axes):
+        return value
+    full = np.zeros(shape, dtype=value.dtype)
+    full[tuple(np.arange(n).reshape([-1 if k == axis else 1 for k in range(value.ndim)])
+               for n, axis in zip(shape, axes))] = value
+    return full
 
 
 def _contract(subscripts: str, *pairs) -> tuple:
@@ -1415,20 +1264,52 @@ def _difference(x: tuple, y: tuple) -> Optional[tuple]:
     own height and a side that fits formed once and sliced (_slabs).  On
     the first axis the index is located in the first slab that differs;
     on another, the least index over the slabs that differ is the first in
-    row-major order.  No array of a planned side passes its limit."""
+    row-major order.  No array of a planned side passes its limit.
+
+    A side to be planned is first collapsed by its diagonal operands
+    (_collapsed).  Both sides are compared collapsed when their outputs
+    then tie the same axes: each is zero off that diagonal, and in
+    row-major order its entries come in the order of the collapsed
+    output's, whose axes keep the order of their first output axes.
+    Otherwise a side whose collapse ties output axes is formed collapsed
+    and put on the diagonal of its output (_on_diagonal), an array within
+    its limit, and compared as that array."""
     (xs, *xp), (ys, *yp) = x, y
     dx, dy = prod(d for _, d in xp), prod(d for _, d in yp)
     g = gcd(dx, dy)
-    sides = [(xs, [A for A, _ in xp], dy // g), (ys, [A for A, _ in yp], dx // g)]
+    return _compared([(xs, [A for A, _ in xp], dy // g), (ys, [A for A, _ in yp], dx // g)])
+
+
+def _compared(sides, collapse: bool = True) -> Optional[tuple]:
+    """The first difference (_difference) of two sides (subscripts, arrays,
+    scale), each side's contraction times its scale, collapsed first when
+    collapse says so."""
     terms = [sub.split("->")[0].split(",") for sub, _, _ in sides]
     outs = [sub.split("->")[1] for sub, _, _ in sides]
     sizes = [_sizes(t, ops) for t, (_, ops, _) in zip(terms, sides)]
     if [sizes[0][ch] for ch in outs[0]] != [sizes[1][ch] for ch in outs[1]]:
-        raise ValueError(f"{xs} and {ys} have outputs of different shapes")
+        raise ValueError(f"{sides[0][0]} and {sides[1][0]} have outputs of different shapes")
     whole = [_whole_bound(t, out, ops, size, scale)
              for t, out, (_, ops, scale), size in zip(terms, outs, sides, sizes)]
     if None not in whole:
         return _located(*(_run_whole(sub, ops, scale) for sub, ops, scale in sides))
+    if collapse:
+        untied = tuple(range(len(outs[0])))
+        collapsed = [_collapsed(t, out, ops) if bound is None else None
+                     for t, out, (_, ops, _), bound in zip(terms, outs, sides, whole)]
+        axes = [untied if c is None else c[2] for c in collapsed]
+        if axes[0] != axes[1]:
+            # formed collapsed and put on the diagonal: the other side has
+            # to be met over the whole output
+            collapsed = [c if c is None or c[2] == untied else
+                         (f"{out}->{out}", [_on_diagonal(_safe_einsum(c[0], *c[1]), c[2],
+                                                         [size[ch] for ch in out])], untied)
+                         for c, out, size in zip(collapsed, outs, sizes)]
+        if any(collapsed):
+            at = _compared([side if c is None else (*c[:2], side[2])
+                            for side, c in zip(sides, collapsed)], False)
+            axes = next(c[2] for c in collapsed if c is not None)
+            return None if at is None else tuple(at[axis] for axis in axes)
     lives = [_support(t, ops) for t, (_, ops, _) in zip(terms, sides)]
     for a, b in zip(*outs):
         lives[0][a] = lives[1][b] = lives[0][a] | lives[1][b]
@@ -1440,7 +1321,7 @@ def _difference(x: tuple, y: tuple) -> Optional[tuple]:
     for (sub, ops, scale), out, live, plan in zip(sides, outs, lives, plans):
         if plan is None and dtype is not object:
             value = _run_whole(sub, ops, scale)
-            if out:
+            if not all(live[ch].all() for ch in out):
                 value = value[np.ix_(*(np.flatnonzero(live[ch]) for ch in out))]
         else:
             value = plan or _Contraction(sub, ops, scale, live)

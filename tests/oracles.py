@@ -82,6 +82,13 @@ def hopf_map(source: FDHopf, target: FDHopf, images: list) -> HopfMap:
     return HopfMap(source, target, P, 1)
 
 
+def first_difference(X: np.ndarray, Y: np.ndarray):
+    """The first index, in row-major order, at which X and Y differ, or
+    None: np.argwhere lists the differing indices in that order."""
+    differ = np.argwhere(X != Y)
+    return tuple(int(k) for k in differ[0]) if len(differ) else None
+
+
 def evaluate(chi: Character, x: dict):
     """chi at the vector x = {basis index: coefficient}."""
     return _n(sum((a * chi.values[i] for i, a in x.items()), Fraction(0)))

@@ -23,6 +23,7 @@ from kleintwist.hopf import (_first_difference, _safe_einsum, characters, functi
                              restriction_surjection, verify_hopf_axioms)
 from kleintwist.perm import easy_klein, subgroups_of_type, symmetric_group
 from kleintwist.ratlinalg import _INT64_LIMIT
+import oracles
 
 # Every subscript string written in the package source.
 SUBSCRIPTS = sorted({m for path in Path(kleintwist.__file__).parent.glob("*.py")
@@ -547,36 +548,46 @@ def test_profile_dies_with_its_array():
 def block_diagonal(draw, n: int, axes: int):
     """A stored integer array of the given number of axes of length n whose
     nonzero entries lie in the blocks of a drawn partition of the shuffled
-    positions: singletons, mixed sizes or one block."""
+    positions: every block one position (a diagonal array), mixed sizes,
+    or one block."""
     order = draw(st.permutations(range(n)))
-    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1)))
+    kind = draw(st.sampled_from(["singletons", "mixed", "one"]))
+    cuts = {"singletons": list(range(1, n)), "one": [],
+            "mixed": sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1)))}[kind]
     A = np.zeros((n,) * axes, dtype=np.int64)
     for lo, hi in zip([0] + cuts, cuts + [n]):
         block = np.array(order[lo:hi])
-        values = draw(arrays(np.int64, (hi - lo,) * axes, elements=st.integers(-3, 3)))
-        A[np.ix_(*[block] * axes)] = values
+        A[np.ix_(*[block] * axes)] = draw(arrays(np.int64, (hi - lo,) * axes, elements=SMALL))
     return hopf._stored(A, 1)[0]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_contractions_cut_by_blocks_match_plain_einsum(data):
-    """Every contraction cut by its operands' blocks (planned and cut at
-    any size) equals the plain object einsum, and an identity whose sides carry
-    different partitions gives the first differing index in row-major
-    order."""
+def test_contractions_collapsed_by_diagonal_operands_match_plain_einsum(data):
+    """A contraction with operands whose support is block-diagonal under
+    drawn partitions equals the plain object einsum, planned (and then
+    collapsed by every diagonal operand) or whole; an identity whose two
+    sides carry different partitions, so that one side's collapse may tie
+    output axes the other's does not, gives the first differing index in
+    row-major order (oracles.first_difference)."""
     n = data.draw(st.integers(2, 5))
     M, N, P = (data.draw(block_diagonal(n, axes)) for axes in (3, 3, 2))
-    C = hopf._stored(data.draw(arrays(np.int64, (n, n, n), elements=st.integers(-3, 3))), 1)[0]
-    with patch.object(hopf, "_CUT_WORK", 0), patch.object(hopf, "_PART_COST", 0), \
-            patch.object(hopf, "_BLAS_WORK", 0):
-        for subscripts, ops in (("iab,acp,bdq->ipdq", (C, M, N)), ("ijw,wp->ijp", (M, P)),
-                                ("iab,acp->ibcp", (C, M))):
-            want = np.einsum(subscripts, *(op.astype(object) for op in ops))
-            assert np.array_equal(_safe_einsum(subscripts, *ops), want)
-        x, y = ("ijw,wp->ijp", (M, 1), (P, 1)), ("ia,jb,abp->ijp", (P, 1), (P, 1), (N, 1))
-        X = np.einsum(x[0], M.astype(object), P.astype(object))
-        Y = np.einsum(y[0], P.astype(object), P.astype(object), N.astype(object))
-        at = np.argwhere(X != Y)
-        want = tuple(int(k) for k in at[0]) if len(at) else None
-        assert hopf._difference(x, y) == want
+    C = hopf._stored(data.draw(arrays(np.int64, (n, n, n), elements=SMALL)), 1)[0]
+    identities = [(("ijw,wp->ijp", (M, 1), (P, 1)), ("ia,jb,abp->ijp", (P, 1), (P, 1), (N, 1))),
+                  (("gi,iyw,wzp->gyzp", (P, 1), (M, 1), (N, 1)),
+                   ("gi,iwp,yzw->gyzp", (P, 1), (N, 1), (M, 1))),
+                  (("iab,acp,bdq->ipdq", (C, 1), (M, 1), (N, 1)), ("ip,dq->ipdq", (P, 1), (P, 1)))]
+    planned = data.draw(st.booleans())
+    with patch.object(hopf, "_BLAS_WORK", 0 if planned else hopf._BLAS_WORK):
+        for x, y in identities:
+            X, Y = (np.einsum(side[0], *(A.astype(object) for A, _ in side[1:])) for side in (x, y))
+            for side, want in ((x, X), (y, Y)):
+                subscripts, ops = side[0], [A for A, _ in side[1:]]
+                assert np.array_equal(_safe_einsum(subscripts, *ops), want)
+                lhs, rhs = subscripts.split("->")
+                collapsed = hopf._collapsed(lhs.split(","), rhs, ops)
+                diagonal = any(A.ndim > 1 and np.count_nonzero(A)
+                               == np.count_nonzero(np.einsum("i" * A.ndim + "->i", A))
+                               for A in ops)
+                assert (collapsed is not None) == diagonal
+            assert hopf._difference(x, y) == oracles.first_difference(X, Y)

@@ -720,6 +720,58 @@ def _a5tau():
     return twist(sigma.carrier, sigma, verify=False), sigma, pi
 
 
+def _blocks(M: np.ndarray) -> list:
+    """The blocks of a product's support, largest first: positions joined
+    whenever one nonzero entry carries both, by union-find over the
+    entries."""
+    root = list(range(len(M)))
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for i, j, k in zip(*np.nonzero(M)):
+        for b in (j, k):
+            root[find(b)] = find(i)
+    blocks: dict = {}
+    for a in range(len(M)):
+        blocks.setdefault(find(a), []).append(a)
+    return sorted(blocks.values(), key=len, reverse=True)
+
+
+class TestPlantedEntries:
+    """One entry planted in a stored product: joining its two largest
+    blocks, or inside its largest (an entry changed where the block has no
+    zero).  The failing suites and the failure of the identity map either
+    way are those of the engine that never cut by blocks, so the blocks
+    are read from the stored array, never assumed from how the algebra was
+    built."""
+
+    @pytest.mark.parametrize("name, kind, at, failed", [
+        ("cs4", "join", (0, 1, 0), ["antipode", "associativity", "bialgebra", "star"]),
+        ("cs4", "inside", (0, 0, 0), ["antipode", "associativity", "bialgebra"]),
+        ("s4tau", "join", (2, 16, 2), ["antipode", "associativity", "bialgebra", "star"]),
+        ("s4tau", "inside", (2, 2, 2), ["antipode", "associativity", "bialgebra", "star"])])
+    def test_verdicts_are_those_of_the_uncut_engine(self, name, kind, at, failed):
+        H = function_algebra(S4) if name == "cs4" else build_s4tau().algebra
+        U, (M, d), *rest = H._pairs
+        blocks = _blocks(M)
+        assert [len(b) for b in blocks[:2]] == ([1, 1] if name == "cs4" else [16, 4])
+        big = blocks[0]
+        planted = (big[0], blocks[1][0], big[0]) if kind == "join" else next(
+            ((i, j, k) for i in big for j in big for k in big if not M[i, j, k]), (big[0],) * 3)
+        assert planted == at
+        changed = np.array(M)
+        changed[at] += 1
+        P = FDHopf._from_tensors(H.basis_labels, U, (changed, d), *rest)
+        assert sorted(k for k, ok in verify_hopf_axioms(P).items() if not ok) == failed
+        eye = hopf._eye(H.dim)
+        for source, target in ((P, H), (H, P)):
+            pi = HopfMap(source, target, *eye)
+            assert not pi.verify() and pi.failure == "mult at ({},{})".format(*at)
+
+
 class TestScale:
     def test_a5_twist_passes_on_both_routes_and_forms_no_n4_array(self, monkeypatch, fresh):
         H, _, _ = _a5tau()
@@ -759,6 +811,42 @@ class TestScale:
         assert all_axioms_pass(verify_hopf_axioms(H))
         assert set(widest) == {"ijw,wkp->ijkp", "iab,axy->ixyb"}
 
+
+    @pytest.mark.parametrize("build, identities", [
+        (function_algebra, {REDUCED_BIALGEBRA: 5, GENERATED_ASSOCIATIVITY: 2}),
+        (group_algebra, {REDUCED_BIALGEBRA: 5, GENERATED_COASSOCIATIVITY: 2})])
+    def test_diagonal_structure_collapses_at_dimension_60(self, monkeypatch, fresh,
+                                                          build, identities):
+        """C(A5)'s product and Q[A5]'s coproduct are diagonal: the reduced
+        bialgebra identity and the generated (co)associativity identity run
+        collapsed: no contraction run for them, planned or whole, carries
+        more than five and two indices, where their uncut sides carry nine
+        and six."""
+        current, indices = [None], {}
+        real_difference, real_init, real_whole = (hopf._difference, hopf._Contraction.__init__,
+                                                  hopf._run_whole)
+
+        def ran(subscripts):
+            count = len(set(subscripts.split("->")[0]) - {","})
+            indices[current[0]] = max(indices.get(current[0], 0), count)
+
+        def difference(x, y):
+            current[0] = x[0]
+            return real_difference(x, y)
+
+        def init(self, subscripts, *args):
+            ran(subscripts)
+            real_init(self, subscripts, *args)
+
+        def whole(subscripts, *args):
+            ran(subscripts)
+            return real_whole(subscripts, *args)
+
+        monkeypatch.setattr(hopf, "_difference", difference)
+        monkeypatch.setattr(hopf._Contraction, "__init__", init)
+        monkeypatch.setattr(hopf, "_run_whole", whole)
+        assert all_axioms_pass(verify_hopf_axioms(build(A5)))
+        assert {subscripts: indices[subscripts] for subscripts in identities} == identities
 
     def test_no_array_of_the_engine_passes_its_limit(self, monkeypatch, undecided):
         """Every array a contraction keeps (ready), forms on a step or in a
